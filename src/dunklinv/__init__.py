@@ -40,7 +40,6 @@ from .liealg import (
     WorkBoundExceeded,
     adjoint_derivation,
     delta_derivation,
-    invariant_dimension_series,
     invariants_graded,
     make_sl,
     takiff_extend,

@@ -11,7 +11,8 @@ reproducible: identical configurations produce byte-identical JSON apart
 from the wall-time field.
 
 Exit codes: 0 all cases passed, 1 some property failed, 2 usage or parse
-error, 3 a work bound was exceeded.
+error (including a parameter that leaves nothing to check), 3 a work bound
+was exceeded, 4 an internal invariant failed (a bug, reported in one line).
 """
 
 from __future__ import annotations
@@ -25,35 +26,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import ParseError, Polynomial, monomials_of_degree, parse as parse_poly, render
-from .dunkl import (commutator_check, dunkl_apply, gram_basis, gram_matrix,
-                    make_context, positivity_certificate)
+from .dunkl import (InternalDivisionError, commutator_check, dunkl_apply, gram_basis,
+                    gram_matrix, make_context, positivity_certificate)
 from .liealg import (WorkBoundExceeded, adjoint_derivation,
                      invariants_graded, make_sl, takiff_extend)
-from .restriction import (CartanFrame, chevalley_graded_check, criterion_check,
-                          criterion_subspace, image_basis)
+from .restriction import (CartanFrame, RestrictionError, chevalley_graded_check,
+                          criterion_check, criterion_subspace, image_basis)
+from .rootsys import WeylClosureError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    system: str | None = None
-    algebra: str | None = None
-    k: str | None = None
-    m: int = 1
-    degree: int | None = None
-    max_degree: int | None = None
-    invariants_only: bool = False
-    xi: str | None = None
-    poly: str | None = None
-    random_cases: int = 0
-    seed: int = 0
-    work_bound: int = 20000
-    json_output: bool = False
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -134,19 +119,20 @@ def _random_polynomial(rng: random.Random, dim: int, max_degree: int) -> Polynom
 # -- dunkl ----------------------------------------------------------------
 
 
-def cmd_dunkl_commute(cfg: RunConfig) -> Report:
-    ctx = make_context(cfg.system, cfg.k)
-    max_degree = cfg.max_degree if cfg.max_degree is not None else 5
-    report = Report("dunkl commute", {
-        "type": cfg.system, "k": cfg.k, "max_degree": max_degree,
-        "random": cfg.random_cases, "seed": cfg.seed})
+def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
+    ctx = make_context(args.type, args.k)
     rank = ctx.rank
+    if rank < 2:
+        raise ValueError(f"{args.type} has rank 1: there is no pair of operators to commute")
+    report = Report("dunkl commute", {
+        "type": args.type, "k": args.k, "max_degree": args.max_degree,
+        "random": args.random_cases, "seed": args.seed})
     directions = [[Fraction(i == j) for j in range(rank)] for i in range(rank)]
     for i in range(rank):
         for j in range(i + 1, rank):
             failures = []
             count = 0
-            for d in range(max_degree + 1):
+            for d in range(args.max_degree + 1):
                 for mono in monomials_of_degree(rank, d):
                     p = Polynomial(rank, {mono: Fraction(1)})
                     count += 1
@@ -154,33 +140,32 @@ def cmd_dunkl_commute(cfg: RunConfig) -> Report:
                         failures.append(render(p))
             status = "pass" if not failures else "fail"
             report.add(Case(
-                name=f"[T_e{i + 1}, T_e{j + 1}] on monomials of degree <= {max_degree}",
+                name=f"[T_e{i + 1}, T_e{j + 1}] on monomials of degree <= {args.max_degree}",
                 status=status,
                 witness=failures[0] if failures else None,
                 data={"cases": count}))
-    if cfg.random_cases:
-        rng = random.Random(cfg.seed)
+    if args.random_cases:
+        rng = random.Random(args.seed)
         failures = []
-        for _ in range(cfg.random_cases):
-            p = _random_polynomial(rng, rank, max_degree)
+        for _ in range(args.random_cases):
+            p = _random_polynomial(rng, rank, args.max_degree)
             for i in range(rank):
                 for j in range(i + 1, rank):
                     if commutator_check(ctx, directions[i], directions[j], p):
                         failures.append(render(p))
-        report.add(Case(name=f"random polynomials ({cfg.random_cases})",
+        report.add(Case(name=f"random polynomials ({args.random_cases})",
                         status="pass" if not failures else "fail",
                         witness=failures[0] if failures else None))
     return report
 
 
-def cmd_dunkl_gram(cfg: RunConfig) -> Report:
-    ctx = make_context(cfg.system, cfg.k)
-    degree = cfg.degree if cfg.degree is not None else 2
+def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
+    ctx = make_context(args.type, args.k)
     report = Report("dunkl gram", {
-        "type": cfg.system, "k": cfg.k, "degree": degree,
-        "invariants_only": cfg.invariants_only})
-    basis = gram_basis(ctx, degree, cfg.invariants_only)
-    matrix = gram_matrix(ctx, degree, cfg.invariants_only)
+        "type": args.type, "k": args.k, "degree": args.degree,
+        "invariants_only": args.invariants_only})
+    basis = gram_basis(ctx, args.degree, args.invariants_only)
+    matrix = gram_matrix(ctx, args.degree, args.invariants_only)
     symmetric = all(matrix[i][j] == matrix[j][i]
                     for i in range(len(matrix)) for j in range(len(matrix)))
     report.add(Case(name=f"gram matrix ({len(basis)}x{len(basis)})",
@@ -189,7 +174,7 @@ def cmd_dunkl_gram(cfg: RunConfig) -> Report:
                     data={"basis": [render(b) for b in basis],
                           "matrix": _matrix_strings(matrix)}))
     k_values = ctx.k.resolve(ctx.rs)
-    if cfg.invariants_only and all(v > 0 for v in k_values.values()):
+    if args.invariants_only and all(v > 0 for v in k_values.values()):
         definite, minors = positivity_certificate(matrix)
         report.add(Case(name="positive definiteness (leading principal minors)",
                         status="pass" if definite else "fail",
@@ -197,13 +182,13 @@ def cmd_dunkl_gram(cfg: RunConfig) -> Report:
     return report
 
 
-def cmd_dunkl_apply(cfg: RunConfig) -> Report:
-    ctx = make_context(cfg.system, cfg.k)
-    xi = [Fraction(part.strip()) for part in cfg.xi.split(",")]
-    p = parse_poly(cfg.poly, ctx.rank)
+def cmd_dunkl_apply(args: argparse.Namespace) -> Report:
+    ctx = make_context(args.type, args.k)
+    xi = [Fraction(part.strip()) for part in args.xi.split(",")]
+    p = parse_poly(args.poly, ctx.rank)
     result = dunkl_apply(ctx, xi, p)
     report = Report("dunkl apply", {
-        "type": cfg.system, "k": cfg.k, "xi": cfg.xi, "poly": cfg.poly})
+        "type": args.type, "k": args.k, "xi": args.xi, "poly": args.poly})
     report.add(Case(name=f"T_xi({render(p)})", status="pass",
                     data={"result": render(result)}))
     return report
@@ -220,14 +205,14 @@ class BoundExceededWithPartial(Exception):
         self.report = report
 
 
-def cmd_chevalley_check(cfg: RunConfig) -> Report:
-    g = _algebra(cfg.algebra)
-    max_degree = cfg.max_degree if cfg.max_degree is not None else 6
+def cmd_chevalley_check(args: argparse.Namespace) -> Report:
+    g = _algebra(args.algebra)
     report = Report("chevalley check", {
-        "algebra": cfg.algebra, "max_degree": max_degree, "work_bound": cfg.work_bound})
-    for d in range(max_degree + 1):
+        "algebra": args.algebra, "max_degree": args.max_degree,
+        "work_bound": args.work_bound})
+    for d in range(args.max_degree + 1):
         try:
-            rep = chevalley_graded_check(g, d, cfg.work_bound)
+            rep = chevalley_graded_check(g, d, args.work_bound)
         except WorkBoundExceeded as exc:
             raise BoundExceededWithPartial(report, exc) from exc
         report.add(Case(
@@ -250,20 +235,19 @@ def _algebra(name: str):
     raise ValueError(f"unsupported algebra {name!r}; use sl2 or sl3")
 
 
-def _degree_range(cfg: RunConfig, default_max: int) -> list[int]:
-    if cfg.degree is not None:
-        return [cfg.degree]
-    top = cfg.max_degree if cfg.max_degree is not None else default_max
-    return list(range(top + 1))
+def _degree_range(args: argparse.Namespace) -> list[int]:
+    if args.degree is not None:
+        return [args.degree]
+    return list(range(args.max_degree + 1))
 
 
-def cmd_takiff_invariants(cfg: RunConfig) -> Report:
-    gm = takiff_extend(_algebra(cfg.algebra), cfg.m)
+def cmd_takiff_invariants(args: argparse.Namespace) -> Report:
+    gm = takiff_extend(_algebra(args.algebra), args.m)
     names = list(gm.basis_names)
     report = Report("takiff invariants", {
-        "algebra": cfg.algebra, "m": cfg.m, "work_bound": cfg.work_bound})
-    for d in _degree_range(cfg, 4):
-        basis = invariants_graded(gm, d, cfg.work_bound)
+        "algebra": args.algebra, "m": args.m, "work_bound": args.work_bound})
+    for d in _degree_range(args):
+        basis = invariants_graded(gm, d, args.work_bound)
         annihilated = all(
             not adjoint_derivation(gm, x, b)
             for b in basis.basis for x in range(gm.dim))
@@ -273,19 +257,19 @@ def cmd_takiff_invariants(cfg: RunConfig) -> Report:
     return report
 
 
-def cmd_takiff_image(cfg: RunConfig) -> Report:
-    if cfg.algebra == "sl2" and cfg.m > 2:
+def cmd_takiff_image(args: argparse.Namespace) -> Report:
+    if args.algebra == "sl2" and args.m > 2:
         raise ValueError("takiff image supports sl2 with m <= 2")
-    if cfg.algebra == "sl3" and cfg.m != 1:
+    if args.algebra == "sl3" and args.m != 1:
         raise ValueError("takiff image supports sl3 with m = 1 only")
-    gm = takiff_extend(_algebra(cfg.algebra), cfg.m)
+    gm = takiff_extend(_algebra(args.algebra), args.m)
     frame = CartanFrame(gm)
-    dims_only = cfg.algebra == "sl3"
+    dims_only = args.algebra == "sl3"
     report = Report("takiff image", {
-        "algebra": cfg.algebra, "m": cfg.m, "mode": "dims" if dims_only else "basis",
-        "work_bound": cfg.work_bound})
-    for d in _degree_range(cfg, 4):
-        image = image_basis(frame, d, cfg.work_bound)
+        "algebra": args.algebra, "m": args.m, "mode": "dims" if dims_only else "basis",
+        "work_bound": args.work_bound})
+    for d in _degree_range(args):
+        image = image_basis(frame, d, args.work_bound)
         criterion = criterion_subspace(frame, d)
         included = criterion.contains_subspace(image)
         if image.dim == criterion.dim and included:
@@ -305,17 +289,17 @@ def cmd_takiff_image(cfg: RunConfig) -> Report:
     return report
 
 
-def cmd_takiff_criterion(cfg: RunConfig) -> Report:
-    gm = takiff_extend(_algebra(cfg.algebra), cfg.m)
+def cmd_takiff_criterion(args: argparse.Namespace) -> Report:
+    gm = takiff_extend(_algebra(args.algebra), args.m)
     frame = CartanFrame(gm)
-    p = frame.parse(cfg.poly)
-    bound = cfg.max_degree if cfg.max_degree is not None else 8
-    result = criterion_check(frame, p, image_degree_bound=bound, work_bound=cfg.work_bound)
+    p = frame.parse(args.poly)
+    result = criterion_check(frame, p, image_degree_bound=args.max_degree,
+                             work_bound=args.work_bound)
     report = Report("takiff criterion", {
-        "algebra": cfg.algebra, "m": cfg.m, "poly": cfg.poly,
+        "algebra": args.algebra, "m": args.m, "poly": args.poly,
         "variables": list(frame.names),
         "raw_variables": [[i, s] for (i, s) in frame.raw_pairs],
-        "image_degree_bound": bound})
+        "image_degree_bound": args.max_degree})
     report.add(Case(name="condition 1: diagonal reflection invariance",
                     status="pass" if result.condition1 else "fail",
                     witness=None if result.condition1
@@ -333,6 +317,22 @@ def cmd_takiff_criterion(cfg: RunConfig) -> Report:
 
 
 # -- driver ----------------------------------------------------------------
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so a run cannot silently check nothing."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_NONNEGATIVE = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     commute = dunkl.add_parser("commute", help="check pairwise commutativity", **parents)
     commute.add_argument("--type", required=True, help="root system, e.g. A2")
     commute.add_argument("--k", required=True, help='multiplicities, e.g. "all=1/2"')
-    commute.add_argument("--max-degree", type=int, default=5)
-    commute.add_argument("--random", type=int, default=0, dest="random_cases",
+    commute.add_argument("--max-degree", type=_NONNEGATIVE, default=5)
+    commute.add_argument("--random", type=_NONNEGATIVE, default=0, dest="random_cases",
                          help="extra random polynomials")
     gram = dunkl.add_parser("gram", help="exact Gram matrix of the pairing", **parents)
     gram.add_argument("--type", required=True)
     gram.add_argument("--k", required=True)
-    gram.add_argument("--degree", type=int, default=2)
+    gram.add_argument("--degree", type=_NONNEGATIVE, default=2)
     gram.add_argument("--invariants-only", action="store_true")
     apply_ = dunkl.add_parser("apply", help="apply T_xi to a polynomial", **parents)
     apply_.add_argument("--type", required=True)
@@ -375,45 +375,29 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True)
     check = chev.add_parser("check", help="invariant/restriction/target dimensions", **parents)
     check.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
-    check.add_argument("--max-degree", type=int, default=6)
+    check.add_argument("--max-degree", type=_NONNEGATIVE, default=6)
 
     takiff = top.add_parser("takiff", help="Takiff algebra computations").add_subparsers(
         dest="action", required=True)
     inv = takiff.add_parser("invariants", help="graded invariant bases", **parents)
     inv.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
     inv.add_argument("--m", type=int, default=1)
-    inv.add_argument("--degree", type=int)
-    inv.add_argument("--max-degree", type=int)
+    inv.add_argument("--degree", type=_NONNEGATIVE)
+    inv.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
     image = takiff.add_parser("image", help="restriction image vs criterion space", **parents)
     image.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
-    image.add_argument("--m", type=int, default=1)
-    image.add_argument("--degree", type=int)
-    image.add_argument("--max-degree", type=int)
+    image.add_argument("--m", type=_int_at_least(1), default=1,
+                       help="truncation order; the criterion is meaningless at m = 0")
+    image.add_argument("--degree", type=_NONNEGATIVE)
+    image.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
     crit = takiff.add_parser("criterion", help="run the membership criterion on a polynomial", **parents)
     crit.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
-    crit.add_argument("--m", type=int, default=1)
+    crit.add_argument("--m", type=_int_at_least(1), default=1,
+                      help="truncation order; the criterion is meaningless at m = 0")
     crit.add_argument("--poly", required=True, help="polynomial in the h_m aliases (u, v, w)")
-    crit.add_argument("--max-degree", type=int, help="membership degree bound")
+    crit.add_argument("--max-degree", type=_NONNEGATIVE, default=8,
+                      help="membership degree bound")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=f"{args.group} {args.action}",
-        system=getattr(args, "type", None),
-        algebra=getattr(args, "algebra", None),
-        k=getattr(args, "k", None),
-        m=getattr(args, "m", 1),
-        degree=getattr(args, "degree", None),
-        max_degree=getattr(args, "max_degree", None),
-        invariants_only=getattr(args, "invariants_only", False),
-        xi=getattr(args, "xi", None),
-        poly=getattr(args, "poly", None),
-        random_cases=getattr(args, "random_cases", 0),
-        seed=args.seed,
-        work_bound=args.work_bound,
-        json_output=args.json,
-    )
 
 
 _COMMANDS = {
@@ -430,18 +414,17 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     started = time.monotonic()
 
     def emit(report: Report) -> None:
         wall_ms = int((time.monotonic() - started) * 1000)
-        if cfg.json_output:
+        if args.json:
             print(json.dumps(report.to_dict(wall_ms), indent=2))
         else:
             print(report.to_text(wall_ms))
 
     try:
-        report = _COMMANDS[cfg.command](cfg)
+        report = _COMMANDS[f"{args.group} {args.action}"](args)
     except BoundExceededWithPartial as exc:
         emit(exc.report)
         print(f"error: {exc}", file=sys.stderr)
@@ -452,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RestrictionError, InternalDivisionError, WeylClosureError) as exc:
+        print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     emit(report)
     return EXIT_PASS if report.failed == 0 else EXIT_FAIL
 

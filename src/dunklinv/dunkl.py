@@ -6,11 +6,11 @@ positive indivisible root:
     T_xi p = d_xi p + sum_{alpha > 0} k_alpha alpha(xi) (p - r_alpha p) / alpha
 
 The two-sided sum over Sigma with prefactor 1/2 collapses to this because
-the alpha and -alpha terms coincide; dunkl_apply(literal=True) evaluates the
-two-sided form so the collapse is itself checkable.  (1 - r_alpha) p is
-always divisible by the linear form alpha; a failed division here means a
-bug, never bad input, and exact arithmetic makes the check free of false
-alarms.
+the alpha and -alpha terms coincide; the test oracle two_sided_dunkl
+(tests/oracles.py) evaluates the two-sided form, so the collapse is itself
+checked.  (1 - r_alpha) p is always divisible by the linear form alpha; a
+failed division here means a bug, never bad input, and exact arithmetic
+makes the check free of false alarms.
 
 p(T) substitutes a commuting Dunkl operator for each coordinate: coordinate
 x_i is paired with the direction dual to it under the root system's
@@ -75,13 +75,8 @@ def _reflection_difference(p: Polynomial, refl, alpha_poly: Polynomial) -> Polyn
         raise InternalDivisionError(str(exc)) from exc
 
 
-def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial,
-                literal: bool = False) -> Polynomial:
-    """Apply T_xi to p; homogeneous degree d goes to homogeneous degree d-1.
-
-    literal=True evaluates the two-sided sum over Sigma with prefactor 1/2
-    instead of the positive-root form; the results agree identically.
-    """
+def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) -> Polynomial:
+    """Apply T_xi to p; homogeneous degree d goes to homogeneous degree d-1."""
     if len(xi) != ctx.rank:
         raise ValueError(f"direction of length {len(xi)} for rank {ctx.rank}")
     xi = [Fraction(c) for c in xi]
@@ -93,14 +88,7 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial,
         if not alpha_xi:
             continue
         quot = _reflection_difference(p, refl, alpha_poly)
-        if literal:
-            # alpha and -alpha each contribute half; their terms are equal.
-            half = k_alpha * alpha_xi / 2
-            result = result + quot * half
-            neg_quot = _reflection_difference(p, refl, -alpha_poly)
-            result = result + neg_quot * (k_alpha * (-alpha_xi) / 2)
-        else:
-            result = result + quot * (k_alpha * alpha_xi)
+        result = result + quot * (k_alpha * alpha_xi)
     return result
 
 

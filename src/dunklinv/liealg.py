@@ -25,7 +25,7 @@ from math import comb
 from typing import Sequence
 
 from .exactalg import Monomial, Polynomial, grlex_key, mono_mul, monomials_of_degree
-from .linalg import GradedSubspace, det, nullspace
+from .linalg import GradedSubspace, det, mat_mul, nullspace
 
 
 class WorkBoundExceeded(RuntimeError):
@@ -54,32 +54,30 @@ class LieAlgebra:
                 anti = {k: -c for k, c in self.structure[j][i].items()}
                 if self.structure[i][j] != anti:
                     raise ValueError("structure constants are not antisymmetric")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    acc: dict[int, Fraction] = {}
-                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, c in self.structure[y][z].items():
-                            for r, c2 in self.structure[x][l].items():
-                                acc[r] = acc.get(r, Fraction(0)) + c * c2
-                    if any(acc.values()):
-                        raise ValueError(f"Jacobi identity fails on basis triple {(i, j, k)}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = sum((c * self.form[l][k] for l, c in self.structure[i][j].items()),
-                              Fraction(0))
-                    rhs = sum((c * self.form[j][l] for l, c in self.structure[i][k].items()),
-                              Fraction(0))
-                    if lhs + rhs != 0:
-                        raise ValueError("trace form is not invariant")
-        if det(self.form) == 0:
-            raise ValueError("trace form is degenerate")
+        _check_lie_structure(self.dim, self.bracket, self.form)
 
 
-def _matrix_units(n: int) -> list[list[list[Fraction]]]:
-    return [[[Fraction(int(r == i and c == j)) for c in range(n)] for r in range(n)]
-            for i in range(n) for j in range(n)]
+def _check_lie_structure(dim: int, bracket, form: Sequence[Sequence[Fraction]]) -> None:
+    """Jacobi identity for `bracket` on basis indices; `form` invariant and nondegenerate."""
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                acc: dict[int, Fraction] = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, c in bracket(y, z).items():
+                        for r, c2 in bracket(x, l).items():
+                            acc[r] = acc.get(r, Fraction(0)) + c * c2
+                if any(acc.values()):
+                    raise ValueError(f"Jacobi identity fails on basis triple {(i, j, k)}")
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                lhs = sum((c * form[l][k] for l, c in bracket(i, j).items()), Fraction(0))
+                rhs = sum((c * form[j][l] for l, c in bracket(i, k).items()), Fraction(0))
+                if lhs + rhs != 0:
+                    raise ValueError("form is not invariant under the bracket")
+    if det(form) == 0:
+        raise ValueError("form is degenerate")
 
 
 def make_sl(n: int) -> LieAlgebra:
@@ -106,10 +104,6 @@ def make_sl(n: int) -> LieAlgebra:
         names.append("f" if n == 2 else f"f{i + 1}{j + 1}")
     cartan = tuple(range(len(pairs), len(pairs) + n - 1))
     dim = len(mats)
-
-    def mat_mul(a, b):
-        return [[sum((a[r][t] * b[t][c] for t in range(n)), Fraction(0))
-                 for c in range(n)] for r in range(n)]
 
     def expand(mat) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -184,35 +178,12 @@ class TakiffAlgebra:
         return sum((Fraction(c) * self.pairing(x, y)
                     for x, c in enumerate(element) if c), Fraction(0))
 
-    def cartan_flat(self) -> list[int]:
-        return [self.flat(c, s) for s in range(self.m + 1) for c in self.base.cartan_indices]
-
     def _check_structure(self) -> None:
-        dim = self.dim
-        for x in range(dim):
-            for y in range(dim):
-                for z in range(dim):
-                    acc: dict[int, Fraction] = {}
-                    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                        for l, cf in self.bracket_flat(b, c).items():
-                            for r, cf2 in self.bracket_flat(a, l).items():
-                                acc[r] = acc.get(r, Fraction(0)) + cf * cf2
-                    if any(acc.values()):
-                        raise ValueError("truncated bracket violates the Jacobi identity")
-        pairing = [[self.pairing(x, y) for y in range(dim)] for x in range(dim)]
-        if any(pairing[x][y] != pairing[y][x] for x in range(dim) for y in range(dim)):
+        pairing = [[self.pairing(x, y) for y in range(self.dim)] for x in range(self.dim)]
+        if any(pairing[x][y] != pairing[y][x]
+               for x in range(self.dim) for y in range(self.dim)):
             raise ValueError("pairing is not symmetric")
-        if det(pairing) == 0:
-            raise ValueError("pairing is degenerate")
-        for x in range(dim):
-            for y in range(dim):
-                for z in range(dim):
-                    lhs = sum((c * pairing[l][z] for l, c in self.bracket_flat(x, y).items()),
-                              Fraction(0))
-                    rhs = sum((c * pairing[y][l] for l, c in self.bracket_flat(x, z).items()),
-                              Fraction(0))
-                    if lhs + rhs != 0:
-                        raise ValueError("pairing is not invariant")
+        _check_lie_structure(self.dim, self.bracket_flat, pairing)
 
     def _ad_images(self, x: int) -> list[dict[int, Fraction]]:
         if x not in self._ad_cache:
@@ -347,12 +318,3 @@ def invariants_graded(gm: TakiffAlgebra, degree: int,
     result = GradedSubspace.from_polynomials(survivors, gm.dim, degree)
     gm._inv_cache[key] = result
     return result
-
-
-def invariant_dimension_series(generator_degrees: Sequence[int], upto: int) -> list[int]:
-    """Coefficients of prod_i 1/(1 - t^{d_i}) up to degree `upto`."""
-    coeffs = [1] + [0] * upto
-    for d in generator_degrees:
-        for i in range(d, upto + 1):
-            coeffs[i] += coeffs[i - d]
-    return coeffs

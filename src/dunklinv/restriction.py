@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, rootsys
-from .exactalg import Polynomial, divide_with_remainder, monomials_of_degree, render
+from .exactalg import Polynomial, divide_with_remainder, render
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
 from .linalg import GradedSubspace
 
@@ -45,7 +45,11 @@ class FrameRoot:
 
 
 class CartanFrame:
-    """Cartan coordinates of a Takiff algebra with the diagonal Weyl action."""
+    """Cartan coordinates of a Takiff algebra with the diagonal Weyl action.
+
+    `weyl` is the base Weyl group acting diagonally on S[h_m], held as a
+    rootsys.WeylGroup of substitution matrices on the frame coordinates.
+    """
 
     def __init__(self, gm: TakiffAlgebra):
         base = gm.base
@@ -82,36 +86,24 @@ class CartanFrame:
         self.positive_roots = [r for r in self.roots
                                if next(c for c in r.functional if c) > 0]
 
-        reflections = []
-        for root in self.positive_roots:
-            reflections.append(tuple(
-                tuple(Fraction(i == j) - root.coroot[i] * root.functional[j]
-                      for j in range(nc)) for i in range(nc)))
-        self.weyl_h = _close_group(reflections, nc)
-        self._reflection_by_root = {r.functional: refl
-                                    for r, refl in zip(self.positive_roots, reflections)}
+        # Generators are vectors, so w acts on S[h_m] by substituting
+        # blockdiag(w^T), one block per T-level.  The lift is an
+        # anti-homomorphism; it maps inverses to inverses, so the closure's
+        # inverse table carries over.  generators[i] is the diagonal
+        # reflection of positive_roots[i].
+        base_weyl = rootsys.close_group(
+            [[[Fraction(i == j) - root.coroot[i] * root.functional[j] for j in range(nc)]
+              for i in range(nc)] for root in self.positive_roots], nc)
 
-    # -- diagonal action ----------------------------------------------------
+        def lift(w):
+            return tuple(tuple(w[j % nc][i % nc] if i // nc == j // nc else Fraction(0)
+                               for j in range(self.dim)) for i in range(self.dim))
 
-    def _diag_substitution(self, w_h) -> list[list[Fraction]]:
-        # Generators are vectors, so the induced map substitutes via w^T per level.
-        nc = len(w_h)
-        n = self.dim
-        matrix = [[Fraction(0)] * n for _ in range(n)]
-        for s in range(self.gm.m + 1):
-            for i in range(nc):
-                for j in range(nc):
-                    matrix[s * nc + i][s * nc + j] = w_h[j][i]
-        return matrix
-
-    def diag_act(self, w_h, p: Polynomial) -> Polynomial:
-        return p.substitute(self._diag_substitution(w_h))
-
-    def diag_reynolds(self, p: Polynomial) -> Polynomial:
-        total = Polynomial.zero(self.dim)
-        for w in self.weyl_h:
-            total = total + self.diag_act(w, p)
-        return total / len(self.weyl_h)
+        self.weyl = rootsys.WeylGroup(
+            rank=self.dim,
+            elements=tuple(lift(w) for w in base_weyl.elements),
+            generators=tuple(lift(g) for g in base_weyl.generators),
+            inverse_index=base_weyl.inverse_index)
 
     # -- criterion ingredients ----------------------------------------------
 
@@ -136,27 +128,6 @@ class CartanFrame:
 
     def render(self, p: Polynomial) -> str:
         return render(p, self.names)
-
-
-def _close_group(generators, rank):
-    ident = tuple(tuple(row) for row in linalg.identity(rank))
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    gens = [tuple(tuple(Fraction(x) for x in row) for row in g) for g in generators]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                prod = tuple(tuple(row) for row in linalg.mat_mul(w, g))
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    nxt.append(prod)
-                    if len(elements) > 1000:
-                        raise RestrictionError("diagonal Weyl closure exceeded bound")
-        frontier = nxt
-    return elements
 
 
 def restrict(frame: CartanFrame, p: Polynomial) -> Polynomial:
@@ -207,9 +178,8 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
     if p.ambient_dim != frame.dim:
         raise ValueError("polynomial does not live on h_m")
     cond1, witness1 = True, None
-    for root in frame.positive_roots:
-        refl = frame._reflection_by_root[root.functional]
-        if frame.diag_act(refl, p) != p:
+    for root, refl in zip(frame.positive_roots, frame.weyl.generators):
+        if p.substitute(refl) != p:
             cond1, witness1 = False, root.label
             break
     cond2, witness2 = True, None
@@ -248,9 +218,7 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
 
 def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
     """Degree-d polynomials on h_m satisfying both criterion conditions."""
-    invariant = [frame.diag_reynolds(Polynomial(frame.dim, {mono: Fraction(1)}))
-                 for mono in monomials_of_degree(frame.dim, degree)]
-    base_space = GradedSubspace.from_polynomials(invariant, frame.dim, degree)
+    base_space = rootsys.invariant_basis(frame.weyl, degree)
     basis = list(base_space.basis)
     if not basis:
         return base_space

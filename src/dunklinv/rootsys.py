@@ -1,4 +1,4 @@
-"""Root systems with exact rational Weyl groups and multiplicity data.
+"""Root systems with exact rational Weyl groups and orbit labels.
 
 A root is stored as a pair: the linear functional alpha (a row of rational
 coefficients, so alpha as a polynomial is sum_i a_i x_i) and the coroot
@@ -14,12 +14,14 @@ coordinates, which is what keeps the pairing symmetric in the non-orthogonal
 realizations.
 
 Polynomials here are functions on the reflection representation, and the
-group acts by act(w, p) = p o w^{-1}.
+group acts by act(w, p) = p o w^{-1}.  Group closure and averaging are
+written once, for any finite matrix group given by generators: the
+restriction module reuses them for the diagonal Weyl action on S[h_m].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,9 +30,6 @@ from .exactalg import Polynomial, monomials_of_degree
 from .linalg import GradedSubspace
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
-
-WEYL_ORDER = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48,
-              "C2": 8, "C3": 48, "D3": 24, "G2": 12}
 
 _CLOSURE_BOUND = 1000
 
@@ -50,16 +49,10 @@ class RootSystem:
     roots: tuple[tuple[Fraction, ...], ...]       # functionals alpha, both signs
     coroots: tuple[tuple[Fraction, ...], ...]     # H_alpha, aligned with roots
     simple: tuple[int, ...]                       # indices of simple roots
-    indivisible: tuple[int, ...]                  # Sigma (all roots: systems are reduced)
     orbit_labels: tuple[str, ...]                 # "all" or "long"/"short", per root
     form: tuple[tuple[Fraction, ...], ...]        # W-invariant inner product on the space
-    multiplicities: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.multiplicities:
-            object.__setattr__(
-                self, "multiplicities",
-                {label: (Fraction(1), Fraction(0)) for label in set(self.orbit_labels)})
         form_inv = linalg.mat_inv(self.form)
         for alpha, coroot in zip(self.roots, self.coroots):
             if _dot(alpha, coroot) != 2:
@@ -88,35 +81,8 @@ class RootSystem:
         return Polynomial.linear_form(self.roots[idx])
 
     def positive_indivisible(self) -> list[int]:
-        """One representative of each {alpha, -alpha} pair in Sigma."""
-        out = []
-        for idx in self.indivisible:
-            row = self.roots[idx]
-            lead = next(c for c in row if c)
-            if lead > 0:
-                out.append(idx)
-        return out
-
-    def weight_multiplicity_k(self) -> "MultiplicityAssignment":
-        """k_alpha = (m_alpha + m_{2alpha}) / 2 from the stored multiplicity pairs."""
-        return MultiplicityAssignment(
-            {label: (m + m2) / 2 for label, (m, m2) in self.multiplicities.items()})
-
-    def with_multiplicities(self, pairs: dict[str, tuple]) -> "RootSystem":
-        """Copy with explicit (m_alpha, m_{2alpha}) pairs per orbit label."""
-        cleaned = {}
-        for label, (m, m2) in pairs.items():
-            if label not in set(self.orbit_labels):
-                raise ValueError(f"{self.name} has no orbit labelled {label!r}")
-            m, m2 = Fraction(m), Fraction(m2)
-            if m < 0 or m2 < 0:
-                raise ValueError("multiplicities must be nonnegative")
-            cleaned[label] = (m, m2)
-        if set(cleaned) != set(self.orbit_labels):
-            raise ValueError("every orbit label needs a multiplicity pair")
-        import dataclasses
-
-        return dataclasses.replace(self, multiplicities=cleaned)
+        """One representative of each {alpha, -alpha} pair (every system here is reduced)."""
+        return [idx for idx, row in enumerate(self.roots) if next(c for c in row if c) > 0]
 
 
 @dataclass(frozen=True)
@@ -279,7 +245,7 @@ def build_root_system(type_: str, rank: int) -> RootSystem:
     simple = tuple(roots.index(row) for row in simple_rows)
     return RootSystem(name=name, rank=rank,
                       roots=tuple(roots), coroots=tuple(coroots),
-                      simple=simple, indivisible=tuple(range(len(roots))),
+                      simple=simple,
                       orbit_labels=tuple(labels),
                       form=tuple(tuple(Fraction(x) for x in row) for row in form))
 
@@ -291,17 +257,17 @@ def root_system(name: str) -> RootSystem:
     return build_root_system(name[0], int(name[1]))
 
 
-def generate_weyl(rs: RootSystem) -> WeylGroup:
-    """Breadth-first closure of the simple reflections, deterministic order."""
-    generators = tuple(rs.reflection(i) for i in rs.simple)
-    ident = tuple(tuple(row) for row in linalg.identity(rs.rank))
+def close_group(generators, rank: int) -> WeylGroup:
+    """Breadth-first closure of rank x rank rational generators, deterministic order."""
+    gens = tuple(tuple(tuple(Fraction(x) for x in row) for row in g) for g in generators)
+    ident = tuple(tuple(row) for row in linalg.identity(rank))
     elements: list = [ident]
     seen = {ident}
     frontier = [ident]
     while frontier:
         next_frontier = []
         for w in frontier:
-            for g in generators:
+            for g in gens:
                 prod = tuple(tuple(row) for row in linalg.mat_mul(w, g))
                 if prod not in seen:
                     seen.add(prod)
@@ -309,13 +275,18 @@ def generate_weyl(rs: RootSystem) -> WeylGroup:
                     next_frontier.append(prod)
                     if len(elements) > _CLOSURE_BOUND:
                         raise WeylClosureError(
-                            f"Weyl closure for {rs.name} exceeded {_CLOSURE_BOUND} elements")
+                            f"group closure exceeded {_CLOSURE_BOUND} elements")
         frontier = next_frontier
     index = {w: i for i, w in enumerate(elements)}
     inverse_index = tuple(index[tuple(tuple(row) for row in linalg.mat_inv(w))]
                           for w in elements)
-    return WeylGroup(rank=rs.rank, elements=tuple(elements),
-                     generators=generators, inverse_index=inverse_index)
+    return WeylGroup(rank=rank, elements=tuple(elements),
+                     generators=gens, inverse_index=inverse_index)
+
+
+def generate_weyl(rs: RootSystem) -> WeylGroup:
+    """The Weyl group of rs, closed from its simple reflections."""
+    return close_group([rs.reflection(i) for i in rs.simple], rs.rank)
 
 
 def act(w: Sequence[Sequence[Fraction]], p: Polynomial) -> Polynomial:
@@ -334,10 +305,6 @@ def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
     return total / weyl.order
 
 
-def is_invariant(weyl: WeylGroup, p: Polynomial) -> bool:
-    return reynolds(weyl, p) == p
-
-
 def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:
     """Canonical basis of degree-d W-invariants via Reynolds + row reduction."""
     if degree < 0:
@@ -345,31 +312,3 @@ def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:
     projected = [reynolds(weyl, Polynomial(weyl.rank, {mono: Fraction(1)}))
                  for mono in monomials_of_degree(weyl.rank, degree)]
     return GradedSubspace.from_polynomials(projected, weyl.rank, degree)
-
-
-def root_orbits(rs: RootSystem, weyl: WeylGroup) -> list[set[int]]:
-    """W-orbits on the roots (acting on functionals by alpha o w^{-1})."""
-    index = {row: i for i, row in enumerate(rs.roots)}
-    remaining = set(range(len(rs.roots)))
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in weyl.generators:
-                    row = tuple(linalg.mat_vec(transposed_rows(g), rs.roots[i]))
-                    j = index[row]
-                    if j not in orbit:
-                        orbit.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        orbits.append(orbit)
-        remaining -= orbit
-    return orbits
-
-
-def transposed_rows(matrix):
-    return [list(col) for col in zip(*matrix)]

@@ -8,7 +8,8 @@ it checks.
 from fractions import Fraction
 from math import factorial
 
-from dunklinv.exactalg import Polynomial
+from dunklinv.exactalg import Polynomial, exact_divide
+from dunklinv.linalg import mat_vec, transpose
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -38,6 +39,48 @@ def a1_pairing(p: Polynomial, q: Polynomial, k) -> Fraction:
             current = a1_dunkl(current, k)
         total += coeff * current.evaluate_at_zero()
     return total
+
+
+def two_sided_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
+    """T_xi p as the literal sum over every root, positive and negative:
+
+        d_xi p + 1/2 sum_{alpha in Sigma} k_alpha alpha(xi) (p - r_alpha p) / alpha
+
+    Built from the root table, its reflections and the resolved
+    multiplicities alone, not from the operator's own per-root terms.
+    """
+    k_by_label = k.resolve(rs)
+    result = p.directional_derivative(xi)
+    for idx, alpha in enumerate(rs.roots):
+        weight = k_by_label[rs.orbit_labels[idx]] * sum(
+            (a * Fraction(c) for a, c in zip(alpha, xi)), Fraction(0)) / 2
+        if weight:
+            diff = p - p.substitute(rs.reflection(idx))
+            result = result + exact_divide(diff, Polynomial.linear_form(alpha)) * weight
+    return result
+
+
+def root_orbits(rs, weyl) -> list[set[int]]:
+    """W-orbits on the roots (acting on functionals by alpha o w^{-1})."""
+    index = {row: i for i, row in enumerate(rs.roots)}
+    remaining = set(range(len(rs.roots)))
+    orbits = []
+    while remaining:
+        seed = min(remaining)
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for g in weyl.generators:
+                    j = index[tuple(mat_vec(transpose(g), rs.roots[i]))]
+                    if j not in orbit:
+                        orbit.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        orbits.append(orbit)
+        remaining -= orbit
+    return orbits
 
 
 def apolarity(p: Polynomial, q: Polynomial) -> Fraction:

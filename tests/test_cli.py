@@ -3,7 +3,11 @@ import re
 
 import pytest
 
-from dunklinv.cli import EXIT_BOUND, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from dunklinv import cli
+from dunklinv.cli import EXIT_BOUND, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, main
+from dunklinv.dunkl import InternalDivisionError
+from dunklinv.restriction import RestrictionError
+from dunklinv.rootsys import WeylClosureError
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -54,6 +58,40 @@ def test_exit_two_on_bad_multiplicities(capsys):
     assert "short" in err
 
 
+# Each argv asks for a run with nothing meaningful to check.
+MEANINGLESS = [
+    ("takiff", "criterion", "--algebra", "sl2", "--m", "0", "--poly", "u"),
+    ("takiff", "image", "--algebra", "sl2", "--m", "0"),
+    ("dunkl", "gram", "--type", "A1", "--k", "all=1", "--degree", "-1"),
+    ("chevalley", "check", "--algebra", "sl2", "--max-degree", "-1"),
+    ("dunkl", "commute", "--type", "A1", "--k", "all=1"),
+]
+
+
+@pytest.mark.parametrize("argv", MEANINGLESS, ids=" ".join)
+def test_exit_two_on_meaningless_parameters(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:                       # rejected by argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "error" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("error", [RestrictionError, InternalDivisionError, WeylClosureError])
+def test_exit_four_on_internal_invariant_failure(capsys, monkeypatch, error):
+    def broken(args):
+        raise error("identity failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "dunkl gram", broken)
+    code, out, err = run(capsys, "dunkl", "gram", "--type", "A1", "--k", "all=1")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.count("\n") == 1 and "identity failed" in err and "Traceback" not in err
+
+
 def test_exit_three_on_work_bound_with_partial_table(capsys):
     code, out, err = run(capsys, "--work-bound", "30", "chevalley", "check",
                          "--algebra", "sl3", "--max-degree", "6")
@@ -72,9 +110,10 @@ def test_commute_a2(capsys):
 
 
 def test_commute_k_zero(capsys):
-    code, data, _ = run_json(capsys, "dunkl", "commute", "--type", "A1",
+    code, data, _ = run_json(capsys, "dunkl", "commute", "--type", "B2",
                              "--k", "all=0", "--max-degree", "5")
     assert code == EXIT_PASS
+    assert data["summary"] == {"total": 1, "passed": 1, "failed": 0, "unknown": 0}
 
 
 def test_gram_invariants_positive(capsys):
@@ -175,7 +214,7 @@ def test_takiff_criterion_v2_m2(capsys):
 # -- report shape -----------------------------------------------------------------
 
 SCHEMA_COMMANDS = [
-    ("dunkl", "commute", "--type", "A1", "--k", "all=1", "--max-degree", "3"),
+    ("dunkl", "commute", "--type", "A2", "--k", "all=1", "--max-degree", "3"),
     ("dunkl", "gram", "--type", "A1", "--k", "all=1", "--degree", "2"),
     ("dunkl", "apply", "--type", "A1", "--k", "all=0", "--xi", "1", "--poly", "x1"),
     ("chevalley", "check", "--algebra", "sl2", "--max-degree", "2"),

@@ -10,7 +10,6 @@ from dunklinv.liealg import (
     adjoint_derivation,
     delta_derivation,
     derivation_generators,
-    invariant_dimension_series,
     invariants_graded,
     make_sl,
     takiff_extend,
@@ -58,6 +57,33 @@ def test_validation_rejects_bad_structure():
                    structure=(({}, {1: Fraction(1)}), ({}, {})),
                    form=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
                    cartan_indices=())
+
+
+def _sl2_data(sl2, bracket=None, form=None):
+    structure = [list(row) for row in sl2.structure]
+    for (i, j), value in (bracket or {}).items():
+        structure[i][j] = value
+    return dict(dim=3, basis_names=sl2.basis_names,
+                structure=tuple(tuple(row) for row in structure),
+                form=form or sl2.form, cartan_indices=sl2.cartan_indices)
+
+
+ZERO3 = tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3))
+TWISTED_FORM = ((Fraction(0), Fraction(0), Fraction(2)),   # <e, f> = <h, h>: not a trace form
+                (Fraction(0), Fraction(2), Fraction(0)),
+                (Fraction(2), Fraction(0), Fraction(0)))
+
+
+@pytest.mark.parametrize("bracket,form,message", [
+    ({(0, 2): {1: Fraction(1)}, (2, 0): {1: Fraction(1)}}, None, "antisymmetric"),
+    ({(1, 0): {0: Fraction(3)}, (0, 1): {0: Fraction(-3)}}, None, "Jacobi"),
+    (None, TWISTED_FORM, "not invariant"),
+    (None, ZERO3, "degenerate"),
+], ids=["antisymmetry", "jacobi", "invariance", "nondegeneracy"])
+def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
+    LieAlgebra(**_sl2_data(sl2))                      # the unmodified data is accepted
+    with pytest.raises(ValueError, match=message):
+        LieAlgebra(**_sl2_data(sl2, bracket, form))
 
 
 # -- takiff extension ----------------------------------------------------------
@@ -226,7 +252,3 @@ def test_work_bound(sl3):
     g1 = takiff_extend(sl3, 1)
     with pytest.raises(WorkBoundExceeded):
         invariants_graded(g1, 4, work_bound=10)
-
-
-def test_series_helper_matches_oracle():
-    assert invariant_dimension_series([2, 3], 8) == series_coefficients([2, 3], 8)

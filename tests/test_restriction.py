@@ -4,7 +4,7 @@ import pytest
 
 from dunklinv.exactalg import Polynomial, parse
 from dunklinv.liealg import invariants_graded, takiff_extend
-from dunklinv.linalg import GradedSubspace
+from dunklinv.linalg import GradedSubspace, identity, mat_mul
 from dunklinv.restriction import (
     CartanFrame,
     CriterionReport,
@@ -41,16 +41,33 @@ def test_sl2_frame_layout(frame1):
     root = frame1.positive_roots[0]
     assert root.functional == (Fraction(2),)
     assert root.coroot == (Fraction(1),)
-    assert len(frame1.weyl_h) == 2
+    assert frame1.weyl.order == 2
 
 
 def test_sl3_frame_layout(sl3):
     frame = CartanFrame(takiff_extend(sl3, 1))
     assert frame.names == ["u1", "u2", "v1", "v2"]
     assert len(frame.positive_roots) == 3
-    assert len(frame.weyl_h) == 6
+    assert frame.weyl.order == 6
     for root in frame.positive_roots:
         assert sum(a * h for a, h in zip(root.functional, root.coroot)) == 2
+
+
+def test_frame_weyl_is_the_diagonal_group(sl3):
+    frame = CartanFrame(takiff_extend(sl3, 1))
+    elements = frame.weyl.elements
+    for i, w in enumerate(elements):
+        assert mat_mul(w, elements[frame.weyl.inverse_index[i]]) == identity(frame.dim)
+        for v in elements:
+            assert tuple(tuple(row) for row in mat_mul(w, v)) in elements
+    # generators[i] is the diagonal reflection of positive_roots[i]: it negates
+    # the coroot's coordinate form on every T-level.
+    for root, refl in zip(frame.positive_roots, frame.weyl.generators):
+        for level in range(frame.gm.m + 1):
+            coeffs = [Fraction(0)] * frame.dim
+            coeffs[2 * level:2 * level + 2] = root.coroot
+            form = Polynomial.linear_form(coeffs)
+            assert form.substitute(refl) == -form
 
 
 def test_divisor_and_delta_direction(frame1, frame2):
@@ -105,8 +122,8 @@ def test_image_dimension_equals_invariant_dimension(frame1, frame2):
 def test_image_elements_diagonally_invariant(frame1):
     for d in range(5):
         for b in image_basis(frame1, d).basis:
-            for w in frame1.weyl_h:
-                assert frame1.diag_act(w, b) == b
+            for w in frame1.weyl.elements:
+                assert b.substitute(w) == b
 
 
 # -- criterion checks ---------------------------------------------------------------------

@@ -3,25 +3,26 @@ from fractions import Fraction
 import pytest
 
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
-from dunklinv.linalg import identity, mat_mul, mat_vec
+from dunklinv.linalg import identity, mat_mul, mat_vec, transpose
 from dunklinv.rootsys import (
     SUPPORTED,
-    WEYL_ORDER,
     MultiplicityAssignment,
     UnsupportedSystem,
+    WeylClosureError,
     act,
     build_root_system,
+    close_group,
     generate_weyl,
     invariant_basis,
     reynolds,
-    root_orbits,
     root_system,
-    transposed_rows,
 )
-from oracles import series_coefficients
+from oracles import root_orbits, series_coefficients
 
 ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18,
                "C2": 8, "C3": 18, "D3": 12, "G2": 12}
+WEYL_ORDER = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48,
+              "C2": 8, "C3": 48, "D3": 24, "G2": 12}
 
 
 @pytest.mark.parametrize("name", SUPPORTED)
@@ -56,7 +57,7 @@ def test_reflections_involutive_and_permute_roots(name):
         # r_alpha(H_alpha) = -H_alpha
         assert mat_vec(refl, rs.coroots[i]) == [-h for h in rs.coroots[i]]
         for j, beta in enumerate(rs.roots):
-            image = tuple(mat_vec(transposed_rows(refl), beta))
+            image = tuple(mat_vec(transpose(refl), beta))
             assert image in root_index
             # coroots transform along with their roots
             assert tuple(mat_vec(refl, rs.coroots[j])) == rs.coroots[root_index[image]]
@@ -68,7 +69,7 @@ def test_weyl_preserves_invariant_form(name):
     weyl = generate_weyl(rs)
     form = [list(row) for row in rs.form]
     for w in weyl.generators:
-        wt = transposed_rows(w)
+        wt = transpose(w)
         assert mat_mul(wt, mat_mul(form, [list(r) for r in w])) == form
 
 
@@ -203,25 +204,6 @@ def test_multiplicity_resolution():
         MultiplicityAssignment.parse("long=1,short=2").resolve(root_system("A2"))
 
 
-def test_k_from_multiplicity_pairs():
-    rs = root_system("B2").with_multiplicities({
-        "short": (Fraction(2), Fraction(1)), "long": (Fraction(1), Fraction(0))})
-    k = rs.weight_multiplicity_k()
-    assert k.values == {"short": Fraction(3, 2), "long": Fraction(1, 2)}
-    assert root_system("B2").weight_multiplicity_k().values == {
-        "short": Fraction(1, 2), "long": Fraction(1, 2)}
-
-
-def test_with_multiplicities_validation():
-    rs = root_system("B2")
-    with pytest.raises(ValueError):
-        rs.with_multiplicities({"all": (1, 0)})
-    with pytest.raises(ValueError):
-        rs.with_multiplicities({"short": (1, 0), "long": (-1, 0)})
-    with pytest.raises(ValueError):
-        rs.with_multiplicities({"short": (1, 0)})
-
-
 def test_positive_indivisible_picks_one_per_pair():
     for name in SUPPORTED:
         rs = root_system(name)
@@ -235,3 +217,9 @@ def test_positive_indivisible_picks_one_per_pair():
 def test_generate_weyl_deterministic():
     rs = root_system("B2")
     assert generate_weyl(rs).elements == generate_weyl(rs).elements
+
+
+def test_close_group_rejects_infinite_group():
+    # A unipotent shear has infinite order, so the closure must hit its bound.
+    with pytest.raises(WeylClosureError):
+        close_group([[[1, 1], [0, 1]]], 2)
