@@ -166,9 +166,8 @@ def adjointness_check(ctx: DunklContext, xi: Sequence[Fraction | int],
 
 def equivariance_check(ctx: DunklContext, w, xi: Sequence[Fraction | int],
                        p: Polynomial) -> bool:
-    """w . T_xi (w^{-1} . p) == T_{w xi} p for a Weyl element w."""
-    w_inv = ctx.weyl.inverse(w)
-    inner = dunkl_apply(ctx, xi, act(w_inv, p))
+    """w . T_xi (w^{-1} . p) == T_{w xi} p for a Weyl element w; w^{-1} . p = p o w."""
+    inner = dunkl_apply(ctx, xi, p.substitute(w))
     left = act(w, inner)
     right = dunkl_apply(ctx, linalg.mat_vec(w, xi), p)
     return left == right

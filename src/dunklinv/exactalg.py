@@ -95,6 +95,8 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         canonical: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
+            if isinstance(coeff, float):
+                raise TypeError(f"float coefficient {coeff!r}; use an int or a Fraction")
             mono = tuple(sorted((v, e) for v, e in mono))
             for v, e in mono:
                 if not 0 <= v < ambient_dim:
@@ -102,6 +104,8 @@ class Polynomial:
                         f"variable index {v} outside ring of dimension {ambient_dim}")
                 if e <= 0:
                     raise ValueError("monomial stores a non-positive exponent")
+            if len({v for v, _ in mono}) < len(mono):
+                raise ValueError("monomial repeats a variable")
             coeff = Fraction(coeff) + canonical.get(mono, Fraction(0))
             if coeff:
                 canonical[mono] = coeff
@@ -121,7 +125,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ambient_dim: int, value: Scalar) -> "Polynomial":
-        return cls(ambient_dim, {(): Fraction(value)})
+        return cls(ambient_dim, {(): value})
 
     @classmethod
     def variable(cls, ambient_dim: int, index: int) -> "Polynomial":
@@ -131,7 +135,7 @@ class Polynomial:
     def linear_form(cls, coefficients: Sequence[Scalar]) -> "Polynomial":
         """The polynomial sum_i c_i x_i in len(coefficients) variables."""
         n = len(coefficients)
-        return cls(n, {((i, 1),): Fraction(c) for i, c in enumerate(coefficients) if c})
+        return cls(n, {((i, 1),): c for i, c in enumerate(coefficients) if c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -182,7 +186,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "Polynomial":
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * (Fraction(1) / scalar)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

@@ -5,7 +5,7 @@ The symmetric algebra S[g_m] is realized literally: polynomial variable
 the adjoint action extends Y -> [X, Y] as a derivation.  Invariance is
 tested through these derivations (the group is connected, so Lie-algebra
 invariance is group invariance) and graded invariant spaces are joint
-kernels computed by exact elimination.
+kernels of the derivations (`linalg.joint_kernel`).
 
 Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.
@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Sequence
 
-from .exactalg import Monomial, Polynomial, grlex_key, mono_mul, monomials_of_degree
-from .linalg import GradedSubspace, det, mat_mul, nullspace
+from .exactalg import Monomial, Polynomial, mono_mul, monomials_of_degree
+from .linalg import GradedSubspace, det, joint_kernel, mat_mul
 
 
 class WorkBoundExceeded(RuntimeError):
@@ -47,6 +48,17 @@ class LieAlgebra:
 
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
         return self.structure[i][j]
+
+    def cartan_weight(self, j: int) -> tuple[Fraction, ...]:
+        """The weight of basis vector X_j: its ad(h_c)-eigenvalue for each Cartan h_c."""
+        rows = [self.structure[c][j] for c in self.cartan_indices]
+        if j in self.cartan_indices:
+            if any(rows):
+                raise ValueError("Cartan is not abelian")
+            return tuple(Fraction(0) for _ in rows)
+        if any(set(row) - {j} for row in rows):
+            raise ValueError("basis is not a Cartan weight basis")
+        return tuple(row.get(j, Fraction(0)) for row in rows)
 
     def _validate(self) -> None:
         for i in range(self.dim):
@@ -174,10 +186,6 @@ class TakiffAlgebra:
             return Fraction(0)
         return self.base.form[i][j]
 
-    def pairing_with_element(self, element: Sequence[Fraction | int], y: int) -> Fraction:
-        return sum((Fraction(c) * self.pairing(x, y)
-                    for x, c in enumerate(element) if c), Fraction(0))
-
     def _check_structure(self) -> None:
         pairing = [[self.pairing(x, y) for y in range(self.dim)] for x in range(self.dim)]
         if any(pairing[x][y] != pairing[y][x]
@@ -233,35 +241,20 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
     return Polynomial(gm.dim, out)
 
 
+def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> list[Fraction]:
+    """delta(X) as a direction on g_m: generator Y gets <X, Y> in the Takiff pairing.
+
+    X is a basis index or a coefficient vector on the flat basis.
+    """
+    element = {x: Fraction(1)} if isinstance(x, int) else dict(enumerate(x))
+    return [sum((Fraction(c) * gm.pairing(v, y) for v, c in element.items() if c), Fraction(0))
+            for y in range(gm.dim)]
+
+
 def delta_derivation(gm: TakiffAlgebra, x: int | Sequence[Fraction | int],
                      p: Polynomial) -> Polynomial:
     """The constant-coefficient derivation sending generator Y to <X, Y>."""
-    if isinstance(x, int):
-        direction = [gm.pairing(x, y) for y in range(gm.dim)]
-    else:
-        direction = [gm.pairing_with_element(x, y) for y in range(gm.dim)]
-    return p.directional_derivative(direction)
-
-
-def _cartan_weights(gm: TakiffAlgebra) -> list[list[Fraction]]:
-    """Weight of each flat variable under each base Cartan element."""
-    base = gm.base
-    weights = []
-    for c in base.cartan_indices:
-        per_var = []
-        for v in range(gm.dim):
-            j, _ = gm.unflat(v)
-            row = base.structure[c][j]
-            if j in base.cartan_indices:
-                if row:
-                    raise ValueError("Cartan is not abelian")
-                per_var.append(Fraction(0))
-            else:
-                if set(row) - {j}:
-                    raise ValueError("basis is not a Cartan weight basis")
-                per_var.append(row.get(j, Fraction(0)))
-        weights.append(per_var)
-    return weights
+    return p.directional_derivative(delta_direction(gm, x))
 
 
 def derivation_generators(gm: TakiffAlgebra) -> list[int]:
@@ -283,38 +276,21 @@ def invariants_graded(gm: TakiffAlgebra, degree: int,
     if key in gm._inv_cache:
         return gm._inv_cache[key]
 
-    weights = _cartan_weights(gm)
+    weights = [gm.base.cartan_weight(gm.unflat(v)[0]) for v in range(gm.dim)]
     t_degree = [gm.unflat(v)[1] for v in range(gm.dim)]
     blocks: dict[int, list[Monomial]] = {}
     for mono in monomials_of_degree(gm.dim, degree):
-        if any(sum((e * w[v] for v, e in mono), Fraction(0)) for w in weights):
+        if any(sum((e * weights[v][i] for v, e in mono), Fraction(0))
+               for i in range(len(gm.base.cartan_indices))):
             continue
         tau = sum(e * t_degree[v] for v, e in mono)
         blocks.setdefault(tau, []).append(mono)
 
-    generators = derivation_generators(gm)
+    maps = [partial(adjoint_derivation, gm, x) for x in derivation_generators(gm)]
     survivors: list[Polynomial] = []
     for tau in sorted(blocks):
         space = [Polynomial(gm.dim, {mono: Fraction(1)}) for mono in blocks[tau]]
-        for x in generators:
-            if not space:
-                break
-            images = [adjoint_derivation(gm, x, p) for p in space]
-            support: set[Monomial] = set()
-            for q in images:
-                support.update(q.terms)
-            if not support:
-                continue
-            rows_order = sorted(support, key=lambda mo: grlex_key(mo, gm.dim), reverse=True)
-            matrix = [[q.coefficient(mo) for q in images] for mo in rows_order]
-            kernel = nullspace(matrix, len(space))
-            if len(kernel) == len(space):
-                continue
-            space = [
-                sum((p * c for p, c in zip(space, vec) if c), Polynomial.zero(gm.dim))
-                for vec in kernel
-            ]
-        survivors.extend(space)
+        survivors.extend(joint_kernel(space, maps))
     result = GradedSubspace.from_polynomials(survivors, gm.dim, degree)
     gm._inv_cache[key] = result
     return result

@@ -6,6 +6,13 @@ rounded.  Reduced row echelon form depends only on the row span and the
 column order; columns are always supplied in descending graded-lex monomial
 order, which makes every basis produced here canonical: two subspaces are
 equal exactly when their reduced bases render identically.
+
+Every graded subspace cut out by linear conditions (adjoint invariants,
+Weyl invariants, the restriction criterion) goes through one kernel path,
+`joint_kernel`: it applies each linear map to the current spanning list,
+eliminates the coefficient matrix of the images with `nullspace` and
+recombines.  No other module of the package calls `nullspace`;
+`GradedSubspace.from_polynomials` canonicalises the result.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactalg import Monomial, Polynomial, grlex_key, render
 
@@ -114,6 +121,39 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[list
     return basis
 
 
+def joint_kernel(space: Sequence[Polynomial],
+                 maps: Iterable[Callable[[Polynomial], Polynomial]]) -> list[Polynomial]:
+    """Combinations of `space` spanning its part that every map in `maps` kills.
+
+    The space is cut down one map at a time.  A map whose images are all
+    zero, the only way its kernel can be the whole space, is skipped and
+    leaves the basis as it is.  The basis returned is not canonical; pass
+    it through `GradedSubspace.from_polynomials`.
+    """
+    space = list(space)
+    for linear_map in maps:
+        if not space:
+            break
+        support, rows = _coefficient_rows([linear_map(p) for p in space])
+        if not support:
+            continue
+        kernel = nullspace(transpose(rows), len(space))
+        zero = Polynomial.zero(space[0].ambient_dim)
+        space = [sum((p * c for p, c in zip(space, vec) if c), zero) for vec in kernel]
+    return space
+
+
+def _coefficient_rows(polys: Sequence[Polynomial]
+                      ) -> tuple[list[Monomial], list[list[Fraction]]]:
+    """The joint support in descending graded-lex order, one coefficient row per polynomial."""
+    support: set[Monomial] = set()
+    for p in polys:
+        support.update(p.terms)
+    n = polys[0].ambient_dim
+    columns = sorted(support, key=lambda m: grlex_key(m, n), reverse=True)
+    return columns, [[p.coefficient(m) for m in columns] for p in polys]
+
+
 def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
@@ -192,17 +232,7 @@ class GradedSubspace:
                 raise ValueError(f"expected homogeneous polynomials of degree {degree}")
         if not polys:
             return cls(ambient_dim, degree, ())
-        support: set[Monomial] = set()
-        for p in polys:
-            support.update(p.terms)
-        columns = sorted(support, key=lambda m: grlex_key(m, ambient_dim), reverse=True)
-        col_index = {m: j for j, m in enumerate(columns)}
-        rows = []
-        for p in polys:
-            row = [Fraction(0)] * len(columns)
-            for mono, coeff in p.terms.items():
-                row[col_index[mono]] = coeff
-            rows.append(row)
+        columns, rows = _coefficient_rows(polys)
         reduced, _ = rref(rows, len(columns))
         basis = tuple(Polynomial(ambient_dim,
                                  {columns[j]: c for j, c in enumerate(row) if c})

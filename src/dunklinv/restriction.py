@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from . import linalg, rootsys
+from . import liealg, linalg, rootsys
 from .exactalg import Polynomial, divide_with_remainder, render
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
-from .linalg import GradedSubspace
+from .linalg import GradedSubspace, joint_kernel
 
 
 class RestrictionError(RuntimeError):
@@ -73,7 +74,7 @@ class CartanFrame:
         for j in range(base.dim):
             if j in cartan:
                 continue
-            row = tuple(base.structure[c][j].get(j, Fraction(0)) for c in cartan)
+            row = base.cartan_weight(j)
             if row in seen:
                 continue
             seen.add(row)
@@ -87,10 +88,8 @@ class CartanFrame:
                                if next(c for c in r.functional if c) > 0]
 
         # Generators are vectors, so w acts on S[h_m] by substituting
-        # blockdiag(w^T), one block per T-level.  The lift is an
-        # anti-homomorphism; it maps inverses to inverses, so the closure's
-        # inverse table carries over.  generators[i] is the diagonal
-        # reflection of positive_roots[i].
+        # blockdiag(w^T), one block per T-level.  generators[i] is the
+        # diagonal reflection of positive_roots[i].
         base_weyl = rootsys.close_group(
             [[[Fraction(i == j) - root.coroot[i] * root.functional[j] for j in range(nc)]
               for i in range(nc)] for root in self.positive_roots], nc)
@@ -102,8 +101,7 @@ class CartanFrame:
         self.weyl = rootsys.WeylGroup(
             rank=self.dim,
             elements=tuple(lift(w) for w in base_weyl.elements),
-            generators=tuple(lift(g) for g in base_weyl.generators),
-            inverse_index=base_weyl.inverse_index)
+            generators=tuple(lift(g) for g in base_weyl.generators))
 
     # -- criterion ingredients ----------------------------------------------
 
@@ -116,11 +114,12 @@ class CartanFrame:
         return Polynomial.linear_form(coeffs)
 
     def delta_direction(self, root: FrameRoot) -> list[Fraction]:
-        """delta(H_alpha (x) T^m) on S[h_m]: the alpha-derivative in the s=0 slots."""
-        direction = [Fraction(0)] * self.dim
-        for i, a in enumerate(root.functional):
-            direction[i] = a
-        return direction
+        """delta(H_alpha (x) T^m) on S[h_m]: the Cartan slots of its direction on g_m."""
+        element = [Fraction(0)] * self.gm.dim
+        for c, h in zip(self.gm.base.cartan_indices, root.coroot):
+            element[self.gm.flat(c, self.gm.m)] = h
+        direction = liealg.delta_direction(self.gm, element)
+        return [direction[flat] for flat in self.cartan_flat]
 
     def parse(self, text: str) -> Polynomial:
         from .exactalg import parse as parse_poly
@@ -183,21 +182,10 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
             cond1, witness1 = False, root.label
             break
     cond2, witness2 = True, None
-    for root in frame.positive_roots:
-        direction = frame.delta_direction(root)
-        divisor = frame.divisor(root)
-        q = p
-        power = Polynomial.constant(frame.dim, 1)
-        for n in range(1, max(p.degree(), 0) + 1):
-            q = q.directional_derivative(direction)
-            if not q:
-                break
-            power = power * divisor
-            _, remainder = divide_with_remainder(q, power)
-            if remainder:
-                cond2, witness2 = False, (root.label, n, frame.render(remainder))
-                break
-        if not cond2:
+    for root, n, remainder in _condition2_maps(frame, p.degree()):
+        r = remainder(p)
+        if r:
+            cond2, witness2 = False, (root.label, n, frame.render(r))
             break
     membership = "pass"
     if p:
@@ -216,35 +204,28 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
                            in_image=membership, image_degree_bound=image_degree_bound)
 
 
-def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
-    """Degree-d polynomials on h_m satisfying both criterion conditions."""
-    base_space = rootsys.invariant_basis(frame.weyl, degree)
-    basis = list(base_space.basis)
-    if not basis:
-        return base_space
-    constraint_rows: list[list[Fraction]] = []
+def _condition2_maps(frame: CartanFrame, max_power: int):
+    """Condition 2 as linear maps: (root, n, q -> remainder of delta^n q by divisor^n)."""
     for root in frame.positive_roots:
         direction = frame.delta_direction(root)
         divisor = frame.divisor(root)
-        derivatives = list(basis)
-        power = Polynomial.constant(frame.dim, 1)
-        for n in range(1, degree + 1):
-            derivatives = [q.directional_derivative(direction) for q in derivatives]
-            if not any(derivatives):
-                break
-            power = power * divisor
-            remainders = [divide_with_remainder(q, power)[1] for q in derivatives]
-            support = set()
-            for r in remainders:
-                support.update(r.terms)
-            for mono in sorted(support):
-                constraint_rows.append([r.coefficient(mono) for r in remainders])
-    if not constraint_rows:
-        return base_space
-    kernel = linalg.nullspace(constraint_rows, len(basis))
-    combos = [sum((b * c for b, c in zip(basis, vec) if c), Polynomial.zero(frame.dim))
-              for vec in kernel]
-    return GradedSubspace.from_polynomials(combos, frame.dim, degree)
+        for n in range(1, max_power + 1):
+            yield root, n, partial(_delta_remainder, direction, n, divisor ** n)
+
+
+def _delta_remainder(direction: list[Fraction], n: int, divisor_power: Polynomial,
+                     q: Polynomial) -> Polynomial:
+    for _ in range(n):
+        q = q.directional_derivative(direction)
+    return divide_with_remainder(q, divisor_power)[1]
+
+
+def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
+    """Degree-d polynomials on h_m satisfying both criterion conditions."""
+    base_space = rootsys.invariant_basis(frame.weyl, degree)
+    maps = (remainder for _, _, remainder in _condition2_maps(frame, degree))
+    return GradedSubspace.from_polynomials(
+        joint_kernel(base_space.basis, maps), frame.dim, degree)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ coordinates, which is what keeps the pairing symmetric in the non-orthogonal
 realizations.
 
 Polynomials here are functions on the reflection representation, and the
-group acts by act(w, p) = p o w^{-1}.  Group closure and averaging are
+group acts by act(w, p) = p o w^{-1}.  Group closure and invariants are
 written once, for any finite matrix group given by generators: the
 restriction module reuses them for the diagonal Weyl action on S[h_m].
+Invariant bases come from the generator kernel, the polynomials with
+p o s = p for each generator s (`linalg.joint_kernel`); averaging over the
+whole group (`reynolds`) is kept as the projector onto invariants.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 from . import linalg
 from .exactalg import Polynomial, monomials_of_degree
-from .linalg import GradedSubspace
+from .linalg import GradedSubspace, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
 
@@ -133,14 +136,10 @@ class WeylGroup:
     rank: int
     elements: tuple[tuple[tuple[Fraction, ...], ...], ...]
     generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    inverse_index: tuple[int, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def inverse(self, w: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-        return self.elements[self.inverse_index[self.elements.index(w)]]
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -277,11 +276,7 @@ def close_group(generators, rank: int) -> WeylGroup:
                         raise WeylClosureError(
                             f"group closure exceeded {_CLOSURE_BOUND} elements")
         frontier = next_frontier
-    index = {w: i for i, w in enumerate(elements)}
-    inverse_index = tuple(index[tuple(tuple(row) for row in linalg.mat_inv(w))]
-                          for w in elements)
-    return WeylGroup(rank=rank, elements=tuple(elements),
-                     generators=gens, inverse_index=inverse_index)
+    return WeylGroup(rank=rank, elements=tuple(elements), generators=gens)
 
 
 def generate_weyl(rs: RootSystem) -> WeylGroup:
@@ -297,18 +292,18 @@ def act(w: Sequence[Sequence[Fraction]], p: Polynomial) -> Polynomial:
 
 
 def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
-    """Average over the group: the projector onto W-invariants."""
+    """The projector onto W-invariants: the average of p o w = act(w^{-1}, p) over W."""
     total = Polynomial.zero(p.ambient_dim)
-    for i, w in enumerate(weyl.elements):
-        inv = weyl.elements[weyl.inverse_index[i]]
-        total = total + p.substitute(inv)
+    for w in weyl.elements:
+        total = total + p.substitute(w)
     return total / weyl.order
 
 
 def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:
-    """Canonical basis of degree-d W-invariants via Reynolds + row reduction."""
+    """Canonical basis of degree-d W-invariants: the kernel of p -> p o s - p, all generators s."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    projected = [reynolds(weyl, Polynomial(weyl.rank, {mono: Fraction(1)}))
+    monomials = [Polynomial(weyl.rank, {mono: Fraction(1)})
                  for mono in monomials_of_degree(weyl.rank, degree)]
-    return GradedSubspace.from_polynomials(projected, weyl.rank, degree)
+    maps = [lambda p, s=s: p.substitute(s) - p for s in weyl.generators]
+    return GradedSubspace.from_polynomials(joint_kernel(monomials, maps), weyl.rank, degree)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import factorial
 
 from dunklinv.exactalg import Polynomial, exact_divide
-from dunklinv.linalg import mat_vec, transpose
+from dunklinv.linalg import mat_vec, nullspace, transpose
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -58,6 +58,21 @@ def two_sided_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
             diff = p - p.substitute(rs.reflection(idx))
             result = result + exact_divide(diff, Polynomial.linear_form(alpha)) * weight
     return result
+
+
+def stacked_kernel(space, maps) -> list[Polynomial]:
+    """Joint kernel by one elimination: the coefficient rows of every map's
+    images of the whole space, stacked into a single matrix."""
+    rows = []
+    for linear_map in maps:
+        images = [linear_map(p) for p in space]
+        support = set()
+        for q in images:
+            support.update(q.terms)
+        rows.extend([q.coefficient(mono) for q in images] for mono in sorted(support))
+    kernel = nullspace(rows, len(space))
+    return [sum((p * c for p, c in zip(space, vec) if c), Polynomial.zero(space[0].ambient_dim))
+            for vec in kernel]
 
 
 def root_orbits(rs, weyl) -> list[set[int]]:

@@ -51,6 +51,26 @@ def test_add_distinct_monomials():
     assert poly("x1^2") + poly("x1 x2") == poly("x1^2 + x1 x2")
 
 
+def test_constructor_rejects_repeated_variable():
+    with pytest.raises(ValueError, match="repeats a variable"):
+        Polynomial(2, {((0, 1), (0, 1)): 1})
+    with pytest.raises(ValueError, match="repeats a variable"):
+        Polynomial(2, [(((1, 2), (0, 1), (1, 1)), 3)])
+    assert Polynomial(2, {((0, 2),): 1}) == poly("x1^2", 2)
+
+
+def test_constructor_rejects_float_coefficients():
+    with pytest.raises(TypeError, match="float"):
+        Polynomial(1, {((0, 1),): 0.1})
+    with pytest.raises(TypeError, match="float"):
+        Polynomial.linear_form([1, 0.5])
+    with pytest.raises(TypeError, match="float"):
+        Polynomial.constant(1, 2.0)
+    with pytest.raises(TypeError):
+        poly("x1", 1) / 0.5
+    assert Polynomial(1, {((0, 1),): Fraction(1, 10)}) == poly("1/10 x1", 1)
+
+
 def test_exact_rational_sum():
     assert poly("1/2 x1") + poly("1/3 x1") == poly("5/6 x1")
 

@@ -86,6 +86,19 @@ def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
         LieAlgebra(**_sl2_data(sl2, bracket, form))
 
 
+def test_cartan_weight(sl2, sl3):
+    assert [sl2.cartan_weight(j) for j in range(3)] == [(2,), (0,), (-2,)]
+    # e12 has weight alpha1 = (2, -1) under (h1, h2); f13 has -(alpha1 + alpha2)
+    assert sl3.cartan_weight(0) == (2, -1)
+    assert sl3.cartan_weight(6) == (-1, -1)
+    e_and_h = LieAlgebra(**dict(_sl2_data(sl2), cartan_indices=(0, 1)))
+    with pytest.raises(ValueError, match="not abelian"):
+        e_and_h.cartan_weight(0)
+    e_only = LieAlgebra(**dict(_sl2_data(sl2), cartan_indices=(0,)))
+    with pytest.raises(ValueError, match="weight basis"):
+        e_only.cartan_weight(1)
+
+
 # -- takiff extension ----------------------------------------------------------
 
 def test_m0_is_the_base_algebra(sl2):

@@ -1,17 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from dunklinv.exactalg import Polynomial, parse
+from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.linalg import (
     GradedSubspace,
     det,
+    joint_kernel,
     leading_principal_minors,
     mat_inv,
     mat_mul,
     nullspace,
     rref,
 )
+from oracles import seeded_polynomials, stacked_kernel
 
 
 def test_rref_canonical_under_row_operations():
@@ -104,3 +107,47 @@ def test_subspace_render():
     a = span(["x1 x2 + x2^2"])
     assert a.render() == ["x1 x2 + x2^2"]
     assert a.render(["u", "v"]) == ["u v + v^2"]
+
+
+# -- joint kernels ------------------------------------------------------------
+
+def _random_maps(rng, dim, degree):
+    """Seeded linear maps on degree-d polynomials, with small and large kernels."""
+    monomials = monomials_of_degree(dim, degree)
+    maps = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["derivative", "substitution", "coefficients", "zero"])
+        if kind == "derivative":
+            direction = [rng.randint(-2, 2) for _ in range(dim)]
+            maps.append(lambda p, xi=direction: p.directional_derivative(xi))
+        elif kind == "substitution":
+            matrix = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(dim)]
+            maps.append(lambda p, m=matrix: p.substitute(m) - p)
+        elif kind == "coefficients":
+            chosen = rng.sample(monomials, rng.randint(1, len(monomials)))
+            weights = [rng.randint(-3, 3) for _ in chosen]
+            maps.append(lambda p, c=chosen, w=weights: Polynomial.constant(
+                dim, sum((p.coefficient(mono) * x for mono, x in zip(c, w)), Fraction(0))))
+        else:
+            maps.append(lambda p: Polynomial.zero(dim))
+    return maps
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_joint_kernel_matches_stacked_elimination(seed):
+    rng = random.Random(seed)
+    dim, degree = rng.randint(1, 3), rng.randint(1, 3)
+    space = seeded_polynomials(rng, dim, degree, rng.randint(1, 6), homogeneous=degree)
+    maps = _random_maps(rng, dim, degree)
+    ours = GradedSubspace.from_polynomials(joint_kernel(space, maps), dim, degree)
+    oracle = GradedSubspace.from_polynomials(stacked_kernel(space, maps), dim, degree)
+    assert ours == oracle
+    for b in ours.basis:
+        assert all(not f(b) for f in maps)
+
+
+def test_joint_kernel_skips_zero_maps_and_empties_on_injective_ones():
+    space = [parse("x1^2", 2), parse("x1 x2", 2), parse("x2^2", 2)]
+    assert joint_kernel(space, [lambda p: Polynomial.zero(2)]) == space
+    assert joint_kernel(space, [lambda p: p]) == []
+    assert joint_kernel([], [lambda p: p]) == []

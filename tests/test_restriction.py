@@ -4,7 +4,7 @@ import pytest
 
 from dunklinv.exactalg import Polynomial, parse
 from dunklinv.liealg import invariants_graded, takiff_extend
-from dunklinv.linalg import GradedSubspace, identity, mat_mul
+from dunklinv.linalg import GradedSubspace, mat_mul
 from dunklinv.restriction import (
     CartanFrame,
     CriterionReport,
@@ -56,8 +56,7 @@ def test_sl3_frame_layout(sl3):
 def test_frame_weyl_is_the_diagonal_group(sl3):
     frame = CartanFrame(takiff_extend(sl3, 1))
     elements = frame.weyl.elements
-    for i, w in enumerate(elements):
-        assert mat_mul(w, elements[frame.weyl.inverse_index[i]]) == identity(frame.dim)
+    for w in elements:
         for v in elements:
             assert tuple(tuple(row) for row in mat_mul(w, v)) in elements
     # generators[i] is the diagonal reflection of positive_roots[i]: it negates

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
-from dunklinv.linalg import identity, mat_mul, mat_vec, transpose
+from dunklinv.linalg import GradedSubspace, identity, mat_mul, mat_vec, transpose
 from dunklinv.rootsys import (
     SUPPORTED,
     MultiplicityAssignment,
@@ -133,6 +133,19 @@ def test_invariant_basis_a1():
     weyl = generate_weyl(root_system("A1"))
     assert invariant_basis(weyl, 2).render() == ["x1^2"]
     assert invariant_basis(weyl, 3).dim == 0
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_invariant_basis_equals_reynolds_span(name):
+    # The generator kernel and the span of the Reynolds images of the monomials
+    # are the same subspace.
+    rs = root_system(name)
+    weyl = generate_weyl(rs)
+    for d in range(5):
+        projected = [reynolds(weyl, Polynomial(rs.rank, {mono: Fraction(1)}))
+                     for mono in monomials_of_degree(rs.rank, d)]
+        assert invariant_basis(weyl, d) == GradedSubspace.from_polynomials(
+            projected, rs.rank, d)
 
 
 def test_invariant_dimensions_a2_match_hilbert_series():
