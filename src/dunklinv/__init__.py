@@ -2,10 +2,8 @@
 
 from .exactalg import (
     DimensionMismatch,
-    NotDivisible,
     ParseError,
     Polynomial,
-    exact_divide,
     parse,
     render,
 )

@@ -25,11 +25,11 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import ParseError, Polynomial, monomials_of_degree, parse as parse_poly, render
-from .dunkl import (InternalDivisionError, commutator_check, dunkl_apply, gram_basis,
-                    gram_matrix, make_context, positivity_certificate)
-from .liealg import (WorkBoundExceeded, adjoint_derivation,
-                     invariants_graded, make_sl, takiff_extend)
+from .exactalg import (ParseError, Polynomial, WorkBoundExceeded, check_work_bound,
+                       monomials_of_degree, parse as parse_poly, render)
+from .dunkl import (commutator_check, dunkl_apply, gram_basis, gram_matrix, make_context,
+                    positivity_certificate)
+from .liealg import adjoint_derivation, invariants_graded, make_sl, takiff_extend
 from .restriction import (CartanFrame, RestrictionError, chevalley_graded_check,
                           criterion_check, criterion_subspace, image_basis)
 from .rootsys import WeylClosureError
@@ -124,6 +124,7 @@ def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
     rank = ctx.rank
     if rank < 2:
         raise ValueError(f"{args.type} has rank 1: there is no pair of operators to commute")
+    check_work_bound(rank, args.max_degree, args.work_bound)
     report = Report("dunkl commute", {
         "type": args.type, "k": args.k, "max_degree": args.max_degree,
         "random": args.random_cases, "seed": args.seed})
@@ -161,6 +162,7 @@ def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
 
 def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
     ctx = make_context(args.type, args.k)
+    check_work_bound(ctx.rank, args.degree, args.work_bound)
     report = Report("dunkl gram", {
         "type": args.type, "k": args.k, "degree": args.degree,
         "invariants_only": args.invariants_only})
@@ -435,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RestrictionError, InternalDivisionError, WeylClosureError) as exc:
+    except (RestrictionError, WeylClosureError) as exc:
         print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     emit(report)

@@ -7,10 +7,16 @@ positive indivisible root:
 
 The two-sided sum over Sigma with prefactor 1/2 collapses to this because
 the alpha and -alpha terms coincide; the test oracle two_sided_dunkl
-(tests/oracles.py) evaluates the two-sided form, so the collapse is itself
-checked.  (1 - r_alpha) p is always divisible by the linear form alpha; a
-failed division here means a bug, never bad input, and exact arithmetic
-makes the check free of false alarms.
+(tests/oracles.py) evaluates the two-sided form by reflecting and dividing,
+so the collapse and the divisibility are checked on a path not run here.
+
+Each divided difference comes from derivatives alone: r_alpha x = x -
+alpha(x) H_alpha, so Taylor expansion along the coroot gives the finite sum
+
+    (p - r_alpha p) / alpha = sum_{j >= 1} (-alpha)^(j-1) / j! d_{H_alpha}^j p,
+
+evaluated Horner-style.  Nothing is substituted and no polynomial is
+divided, so there is no division that could fail.
 
 p(T) substitutes a commuting Dunkl operator for each coordinate: coordinate
 x_i is paired with the direction dual to it under the root system's
@@ -27,13 +33,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactalg import Polynomial, exact_divide, monomials_of_degree
+from .exactalg import Polynomial, monomials_of_degree, rational
 from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, act,
                       generate_weyl, invariant_basis, reynolds, root_system)
-
-
-class InternalDivisionError(RuntimeError):
-    """(1 - r_alpha) p was not divisible by alpha: implementation bug."""
 
 
 @dataclass
@@ -53,8 +55,8 @@ class DunklContext:
             k_alpha = by_label[self.rs.orbit_labels[idx]]
             self._terms.append((k_alpha,
                                 self.rs.roots[idx],
-                                self.rs.root_polynomial(idx),
-                                self.rs.reflection(idx)))
+                                Polynomial.linear_form([-a for a in self.rs.roots[idx]]),
+                                self.rs.coroots[idx]))
         form_inv = linalg.mat_inv(self.rs.form)
         self._dual_directions = [[row[i] for row in form_inv] for i in range(self.rs.rank)]
 
@@ -67,27 +69,30 @@ class DunklContext:
         return Polynomial.linear_form(linalg.mat_vec(self.rs.form, xi))
 
 
-def _reflection_difference(p: Polynomial, refl, alpha_poly: Polynomial) -> Polynomial:
-    diff = p - p.substitute(refl)
-    try:
-        return exact_divide(diff, alpha_poly)
-    except ArithmeticError as exc:  # pragma: no cover - signals a bug
-        raise InternalDivisionError(str(exc)) from exc
+def _divided_difference(p: Polynomial, minus_alpha: Polynomial, coroot) -> Polynomial:
+    """(p - r_alpha p) / alpha = sum_j (-alpha)^(j-1) q_j, q_j = d_H^j p / j!, by Horner."""
+    q = [p]
+    while q[-1]:
+        q.append(q[-1].directional_derivative([h / len(q) for h in coroot]))
+    total = Polynomial.zero(p.ambient_dim)
+    for term in reversed(q[1:-1]):
+        total = term + minus_alpha * total
+    return total
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) -> Polynomial:
     """Apply T_xi to p; homogeneous degree d goes to homogeneous degree d-1."""
     if len(xi) != ctx.rank:
         raise ValueError(f"direction of length {len(xi)} for rank {ctx.rank}")
-    xi = [Fraction(c) for c in xi]
+    xi = [rational(c) for c in xi]
     result = p.directional_derivative(xi)
-    for k_alpha, row, alpha_poly, refl in ctx._terms:
+    for k_alpha, row, minus_alpha, coroot in ctx._terms:
         if not k_alpha:
             continue
         alpha_xi = sum((a * c for a, c in zip(row, xi)), Fraction(0))
         if not alpha_xi:
             continue
-        quot = _reflection_difference(p, refl, alpha_poly)
+        quot = _divided_difference(p, minus_alpha, coroot)
         result = result + quot * (k_alpha * alpha_xi)
     return result
 
@@ -166,8 +171,8 @@ def adjointness_check(ctx: DunklContext, xi: Sequence[Fraction | int],
 
 def equivariance_check(ctx: DunklContext, w, xi: Sequence[Fraction | int],
                        p: Polynomial) -> bool:
-    """w . T_xi (w^{-1} . p) == T_{w xi} p for a Weyl element w; w^{-1} . p = p o w."""
-    inner = dunkl_apply(ctx, xi, p.substitute(w))
+    """w . T_xi (w^{-1} . p) == T_{w xi} p for a Weyl element w."""
+    inner = dunkl_apply(ctx, xi, act(linalg.mat_inv(w), p))
     left = act(w, inner)
     right = dunkl_apply(ctx, linalg.mat_vec(w, xi), p)
     return left == right

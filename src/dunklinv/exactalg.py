@@ -19,6 +19,7 @@ floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[tuple[int, int], ...]
@@ -38,14 +39,23 @@ class ParseError(ValueError):
         self.position = position
 
 
-class NotDivisible(ArithmeticError):
-    """Exact division failed; the remainder itself is meaningful output."""
+class WorkBoundExceeded(RuntimeError):
+    """A graded computation would exceed the configured monomial budget."""
 
-    def __init__(self, dividend: "Polynomial", divisor: "Polynomial",
-                 quotient: "Polynomial", remainder: "Polynomial"):
-        super().__init__(f"{dividend!r} is not divisible by {divisor!r}")
-        self.quotient = quotient
-        self.remainder = remainder
+
+def check_work_bound(ambient_dim: int, degree: int, work_bound: int) -> None:
+    """Refuse a degree-d computation whose monomial space exceeds work_bound."""
+    size = comb(ambient_dim + degree - 1, degree)
+    if size > work_bound:
+        raise WorkBoundExceeded(
+            f"degree-{degree} monomial space has dimension {size} > {work_bound}")
+
+
+def rational(value: Scalar) -> Fraction:
+    """value as an exact Fraction; a float is refused, having no exact meaning here."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r}; use an int or a Fraction")
+    return Fraction(value)
 
 
 def mono_degree(mono: Monomial) -> int:
@@ -95,8 +105,6 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         canonical: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            if isinstance(coeff, float):
-                raise TypeError(f"float coefficient {coeff!r}; use an int or a Fraction")
             mono = tuple(sorted((v, e) for v, e in mono))
             for v, e in mono:
                 if not 0 <= v < ambient_dim:
@@ -106,7 +114,7 @@ class Polynomial:
                     raise ValueError("monomial stores a non-positive exponent")
             if len({v for v, _ in mono}) < len(mono):
                 raise ValueError("monomial repeats a variable")
-            coeff = Fraction(coeff) + canonical.get(mono, Fraction(0))
+            coeff = rational(coeff) + canonical.get(mono, Fraction(0))
             if coeff:
                 canonical[mono] = coeff
             else:
@@ -256,7 +264,7 @@ class Polynomial:
         if len(direction) != self.ambient_dim:
             raise DimensionMismatch(
                 f"direction of length {len(direction)} in dimension {self.ambient_dim}")
-        direction = [Fraction(c) for c in direction]
+        direction = [rational(c) for c in direction]
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             for i, (v, e) in enumerate(mono):
@@ -334,14 +342,6 @@ def divide_with_remainder(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Pol
         else:
             remainder[mono] = coeff
     return Polynomial(n, quotient), Polynomial(n, remainder)
-
-
-def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Return q with p = d*q, raising NotDivisible (with the remainder) otherwise."""
-    quotient, remainder = divide_with_remainder(p, d)
-    if remainder:
-        raise NotDivisible(p, d, quotient, remainder)
-    return quotient
 
 
 # -- text form ---------------------------------------------------------------

@@ -22,15 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import comb
 from typing import Sequence
 
-from .exactalg import Monomial, Polynomial, mono_mul, monomials_of_degree
+from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
+                       check_work_bound, mono_mul, monomials_of_degree)
 from .linalg import GradedSubspace, det, joint_kernel, mat_mul
-
-
-class WorkBoundExceeded(RuntimeError):
-    """A graded computation would exceed the configured monomial budget."""
 
 
 @dataclass
@@ -268,10 +264,7 @@ def invariants_graded(gm: TakiffAlgebra, degree: int,
     """Canonical basis of the degree-d invariants S^d[g_m]^{g_m}."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    space_size = comb(gm.dim + degree - 1, degree) if degree else 1
-    if space_size > work_bound:
-        raise WorkBoundExceeded(
-            f"degree-{degree} monomial space has dimension {space_size} > {work_bound}")
+    check_work_bound(gm.dim, degree, work_bound)
     key = degree
     if key in gm._inv_cache:
         return gm._inv_cache[key]

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactalg import Polynomial, monomials_of_degree
+from .exactalg import Polynomial, monomials_of_degree, rational
 from .linalg import GradedSubspace, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -80,9 +80,6 @@ class RootSystem:
         return tuple(tuple(Fraction(i == j) - coroot[i] * row[j] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def root_polynomial(self, idx: int) -> Polynomial:
-        return Polynomial.linear_form(self.roots[idx])
-
     def positive_indivisible(self) -> list[int]:
         """One representative of each {alpha, -alpha} pair (every system here is reduced)."""
         return [idx for idx, row in enumerate(self.roots) if next(c for c in row if c) > 0]
@@ -99,7 +96,7 @@ class MultiplicityAssignment:
         for label, v in self.values.items():
             if label not in ("all", "long", "short"):
                 raise ValueError(f"unknown orbit label {label!r}")
-            v = Fraction(v)
+            v = rational(v)
             if v < 0:
                 raise ValueError("multiplicities must be nonnegative")
             cleaned[label] = v

@@ -8,7 +8,7 @@ it checks.
 from fractions import Fraction
 from math import factorial
 
-from dunklinv.exactalg import Polynomial, exact_divide
+from dunklinv.exactalg import Polynomial, divide_with_remainder
 from dunklinv.linalg import mat_vec, nullspace, transpose
 
 
@@ -47,7 +47,9 @@ def two_sided_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
         d_xi p + 1/2 sum_{alpha in Sigma} k_alpha alpha(xi) (p - r_alpha p) / alpha
 
     Built from the root table, its reflections and the resolved
-    multiplicities alone, not from the operator's own per-root terms.
+    multiplicities alone, not from the operator's own per-root terms, and
+    by substitution and polynomial division, which the operator never
+    runs; the zero remainder asserts that alpha divides p - r_alpha p.
     """
     k_by_label = k.resolve(rs)
     result = p.directional_derivative(xi)
@@ -56,7 +58,9 @@ def two_sided_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
             (a * Fraction(c) for a, c in zip(alpha, xi)), Fraction(0)) / 2
         if weight:
             diff = p - p.substitute(rs.reflection(idx))
-            result = result + exact_divide(diff, Polynomial.linear_form(alpha)) * weight
+            quotient, remainder = divide_with_remainder(diff, Polynomial.linear_form(alpha))
+            assert not remainder, f"{alpha} does not divide p - r_alpha p"
+            result = result + quotient * weight
     return result
 
 

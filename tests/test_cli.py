@@ -5,7 +5,6 @@ import pytest
 
 from dunklinv import cli
 from dunklinv.cli import EXIT_BOUND, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, main
-from dunklinv.dunkl import InternalDivisionError
 from dunklinv.restriction import RestrictionError
 from dunklinv.rootsys import WeylClosureError
 
@@ -80,7 +79,7 @@ def test_exit_two_on_meaningless_parameters(capsys, argv):
     assert "error" in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("error", [RestrictionError, InternalDivisionError, WeylClosureError])
+@pytest.mark.parametrize("error", [RestrictionError, WeylClosureError])
 def test_exit_four_on_internal_invariant_failure(capsys, monkeypatch, error):
     def broken(args):
         raise error("identity failed")
@@ -98,6 +97,23 @@ def test_exit_three_on_work_bound_with_partial_table(capsys):
     assert code == EXIT_BOUND
     assert "degree 0" in out and "degree 1" in out   # partial rows emitted
     assert "error" in err
+
+
+@pytest.mark.parametrize("action,degree_flag", [("gram", "--degree"),
+                                                ("commute", "--max-degree")])
+def test_exit_three_when_dunkl_space_exceeds_work_bound(capsys, action, degree_flag):
+    code, out, err = run(capsys, "--work-bound", "1", "dunkl", action, "--type", "A2",
+                         "--k", "all=1", degree_flag, "3")
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert "dimension 4 > 1" in err and "Traceback" not in err
+
+
+def test_decimal_text_parses_exactly(capsys):
+    code, data, _ = run_json(capsys, "dunkl", "apply", "--type", "A1", "--k", "all=0.1",
+                             "--xi", "0.5", "--poly", "x1")
+    assert code == EXIT_PASS
+    assert data["cases"][0]["data"]["result"] == "3/5"   # (1 + 2k) / 2 with k = 1/10
 
 
 # -- spec examples ---------------------------------------------------------------

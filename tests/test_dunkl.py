@@ -15,9 +15,10 @@ from dunklinv.dunkl import (
     make_context,
     positivity_certificate,
 )
+from dunklinv import exactalg
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.linalg import mat_inv
-from dunklinv.rootsys import invariant_basis
+from dunklinv.rootsys import SUPPORTED, invariant_basis
 from oracles import (a1_dunkl, a1_pairing, apolarity, derivative_pairing, seeded_polynomials,
                      two_sided_dunkl)
 
@@ -77,13 +78,45 @@ def test_degree_minus_one_on_homogeneous(system, k):
                 assert image.is_homogeneous() and image.degree() == d - 1
 
 
-@pytest.mark.parametrize("system,k", [("A2", "all=1/2"), ("G2", "long=1,short=1/3")])
+TWO_SIDED_K = {"A1": "all=1/2", "A2": "all=1/2", "A3": "all=2/3",
+               "B2": "long=1,short=3/2", "B3": "long=1/2,short=2",
+               "C2": "long=2/3,short=1", "C3": "long=3,short=1/2",
+               "D3": "all=5/4", "G2": "long=1,short=1/3"}
+
+
+@pytest.mark.parametrize("system,k", [(name, TWO_SIDED_K[name]) for name in SUPPORTED])
 def test_literal_two_sided_sum_agrees(system, k):
     ctx = make_context(system, k)
     rng = random.Random(0)
+    axes = [[int(i == j) for j in range(ctx.rank)] for i in range(ctx.rank)]
+    slanted = [2, -3, Fraction(5, 2)][:ctx.rank]
     for p in seeded_polynomials(rng, ctx.rank, 4, 6):
-        for xi in ([1, 0], [0, 1], [2, -3]):
+        for xi in axes + [slanted]:
             assert dunkl_apply(ctx, xi, p) == two_sided_dunkl(ctx.rs, ctx.k, xi, p)
+
+
+def test_operator_runs_without_substitution_or_division(monkeypatch):
+    ctx = make_context("B3", "long=1,short=1/2")
+    p = parse("x1^3 x2 - 2 x2 x3^2 + 1/3 x1 x3", 3)
+    xi = [1, -2, 3]
+    expected = two_sided_dunkl(ctx.rs, ctx.k, xi, p)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Dunkl operator must not substitute or divide")
+
+    monkeypatch.setattr(Polynomial, "substitute", forbidden)
+    monkeypatch.setattr(exactalg, "divide_with_remainder", forbidden)
+    assert dunkl_apply(ctx, xi, p) == expected
+    matrix = gram_matrix(ctx, 3)
+    assert len(matrix) == 10
+    assert all(matrix[i][j] == matrix[j][i] for i in range(10) for j in range(10))
+    assert all(matrix[i][i] > 0 for i in range(10))
+
+
+def test_float_direction_rejected():
+    ctx = make_context("A2", "all=1")
+    with pytest.raises(TypeError, match="float"):
+        dunkl_apply(ctx, [0.1, 0], parse("x1^2", 2))
 
 
 def test_direction_length_checked():

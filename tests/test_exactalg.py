@@ -6,11 +6,9 @@ import hypothesis.strategies as st
 
 from dunklinv.exactalg import (
     DimensionMismatch,
-    NotDivisible,
     ParseError,
     Polynomial,
     divide_with_remainder,
-    exact_divide,
     monomials_of_degree,
     parse,
     render,
@@ -68,6 +66,12 @@ def test_constructor_rejects_float_coefficients():
         Polynomial.constant(1, 2.0)
     with pytest.raises(TypeError):
         poly("x1", 1) / 0.5
+
+
+def test_directional_derivative_rejects_float_direction():
+    with pytest.raises(TypeError, match="float"):
+        parse("x1^2", 1).directional_derivative([0.1])
+    assert parse("x1^2", 1).directional_derivative([Fraction(1, 10)]) == parse("1/5 x1", 1)
     assert Polynomial(1, {((0, 1),): Fraction(1, 10)}) == poly("1/10 x1", 1)
 
 
@@ -168,22 +172,23 @@ def test_substitute_shape_mismatch():
 # -- exact division --------------------------------------------------------------
 
 def test_divide_difference_of_squares():
-    assert exact_divide(poly("x1^2 - x2^2"), poly("x1 - x2")) == poly("x1 + x2")
+    assert divide_with_remainder(poly("x1^2 - x2^2"), poly("x1 - x2")) == (
+        poly("x1 + x2"), Polynomial.zero(3))
 
 
 def test_divide_monomial():
-    assert exact_divide(poly("x1 x2"), poly("x2")) == poly("x1")
+    assert divide_with_remainder(poly("x1 x2"), poly("x2")) == (poly("x1"), Polynomial.zero(3))
 
 
 def test_not_divisible_reports_remainder():
-    with pytest.raises(NotDivisible) as excinfo:
-        exact_divide(poly("x1^2"), poly("x2"))
-    assert excinfo.value.remainder == poly("x1^2")
+    quotient, remainder = divide_with_remainder(poly("x1^2"), poly("x2"))
+    assert quotient == Polynomial.zero(3)
+    assert remainder == poly("x1^2")
 
 
 def test_divide_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        exact_divide(poly("x1"), Polynomial.zero(3))
+        divide_with_remainder(poly("x1"), Polynomial.zero(3))
 
 
 def test_division_identity():
@@ -197,7 +202,7 @@ def test_division_identity():
 def test_exact_divide_roundtrip(p, d):
     if not d:
         return
-    assert exact_divide(p * d, d) == p
+    assert divide_with_remainder(p * d, d) == (p, Polynomial.zero(p.ambient_dim))
 
 
 @settings(max_examples=60)

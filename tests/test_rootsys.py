@@ -205,6 +205,12 @@ def test_multiplicity_validation():
         MultiplicityAssignment.parse("all")
 
 
+def test_multiplicity_rejects_float_but_parses_decimal_text():
+    with pytest.raises(TypeError, match="float"):
+        MultiplicityAssignment({"all": 0.1})
+    assert MultiplicityAssignment.parse("all=0.1").values == {"all": Fraction(1, 10)}
+
+
 def test_multiplicity_resolution():
     b2 = root_system("B2")
     assert MultiplicityAssignment.parse("all=2").resolve(b2) == {
