@@ -9,7 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dunklinv.dunkl import gram_matrix, make_context, positivity_certificate
+from dunklinv.dunkl import gram_basis, gram_matrix, make_context, positivity_certificate
 
 SYSTEMS = (("A1", "all=1"), ("A2", "all=1/2"),
            ("B2", "long=1,short=3/2"), ("G2", "long=7/3,short=1/2"))
@@ -27,7 +27,7 @@ def main() -> int:
         ctx = make_context(system, k)
         print(f"\n{system}, k = {k}, basis = {'monomials' if args.full else 'W-invariants'}")
         for d in range(args.max_degree + 1):
-            matrix = gram_matrix(ctx, d, invariants_only=not args.full)
+            matrix = gram_matrix(ctx, gram_basis(ctx, d, invariants_only=not args.full))
             if not matrix:
                 print(f"  degree {d}: empty basis")
                 continue

@@ -28,6 +28,7 @@ from .dunkl import (
     dunkl_compose,
     dunkl_pairing,
     equivariance_check,
+    gram_basis,
     gram_matrix,
     invariant_stability_check,
     make_context,
@@ -37,7 +38,6 @@ from .liealg import (
     TakiffAlgebra,
     WorkBoundExceeded,
     adjoint_derivation,
-    delta_derivation,
     invariants_graded,
     make_sl,
     takiff_extend,

@@ -167,7 +167,7 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
         "type": args.type, "k": args.k, "degree": args.degree,
         "invariants_only": args.invariants_only})
     basis = gram_basis(ctx, args.degree, args.invariants_only)
-    matrix = gram_matrix(ctx, args.degree, args.invariants_only)
+    matrix = gram_matrix(ctx, basis)
     symmetric = all(matrix[i][j] == matrix[j][i]
                     for i in range(len(matrix)) for j in range(len(matrix)))
     report.add(Case(name=f"gram matrix ({len(basis)}x{len(basis)})",

@@ -134,16 +134,15 @@ def dunkl_pairing(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Fraction:
 
 
 def gram_basis(ctx: DunklContext, degree: int, invariants_only: bool) -> list[Polynomial]:
+    """The degree-d monomials, or the canonical basis of the degree-d W-invariants."""
     if invariants_only:
         return list(invariant_basis(ctx.weyl, degree).basis)
     return [Polynomial(ctx.rank, {mono: Fraction(1)})
             for mono in monomials_of_degree(ctx.rank, degree)]
 
 
-def gram_matrix(ctx: DunklContext, degree: int,
-                invariants_only: bool = False) -> list[list[Fraction]]:
-    """Gram matrix of the pairing on the degree-d monomial or invariant basis."""
-    basis = gram_basis(ctx, degree, invariants_only)
+def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fraction]]:
+    """Gram matrix of the pairing on a basis, such as one from `gram_basis`."""
     return [[dunkl_pairing(ctx, b, c) for c in basis] for b in basis]
 
 

@@ -247,12 +247,6 @@ def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> lis
             for y in range(gm.dim)]
 
 
-def delta_derivation(gm: TakiffAlgebra, x: int | Sequence[Fraction | int],
-                     p: Polynomial) -> Polynomial:
-    """The constant-coefficient derivation sending generator Y to <X, Y>."""
-    return p.directional_derivative(delta_direction(gm, x))
-
-
 def derivation_generators(gm: TakiffAlgebra) -> list[int]:
     """All basis derivations except the diagonal base-Cartan ones."""
     skip = {gm.flat(c, 0) for c in gm.base.cartan_indices}

@@ -78,12 +78,9 @@ class CartanFrame:
             if row in seen:
                 continue
             seen.add(row)
-            coroot = tuple(linalg.mat_vec(gram_inv, row))
-            pairing = sum((a * b for a, b in zip(row, coroot)), Fraction(0))
-            if pairing != 2:
-                raise RestrictionError("trace-form coroot fails alpha(H_alpha) = 2")
             label = "(" + ", ".join(str(x) for x in row) + ")"
-            self.roots.append(FrameRoot(label=label, functional=row, coroot=coroot))
+            self.roots.append(FrameRoot(label=label, functional=row,
+                                        coroot=rootsys.coroot(row, gram_inv)))
         self.positive_roots = [r for r in self.roots
                                if next(c for c in r.functional if c) > 0]
 
@@ -91,8 +88,8 @@ class CartanFrame:
         # blockdiag(w^T), one block per T-level.  generators[i] is the
         # diagonal reflection of positive_roots[i].
         base_weyl = rootsys.close_group(
-            [[[Fraction(i == j) - root.coroot[i] * root.functional[j] for j in range(nc)]
-              for i in range(nc)] for root in self.positive_roots], nc)
+            [rootsys.reflection_matrix(root.functional, root.coroot)
+             for root in self.positive_roots], nc)
 
         def lift(w):
             return tuple(tuple(w[j % nc][i % nc] if i // nc == j // nc else Fraction(0)

@@ -5,13 +5,18 @@ coefficients, so alpha as a polynomial is sum_i a_i x_i) and the coroot
 H_alpha (a vector), normalized so alpha(H_alpha) = 2.  The reflection
 r_alpha(x) = x - alpha(x) H_alpha is then an exact rational matrix.
 
+A system is given by its simple roots and its W-invariant inner product
+`form`; the roots, coroots and orbit labels are derived from these.  The
+roots are the orbit of the simple roots under the simple reflections, the
+coroot is H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha> (`coroot`), and
+a root is "long" or "short" by that norm ("all" when there is one length).
+
 Supported systems are realized over Q directly: B/C/D in standard
 coordinates of Q^n, A_n in simple-coroot coordinates of the sum-zero
-hyperplane of Q^{n+1}, and G2 in simple-coroot coordinates.  Each system
-carries its W-invariant inner product `form` explicitly (the identity for
-the orthogonal realizations); the Dunkl module uses it to dualize
-coordinates, which is what keeps the pairing symmetric in the non-orthogonal
-realizations.
+hyperplane of Q^{n+1}, and G2 in simple-coroot coordinates.  The form is the
+identity for the orthogonal realizations; the Dunkl module uses it to
+dualize coordinates, which is what keeps the pairing symmetric in the
+non-orthogonal realizations.
 
 Polynomials here are functions on the reflection representation, and the
 group acts by act(w, p) = p o w^{-1}.  Group closure and invariants are
@@ -24,7 +29,7 @@ whole group (`reynolds`) is kept as the projector onto invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,28 +47,41 @@ class UnsupportedSystem(ValueError):
 
 
 class WeylClosureError(RuntimeError):
-    """Group closure exceeded the safety bound; the construction is broken."""
+    """A group or root-orbit closure exceeded the safety bound; the input is broken."""
 
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A reduced root system derived from its simple roots and invariant form.
+
+    `roots` is the breadth-first orbit of the simple roots, which come first.
+    """
+
     name: str
     rank: int
-    roots: tuple[tuple[Fraction, ...], ...]       # functionals alpha, both signs
-    coroots: tuple[tuple[Fraction, ...], ...]     # H_alpha, aligned with roots
-    simple: tuple[int, ...]                       # indices of simple roots
-    orbit_labels: tuple[str, ...]                 # "all" or "long"/"short", per root
+    simple_roots: tuple[tuple[Fraction, ...], ...]
     form: tuple[tuple[Fraction, ...], ...]        # W-invariant inner product on the space
+    roots: tuple[tuple[Fraction, ...], ...] = field(init=False)     # functionals alpha, both signs
+    coroots: tuple[tuple[Fraction, ...], ...] = field(init=False)   # H_alpha, aligned with roots
+    orbit_labels: tuple[str, ...] = field(init=False)               # "all" or "long"/"short"
 
     def __post_init__(self):
+        object.__setattr__(self, "simple_roots", tuple(_fr(row) for row in self.simple_roots))
+        object.__setattr__(self, "form", tuple(_fr(row) for row in self.form))
         form_inv = linalg.mat_inv(self.form)
-        for alpha, coroot in zip(self.roots, self.coroots):
-            if _dot(alpha, coroot) != 2:
-                raise ValueError("coroot normalization alpha(H_alpha) = 2 violated")
-            dual = linalg.mat_vec(form_inv, alpha)
-            norm = _dot(alpha, dual)
-            if tuple(2 * x / norm for x in dual) != coroot:
-                raise ValueError("coroot disagrees with the invariant form")
+        simple = [(alpha, coroot(alpha, form_inv)) for alpha in self.simple_roots]
+        # Reflections keep the norm <alpha, form^-1 alpha>, so each root
+        # carries the norm of the simple root its orbit started from.
+        seeds = [(alpha, _dot(alpha, linalg.mat_vec(form_inv, alpha)))
+                 for alpha in self.simple_roots]
+        orbit = _closure(seeds, simple, _reflect_root)
+        long_norm = max(norm for _, norm in orbit)
+        one_length = all(norm == long_norm for _, norm in orbit)
+        object.__setattr__(self, "roots", tuple(alpha for alpha, _ in orbit))
+        object.__setattr__(self, "coroots", tuple(coroot(alpha, form_inv) for alpha in self.roots))
+        object.__setattr__(self, "orbit_labels", tuple(
+            "all" if one_length else "long" if norm == long_norm else "short"
+            for _, norm in orbit))
 
     def root_index(self, alpha: Sequence[Fraction | int]) -> int:
         key = tuple(Fraction(a) for a in alpha)
@@ -75,10 +93,7 @@ class RootSystem:
     def reflection(self, alpha: int | Sequence[Fraction | int]) -> tuple[tuple[Fraction, ...], ...]:
         """Matrix of r_alpha(x) = x - alpha(x) H_alpha."""
         idx = alpha if isinstance(alpha, int) else self.root_index(alpha)
-        row = self.roots[idx]
-        coroot = self.coroots[idx]
-        return tuple(tuple(Fraction(i == j) - coroot[i] * row[j] for j in range(self.rank))
-                     for i in range(self.rank))
+        return reflection_matrix(self.roots[idx], self.coroots[idx])
 
     def positive_indivisible(self) -> list[int]:
         """One representative of each {alpha, -alpha} pair (every system here is reduced)."""
@@ -147,103 +162,69 @@ def _fr(seq) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in seq)
 
 
-def _unit(n: int, i: int, scale=1) -> tuple[Fraction, ...]:
-    return tuple(Fraction(scale) if j == i else Fraction(0) for j in range(n))
+def coroot(alpha: Sequence[Fraction], form_inv) -> tuple[Fraction, ...]:
+    """H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha>, so that alpha(H_alpha) = 2."""
+    dual = [_dot(row, alpha) for row in form_inv]
+    norm = _dot(alpha, dual)
+    return tuple(2 * x / norm for x in dual)
+
+
+def reflection_matrix(alpha: Sequence[Fraction],
+                      h: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of x -> x - alpha(x) h; with h = H_alpha this is the reflection r_alpha."""
+    n = len(alpha)
+    return tuple(tuple(Fraction(i == j) - h[i] * alpha[j] for j in range(n)) for i in range(n))
+
+
+def _reflect_root(root, simple):
+    """(alpha, norm) -> (alpha o r_s = alpha - alpha(H_s) alpha_s, norm), s = (alpha_s, H_s)."""
+    (alpha, norm), (alpha_s, h_s) = root, simple
+    c = _dot(alpha, h_s)
+    return tuple(a - c * b for a, b in zip(alpha, alpha_s)), norm
+
+
+def _closure(seeds, generators, step) -> list:
+    """Breadth-first closure of seeds under x -> step(x, g): seeds first, then discovery order."""
+    elements = list(seeds)
+    seen = set(elements)
+    frontier = list(elements)
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            for g in generators:
+                y = step(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    next_frontier.append(y)
+                    if len(elements) > _CLOSURE_BOUND:
+                        raise WeylClosureError(f"closure exceeded {_CLOSURE_BOUND} elements")
+        frontier = next_frontier
+    return elements
 
 
 def build_root_system(type_: str, rank: int) -> RootSystem:
-    """Standard exact construction for the supported (type, rank) table."""
+    """The supported (type, rank) table: simple roots and invariant form."""
     name = f"{type_}{rank}"
     if name not in SUPPORTED:
         raise UnsupportedSystem(f"unsupported root system {name}; supported: {SUPPORTED}")
-    roots: list[tuple[Fraction, ...]] = []
-    coroots: list[tuple[Fraction, ...]] = []
-    labels: list[str] = []
-
-    def add(row, coroot, label):
-        roots.append(_fr(row))
-        coroots.append(_fr(coroot))
-        labels.append(label)
-
+    n = rank
     if type_ == "A":
-        n = rank
-        # Coordinates w.r.t. simple coroots H_1..H_n; a point is diag(t_1..t_{n+1})
-        # with t_i = x_i - x_{i-1} (x_0 = x_{n+1} = 0).
-        def t_row(i: int) -> list[int]:
-            row = [0] * n
-            if i <= n:
-                row[i - 1] += 1
-            if i >= 2:
-                row[i - 2] -= 1
-            return row
-
-        for i in range(1, n + 2):
-            for j in range(1, n + 2):
-                if i == j:
-                    continue
-                row = [a - b for a, b in zip(t_row(i), t_row(j))]
-                lo, hi = min(i, j), max(i, j)
-                coroot = [1 if lo <= k + 1 < hi else 0 for k in range(n)]
-                if i > j:
-                    coroot = [-c for c in coroot]
-                add(row, coroot, "all")
-        simple_rows = [tuple(Fraction(x) for x in
-                             [a - b for a, b in zip(t_row(i), t_row(i + 1))])
-                       for i in range(1, n + 1)]
-        if n == 1:
-            form = [[Fraction(1)]]
-        else:
-            form = [[Fraction(2 if i == j else (-1 if abs(i - j) == 1 else 0))
-                     for j in range(n)] for i in range(n)]
+        # Coordinates w.r.t. simple coroots H_1..H_n: the simple roots are the
+        # rows of the Cartan matrix, which is also the form.  A1 keeps the
+        # form [[1]], which fixes its dual directions and so its Gram matrices.
+        simple = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+                  for i in range(n)]
+        form = simple if n > 1 else [[1]]
     elif type_ in ("B", "C", "D"):
-        n = rank
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        row = [0] * n
-                        row[i], row[j] = si, sj
-                        label = {"B": "long", "C": "short", "D": "all"}[type_]
-                        add(row, row, label)
-        if type_ == "B":
-            for i in range(n):
-                for s in (1, -1):
-                    add(_unit(n, i, s), _unit(n, i, 2 * s), "short")
-        elif type_ == "C":
-            for i in range(n):
-                for s in (1, -1):
-                    add(_unit(n, i, 2 * s), _unit(n, i, s), "long")
-        simple_rows = [tuple(Fraction(a - b) for a, b in
-                             zip(_unit(n, i), _unit(n, i + 1))) for i in range(n - 1)]
-        if type_ == "B":
-            simple_rows.append(_unit(n, n - 1))
-        elif type_ == "C":
-            simple_rows.append(_unit(n, n - 1, 2))
-        else:
-            simple_rows.append(tuple(Fraction(a + b) for a, b in
-                                     zip(_unit(n, n - 2), _unit(n, n - 1))))
+        simple = [[(j == i) - (j == i + 1) for j in range(n)] for i in range(n - 1)]
+        last = {"B": [0] * (n - 1) + [1], "C": [0] * (n - 1) + [2], "D": [0] * (n - 2) + [1, 1]}
+        simple.append(last[type_])
         form = linalg.identity(n)
     else:  # G2, simple-coroot coordinates; alpha1 short, alpha2 long
-        a1, a2 = (2, -1), (-3, 2)
-        combos = [((1, 0), "short"), ((0, 1), "long"), ((1, 1), "short"),
-                  ((2, 1), "short"), ((3, 1), "long"), ((3, 2), "long")]
-        for (c1, c2), label in combos:
-            row = (c1 * a1[0] + c2 * a2[0], c1 * a1[1] + c2 * a2[1])
-            if label == "short":
-                coroot = (c1, 3 * c2)
-            else:
-                coroot = (Fraction(c1, 3), c2)
-            for s in (1, -1):
-                add((s * row[0], s * row[1]), (s * coroot[0], s * coroot[1]), label)
-        simple_rows = [_fr(a1), _fr(a2)]
-        form = [[Fraction(6), Fraction(-3)], [Fraction(-3), Fraction(2)]]
-
-    simple = tuple(roots.index(row) for row in simple_rows)
-    return RootSystem(name=name, rank=rank,
-                      roots=tuple(roots), coroots=tuple(coroots),
-                      simple=simple,
-                      orbit_labels=tuple(labels),
-                      form=tuple(tuple(Fraction(x) for x in row) for row in form))
+        simple = [(2, -1), (-3, 2)]
+        form = [[6, -3], [-3, 2]]
+    return RootSystem(name=name, rank=rank, simple_roots=simple, form=form)
 
 
 def root_system(name: str) -> RootSystem:
@@ -257,28 +238,14 @@ def close_group(generators, rank: int) -> WeylGroup:
     """Breadth-first closure of rank x rank rational generators, deterministic order."""
     gens = tuple(tuple(tuple(Fraction(x) for x in row) for row in g) for g in generators)
     ident = tuple(tuple(row) for row in linalg.identity(rank))
-    elements: list = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        next_frontier = []
-        for w in frontier:
-            for g in gens:
-                prod = tuple(tuple(row) for row in linalg.mat_mul(w, g))
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    next_frontier.append(prod)
-                    if len(elements) > _CLOSURE_BOUND:
-                        raise WeylClosureError(
-                            f"group closure exceeded {_CLOSURE_BOUND} elements")
-        frontier = next_frontier
+    elements = _closure([ident], gens,
+                        lambda w, g: tuple(tuple(row) for row in linalg.mat_mul(w, g)))
     return WeylGroup(rank=rank, elements=tuple(elements), generators=gens)
 
 
 def generate_weyl(rs: RootSystem) -> WeylGroup:
-    """The Weyl group of rs, closed from its simple reflections."""
-    return close_group([rs.reflection(i) for i in rs.simple], rs.rank)
+    """The Weyl group of rs, closed from its simple reflections (the first roots)."""
+    return close_group([rs.reflection(i) for i in range(len(rs.simple_roots))], rs.rank)
 
 
 def act(w: Sequence[Sequence[Fraction]], p: Polynomial) -> Polynomial:

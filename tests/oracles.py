@@ -64,6 +64,65 @@ def two_sided_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
     return result
 
 
+def classical_root_table(name: str) -> dict[tuple, tuple[tuple, str]]:
+    """{root: (coroot, label)} enumerated by hand from the classical descriptions.
+
+    A_n: roots t_i - t_j in simple-coroot coordinates (t_i = x_i - x_{i-1},
+    x_0 = x_{n+1} = 0), coroot H_i + ... + H_{j-1} up to sign.  B/C/D:
+    +-e_i +- e_j (their own coroots), then +-e_i (B, coroot +-2e_i) or
+    +-2e_i (C, coroot +-e_i).  G2: c1 alpha1 + c2 alpha2 in simple-coroot
+    coordinates with alpha1 = (2, -1) short and alpha2 = (-3, 2) long.
+    """
+    type_, n = name[0], int(name[1])
+    table = {}
+
+    def add(row, coroot, label):
+        table[tuple(Fraction(x) for x in row)] = (tuple(Fraction(x) for x in coroot), label)
+
+    def unit(i, scale=1):
+        return [scale if j == i else 0 for j in range(n)]
+
+    if type_ == "A":
+        def t_row(i):
+            row = [0] * n
+            if i <= n:
+                row[i - 1] += 1
+            if i >= 2:
+                row[i - 2] -= 1
+            return row
+
+        for i in range(1, n + 2):
+            for j in range(1, n + 2):
+                if i != j:
+                    lo, hi = min(i, j), max(i, j)
+                    sign = 1 if i < j else -1
+                    add([a - b for a, b in zip(t_row(i), t_row(j))],
+                        [sign if lo <= k + 1 < hi else 0 for k in range(n)], "all")
+    elif type_ in "BCD":
+        for i in range(n):
+            for j in range(i + 1, n):
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        row = [0] * n
+                        row[i], row[j] = si, sj
+                        add(row, row, {"B": "long", "C": "short", "D": "all"}[type_])
+        for i in range(n):
+            for s in (1, -1):
+                if type_ == "B":
+                    add(unit(i, s), unit(i, 2 * s), "short")
+                elif type_ == "C":
+                    add(unit(i, 2 * s), unit(i, s), "long")
+    else:
+        a1, a2 = (2, -1), (-3, 2)
+        for (c1, c2), label in [((1, 0), "short"), ((0, 1), "long"), ((1, 1), "short"),
+                                ((2, 1), "short"), ((3, 1), "long"), ((3, 2), "long")]:
+            row = (c1 * a1[0] + c2 * a2[0], c1 * a1[1] + c2 * a2[1])
+            coroot = (c1, 3 * c2) if label == "short" else (Fraction(c1, 3), c2)
+            for s in (1, -1):
+                add([s * x for x in row], [s * h for h in coroot], label)
+    return table
+
+
 def stacked_kernel(space, maps) -> list[Polynomial]:
     """Joint kernel by one elimination: the coefficient rows of every map's
     images of the whole space, stacked into a single matrix."""

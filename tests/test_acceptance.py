@@ -15,13 +15,14 @@ from dunklinv.dunkl import (
     adjointness_check,
     commutator_check,
     dunkl_pairing,
+    gram_basis,
     gram_matrix,
     invariant_stability_check,
     make_context,
     positivity_certificate,
 )
 from dunklinv.exactalg import Polynomial, monomials_of_degree, render
-from dunklinv.liealg import delta_derivation, invariants_graded, takiff_extend
+from dunklinv.liealg import delta_direction, invariants_graded, takiff_extend
 from dunklinv.linalg import GradedSubspace, mat_inv
 from dunklinv.restriction import (
     CartanFrame,
@@ -135,7 +136,7 @@ def test_criterion_03_positivity_on_invariants():
                       ("B2", "long=1,short=3/2"), ("G2", "long=7/3,short=1/2")):
         ctx = make_context(system, k)
         for d in range(5):
-            matrix = gram_matrix(ctx, d, invariants_only=True)
+            matrix = gram_matrix(ctx, gram_basis(ctx, d, invariants_only=True))
             if not matrix:
                 continue
             definite, minors = positivity_certificate(matrix)
@@ -241,6 +242,7 @@ def test_criterion_10_square_zero_roots(sl2):
     h1_flat = g1.flat(1, 1)
     u = Polynomial.variable(g1.dim, h_flat)
     v = Polynomial.variable(g1.dim, h1_flat)
-    ok = (delta_derivation(g1, h1_flat, v) == Polynomial.zero(g1.dim)
-          and delta_derivation(g1, h1_flat, u) == Polynomial.constant(g1.dim, 2))
+    delta = delta_direction(g1, h1_flat)
+    ok = (v.directional_derivative(delta) == Polynomial.zero(g1.dim)
+          and u.directional_derivative(delta) == Polynomial.constant(g1.dim, 2))
     report("criterion 10: delta(h(x)T) sends v to 0 and u to 2, literally", ok)

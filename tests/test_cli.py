@@ -6,7 +6,7 @@ import pytest
 from dunklinv import cli
 from dunklinv.cli import EXIT_BOUND, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, main
 from dunklinv.restriction import RestrictionError
-from dunklinv.rootsys import WeylClosureError
+from dunklinv.rootsys import WeylClosureError, invariant_basis
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -278,3 +278,20 @@ def test_json_deterministic_modulo_walltime(capsys):
     first.pop("wall_time_ms")
     second.pop("wall_time_ms")
     assert json.dumps(first, sort_keys=False) == json.dumps(second, sort_keys=False)
+
+
+def test_gram_invariants_compute_the_basis_once(capsys, monkeypatch):
+    from dunklinv import dunkl
+    calls = []
+
+    def counted(weyl, degree):
+        calls.append(degree)
+        return invariant_basis(weyl, degree)
+
+    monkeypatch.setattr(dunkl, "invariant_basis", counted)
+    code, report, _ = run_json(capsys, "dunkl", "gram", "--type", "B2", "--k", "all=1",
+                               "--degree", "4", "--invariants-only")
+    assert code == EXIT_PASS
+    assert len(report["cases"][0]["data"]["basis"]) == 2
+    assert calls == [4]
+

@@ -10,6 +10,7 @@ from dunklinv.dunkl import (
     dunkl_compose,
     dunkl_pairing,
     equivariance_check,
+    gram_basis,
     gram_matrix,
     invariant_stability_check,
     make_context,
@@ -107,7 +108,7 @@ def test_operator_runs_without_substitution_or_division(monkeypatch):
     monkeypatch.setattr(Polynomial, "substitute", forbidden)
     monkeypatch.setattr(exactalg, "divide_with_remainder", forbidden)
     assert dunkl_apply(ctx, xi, p) == expected
-    matrix = gram_matrix(ctx, 3)
+    matrix = gram_matrix(ctx, gram_basis(ctx, 3, invariants_only=False))
     assert len(matrix) == 10
     assert all(matrix[i][j] == matrix[j][i] for i in range(10) for j in range(10))
     assert all(matrix[i][i] > 0 for i in range(10))
@@ -255,24 +256,24 @@ def test_zero_multiplicity_equals_derivative_path_a2():
 
 def test_gram_degree_zero():
     ctx = make_context("G2", "all=1")
-    assert gram_matrix(ctx, 0) == [[Fraction(1)]]
+    assert gram_matrix(ctx, gram_basis(ctx, 0, invariants_only=False)) == [[Fraction(1)]]
 
 
 @pytest.mark.parametrize("k", K_VALUES)
 def test_gram_a1_degree_two(k):
     ctx = make_context("A1", f"all={k}")
-    assert gram_matrix(ctx, 2) == [[2 * (1 + 2 * k)]]
+    assert gram_matrix(ctx, gram_basis(ctx, 2, invariants_only=False)) == [[2 * (1 + 2 * k)]]
 
 
 def test_gram_a1_cli_example():
     ctx = make_context("A1", "all=1")
-    assert gram_matrix(ctx, 1) == [[Fraction(3)]]
+    assert gram_matrix(ctx, gram_basis(ctx, 1, invariants_only=False)) == [[Fraction(3)]]
 
 
 def test_gram_positive_definite_on_invariants_a2():
     ctx = make_context("A2", "all=1")
     for d in range(5):
-        matrix = gram_matrix(ctx, d, invariants_only=True)
+        matrix = gram_matrix(ctx, gram_basis(ctx, d, invariants_only=True))
         if matrix:
             definite, minors = positivity_certificate(matrix)
             assert definite, (d, minors)

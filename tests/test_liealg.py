@@ -8,7 +8,7 @@ from dunklinv.liealg import (
     LieAlgebra,
     WorkBoundExceeded,
     adjoint_derivation,
-    delta_derivation,
+    delta_direction,
     derivation_generators,
     invariants_graded,
     make_sl,
@@ -179,10 +179,11 @@ def test_delta_values(sl2):
     h1 = g1.flat(1, 1)
     u = Polynomial.variable(g1.dim, g1.flat(1, 0))
     v = Polynomial.variable(g1.dim, h1)
-    assert delta_derivation(g1, h1, u) == Polynomial.constant(g1.dim, 2)
-    assert delta_derivation(g1, h1, v) == Polynomial.zero(g1.dim)
-    assert delta_derivation(g1, h1, Polynomial.constant(g1.dim, 9)) == Polynomial.zero(g1.dim)
-    assert delta_derivation(g1, h1, u * u) == u * 4
+    delta = delta_direction(g1, h1)
+    assert u.directional_derivative(delta) == Polynomial.constant(g1.dim, 2)
+    assert v.directional_derivative(delta) == Polynomial.zero(g1.dim)
+    assert Polynomial.constant(g1.dim, 9).directional_derivative(delta) == Polynomial.zero(g1.dim)
+    assert (u * u).directional_derivative(delta) == u * 4
 
 
 def test_delta_accepts_element_vectors(sl3):
@@ -193,7 +194,8 @@ def test_delta_accepts_element_vectors(sl3):
     element[g1.flat(4, 1)] = Fraction(1)
     u1 = Polynomial.variable(g1.dim, g1.flat(3, 0))
     # <(h1+h2) (x) T, h1> = form(h1+h2, h1) = 2 - 1 = 1
-    assert delta_derivation(g1, element, u1) == Polynomial.constant(g1.dim, 1)
+    delta = delta_direction(g1, element)
+    assert u1.directional_derivative(delta) == Polynomial.constant(g1.dim, 1)
 
 
 # -- graded invariants -----------------------------------------------------------------
@@ -221,6 +223,19 @@ def test_sl2_takiff_dimension_series(sl2):
     expected = series_coefficients([2, 2], 4)
     assert expected == [1, 0, 2, 0, 3]
     assert [invariants_graded(g1, d).dim for d in range(5)] == expected
+
+
+# Rais-Tauvel: S(g_m)^{g_m} is a polynomial ring whose generator degrees are
+# those of S(g)^g, each repeated m + 1 times.
+@pytest.mark.parametrize("algebra,degrees,m,upto,expected", [
+    ("sl2", [2], 2, 6, [1, 0, 3, 0, 6, 0, 10]),
+    ("sl2", [2], 3, 5, [1, 0, 4, 0, 10, 0]),
+    ("sl3", [2, 3], 1, 4, [1, 0, 2, 2, 3]),
+], ids=["sl2-m2", "sl2-m3", "sl3-m1"])
+def test_takiff_dimension_series_rais_tauvel(request, algebra, degrees, m, upto, expected):
+    gm = takiff_extend(request.getfixturevalue(algebra), m)
+    assert series_coefficients(degrees * (m + 1), upto) == expected
+    assert [invariants_graded(gm, d).dim for d in range(upto + 1)] == expected
 
 
 def test_sl2_classical_dimension_series(sl2):

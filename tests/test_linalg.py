@@ -151,3 +151,50 @@ def test_joint_kernel_skips_zero_maps_and_empties_on_injective_ones():
     assert joint_kernel(space, [lambda p: Polynomial.zero(2)]) == space
     assert joint_kernel(space, [lambda p: p]) == []
     assert joint_kernel([], [lambda p: p]) == []
+
+
+# -- sympy as a differential oracle (test-only; skipped without sympy) ------------
+
+def _seeded_rational_matrix(seed):
+    """Up to 6 x 6 with small rational entries; every third seed is square and
+    singular, its last row a combination of two others, and every even seed
+    starts with a zero entry, so elimination has to swap rows."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(2, 6), rng.randint(1, 6)
+    singular = seed % 3 == 0
+    if singular:
+        ncols = nrows
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7
+             else Fraction(0) for _ in range(ncols)] for _ in range(nrows)]
+    if seed % 2 == 0:
+        rows[0][0] = Fraction(0)
+    if singular:
+        a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(1, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows
+
+
+def _from_sympy(value):
+    return Fraction(int(value.numerator), int(value.denominator))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_elimination_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = _seeded_rational_matrix(seed)
+    ncols = len(rows[0])
+    qq_rows = [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in rows]
+    sym_reduced, sym_pivots = DomainMatrix(qq_rows, (len(rows), ncols), sympy.QQ).rref()
+    reduced, pivots = rref(rows, ncols)
+    assert pivots == list(sym_pivots)
+    assert reduced == [[_from_sympy(x) for x in row]
+                       for row in sym_reduced.to_list()[:len(sym_pivots)]]
+
+    matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                           for row in rows])
+    assert nullspace(rows, ncols) == [[_from_sympy(x) for x in vec]
+                                      for vec in matrix.nullspace()]
+    n = min(len(rows), ncols)
+    assert det([row[:n] for row in rows[:n]]) == _from_sympy(matrix[:n, :n].det())

@@ -7,6 +7,7 @@ from dunklinv.linalg import GradedSubspace, identity, mat_mul, mat_vec, transpos
 from dunklinv.rootsys import (
     SUPPORTED,
     MultiplicityAssignment,
+    RootSystem,
     UnsupportedSystem,
     WeylClosureError,
     act,
@@ -17,7 +18,7 @@ from dunklinv.rootsys import (
     reynolds,
     root_system,
 )
-from oracles import root_orbits, series_coefficients
+from oracles import classical_root_table, root_orbits, series_coefficients
 
 ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18,
                "C2": 8, "C3": 18, "D3": 12, "G2": 12}
@@ -30,6 +31,30 @@ def test_construction_table(name):
     rs = root_system(name)
     assert len(rs.roots) == ROOT_COUNTS[name]
     assert generate_weyl(rs).order == WEYL_ORDER[name]
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_derived_roots_match_classical_table(name):
+    # Roots, coroots and labels derived from the simple roots and the form
+    # agree with the hand enumeration of the classical descriptions.
+    rs = root_system(name)
+    derived = {alpha: (h, label)
+               for alpha, h, label in zip(rs.roots, rs.coroots, rs.orbit_labels)}
+    assert len(derived) == len(rs.roots)
+    assert derived == classical_root_table(name)
+
+
+def test_simple_roots_come_first():
+    rs = root_system("B3")
+    assert rs.roots[:3] == rs.simple_roots
+
+
+def test_hyperbolic_simple_roots_rejected():
+    # The Cartan matrix [[2, -3], [-3, 2]] is hyperbolic: the orbit of the
+    # simple roots is infinite, so the closure must hit its bound.
+    rows = [[2, -3], [-3, 2]]
+    with pytest.raises(WeylClosureError):
+        RootSystem(name="H2", rank=2, simple_roots=rows, form=rows)
 
 
 @pytest.mark.parametrize("name", SUPPORTED)
