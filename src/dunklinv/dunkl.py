@@ -24,16 +24,30 @@ invariant form (for the orthogonal realizations this is just e_i).  The
 pairing <p, q> = (p(T) q)(0) is then symmetric, W-invariant, and positive
 definite for positive multiplicities, and the adjoint of T_xi is
 multiplication by the linear form dual to xi.
+
+Gram matrices never compose operators entry by entry.  Write T_i for the
+operator paired with x_i.  Since the T's commute, (x_i m)(T) = m(T) T_i, so
+
+    <x_i m, c> = <m, T_i c>,
+
+and on monomials of degree e the row of x_i m is the row of m in the
+degree-(e-1) Gram matrix times the matrix of T_i (Dunkl and Xu,
+*Orthogonal Polynomials of Several Variables*, ch. 7).  `gram_matrix` starts
+from G_0 = [1], peels the lowest-index variable off each monomial, and needs
+T_i only on single monomials, where each root's divided difference is
+formed once and shared by every direction.  The pairing vanishes across
+degrees, so a basis is paired one homogeneous component at a time.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactalg import Polynomial, monomials_of_degree, rational
+from .exactalg import Polynomial, mono_degree, monomials_of_degree, rational
 from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, act,
                       generate_weyl, invariant_basis, reynolds, root_system)
 
@@ -66,7 +80,7 @@ class DunklContext:
 
     def dual_form(self, xi: Sequence[Fraction | int]) -> Polynomial:
         """The linear form <xi, .> dual to the vector xi: multiplication partner of T_xi."""
-        return Polynomial.linear_form(linalg.mat_vec(self.rs.form, xi))
+        return Polynomial.linear_form(linalg.mat_vec(self.rs.form, [rational(c) for c in xi]))
 
 
 def _divided_difference(p: Polynomial, minus_alpha: Polynomial, coroot) -> Polynomial:
@@ -80,21 +94,38 @@ def _divided_difference(p: Polynomial, minus_alpha: Polynomial, coroot) -> Polyn
     return total
 
 
+def _root_weights(ctx: DunklContext, directions: Sequence[Sequence[Fraction]]) -> list:
+    """(-alpha, H_alpha, [k_alpha alpha(xi) for xi in directions]) for each root that acts.
+
+    A root drops out when k_alpha = 0 or when alpha(xi) = 0 for every direction.
+    """
+    out = []
+    for k_alpha, row, minus_alpha, coroot in ctx._terms:
+        if not k_alpha:
+            continue
+        weights = [k_alpha * sum((a * c for a, c in zip(row, xi)), Fraction(0))
+                   for xi in directions]
+        if any(weights):
+            out.append((minus_alpha, coroot, weights))
+    return out
+
+
+def _dunkl_images(directions: Sequence[Sequence[Fraction]], root_weights: list,
+                  p: Polynomial) -> list[Polynomial]:
+    """T_xi p for every xi in directions, one divided difference per root."""
+    images = [p.directional_derivative(xi) for xi in directions]
+    for minus_alpha, coroot, weights in root_weights:
+        quot = _divided_difference(p, minus_alpha, coroot)
+        images = [image + quot * w if w else image for image, w in zip(images, weights)]
+    return images
+
+
 def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) -> Polynomial:
     """Apply T_xi to p; homogeneous degree d goes to homogeneous degree d-1."""
     if len(xi) != ctx.rank:
         raise ValueError(f"direction of length {len(xi)} for rank {ctx.rank}")
     xi = [rational(c) for c in xi]
-    result = p.directional_derivative(xi)
-    for k_alpha, row, minus_alpha, coroot in ctx._terms:
-        if not k_alpha:
-            continue
-        alpha_xi = sum((a * c for a, c in zip(row, xi)), Fraction(0))
-        if not alpha_xi:
-            continue
-        quot = _divided_difference(p, minus_alpha, coroot)
-        result = result + quot * (k_alpha * alpha_xi)
-    return result
+    return _dunkl_images([xi], _root_weights(ctx, [xi]), p)[0]
 
 
 def dunkl_compose(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -142,8 +173,54 @@ def gram_basis(ctx: DunklContext, degree: int, invariants_only: bool) -> list[Po
 
 
 def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fraction]]:
-    """Gram matrix of the pairing on a basis, such as one from `gram_basis`."""
-    return [[dunkl_pairing(ctx, b, c) for c in basis] for b in basis]
+    """Gram matrix of the pairing on a basis, such as one from `gram_basis`.
+
+    Built by recursion on degree through <x_i m, c> = <m, T_i c> (see the
+    module docstring); bases may mix degrees.
+    """
+    if any(b.ambient_dim != ctx.rank for b in basis):
+        raise ValueError("polynomials must live on the reflection representation")
+    # components[e][j]: the degree-e terms of basis[j]
+    components: dict[int, dict[int, dict]] = defaultdict(dict)
+    for j, b in enumerate(basis):
+        for mono, coeff in b.terms.items():
+            components[mono_degree(mono)].setdefault(j, {})[mono] = coeff
+    matrix = [[Fraction(0)] * len(basis) for _ in basis]
+    directions = ctx._dual_directions
+    root_weights = _root_weights(ctx, directions)
+    gram: dict = {(): {(): Fraction(1)}}            # G_0 as sparse rows
+    for e in range(max(components, default=-1) + 1):
+        if e:
+            gram = _next_gram(ctx.rank, e, gram, directions, root_weights)
+        for j, row_terms in components.get(e, {}).items():
+            paired: dict = defaultdict(Fraction)    # basis[j]'s degree-e part times G_e
+            for m, coeff in row_terms.items():
+                for c, g in gram[m].items():
+                    paired[c] += coeff * g
+            for l, col_terms in components[e].items():
+                matrix[j][l] += sum((coeff * paired[c] for c, coeff in col_terms.items()
+                                     if c in paired), Fraction(0))
+    return matrix
+
+
+def _next_gram(rank: int, e: int, previous: dict, directions, root_weights) -> dict:
+    """G_e from G_{e-1}: row x_i m' is row m' of G_{e-1} times T_i, i lowest in x_i m'."""
+    monos = monomials_of_degree(rank, e)
+    images = [[image.terms for image in
+               _dunkl_images(directions, root_weights, Polynomial(rank, {c: Fraction(1)}))]
+              for c in monos]
+    gram = {}
+    for m in monos:
+        (i, exp), rest = m[0], m[1:]
+        lower = previous[rest if exp == 1 else ((i, exp - 1),) + rest]
+        row = {}
+        for c, c_images in zip(monos, images):
+            entry = sum((lower[t] * coeff for t, coeff in c_images[i].items() if t in lower),
+                        Fraction(0))
+            if entry:
+                row[c] = entry
+        gram[m] = row
+    return gram
 
 
 def positivity_certificate(matrix: Sequence[Sequence[Fraction]]) -> tuple[bool, list[Fraction]]:
@@ -171,6 +248,7 @@ def adjointness_check(ctx: DunklContext, xi: Sequence[Fraction | int],
 def equivariance_check(ctx: DunklContext, w, xi: Sequence[Fraction | int],
                        p: Polynomial) -> bool:
     """w . T_xi (w^{-1} . p) == T_{w xi} p for a Weyl element w."""
+    xi = [rational(c) for c in xi]
     inner = dunkl_apply(ctx, xi, act(linalg.mat_inv(w), p))
     left = act(w, inner)
     right = dunkl_apply(ctx, linalg.mat_vec(w, xi), p)

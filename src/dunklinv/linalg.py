@@ -159,14 +159,13 @@ def identity(n: int) -> list[list[Fraction]]:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
-             for j in range(m)] for i in range(n)]
+    """a b for Fraction or int entries; floats are refused upstream, not re-checked here."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction | int]) -> list[Fraction]:
-    return [sum((Fraction(a_ij) * Fraction(v_j) for a_ij, v_j in zip(row, v)), Fraction(0))
-            for row in a]
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 def transpose(a: Matrix) -> list[list[Fraction]]:

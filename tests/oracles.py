@@ -138,6 +138,29 @@ def stacked_kernel(space, maps) -> list[Polynomial]:
             for vec in kernel]
 
 
+def breadth_first_group(generators) -> tuple:
+    """Closure of square matrix generators under the textbook product, breadth-first
+    from the identity, elements in discovery order."""
+    n = len(generators[0])
+
+    def product(a, b):
+        return tuple(tuple(sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(n)),
+                               Fraction(0)) for j in range(n)) for i in range(n))
+
+    identity = tuple(tuple(Fraction(i == j) for j in range(n)) for i in range(n))
+    elements, frontier = [identity], [identity]
+    while frontier:
+        found = []
+        for w in frontier:
+            for g in generators:
+                wg = product(w, g)
+                if wg not in elements:
+                    elements.append(wg)
+                    found.append(wg)
+        frontier = found
+    return tuple(elements)
+
+
 def root_orbits(rs, weyl) -> list[set[int]]:
     """W-orbits on the roots (acting on functionals by alpha o w^{-1})."""
     index = {row: i for i, row in enumerate(rs.roots)}
@@ -214,3 +237,10 @@ def seeded_polynomials(rng, dim: int, max_degree: int, count: int,
                         terms[mono] = Fraction(num, rng.randint(1, 4))
         out.append(Polynomial(dim, terms))
     return out
+
+
+def composed_gram(ctx, basis) -> list[list[Fraction]]:
+    """Gram matrix entry by entry: one full operator composition p(T) q per pair."""
+    from dunklinv.dunkl import dunkl_pairing
+
+    return [[dunkl_pairing(ctx, b, c) for c in basis] for b in basis]

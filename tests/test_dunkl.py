@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
+from dunklinv import dunkl
 from dunklinv.dunkl import (
     adjointness_check,
     commutator_check,
@@ -20,8 +22,8 @@ from dunklinv import exactalg
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.linalg import mat_inv
 from dunklinv.rootsys import SUPPORTED, invariant_basis
-from oracles import (a1_dunkl, a1_pairing, apolarity, derivative_pairing, seeded_polynomials,
-                     two_sided_dunkl)
+from oracles import (a1_dunkl, a1_pairing, apolarity, composed_gram, derivative_pairing,
+                     seeded_polynomials, two_sided_dunkl)
 
 K_VALUES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
 
@@ -118,6 +120,40 @@ def test_float_direction_rejected():
     ctx = make_context("A2", "all=1")
     with pytest.raises(TypeError, match="float"):
         dunkl_apply(ctx, [0.1, 0], parse("x1^2", 2))
+    with pytest.raises(TypeError, match="float"):
+        ctx.dual_form([0.5, 0])
+    with pytest.raises(TypeError, match="float"):
+        equivariance_check(ctx, ctx.weyl.elements[1], [0.5, 0], parse("x1^2", 2))
+
+
+def test_divided_difference_matches_sympy():
+    # (p - r_alpha p) / alpha by sympy's rational-function cancellation, with
+    # r_alpha x = x - alpha(x) H_alpha substituted symbolically: no Taylor
+    # expansion and no code shared with the operator.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for system in SUPPORTED:
+        rs = make_context(system, "all=1").rs
+        xs = sympy.symbols(f"x1:{rs.rank + 1}")
+
+        def rat(c):
+            return sympy.Rational(c.numerator, c.denominator)
+
+        def to_sympy(p):
+            return sum((rat(c) * prod(xs[v] ** e for v, e in mono)
+                        for mono, c in p.terms.items()), sympy.Integer(0))
+
+        for p in seeded_polynomials(rng, rs.rank, 4, 2):
+            expr = to_sympy(p)
+            for idx in rs.positive_indivisible():
+                alpha, coroot = rs.roots[idx], rs.coroots[idx]
+                alpha_x = to_sympy(Polynomial.linear_form(alpha))
+                reflected = expr.subs({x: x - alpha_x * rat(h) for x, h in zip(xs, coroot)},
+                                      simultaneous=True)
+                expected = sympy.cancel((expr - reflected) / alpha_x)
+                minus_alpha = Polynomial.linear_form([-a for a in alpha])
+                got = to_sympy(dunkl._divided_difference(p, minus_alpha, coroot))
+                assert sympy.expand(got - expected) == 0, (system, alpha, p)
 
 
 def test_direction_length_checked():
@@ -268,6 +304,91 @@ def test_gram_a1_degree_two(k):
 def test_gram_a1_cli_example():
     ctx = make_context("A1", "all=1")
     assert gram_matrix(ctx, gram_basis(ctx, 1, invariants_only=False)) == [[Fraction(3)]]
+
+
+def _k_choices(system):
+    """One orbit for every system; unequal and one zero orbit where there are two."""
+    if system[0] in "AD":
+        return ["all=1/2", "all=2"]
+    return ["all=1/2", "long=1,short=1/3", "long=0,short=1/2"]
+
+
+@pytest.mark.parametrize("system,k", [(name, k) for name in SUPPORTED for k in _k_choices(name)])
+def test_gram_recursion_matches_composition_oracle(system, k):
+    ctx = make_context(system, k)
+    for d in range(4):
+        basis = gram_basis(ctx, d, invariants_only=False)
+        assert gram_matrix(ctx, basis) == composed_gram(ctx, basis), d
+    for d in range(5):
+        basis = gram_basis(ctx, d, invariants_only=True)
+        assert gram_matrix(ctx, basis) == composed_gram(ctx, basis), d
+
+
+def test_gram_mixed_degree_basis():
+    ctx = make_context("B2", "long=1,short=1/2")
+    basis = [parse(text, 2) for text in ("1", "x1", "x1^2 + x2", "x1 x2")]
+    matrix = gram_matrix(ctx, basis)
+    assert matrix == composed_gram(ctx, basis)
+    assert matrix[0][2] == matrix[2][0] == 0    # x1^2 + x2 has no constant term
+
+
+def test_gram_empty_basis_and_wrong_ring():
+    ctx = make_context("A2", "all=1")
+    assert gram_matrix(ctx, []) == []
+    assert gram_matrix(ctx, [Polynomial.zero(2)]) == [[Fraction(0)]]
+    with pytest.raises(ValueError):
+        gram_matrix(ctx, [parse("x1", 3)])
+
+
+def test_gram_work_guard(monkeypatch):
+    # One divided difference per (positive root, monomial of degree 1..4) and
+    # no operator composition: a fall-back to per-entry composition fails here.
+    ctx = make_context("A3", "all=1/2")
+    calls = []
+    real = dunkl._divided_difference
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gram_matrix must not compose operators")
+
+    monkeypatch.setattr(dunkl, "_divided_difference", counted)
+    monkeypatch.setattr(dunkl, "dunkl_compose", forbidden)
+    monkeypatch.setattr(dunkl, "dunkl_pairing", forbidden)
+    gram_matrix(ctx, gram_basis(ctx, 4, invariants_only=False))
+    positive_roots = len(ctx.rs.positive_indivisible())
+    assert positive_roots == 6
+    assert len(calls) <= positive_roots * sum(comb(e + 2, 2) for e in range(1, 5))
+
+
+@pytest.mark.parametrize("system", ["B3", "D3"])
+def test_gram_zero_multiplicity_is_factorial_diagonal(system):
+    # Identity-form realizations: at k = 0 the pairing is apolarity, so the
+    # monomial Gram matrix is diagonal with entries prod e_j!.
+    ctx = make_context(system, "all=0")
+    basis = gram_basis(ctx, 4, invariants_only=False)
+    matrix = gram_matrix(ctx, basis)
+    assert matrix == [[apolarity(p, q) for q in basis] for p in basis]
+    assert all(matrix[i][j] == 0 for i in range(len(basis)) for j in range(len(basis)) if i != j)
+
+
+def test_gram_zero_multiplicity_a3_is_derivative_pairing():
+    # A3 lives in simple-coroot coordinates, where x_i acts as the derivative
+    # along the form-dual direction: not diagonal, but plain derivatives.
+    ctx = make_context("A3", "all=0")
+    directions = [[row[i] for row in mat_inv(ctx.rs.form)] for i in range(3)]
+    basis = gram_basis(ctx, 4, invariants_only=False)
+    assert gram_matrix(ctx, basis) == \
+        [[derivative_pairing(p, q, directions) for q in basis] for p in basis]
+
+
+@pytest.mark.parametrize("k", K_VALUES)
+def test_gram_a1_mixed_degrees_closed_form(k):
+    ctx = make_context("A1", f"all={k}")
+    basis = monomial_corpus(1, 6)
+    assert gram_matrix(ctx, basis) == [[a1_pairing(p, q, k) for q in basis] for p in basis]
 
 
 def test_gram_positive_definite_on_invariants_a2():

@@ -18,7 +18,8 @@ from dunklinv.rootsys import (
     reynolds,
     root_system,
 )
-from oracles import classical_root_table, root_orbits, series_coefficients
+from oracles import (breadth_first_group, classical_root_table, root_orbits,
+                     series_coefficients)
 
 ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18,
                "C2": 8, "C3": 18, "D3": 12, "G2": 12}
@@ -261,6 +262,16 @@ def test_positive_indivisible_picks_one_per_pair():
 def test_generate_weyl_deterministic():
     rs = root_system("B2")
     assert generate_weyl(rs).elements == generate_weyl(rs).elements
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_generate_weyl_matches_textbook_closure(name):
+    # Same elements in the same order, every entry an exact Fraction.
+    rs = root_system(name)
+    weyl = generate_weyl(rs)
+    simple_reflections = [rs.reflection(i) for i in range(len(rs.simple_roots))]
+    assert weyl.elements == breadth_first_group(simple_reflections)
+    assert all(type(x) is Fraction for w in weyl.elements for row in w for x in row)
 
 
 def test_close_group_rejects_infinite_group():
