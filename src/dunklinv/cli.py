@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import (ParseError, Polynomial, WorkBoundExceeded, check_work_bound,
-                       monomials_of_degree, parse as parse_poly, render)
+                       monomials_of_degree, parse as parse_poly, rational, render)
 from .dunkl import (commutator_check, dunkl_apply, gram_basis, gram_matrix, make_context,
                     positivity_certificate)
 from .liealg import adjoint_derivation, invariants_graded, make_sl, takiff_extend
@@ -186,7 +186,7 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
 
 def cmd_dunkl_apply(args: argparse.Namespace) -> Report:
     ctx = make_context(args.type, args.k)
-    xi = [Fraction(part.strip()) for part in args.xi.split(",")]
+    xi = [rational(part.strip()) for part in args.xi.split(",")]
     p = parse_poly(args.poly, ctx.rank)
     result = dunkl_apply(ctx, xi, p)
     report = Report("dunkl apply", {

@@ -51,11 +51,15 @@ def check_work_bound(ambient_dim: int, degree: int, work_bound: int) -> None:
             f"degree-{degree} monomial space has dimension {size} > {work_bound}")
 
 
-def rational(value: Scalar) -> Fraction:
-    """value as an exact Fraction; a float is refused, having no exact meaning here."""
+def rational(value: Scalar | str) -> Fraction:
+    """value (or text such as "3/2") as an exact Fraction; a float is refused,
+    having no exact meaning here, and a zero denominator is a ValueError."""
     if isinstance(value, float):
         raise TypeError(f"float {value!r}; use an int or a Fraction")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def mono_degree(mono: Monomial) -> int:

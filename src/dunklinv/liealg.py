@@ -12,7 +12,8 @@ Rendered names follow the base algebra with a tensor-degree suffix:
 
 Two structural gradings cut the kernel problem down before any elimination:
 monomials are filtered to weight zero under the base Cartan (those
-derivations are diagonal), and the truncated bracket is graded by total
+derivations are diagonal; the weights are scaled once to integers, so the
+filter is a plain integer sum), and the truncated bracket is graded by total
 T-degree, so the invariant space splits by T-degree as well.  The result is
 rechecked against every basis derivation by the test suite.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
@@ -264,10 +266,12 @@ def invariants_graded(gm: TakiffAlgebra, degree: int,
         return gm._inv_cache[key]
 
     weights = [gm.base.cartan_weight(gm.unflat(v)[0]) for v in range(gm.dim)]
+    scale = lcm(*(w.denominator for weight in weights for w in weight))
+    weights = [tuple(int(w * scale) for w in weight) for weight in weights]
     t_degree = [gm.unflat(v)[1] for v in range(gm.dim)]
     blocks: dict[int, list[Monomial]] = {}
     for mono in monomials_of_degree(gm.dim, degree):
-        if any(sum((e * weights[v][i] for v, e in mono), Fraction(0))
+        if any(sum(e * weights[v][i] for v, e in mono)
                for i in range(len(gm.base.cartan_indices))):
             continue
         tau = sum(e * t_degree[v] for v, e in mono)

@@ -1,122 +1,112 @@
 """Exact linear algebra over Q and canonical graded subspaces.
 
-Elimination clears denominators row by row and runs fraction-free over the
-integers with gcd reduction, so entries remain small and nothing is ever
-rounded.  Reduced row echelon form depends only on the row span and the
-column order; columns are always supplied in descending graded-lex monomial
-order, which makes every basis produced here canonical: two subspaces are
-equal exactly when their reduced bases render identically.
+Rows are sparse, `{column: value}`.  Elimination turns each input row into
+coprime integers once (lcm of its denominators, then its content) and runs
+fraction-free from there: a row is reduced against the pivot row sitting at
+its leading column until its leading column is free, then becomes a pivot
+itself, and back-substitution clears the pivot columns highest pivot first.
+Each pivot row is divided by its pivot once, at the end, the only place a
+`Fraction` is made, and nothing is ever rounded.
+
+Reduced row echelon form depends only on the row span and the column
+order; columns are always supplied in descending graded-lex monomial order,
+which makes every basis produced here canonical: two subspaces are equal
+exactly when their reduced bases render identically.
 
 Every graded subspace cut out by linear conditions (adjoint invariants,
 Weyl invariants, the restriction criterion) goes through one kernel path,
 `joint_kernel`: it applies each linear map to the current spanning list,
-eliminates the coefficient matrix of the images with `nullspace` and
-recombines.  No other module of the package calls `nullspace`;
-`GradedSubspace.from_polynomials` canonicalises the result.
+writes one sparse row per monomial of the images, takes the `nullspace`
+and recombines.  No other module of the package calls `nullspace`;
+`GradedSubspace.from_polynomials` canonicalises the result on the same
+sparse rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactalg import Monomial, Polynomial, grlex_key, render
 
 Matrix = Sequence[Sequence[Fraction]]
+Row = Mapping[int, Fraction | int]
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    out = []
+def _integer_row(row: Row) -> dict[int, int]:
+    """The row scaled to coprime integers, zero entries dropped."""
+    entries = [(col, x) for col, x in row.items() if x]
+    den = lcm(*(x.denominator for _, x in entries))
+    ints = {col: x.numerator * (den // x.denominator) for col, x in entries}
+    g = gcd(*ints.values())
+    return {col: x // g for col, x in ints.items()} if g > 1 else ints
+
+
+def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int, int]:
+    """The row with its entry at `col` cleared by the pivot row at `col`, fraction-free."""
+    g = gcd(pivot[col], row[col])
+    a, b = pivot[col] // g, row[col] // g
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, y in pivot.items():
+        x = out.get(c, 0) - b * y
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
+
+
+def rref(rows: Sequence[Row], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of sparse rows with keys in range(ncols).
+
+    Returns the reduced rows, dense over the columns with unit pivots, and
+    the pivot columns in increasing order.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = [Fraction(x) for x in row]
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        if any(ints):
-            out.append(ints)
-    return out
-
-
-def _forward_eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Integer row echelon with gcd-reduced rows; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot_row = r
+        row = _integer_row(row)
+        while row:
+            lead = min(row)
+            pivot = pivot_rows.get(lead)
+            if pivot is None:
+                pivot_rows[lead] = row
                 break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if not f:
-                continue
-            top = rows[rank]
-            row = rows[r]
-            new = [pv * a - f * b for a, b in zip(row, top)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-            if g > 1:
-                new = [x // g for x in new]
-            rows[r] = new
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
-
-
-def rref(rows: Sequence[Sequence[Fraction | int]], ncols: int
-         ) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: unit pivots, pivot columns cleared."""
-    echelon, pivots = _forward_eliminate(_integer_rows(rows), ncols)
-    for i in range(len(pivots) - 1, -1, -1):
-        col = pivots[i]
-        pv = echelon[i][col]
-        for r in range(i):
-            f = echelon[r][col]
-            if not f:
-                continue
-            row = echelon[r]
-            new = [pv * a - f * b for a, b in zip(row, echelon[i])]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-            if g > 1:
-                new = [x // g for x in new]
-            echelon[r] = new
+            row = _eliminate(row, lead, pivot)
+    pivots = sorted(pivot_rows)
+    for lead in reversed(pivots):
+        row = pivot_rows[lead]
+        for col in [c for c in row if c != lead and c in pivot_rows]:
+            row = _eliminate(row, col, pivot_rows[col])
+        pivot_rows[lead] = row
+    zero = Fraction(0)
     reduced = []
-    for i, col in enumerate(pivots):
-        pv = Fraction(echelon[i][col])
-        reduced.append([Fraction(x) / pv for x in echelon[i]])
+    for lead in pivots:
+        row = pivot_rows[lead]
+        pv = row[lead]
+        dense = [zero] * ncols
+        for col, x in row.items():
+            dense[col] = Fraction(x, pv)
+        reduced.append(dense)
     return reduced, pivots
 
 
-def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[list[Fraction]]:
+def nullspace(rows: Sequence[Row], ncols: int) -> list[list[Fraction]]:
     """Canonical kernel basis: one vector per free column, unit at that column."""
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -reduced[i][free]
+        vec = [zero] * ncols
+        vec[free] = one
+        for row, col in zip(reduced, pivots):
+            if row[free]:
+                vec[col] = -row[free]
         basis.append(vec)
     return basis
 
@@ -125,33 +115,35 @@ def joint_kernel(space: Sequence[Polynomial],
                  maps: Iterable[Callable[[Polynomial], Polynomial]]) -> list[Polynomial]:
     """Combinations of `space` spanning its part that every map in `maps` kills.
 
-    The space is cut down one map at a time.  A map whose images are all
-    zero, the only way its kernel can be the whole space, is skipped and
-    leaves the basis as it is.  The basis returned is not canonical; pass
-    it through `GradedSubspace.from_polynomials`.
+    The space is cut down one map at a time: each monomial of the images
+    gives one sparse row, keyed by the index of the element of `space` it
+    came from.  A map whose images are all zero, the only way its kernel
+    can be the whole space, is skipped and leaves the basis as it is.  The
+    basis returned is not canonical; pass it through
+    `GradedSubspace.from_polynomials`.
     """
     space = list(space)
     for linear_map in maps:
         if not space:
             break
-        support, rows = _coefficient_rows([linear_map(p) for p in space])
-        if not support:
+        rows: dict[Monomial, dict[int, Fraction]] = {}
+        for j, p in enumerate(space):
+            for mono, c in linear_map(p).terms.items():
+                rows.setdefault(mono, {})[j] = c
+        if not rows:
             continue
-        kernel = nullspace(transpose(rows), len(space))
-        zero = Polynomial.zero(space[0].ambient_dim)
-        space = [sum((p * c for p, c in zip(space, vec) if c), zero) for vec in kernel]
+        space = [_combination(space, vec) for vec in nullspace(list(rows.values()), len(space))]
     return space
 
 
-def _coefficient_rows(polys: Sequence[Polynomial]
-                      ) -> tuple[list[Monomial], list[list[Fraction]]]:
-    """The joint support in descending graded-lex order, one coefficient row per polynomial."""
-    support: set[Monomial] = set()
-    for p in polys:
-        support.update(p.terms)
-    n = polys[0].ambient_dim
-    columns = sorted(support, key=lambda m: grlex_key(m, n), reverse=True)
-    return columns, [[p.coefficient(m) for m in columns] for p in polys]
+def _combination(space: Sequence[Polynomial], coefficients: Sequence[Fraction]) -> Polynomial:
+    """sum_j coefficients[j] space[j], accumulated on the coefficient dicts."""
+    terms: dict[Monomial, Fraction] = {}
+    for p, c in zip(space, coefficients):
+        if c:
+            for mono, x in p.terms.items():
+                terms[mono] = terms.get(mono, 0) + c * x
+    return Polynomial(space[0].ambient_dim, {mono: x for mono, x in terms.items() if x})
 
 
 def identity(n: int) -> list[list[Fraction]]:
@@ -168,13 +160,9 @@ def mat_vec(a: Matrix, v: Sequence[Fraction | int]) -> list[Fraction]:
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
-def transpose(a: Matrix) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*a)]
-
-
 def mat_inv(a: Matrix) -> list[list[Fraction]]:
     n = len(a)
-    augmented = [[Fraction(x) for x in row] + identity(n)[i] for i, row in enumerate(a)]
+    augmented = [{j: x for j, x in enumerate(row) if x} | {n + i: 1} for i, row in enumerate(a)]
     reduced, pivots = rref(augmented, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -231,7 +219,10 @@ class GradedSubspace:
                 raise ValueError(f"expected homogeneous polynomials of degree {degree}")
         if not polys:
             return cls(ambient_dim, degree, ())
-        columns, rows = _coefficient_rows(polys)
+        columns = sorted({mono for p in polys for mono in p.terms},
+                         key=lambda m: grlex_key(m, ambient_dim), reverse=True)
+        index = {mono: j for j, mono in enumerate(columns)}
+        rows = [{index[mono]: c for mono, c in p.terms.items()} for p in polys]
         reduced, _ = rref(rows, len(columns))
         basis = tuple(Polynomial(ambient_dim,
                                  {columns[j]: c for j, c in enumerate(row) if c})

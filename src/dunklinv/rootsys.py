@@ -125,7 +125,7 @@ class MultiplicityAssignment:
             if "=" not in piece:
                 raise ValueError(f"bad multiplicity piece {piece!r}; expected label=value")
             label, _, raw = piece.partition("=")
-            values[label.strip()] = Fraction(raw.strip())
+            values[label.strip()] = rational(raw.strip())
         return cls(values)
 
     def resolve(self, rs: RootSystem) -> dict[str, Fraction]:

@@ -6,10 +6,10 @@ it checks.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from dunklinv.exactalg import Polynomial, divide_with_remainder
-from dunklinv.linalg import mat_vec, nullspace, transpose
+from dunklinv.linalg import mat_vec
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -123,9 +123,108 @@ def classical_root_table(name: str) -> dict[tuple, tuple[tuple, str]]:
     return table
 
 
+# -- dense elimination, the differential oracle beside sympy --------------------
+
+def transpose(a) -> list[list[Fraction]]:
+    return [list(col) for col in zip(*a)]
+
+
+def _integer_rows(rows) -> list[list[int]]:
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in row]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        if g > 1:
+            ints = [x // g for x in ints]
+        if any(ints):
+            out.append(ints)
+    return out
+
+
+def _forward_eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon with gcd-reduced rows; returns (rows, pivot columns)."""
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if not f:
+                continue
+            top = rows[rank]
+            row = rows[r]
+            new = [pv * a - f * b for a, b in zip(row, top)]
+            g = 0
+            for x in new:
+                g = gcd(g, x)
+            if g > 1:
+                new = [x // g for x in new]
+            rows[r] = new
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def dense_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of dense rows by column-by-column elimination."""
+    echelon, pivots = _forward_eliminate(_integer_rows(rows), ncols)
+    for i in range(len(pivots) - 1, -1, -1):
+        col = pivots[i]
+        pv = echelon[i][col]
+        for r in range(i):
+            f = echelon[r][col]
+            if not f:
+                continue
+            row = echelon[r]
+            new = [pv * a - f * b for a, b in zip(row, echelon[i])]
+            g = 0
+            for x in new:
+                g = gcd(g, x)
+            if g > 1:
+                new = [x // g for x in new]
+            echelon[r] = new
+    reduced = []
+    for i, col in enumerate(pivots):
+        pv = Fraction(echelon[i][col])
+        reduced.append([Fraction(x) / pv for x in echelon[i]])
+    return reduced, pivots
+
+
+def dense_nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Kernel basis of dense rows, one vector per free column, unit at that column."""
+    reduced, pivots = dense_rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -reduced[i][free]
+        basis.append(vec)
+    return basis
+
+
 def stacked_kernel(space, maps) -> list[Polynomial]:
-    """Joint kernel by one elimination: the coefficient rows of every map's
-    images of the whole space, stacked into a single matrix."""
+    """Joint kernel by one dense elimination: the coefficient rows of every
+    map's images of the whole space, stacked into a single matrix."""
     rows = []
     for linear_map in maps:
         images = [linear_map(p) for p in space]
@@ -133,7 +232,7 @@ def stacked_kernel(space, maps) -> list[Polynomial]:
         for q in images:
             support.update(q.terms)
         rows.extend([q.coefficient(mono) for q in images] for mono in sorted(support))
-    kernel = nullspace(rows, len(space))
+    kernel = dense_nullspace(rows, len(space))
     return [sum((p * c for p, c in zip(space, vec) if c), Polynomial.zero(space[0].ambient_dim))
             for vec in kernel]
 

@@ -57,6 +57,16 @@ def test_exit_two_on_bad_multiplicities(capsys):
     assert "short" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("dunkl", "gram", "--type", "A2", "--k", "all=1/0"),
+    ("dunkl", "apply", "--type", "A2", "--k", "all=1", "--xi", "1/0,1", "--poly", "x1"),
+], ids=["k", "xi"])
+def test_exit_two_on_zero_denominator(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "zero denominator" in err
+
+
 # Each argv asks for a run with nothing meaningful to check.
 MEANINGLESS = [
     ("takiff", "criterion", "--algebra", "sl2", "--m", "0", "--poly", "u"),
@@ -295,3 +305,52 @@ def test_gram_invariants_compute_the_basis_once(capsys, monkeypatch):
     assert len(report["cases"][0]["data"]["basis"]) == 2
     assert calls == [4]
 
+
+
+# -- fuzz grid: every subcommand at edge values ----------------------------------
+
+_DEGREES = ("0", "1", "-1")
+_BAD_K = ("all=", "all=x", "all=1/0", "=1", "long=1", "foo=1", "")
+_BAD_POLY = ("", "u +", "x1^", "u^-1", "1/0", "u^2.5", "((u)", "x9", "0.5 u")
+_FUZZ = {
+    "dunkl commute": [
+        *(["dunkl", "commute", "--type", t, "--k", "all=1", "--max-degree", d]
+          for t in ("A1", "A2") for d in _DEGREES),
+        *(["dunkl", "commute", "--type", "B2", "--k", k, "--max-degree", "1"] for k in _BAD_K)],
+    "dunkl gram": [
+        *(["dunkl", "gram", "--type", "B2", "--k", "long=1,short=1/2", "--degree", d, *inv]
+          for d in _DEGREES for inv in ([], ["--invariants-only"])),
+        *(["dunkl", "gram", "--type", "A2", "--k", k, "--degree", "1"] for k in _BAD_K)],
+    "dunkl apply": [
+        *(["dunkl", "apply", "--type", "A2", "--k", k, "--xi", "1,0", "--poly", "x1"]
+          for k in _BAD_K),
+        *(["dunkl", "apply", "--type", "A2", "--k", "all=1", "--xi", "1,0", "--poly", p]
+          for p in _BAD_POLY),
+        *(["dunkl", "apply", "--type", "A2", "--k", "all=1", "--xi", xi, "--poly", "x1"]
+          for xi in ("", "1", "1,a", "1/0,1"))],
+    "chevalley check": [["chevalley", "check", "--algebra", "sl2", "--max-degree", d]
+                        for d in _DEGREES],
+    "takiff invariants": [["takiff", "invariants", "--algebra", "sl2", "--m", m, "--degree", d]
+                          for m in "0123" for d in _DEGREES],
+    "takiff image": [["takiff", "image", "--algebra", "sl2", "--m", m, "--degree", d]
+                     for m in "0123" for d in _DEGREES],
+    "takiff criterion": [
+        *(["takiff", "criterion", "--algebra", "sl2", "--m", m, "--poly", "u^2",
+           "--max-degree", d] for m in "0123" for d in _DEGREES),
+        *(["takiff", "criterion", "--algebra", "sl2", "--m", "1", "--poly", p]
+          for p in _BAD_POLY)],
+}
+
+
+@pytest.mark.parametrize("command", _FUZZ)
+def test_cli_edge_values_never_traceback(capsys, command):
+    grid = _FUZZ[command]
+    for argv in [*grid, [*grid[0], "--work-bound", "1"]]:
+        for flags in ([], ["--json"]):
+            try:
+                code = main([*flags, *argv])
+            except SystemExit as exc:       # argparse refusing the command line
+                code = exc.code
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, argv
+            assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BOUND, EXIT_INTERNAL), argv

@@ -1,9 +1,12 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
-from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
+from dunklinv import liealg, linalg
+from dunklinv.exactalg import Polynomial, grlex_key, monomials_of_degree, parse
+from dunklinv.liealg import invariants_graded, make_sl, takiff_extend
 from dunklinv.linalg import (
     GradedSubspace,
     det,
@@ -14,24 +17,29 @@ from dunklinv.linalg import (
     nullspace,
     rref,
 )
-from oracles import seeded_polynomials, stacked_kernel
+from oracles import dense_nullspace, dense_rref, seeded_polynomials, stacked_kernel
+
+
+def sparse(rows):
+    """Dense rows as the `{column: value}` rows that `rref` takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
 def test_rref_canonical_under_row_operations():
     rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     shuffled = [[8, 10, 12], [7, 8, 9], [1, 2, 3]]   # scaled + reordered, same span
-    assert rref(rows, 3) == rref(shuffled, 3)
+    assert rref(sparse(rows), 3) == rref(sparse(shuffled), 3)
 
 
 def test_rref_unit_pivots():
-    reduced, pivots = rref([[2, 4, 0], [0, 0, 3]], 3)
+    reduced, pivots = rref(sparse([[2, 4, 0], [0, 0, 3]]), 3)
     assert pivots == [0, 2]
     assert reduced == [[1, 2, 0], [0, 0, 1]]
 
 
 def test_nullspace_annihilates():
     rows = [[1, 2, 3, 4], [2, 4, 6, 8], [1, 0, 1, 0]]
-    kernel = nullspace(rows, 4)
+    kernel = nullspace(sparse(rows), 4)
     assert len(kernel) == 2
     for vec in kernel:
         for row in rows:
@@ -39,7 +47,7 @@ def test_nullspace_annihilates():
 
 
 def test_nullspace_full_rank_is_empty():
-    assert nullspace([[1, 0], [0, 1]], 2) == []
+    assert nullspace(sparse([[1, 0], [0, 1]]), 2) == []
 
 
 def test_det_values():
@@ -187,14 +195,129 @@ def test_elimination_matches_sympy(seed):
     ncols = len(rows[0])
     qq_rows = [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in rows]
     sym_reduced, sym_pivots = DomainMatrix(qq_rows, (len(rows), ncols), sympy.QQ).rref()
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots = rref(sparse(rows), ncols)
     assert pivots == list(sym_pivots)
     assert reduced == [[_from_sympy(x) for x in row]
                        for row in sym_reduced.to_list()[:len(sym_pivots)]]
 
     matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                            for row in rows])
-    assert nullspace(rows, ncols) == [[_from_sympy(x) for x in vec]
-                                      for vec in matrix.nullspace()]
+    assert nullspace(sparse(rows), ncols) == [[_from_sympy(x) for x in vec]
+                                              for vec in matrix.nullspace()]
     n = min(len(rows), ncols)
     assert det([row[:n] for row in rows[:n]]) == _from_sympy(matrix[:n, :n].det())
+
+
+# -- the sparse path against the dense oracle (and sympy, where installed) ------
+
+def _sympy_elimination(rows, ncols):
+    """sympy's reduced rows, pivots and kernel basis of dense rows; None without sympy."""
+    try:
+        import sympy
+        from sympy.polys.matrices import DomainMatrix
+    except ImportError:
+        return None
+    qq_rows = [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in rows]
+    reduced, pivots = DomainMatrix(qq_rows, (len(rows), ncols), sympy.QQ).rref()
+    matrix = sympy.Matrix(len(rows), ncols,
+                          [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row])
+    return ([[_from_sympy(x) for x in row] for row in reduced.to_list()[:len(pivots)]],
+            list(pivots), [[_from_sympy(x) for x in vec] for vec in matrix.nullspace()])
+
+
+def _check_against_oracles(rows, ncols):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    reduced, pivots = rref(sparse(rows), ncols)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert (reduced, pivots) == dense_rref(rows, ncols)
+    kernel = nullspace(sparse(rows), ncols)
+    assert kernel == dense_nullspace(rows, ncols)
+    expected = _sympy_elimination(rows, ncols)
+    if expected is not None:
+        assert (reduced, pivots, kernel) == expected
+
+
+def _seeded_sparse_matrix(seed):
+    """Up to 8 x 10, about a quarter of the entries nonzero; some rows are
+    rescaled copies of earlier ones, so the rank often falls short."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(0, 8), rng.randint(1, 10)
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.25:
+            scale = Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 3))
+            rows.append([scale * x for x in rng.choice(rows)])
+        else:
+            rows.append([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         if rng.random() < 0.25 else Fraction(0) for _ in range(ncols)])
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_elimination_matches_dense_oracle(seed):
+    _check_against_oracles(*_seeded_sparse_matrix(seed))
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    ([], 3),                                                  # no rows at all
+    ([[0, 0, 0], [0, 0, 0]], 3),                              # all-zero rows
+    ([[1, 2, 0], [1, 2, 0], [1, 2, 0]], 3),                   # duplicate rows
+    ([[1, 0, 2], [3, 0, Fraction(1, 2)]], 3),                 # a column no row touches
+    ([[1, 2, 0, 0, 0]], 5),                                   # ncols past the largest key
+    ([[3], [-2], [0]], 1),                                    # a single column
+    ([[-2, 1, 0], [0, -3, 6], [-4, 0, Fraction(-1, 3)]], 3),  # negative leading entries
+], ids=["empty", "zero-rows", "duplicates", "absent-column", "wide", "one-column",
+        "negative-leads"])
+def test_sparse_elimination_edge_cases(rows, ncols):
+    _check_against_oracles(rows, ncols)
+
+
+def test_stored_zero_entries_are_ignored():
+    assert rref([{0: 0, 2: Fraction(0)}, {}], 3) == ([], [])
+    assert rref([{1: 0, 2: 4}], 3) == rref([{2: 1}], 3)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_from_polynomials_matches_dense_canonicalisation(seed):
+    rng = random.Random(seed)
+    dim, degree = rng.randint(1, 4), rng.randint(0, 4)
+    polys = seeded_polynomials(rng, dim, degree, rng.randint(1, 6), homogeneous=degree)
+    polys.append(polys[0] * Fraction(rng.randint(-3, 3), 2) + polys[-1])
+    columns = sorted(monomials_of_degree(dim, degree), key=lambda m: grlex_key(m, dim),
+                     reverse=True)
+    reduced, _ = dense_rref([[p.coefficient(m) for m in columns] for p in polys], len(columns))
+    expected = tuple(Polynomial(dim, dict(zip(columns, row))) for row in reduced)
+    assert GradedSubspace.from_polynomials(polys, dim, degree).basis == expected
+
+
+def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
+    """Every elimination behind the sl2, m = 2, degree-6 invariants gets
+    mapping rows that store no more entries than the terms of the
+    polynomials they were read from: the derivation images, then the
+    surviving kernel bases.  A dense or transposed fallback stores more."""
+    entries, terms, calls = [0], [0], []
+    real_rref, real_derivation, real_kernel = (linalg.rref, liealg.adjoint_derivation,
+                                              liealg.joint_kernel)
+
+    def recording_rref(rows, ncols):
+        calls.append(all(isinstance(row, Mapping) for row in rows))
+        entries[0] += sum(len(row) for row in rows)
+        return real_rref(rows, ncols)
+
+    def counted_derivation(gm, x, p):
+        image = real_derivation(gm, x, p)
+        terms[0] += len(image.terms)
+        return image
+
+    def counted_kernel(space, maps):
+        survivors = real_kernel(space, maps)
+        terms[0] += sum(len(p.terms) for p in survivors)
+        return survivors
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    monkeypatch.setattr(liealg, "adjoint_derivation", counted_derivation)
+    monkeypatch.setattr(liealg, "joint_kernel", counted_kernel)
+    result = invariants_graded(takiff_extend(make_sl(2), 2), 6)
+    assert result.dim > 0
+    assert calls and all(calls)
+    assert 0 < entries[0] <= terms[0]

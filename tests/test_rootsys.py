@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
-from dunklinv.linalg import GradedSubspace, identity, mat_mul, mat_vec, transpose
+from dunklinv.linalg import GradedSubspace, identity, mat_mul, mat_vec
 from dunklinv.rootsys import (
     SUPPORTED,
     MultiplicityAssignment,
@@ -19,7 +19,7 @@ from dunklinv.rootsys import (
     root_system,
 )
 from oracles import (breadth_first_group, classical_root_table, root_orbits,
-                     series_coefficients)
+                     series_coefficients, transpose)
 
 ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18,
                "C2": 8, "C3": 18, "D3": 12, "G2": 12}
