@@ -10,13 +10,26 @@ the alpha and -alpha terms coincide; the test oracle two_sided_dunkl
 (tests/oracles.py) evaluates the two-sided form by reflecting and dividing,
 so the collapse and the divisibility are checked on a path not run here.
 
-Each divided difference comes from derivatives alone: r_alpha x = x -
-alpha(x) H_alpha, so Taylor expansion along the coroot gives the finite sum
+Nothing is substituted and no polynomial is divided, so no division can
+fail.  Since r_alpha x = x - alpha(x) H_alpha, the divided difference has
+two exact forms.  Taylor expansion along the coroot gives the finite sum
 
     (p - r_alpha p) / alpha = sum_{j >= 1} (-alpha)^(j-1) / j! d_{H_alpha}^j p,
 
-evaluated Horner-style.  Nothing is substituted and no polynomial is
-divided, so there is no division that could fail.
+evaluated Horner-style; it needs nothing but p, so `dunkl_apply` (and with
+it `dunkl_compose` and the commutator checks) uses it on any polynomial.
+Since r_alpha is a ring map with r_alpha x_i = x_i - H_alpha[i] alpha,
+
+    (x_i c - r_alpha(x_i c)) / alpha
+        = H_alpha[i] c + (x_i - H_alpha[i] alpha) (c - r_alpha c) / alpha,
+
+which is x_i times the lower quotient when H_alpha[i] = 0.  `gram_matrix`
+visits every monomial of every degree anyway, so it uses this product rule:
+each quotient costs one linear form times a quotient one degree down, where
+the Taylor sum rebuilds the whole tower of derivatives.  For one polynomial
+the product rule would first need the quotients of all divisors of its
+monomials, which is slower than the Taylor sum; kept apart, each form is
+also an independent check on the other.
 
 p(T) substitutes a commuting Dunkl operator for each coordinate: coordinate
 x_i is paired with the direction dual to it under the root system's
@@ -34,9 +47,10 @@ and on monomials of degree e the row of x_i m is the row of m in the
 degree-(e-1) Gram matrix times the matrix of T_i (Dunkl and Xu,
 *Orthogonal Polynomials of Several Variables*, ch. 7).  `gram_matrix` starts
 from G_0 = [1], peels the lowest-index variable off each monomial, and needs
-T_i only on single monomials, where each root's divided difference is
-formed once and shared by every direction.  The pairing vanishes across
-degrees, so a basis is paired one homogeneous component at a time.
+T_i only on single monomials.  Each root's divided difference of a monomial
+comes from the product rule above with the same peel, is formed once and is
+shared by every direction.  The pairing vanishes across degrees, so a basis
+is paired one homogeneous component at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactalg import Polynomial, mono_degree, monomials_of_degree, rational
+from .exactalg import Monomial, Polynomial, mono_degree, monomials_of_degree, rational
 from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, act,
                       generate_weyl, invariant_basis, reynolds, root_system)
 
@@ -110,22 +124,15 @@ def _root_weights(ctx: DunklContext, directions: Sequence[Sequence[Fraction]]) -
     return out
 
 
-def _dunkl_images(directions: Sequence[Sequence[Fraction]], root_weights: list,
-                  p: Polynomial) -> list[Polynomial]:
-    """T_xi p for every xi in directions, one divided difference per root."""
-    images = [p.directional_derivative(xi) for xi in directions]
-    for minus_alpha, coroot, weights in root_weights:
-        quot = _divided_difference(p, minus_alpha, coroot)
-        images = [image + quot * w if w else image for image, w in zip(images, weights)]
-    return images
-
-
 def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) -> Polynomial:
     """Apply T_xi to p; homogeneous degree d goes to homogeneous degree d-1."""
     if len(xi) != ctx.rank:
         raise ValueError(f"direction of length {len(xi)} for rank {ctx.rank}")
     xi = [rational(c) for c in xi]
-    return _dunkl_images([xi], _root_weights(ctx, [xi]), p)[0]
+    image = p.directional_derivative(xi)
+    for minus_alpha, coroot, (weight,) in _root_weights(ctx, [xi]):
+        image = image + _divided_difference(p, minus_alpha, coroot) * weight
+    return image
 
 
 def dunkl_compose(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -175,8 +182,10 @@ def gram_basis(ctx: DunklContext, degree: int, invariants_only: bool) -> list[Po
 def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fraction]]:
     """Gram matrix of the pairing on a basis, such as one from `gram_basis`.
 
-    Built by recursion on degree through <x_i m, c> = <m, T_i c> (see the
-    module docstring); bases may mix degrees.
+    Built by recursion on degree through <x_i m, c> = <m, T_i c>, with each
+    divided difference (c - r_alpha c) / alpha taken from the degree below by
+    the product rule (see the module docstring).  Only two degrees of Gram
+    rows and quotient tables are held at a time; bases may mix degrees.
     """
     if any(b.ambient_dim != ctx.rank for b in basis):
         raise ValueError("polynomials must live on the reflection representation")
@@ -187,11 +196,18 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
             components[mono_degree(mono)].setdefault(j, {})[mono] = coeff
     matrix = [[Fraction(0)] * len(basis) for _ in basis]
     directions = ctx._dual_directions
-    root_weights = _root_weights(ctx, directions)
+    roots = [(weights, _reflected_variables(minus_alpha, coroot))
+             for minus_alpha, coroot, weights in _root_weights(ctx, directions)]
     gram: dict = {(): {(): Fraction(1)}}            # G_0 as sparse rows
+    quotients = [{(): {}} for _ in roots]           # divided differences of 1 vanish
+    canonical = {(): ()}                            # the degree-(e-1) monomials
     for e in range(max(components, default=-1) + 1):
         if e:
-            gram = _next_gram(ctx.rank, e, gram, directions, root_weights)
+            monos = monomials_of_degree(ctx.rank, e)
+            for n, (_, reflected) in enumerate(roots):      # frees each lower table
+                quotients[n] = _next_quotients(monos, quotients[n], reflected, canonical)
+            gram = _next_gram(monos, gram, directions, roots, quotients)
+            canonical = {m: m for m in monos}
         for j, row_terms in components.get(e, {}).items():
             paired: dict = defaultdict(Fraction)    # basis[j]'s degree-e part times G_e
             for m, coeff in row_terms.items():
@@ -203,23 +219,114 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
     return matrix
 
 
-def _next_gram(rank: int, e: int, previous: dict, directions, root_weights) -> dict:
-    """G_e from G_{e-1}: row x_i m' is row m' of G_{e-1} times T_i, i lowest in x_i m'."""
-    monos = monomials_of_degree(rank, e)
-    images = [[image.terms for image in
-               _dunkl_images(directions, root_weights, Polynomial(rank, {c: Fraction(1)}))]
-              for c in monos]
-    gram = {}
+def _peel(m: Monomial) -> tuple[int, Monomial]:
+    """(i, m') with m = x_i m' and x_i the lowest-index variable of m."""
+    (i, exp), rest = m[0], m[1:]
+    return i, rest if exp == 1 else ((i, exp - 1),) + rest
+
+
+def _times_variable(m: Monomial, j: int) -> Monomial:
+    """x_j m, kept sorted."""
+    for idx, (v, e) in enumerate(m):
+        if v == j:
+            return m[:idx] + ((j, e + 1),) + m[idx + 1:]
+        if v > j:
+            return m[:idx] + ((j, 1),) + m[idx:]
+    return m + ((j, 1),)
+
+
+def _int_if_integral(x: Fraction) -> Fraction | int:
+    return x.numerator if x.denominator == 1 else x
+
+
+def _reflected_variables(minus_alpha: Polynomial, coroot) -> list[tuple]:
+    """(H_alpha[i], r_alpha x_i = x_i - H_alpha[i] alpha) for each i.
+
+    The linear form is a list of (variable, coefficient) pairs.  Integral
+    values are kept as ints, so the quotient tables built from them hold
+    small ints (shared objects, cheap arithmetic) wherever they can.
+    """
+    out = []
+    for i, h in enumerate(coroot):
+        coeffs = defaultdict(Fraction)
+        coeffs[i] += 1
+        if h:
+            for ((j, _),), a in minus_alpha.terms.items():
+                coeffs[j] += h * a
+        out.append((_int_if_integral(h),
+                    [(j, _int_if_integral(a)) for j, a in sorted(coeffs.items()) if a]))
+    return out
+
+
+def _product_rule(h, reflected: list, rest: Monomial, lower: dict, canonical: dict) -> dict:
+    """Terms of (c - r_alpha c) / alpha for c = x_i c', from lower = that quotient of c'.
+
+    r_alpha(x_i c') = r_alpha(x_i) r_alpha(c') and r_alpha c' = c' - alpha q'
+    give H_alpha[i] c' + r_alpha(x_i) q'; with h = H_alpha[i] = 0 this is x_i q'.
+    Monomials are taken from `canonical`, so the tables share one tuple each.
+    """
+    if not h:
+        ((i, _),) = reflected
+        return {canonical[_times_variable(t, i)]: q for t, q in lower.items()}
+    out = {rest: h}
+    for t, q in lower.items():
+        for j, a in reflected:
+            mono = canonical[_times_variable(t, j)]
+            acc = out.get(mono, 0) + a * q
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+    return out
+
+
+def _next_quotients(monos: Sequence[Monomial], lower: dict, reflected: list,
+                    canonical: dict) -> dict:
+    """One root's divided differences on the degree-e monomials, from degree e-1.
+
+    canonical maps each degree-(e-1) monomial to itself.
+    """
+    table = {}
+    for c in monos:
+        i, rest = _peel(c)
+        h, form = reflected[i]
+        table[c] = _product_rule(h, form, canonical[rest], lower[rest], canonical)
+    return table
+
+
+def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
+               quotients: list) -> dict:
+    """G_e from G_{e-1}: row x_i m' is row m' of G_{e-1} times T_i, i lowest in x_i m'.
+
+    T_i c = d_i c + sum_alpha k_alpha alpha(xi_i) (c - r_alpha c) / alpha, the
+    quotients read from this degree's tables.  G_e is filled one column c at a
+    time, so only the images of one monomial are held.
+    """
+    gram: dict = {m: {} for m in monos}
+    rows = []                   # (row of x_i m', i, row of m' in G_{e-1})
     for m in monos:
-        (i, exp), rest = m[0], m[1:]
-        lower = previous[rest if exp == 1 else ((i, exp - 1),) + rest]
-        row = {}
-        for c, c_images in zip(monos, images):
-            entry = sum((lower[t] * coeff for t, coeff in c_images[i].items() if t in lower),
+        i, rest = _peel(m)
+        rows.append((gram[m], i, previous[rest]))
+    for c in monos:
+        images = []
+        for xi in directions:
+            image = defaultdict(Fraction)
+            for idx, (v, e) in enumerate(c):
+                if xi[v]:
+                    image[c[:idx] + c[idx + 1:] if e == 1
+                          else c[:idx] + ((v, e - 1),) + c[idx + 1:]] += e * xi[v]
+            images.append(image)
+        for (weights, _), table in zip(roots, quotients):
+            quot = table[c]
+            for image, w in zip(images, weights):
+                if w:
+                    for t, q in quot.items():
+                        image[t] += w * q
+        for row, i, lower in rows:
+            entry = sum((lower[t] * coeff for t, coeff in images[i].items() if t in lower),
                         Fraction(0))
             if entry:
                 row[c] = entry
-        gram[m] = row
     return gram
 
 

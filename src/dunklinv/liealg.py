@@ -236,7 +236,7 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
                     out[target] = acc
                 else:
                     del out[target]
-    return Polynomial(gm.dim, out)
+    return p._wrap(out)       # mono_mul keeps monomials canonical
 
 
 def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> list[Fraction]:

@@ -126,34 +126,107 @@ def test_float_direction_rejected():
         equivariance_check(ctx, ctx.weyl.elements[1], [0.5, 0], parse("x1^2", 2))
 
 
+def sympy_divided_difference(sympy, rs, idx):
+    """p -> (p - r_alpha p) / alpha for root idx by sympy's rational-function
+    cancellation, with r_alpha x = x - alpha(x) H_alpha substituted symbolically:
+    no Taylor expansion, no product rule and no code shared with the operator.
+    Returns the map and the converter from Polynomial to sympy."""
+    xs = sympy.symbols(f"x1:{rs.rank + 1}")
+
+    def rat(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def to_sympy(p):
+        return sum((rat(c) * prod(xs[v] ** e for v, e in mono)
+                    for mono, c in p.terms.items()), sympy.Integer(0))
+
+    alpha_x = to_sympy(Polynomial.linear_form(rs.roots[idx]))
+    reflect = {x: x - alpha_x * rat(h) for x, h in zip(xs, rs.coroots[idx])}
+
+    def quotient(p):
+        expr = to_sympy(p)
+        return sympy.cancel((expr - expr.subs(reflect, simultaneous=True)) / alpha_x)
+
+    return quotient, to_sympy
+
+
 def test_divided_difference_matches_sympy():
-    # (p - r_alpha p) / alpha by sympy's rational-function cancellation, with
-    # r_alpha x = x - alpha(x) H_alpha substituted symbolically: no Taylor
-    # expansion and no code shared with the operator.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
     for system in SUPPORTED:
         rs = make_context(system, "all=1").rs
-        xs = sympy.symbols(f"x1:{rs.rank + 1}")
-
-        def rat(c):
-            return sympy.Rational(c.numerator, c.denominator)
-
-        def to_sympy(p):
-            return sum((rat(c) * prod(xs[v] ** e for v, e in mono)
-                        for mono, c in p.terms.items()), sympy.Integer(0))
-
         for p in seeded_polynomials(rng, rs.rank, 4, 2):
-            expr = to_sympy(p)
             for idx in rs.positive_indivisible():
-                alpha, coroot = rs.roots[idx], rs.coroots[idx]
-                alpha_x = to_sympy(Polynomial.linear_form(alpha))
-                reflected = expr.subs({x: x - alpha_x * rat(h) for x, h in zip(xs, coroot)},
-                                      simultaneous=True)
-                expected = sympy.cancel((expr - reflected) / alpha_x)
-                minus_alpha = Polynomial.linear_form([-a for a in alpha])
-                got = to_sympy(dunkl._divided_difference(p, minus_alpha, coroot))
-                assert sympy.expand(got - expected) == 0, (system, alpha, p)
+                expected, to_sympy = sympy_divided_difference(sympy, rs, idx)
+                minus_alpha = Polynomial.linear_form([-a for a in rs.roots[idx]])
+                got = to_sympy(dunkl._divided_difference(p, minus_alpha, rs.coroots[idx]))
+                assert sympy.expand(got - expected(p)) == 0, (system, rs.roots[idx], p)
+
+
+def gram_quotient_tables(monkeypatch, ctx, degree):
+    """The per-degree quotient tables gram_matrix carries on the degree-d monomials,
+    as [(monomials, [(minus_alpha, coroot, {monomial: terms}) per acting root])]."""
+    acting = dunkl._root_weights(ctx, ctx._dual_directions)
+    seen = []
+    real = dunkl._next_gram
+
+    def spy(monos, previous, directions, roots, quotients):
+        seen.append((monos, [(minus_alpha, coroot, table) for (minus_alpha, coroot, _), table
+                             in zip(acting, quotients, strict=True)]))
+        return real(monos, previous, directions, roots, quotients)
+
+    monkeypatch.setattr(dunkl, "_next_gram", spy)
+    gram_matrix(ctx, gram_basis(ctx, degree, invariants_only=False))
+    monkeypatch.undo()
+    return seen
+
+
+QUOTIENT_K = [(name, "all=1") for name in SUPPORTED] + \
+    [("B2", "long=0,short=1"), ("B3", "long=0,short=1"), ("C3", "long=1,short=0"),
+     ("G2", "long=0,short=1")]
+
+
+@pytest.mark.parametrize("system,k", QUOTIENT_K)
+def test_gram_quotients_match_taylor_form(monkeypatch, system, k):
+    # The product-rule tables against the Taylor form, at every monomial of
+    # degree 1..6 (degree 0 is the seed: the quotient of 1 vanishes).
+    ctx = make_context(system, k)
+    zero_labels = {label for label, value in ctx.k.resolve(ctx.rs).items() if not value}
+    expected_acting = [idx for idx in ctx.rs.positive_indivisible()
+                       if ctx.rs.orbit_labels[idx] not in zero_labels]
+    tables = gram_quotient_tables(monkeypatch, ctx, 6)
+    assert [len(monos) for monos, _ in tables] == \
+        [len(monomials_of_degree(ctx.rank, e)) for e in range(1, 7)]
+    one = Polynomial.constant(ctx.rank, 1)
+    short_branch = False
+    for monos, roots in tables:
+        assert len(roots) == len(expected_acting)
+        for minus_alpha, coroot, table in roots:
+            assert not dunkl._divided_difference(one, minus_alpha, coroot)
+            assert set(table) == set(monos)
+            for c in monos:
+                short_branch |= not coroot[c[0][0]]
+                p = Polynomial(ctx.rank, {c: Fraction(1)})
+                assert Polynomial(ctx.rank, table[c]) == \
+                    dunkl._divided_difference(p, minus_alpha, coroot), (c, coroot)
+                assert all(table[c].values())
+    assert short_branch or ctx.rank == 1       # H_alpha[i] = 0 for some peeled x_i
+
+
+@pytest.mark.parametrize("system,k", [("A3", "all=1"), ("B3", "long=0,short=1"),
+                                      ("G2", "all=1")])
+def test_gram_quotients_match_sympy(monkeypatch, system, k):
+    sympy = pytest.importorskip("sympy")
+    ctx = make_context(system, k)
+    coroot_index = {tuple(ctx.rs.coroots[idx]): idx for idx in ctx.rs.positive_indivisible()}
+    for monos, roots in gram_quotient_tables(monkeypatch, ctx, 4):
+        for _, coroot, table in roots:
+            expected, to_sympy = sympy_divided_difference(sympy, ctx.rs,
+                                                          coroot_index[tuple(coroot)])
+            for c in monos:
+                got = to_sympy(Polynomial(ctx.rank, table[c]))
+                p = Polynomial(ctx.rank, {c: Fraction(1)})
+                assert sympy.expand(got - expected(p)) == 0, (system, coroot, c)
 
 
 def test_direction_length_checked():
@@ -341,26 +414,30 @@ def test_gram_empty_basis_and_wrong_ring():
 
 
 def test_gram_work_guard(monkeypatch):
-    # One divided difference per (positive root, monomial of degree 1..4) and
-    # no operator composition: a fall-back to per-entry composition fails here.
-    ctx = make_context("A3", "all=1/2")
+    # One product-rule quotient per (acting root, monomial of degree 1..4), no
+    # Taylor divided difference and no operator composition: a fall-back to
+    # either fails here.  B3 with a zero long orbit acts through its 3 short
+    # roots only.
     calls = []
-    real = dunkl._divided_difference
+    real = dunkl._product_rule
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("gram_matrix must not compose operators")
+        raise AssertionError("gram_matrix must use neither the Taylor form nor composition")
 
-    monkeypatch.setattr(dunkl, "_divided_difference", counted)
+    monkeypatch.setattr(dunkl, "_product_rule", counted)
+    monkeypatch.setattr(dunkl, "_divided_difference", forbidden)
     monkeypatch.setattr(dunkl, "dunkl_compose", forbidden)
     monkeypatch.setattr(dunkl, "dunkl_pairing", forbidden)
-    gram_matrix(ctx, gram_basis(ctx, 4, invariants_only=False))
-    positive_roots = len(ctx.rs.positive_indivisible())
-    assert positive_roots == 6
-    assert len(calls) <= positive_roots * sum(comb(e + 2, 2) for e in range(1, 5))
+    for system, k, acting in (("A3", "all=1/2", 6), ("B3", "long=0,short=1", 3)):
+        ctx = make_context(system, k)
+        calls.clear()
+        gram_matrix(ctx, gram_basis(ctx, 4, invariants_only=False))
+        assert len(dunkl._root_weights(ctx, ctx._dual_directions)) == acting
+        assert len(calls) == acting * sum(comb(e + 2, 2) for e in range(1, 5)), system
 
 
 @pytest.mark.parametrize("system", ["B3", "D3"])

@@ -172,6 +172,20 @@ def test_derivation_leibniz_and_linearity(sl2):
                     adjoint_derivation(g1, x, p) + adjoint_derivation(g1, x, q)
 
 
+@pytest.mark.parametrize("algebra,m,max_degree", [("sl2", 2, 3), ("sl3", 1, 2)])
+def test_derivation_output_is_canonical(request, algebra, m, max_degree):
+    # adjoint_derivation wraps its term dict without re-validating it, so the
+    # dict must already be what the validating constructor builds.
+    gm = takiff_extend(request.getfixturevalue(algebra), m)
+    rng = random.Random(11)
+    for p in seeded_polynomials(rng, gm.dim, max_degree, 3):
+        for x in range(gm.dim):
+            result = adjoint_derivation(gm, x, p)
+            rebuilt = Polynomial(gm.dim, result.terms)
+            assert result == rebuilt and list(result.terms) == list(rebuilt.terms)
+            assert all(type(c) is Fraction for c in result.terms.values())
+
+
 # -- delta derivation ---------------------------------------------------------------
 
 def test_delta_values(sl2):
