@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -293,22 +293,25 @@ class Polynomial:
         n = self.ambient_dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise DimensionMismatch("substitution matrix shape does not match ring")
-        images = [Polynomial.linear_form(row) for row in matrix]
-        powers: dict[int, list[Polynomial]] = {}
+        image = substitution(matrix)
+        return sum((image(mono, coeff) for mono, coeff in self.terms.items()), Polynomial(n))
 
-        def power(v: int, e: int) -> Polynomial:
+
+def substitution(matrix: Sequence[Sequence[Scalar]]) -> Callable[..., Polynomial]:
+    """(mono, c) -> c mono(Mx) for a square M, keeping the powers of each x_i(Mx) between calls."""
+    n = len(matrix)
+    images = [Polynomial.linear_form(row) for row in matrix]
+    powers: dict[int, list[Polynomial]] = {}
+
+    def image(mono: Monomial, coeff: Scalar = 1) -> Polynomial:
+        factor = Polynomial.constant(n, coeff)
+        for v, e in mono:
             tower = powers.setdefault(v, [Polynomial.constant(n, 1)])
             while len(tower) <= e:
                 tower.append(tower[-1] * images[v])
-            return tower[e]
-
-        result = Polynomial(n)
-        for mono, coeff in self.terms.items():
-            factor = Polynomial.constant(n, coeff)
-            for v, e in mono:
-                factor = factor * power(v, e)
-            result = result + factor
-        return result
+            factor = factor * tower[e]
+        return factor
+    return image
 
 
 def divide_with_remainder(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:

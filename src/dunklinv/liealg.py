@@ -7,6 +7,11 @@ tested through these derivations (the group is connected, so Lie-algebra
 invariance is group invariance) and graded invariant spaces are joint
 kernels of the derivations (`linalg.joint_kernel`).
 
+The bracket table is scaled once to integers by a common denominator.  The
+Jacobi and invariance checks read it exactly (they are homogeneous in the
+constants), and so does the derivation of a monomial, an integer image that
+the kernel path takes as it is; `adjoint_derivation` divides the scale out.
+
 Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.
 
@@ -64,26 +69,37 @@ class LieAlgebra:
                 anti = {k: -c for k, c in self.structure[j][i].items()}
                 if self.structure[i][j] != anti:
                     raise ValueError("structure constants are not antisymmetric")
-        _check_lie_structure(self.dim, self.bracket, self.form)
+        _check_lie_structure(_integer_table(self.dim, self.bracket)[0], self.form)
 
 
-def _check_lie_structure(dim: int, bracket, form: Sequence[Sequence[Fraction]]) -> None:
-    """Jacobi identity for `bracket` on basis indices; `form` invariant and nondegenerate."""
+def _integer_table(dim: int, bracket) -> tuple[list[list[dict[int, int]]], int]:
+    """The bracket on basis indices times one common denominator, and that denominator."""
+    table = [[bracket(x, y) for y in range(dim)] for x in range(dim)]
+    den = lcm(*(c.denominator for row in table for entry in row for c in entry.values()))
+    return [[{z: c.numerator * (den // c.denominator) for z, c in entry.items()}
+             for entry in row] for row in table], den
+
+
+def _check_lie_structure(table, form: Sequence[Sequence[Fraction]]) -> None:
+    """Jacobi identity for a scaled bracket table; `form` invariant and nondegenerate."""
+    dim = len(table)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, c in bracket(y, z).items():
-                        for r, c2 in bracket(x, l).items():
-                            acc[r] = acc.get(r, Fraction(0)) + c * c2
+                    for l, c in table[y][z].items():
+                        for r, c2 in table[x][l].items():
+                            acc[r] = acc.get(r, 0) + c * c2
                 if any(acc.values()):
                     raise ValueError(f"Jacobi identity fails on basis triple {(i, j, k)}")
+    den = lcm(*(x.denominator for row in form for x in row))
+    form = [[x.numerator * (den // x.denominator) for x in row] for row in form]
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                lhs = sum((c * form[l][k] for l, c in bracket(i, j).items()), Fraction(0))
-                rhs = sum((c * form[j][l] for l, c in bracket(i, k).items()), Fraction(0))
+                lhs = sum(c * form[l][k] for l, c in table[i][j].items())
+                rhs = sum(c * form[j][l] for l, c in table[i][k].items())
                 if lhs + rhs != 0:
                     raise ValueError("form is not invariant under the bracket")
     if det(form) == 0:
@@ -146,10 +162,10 @@ class TakiffAlgebra:
 
     base: LieAlgebra
     m: int
-    _ad_cache: dict = field(default_factory=dict, repr=False)
     _inv_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        self._table, self._den = _integer_table(self.dim, self.bracket_flat)
         self._check_structure()
 
     @property
@@ -189,12 +205,7 @@ class TakiffAlgebra:
         if any(pairing[x][y] != pairing[y][x]
                for x in range(self.dim) for y in range(self.dim)):
             raise ValueError("pairing is not symmetric")
-        _check_lie_structure(self.dim, self.bracket_flat, pairing)
-
-    def _ad_images(self, x: int) -> list[dict[int, Fraction]]:
-        if x not in self._ad_cache:
-            self._ad_cache[x] = [self.bracket_flat(x, y) for y in range(self.dim)]
-        return self._ad_cache[x]
+        _check_lie_structure(self._table, pairing)
 
 
 def takiff_extend(g: LieAlgebra, m: int) -> TakiffAlgebra:
@@ -213,30 +224,28 @@ def takiff_extend(g: LieAlgebra, m: int) -> TakiffAlgebra:
     return cache[m]
 
 
+def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[Monomial, int]:
+    """The derivation extending Y -> [X_x, Y], times the table's denominator, on one monomial."""
+    images = gm._table[x]
+    out: dict[Monomial, int] = {}
+    for idx, (v, e) in enumerate(mono):
+        if images[v]:
+            reduced = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1:]
+            for w, c in images[v].items():
+                target = mono_mul(reduced, ((w, 1),))
+                out[target] = out.get(target, 0) + e * c
+    return {target: c for target, c in out.items() if c}
+
+
 def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
     """The derivation of S[g_m] extending Y -> [X_x, Y] on generators."""
     if p.ambient_dim != gm.dim:
         raise ValueError("polynomial does not live on g_m")
-    images = gm._ad_images(x)
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
-        for idx, (v, e) in enumerate(mono):
-            img = images[v]
-            if not img:
-                continue
-            if e == 1:
-                reduced = mono[:idx] + mono[idx + 1:]
-            else:
-                reduced = mono[:idx] + ((v, e - 1),) + mono[idx + 1:]
-            scale = coeff * e
-            for w, c in img.items():
-                target = mono_mul(reduced, ((w, 1),))
-                acc = out.get(target, Fraction(0)) + scale * c
-                if acc:
-                    out[target] = acc
-                else:
-                    del out[target]
-    return p._wrap(out)       # mono_mul keeps monomials canonical
+        for target, c in _monomial_derivation(gm, x, mono).items():
+            out[target] = out.get(target, 0) + coeff * c
+    return p._wrap({mono: c / gm._den for mono, c in out.items() if c})   # canonical by mono_mul
 
 
 def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> list[Fraction]:
@@ -277,11 +286,10 @@ def invariants_graded(gm: TakiffAlgebra, degree: int,
         tau = sum(e * t_degree[v] for v, e in mono)
         blocks.setdefault(tau, []).append(mono)
 
-    maps = [partial(adjoint_derivation, gm, x) for x in derivation_generators(gm)]
+    maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
     survivors: list[Polynomial] = []
     for tau in sorted(blocks):
-        space = [Polynomial(gm.dim, {mono: Fraction(1)}) for mono in blocks[tau]]
-        survivors.extend(joint_kernel(space, maps))
+        survivors.extend(joint_kernel(gm.dim, blocks[tau], maps))
     result = GradedSubspace.from_polynomials(survivors, gm.dim, degree)
     gm._inv_cache[key] = result
     return result

@@ -15,11 +15,12 @@ exactly when their reduced bases render identically.
 
 Every graded subspace cut out by linear conditions (adjoint invariants,
 Weyl invariants, the restriction criterion) goes through one kernel path,
-`joint_kernel`: it applies each linear map to the current spanning list,
-writes one sparse row per monomial of the images, takes the `nullspace`
-and recombines.  No other module of the package calls `nullspace`;
-`GradedSubspace.from_polynomials` canonicalises the result on the same
-sparse rows.
+`joint_kernel`: maps given by their values on monomials, and the kernel held
+as coprime integer vectors over those monomials.  Each map's image of a
+monomial is computed once, spread into one sparse row per image monomial,
+and the `nullspace` recombines the vectors; only the final kernel becomes
+`Polynomial`s.  No other module of the package calls `nullspace`;
+`GradedSubspace.from_polynomials` canonicalises the result on the same rows.
 """
 
 from __future__ import annotations
@@ -111,39 +112,45 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def joint_kernel(space: Sequence[Polynomial],
-                 maps: Iterable[Callable[[Polynomial], Polynomial]]) -> list[Polynomial]:
-    """Combinations of `space` spanning its part that every map in `maps` kills.
+MonomialMap = Callable[[Monomial], Mapping[Monomial, Fraction | int]]
 
-    The space is cut down one map at a time: each monomial of the images
-    gives one sparse row, keyed by the index of the element of `space` it
-    came from.  A map whose images are all zero, the only way its kernel
-    can be the whole space, is skipped and leaves the basis as it is.  The
-    basis returned is not canonical; pass it through
-    `GradedSubspace.from_polynomials`.
+
+def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
+                 maps: Iterable[MonomialMap]) -> list[Polynomial]:
+    """Polynomials spanning the part of span(`monomials`) that every map kills.
+
+    The unit vectors are cut down one map at a time; a map that kills every
+    kernel vector is skipped.  The basis returned is not canonical; pass it
+    through `GradedSubspace.from_polynomials`.
     """
-    space = list(space)
+    kernel: list[dict[int, int]] = [{j: 1} for j in range(len(monomials))]
     for linear_map in maps:
-        if not space:
+        if not kernel:
             break
-        rows: dict[Monomial, dict[int, Fraction]] = {}
-        for j, p in enumerate(space):
-            for mono, c in linear_map(p).terms.items():
-                rows.setdefault(mono, {})[j] = c
-        if not rows:
-            continue
-        space = [_combination(space, vec) for vec in nullspace(list(rows.values()), len(space))]
-    return space
+        users: dict[int, list[tuple[int, int]]] = {}     # monomial -> (vector, coefficient)
+        for k, vec in enumerate(kernel):
+            for j, a in vec.items():
+                users.setdefault(j, []).append((k, a))
+        rows: dict[Monomial, dict[int, Fraction | int]] = {}
+        for j, uses in users.items():
+            for mono, c in linear_map(monomials[j]).items():
+                row = rows.setdefault(mono, {})
+                for k, a in uses:
+                    row[k] = row.get(k, 0) + a * c
+        del users           # each image is gone already; free the index before eliminating
+        live = [row for row in rows.values() if any(row.values())]
+        if live:                # else the map kills every vector: images may cancel in sums
+            kernel = [_recombine(kernel, v) for v in nullspace(live, len(kernel))]
+    return [Polynomial(ambient_dim, {monomials[j]: a for j, a in vec.items()}) for vec in kernel]
 
 
-def _combination(space: Sequence[Polynomial], coefficients: Sequence[Fraction]) -> Polynomial:
-    """sum_j coefficients[j] space[j], accumulated on the coefficient dicts."""
-    terms: dict[Monomial, Fraction] = {}
-    for p, c in zip(space, coefficients):
-        if c:
-            for mono, x in p.terms.items():
-                terms[mono] = terms.get(mono, 0) + c * x
-    return Polynomial(space[0].ambient_dim, {mono: x for mono, x in terms.items() if x})
+def _recombine(kernel: Sequence[dict[int, int]], coefficients: Sequence[Fraction]) -> dict:
+    """sum_k coefficients[k] kernel[k], scaled to coprime integers."""
+    out: dict[int, int] = {}
+    for k, c in _integer_row(dict(enumerate(coefficients))).items():
+        for j, a in kernel[k].items():
+            out[j] = out.get(j, 0) + c * a
+    return _integer_row(out)
 
 
 def identity(n: int) -> list[list[Fraction]]:

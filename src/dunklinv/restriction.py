@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from . import liealg, linalg, rootsys
-from .exactalg import Polynomial, divide_with_remainder, render
+from .exactalg import Polynomial, divide_with_remainder, monomials_of_degree, render
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
 from .linalg import GradedSubspace, joint_kernel
 
@@ -219,10 +220,11 @@ def _delta_remainder(direction: list[Fraction], n: int, divisor_power: Polynomia
 
 def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
     """Degree-d polynomials on h_m satisfying both criterion conditions."""
-    base_space = rootsys.invariant_basis(frame.weyl, degree)
-    maps = (remainder for _, _, remainder in _condition2_maps(frame, degree))
-    return GradedSubspace.from_polynomials(
-        joint_kernel(base_space.basis, maps), frame.dim, degree)
+    condition2 = (lambda mono, f=f: f(Polynomial(frame.dim, {mono: 1})).terms
+                  for _, _, f in _condition2_maps(frame, degree))
+    kernel = joint_kernel(frame.dim, monomials_of_degree(frame.dim, degree),
+                          chain(rootsys.invariance_maps(frame.weyl), condition2))
+    return GradedSubspace.from_polynomials(kernel, frame.dim, degree)
 
 
 @dataclass(frozen=True)

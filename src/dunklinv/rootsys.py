@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import Polynomial, monomials_of_degree, rational
-from .linalg import GradedSubspace, joint_kernel
+from .exactalg import Polynomial, monomials_of_degree, rational, substitution
+from .linalg import GradedSubspace, MonomialMap, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
 
@@ -263,11 +263,17 @@ def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
     return total / weyl.order
 
 
+def invariance_maps(weyl: WeylGroup) -> Iterator[MonomialMap]:
+    """m -> m o s - m on monomials, one map per generator s, each built when it is reached."""
+    for s in weyl.generators:
+        image = substitution(s)
+        yield lambda mono: (image(mono) - Polynomial(weyl.rank, {mono: 1})).terms
+
+
 def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:
     """Canonical basis of degree-d W-invariants: the kernel of p -> p o s - p, all generators s."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    monomials = [Polynomial(weyl.rank, {mono: Fraction(1)})
-                 for mono in monomials_of_degree(weyl.rank, degree)]
-    maps = [lambda p, s=s: p.substitute(s) - p for s in weyl.generators]
-    return GradedSubspace.from_polynomials(joint_kernel(monomials, maps), weyl.rank, degree)
+    monomials = monomials_of_degree(weyl.rank, degree)
+    return GradedSubspace.from_polynomials(
+        joint_kernel(weyl.rank, monomials, invariance_maps(weyl)), weyl.rank, degree)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from dunklinv.exactalg import Polynomial, divide_with_remainder
-from dunklinv.linalg import mat_vec
+from dunklinv.linalg import mat_vec, nullspace
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -235,6 +235,50 @@ def stacked_kernel(space, maps) -> list[Polynomial]:
     kernel = dense_nullspace(rows, len(space))
     return [sum((p * c for p, c in zip(space, vec) if c), Polynomial.zero(space[0].ambient_dim))
             for vec in kernel]
+
+
+def polynomial_joint_kernel(space, maps) -> list[Polynomial]:
+    """Joint kernel of polynomial maps on span(space), one elimination per map.
+
+    Each map is applied to the current spanning polynomials; each monomial of
+    the images gives one sparse row keyed by spanning element, and the
+    spanning list is recombined from the `nullspace` in `Fraction`s.  A map
+    whose images are all zero is skipped.
+    """
+    space = list(space)
+    for linear_map in maps:
+        if not space:
+            break
+        rows: dict = {}
+        for j, p in enumerate(space):
+            for mono, c in linear_map(p).terms.items():
+                rows.setdefault(mono, {})[j] = c
+        if rows:
+            space = [sum((p * c for p, c in zip(space, vec) if c),
+                         Polynomial.zero(space[0].ambient_dim))
+                     for vec in nullspace(list(rows.values()), len(space))]
+    return space
+
+
+def bracket_derivation(gm, x: int, p: Polynomial) -> Polynomial:
+    """sum_y [X_x, Y] dp/dy on S[g_m], from the base structure constants.
+
+    [X_i T^s, X_j T^t] = sum_k c_ijk X_k T^(s+t), zero once s + t > m, with
+    c_ijk read from `gm.base.structure` as `Fraction`s; every product and sum
+    is `Polynomial` arithmetic.
+    """
+    base = gm.base
+    i, s = x % base.dim, x // base.dim
+    result = Polynomial.zero(gm.dim)
+    for y in range(gm.dim):
+        j, t = y % base.dim, y // base.dim
+        if s + t > gm.m:
+            continue
+        unit = [Fraction(int(v == y)) for v in range(gm.dim)]
+        partial = p.directional_derivative(unit)
+        for k, c in base.structure[i][j].items():
+            result = result + Polynomial.variable(gm.dim, (s + t) * base.dim + k) * partial * c
+    return result
 
 
 def breadth_first_group(generators) -> tuple:

@@ -1,11 +1,14 @@
 """Report digests of CLI runs that the benchmark does not cover.
 
-Each case runs `cli.main` in-process and pins the sha256 of its JSON report
-without `wall_time_ms`, in the layout `perfbench/run.py` hashes.  The cases
-reach what the benchmark's three argvs do not: unequal and zero orbits, the
-types C, D and G and rank 1, degrees away from 4 and 8, and `dunkl apply`.
-A faster path must leave every report byte-identical, so any change to a
-Gram matrix, a minor or a Dunkl image fails here.
+Each case runs `cli.main` in-process and pins its exit code and the sha256
+of its JSON report without `wall_time_ms`, in the layout `perfbench/run.py`
+hashes.  The cases reach what the benchmark's three argvs do not: unequal
+and zero orbits, the types C, D and G and rank 1, degrees away from 4 and 8,
+`dunkl apply`, Takiff invariants of sl3 and of sl2 at m = 3, the restriction
+image at m = 1, the classical Chevalley check on sl3 and a failing
+criterion.  A faster path must leave every report byte-identical, so any
+change to a Gram matrix, a minor, a Dunkl image or an invariant basis fails
+here.
 """
 
 import hashlib
@@ -13,29 +16,42 @@ import json
 
 import pytest
 
-from dunklinv.cli import EXIT_PASS, main
+from dunklinv.cli import EXIT_FAIL, EXIT_PASS, main
 
 GOLDEN = [
-    (("dunkl", "gram", "--type", "G2", "--k", "long=1/3,short=2", "--degree", "5"),
+    (("dunkl", "gram", "--type", "G2", "--k", "long=1/3,short=2", "--degree", "5"), EXIT_PASS,
      "b7ac506c1bfc18f87a6494709922ccc61e821c5491bc9216e2c5cf8cc0b74cb8"),
     (("dunkl", "gram", "--type", "C3", "--k", "all=1", "--degree", "6", "--invariants-only"),
-     "5d8b96eb970411cbd5bbb6a0a8037f7c3bc15ff9a84980c4d4781f0e03e6310e"),
-    (("dunkl", "gram", "--type", "D3", "--k", "all=0", "--degree", "4"),
+     EXIT_PASS, "5d8b96eb970411cbd5bbb6a0a8037f7c3bc15ff9a84980c4d4781f0e03e6310e"),
+    (("dunkl", "gram", "--type", "D3", "--k", "all=0", "--degree", "4"), EXIT_PASS,
      "396ad62fa96e4cb9a7d9393b40686ab73a622d13e383d4ce93c4718c7ee5c3c0"),
     (("dunkl", "gram", "--type", "B2", "--k", "long=0,short=1", "--degree", "6",
-      "--invariants-only"),
+      "--invariants-only"), EXIT_PASS,
      "d06878cadb05257019a1f29b45f28dfb5fbcb03fcc8e162684c420a54d81e794"),
-    (("dunkl", "gram", "--type", "A1", "--k", "all=2/3", "--degree", "6"),
+    (("dunkl", "gram", "--type", "A1", "--k", "all=2/3", "--degree", "6"), EXIT_PASS,
      "1bc25bbf572beedd67fbb3856d7e3fb1dfece5599aa65d5d417207fa1cb119f2"),
     (("dunkl", "apply", "--type", "B3", "--k", "long=1/2,short=3", "--xi", "1,-2,1/3",
-      "--poly", "x1^3 x2 - 2 x2^2 x3^2 + 3/5 x1 x3^3 + x3"),
+      "--poly", "x1^3 x2 - 2 x2^2 x3^2 + 3/5 x1 x3^3 + x3"), EXIT_PASS,
      "0713d0119b24267e83229be8ed750c4468f1c63a7b360e493d09c31ca8659642"),
+    (("takiff", "invariants", "--algebra", "sl3", "--m", "1", "--degree", "4"), EXIT_PASS,
+     "fd03cbf6829ecc5deae662ca4d17af9419274082c9fbfe9d95c260da3cc284e9"),
+    (("takiff", "invariants", "--algebra", "sl2", "--m", "3", "--degree", "4"), EXIT_PASS,
+     "926bc47dbd1bb2e8c66eb8ce2a9e6a9fe597242c11d605d49530baad4f87c220"),
+    (("takiff", "image", "--algebra", "sl3", "--m", "1", "--max-degree", "4"), EXIT_PASS,
+     "3d5f5f0375d517ea2cc0bedf4f91586b04a6c664982e9d847416dc7c4c22de58"),
+    (("takiff", "image", "--algebra", "sl2", "--m", "1", "--max-degree", "8"), EXIT_PASS,
+     "8217963e6c68ec4c5dce2c2e49435e1e9384528ae9164c006324e8dd0919dc42"),
+    (("chevalley", "check", "--algebra", "sl3", "--max-degree", "6"), EXIT_PASS,
+     "0492e05465346666317a1f92c3476062105f4cb0727a81d2026466bab0766e67"),
+    (("takiff", "criterion", "--algebra", "sl2", "--m", "2", "--poly", "u^2"), EXIT_FAIL,
+     "4c8feff95a15589fd4f10e8c81894fab40c5834de2d9c0c95887a06097f1332e"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:4]) for a, _ in GOLDEN])
-def test_report_digest(capsys, argv, digest):
-    assert main(["--json", *argv]) == EXIT_PASS
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(a[:4]) for a, _, _ in GOLDEN])
+def test_report_digest(capsys, argv, code, digest):
+    assert main(["--json", *argv]) == code
     report = json.loads(capsys.readouterr().out)
     del report["wall_time_ms"]
     assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest

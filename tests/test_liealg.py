@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from dunklinv.exactalg import Polynomial, parse
+from dunklinv import liealg
+from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.liealg import (
     LieAlgebra,
     WorkBoundExceeded,
@@ -15,7 +18,8 @@ from dunklinv.liealg import (
     takiff_extend,
 )
 from dunklinv.linalg import GradedSubspace
-from oracles import seeded_polynomials, series_coefficients
+from oracles import (bracket_derivation, polynomial_joint_kernel, seeded_polynomials,
+                     series_coefficients)
 
 
 def gm_parse(gm, text):
@@ -84,6 +88,45 @@ def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
     LieAlgebra(**_sl2_data(sl2))                      # the unmodified data is accepted
     with pytest.raises(ValueError, match=message):
         LieAlgebra(**_sl2_data(sl2, bracket, form))
+
+
+def _rescaled_sl2(sl2, bracket=None):
+    """sl2 on the basis (e/2, h, f): [e/2, f] = h/2 and <e/2, f> = 1/2."""
+    scale = (Fraction(1, 2), Fraction(1), Fraction(1))
+    structure = [[{k: scale[i] * scale[j] / scale[k] * c for k, c in sl2.structure[i][j].items()}
+                  for j in range(3)] for i in range(3)]
+    for (i, j), value in (bracket or {}).items():
+        structure[i][j] = value
+    form = tuple(tuple(scale[i] * scale[j] * sl2.form[i][j] for j in range(3)) for i in range(3))
+    return LieAlgebra(dim=3, basis_names=("X", "h", "f"),
+                      structure=tuple(tuple(row) for row in structure),
+                      form=form, cartan_indices=sl2.cartan_indices)
+
+
+def test_rescaled_basis_scales_the_bracket_table(sl2):
+    g = _rescaled_sl2(sl2)
+    assert g.bracket(0, 2) == {1: Fraction(1, 2)}
+    for m, expected in ((1, [1, 0, 2, 0, 3]), (2, [1, 0, 3, 0, 6])):
+        gm = takiff_extend(g, m)
+        assert gm._den == 2
+        assert [invariants_graded(gm, d).dim for d in range(5)] == expected
+        assert [invariants_graded(takiff_extend(sl2, m), d).dim for d in range(5)] == expected
+        for b in invariants_graded(gm, 4).basis:
+            assert all(not bracket_derivation(gm, x, b) for x in range(gm.dim))
+    g0 = takiff_extend(g, 0)
+    f = Polynomial.variable(3, 2)
+    assert adjoint_derivation(g0, 0, f) == Polynomial.variable(3, 1) * Fraction(1, 2)
+    # [h, f] = -3f/2 keeps antisymmetry but breaks Jacobi on (h, X, f).
+    broken = {(1, 2): {2: Fraction(-3, 2)}, (2, 1): {2: Fraction(3, 2)}}
+    with pytest.raises(ValueError, match="Jacobi"):
+        _rescaled_sl2(sl2, broken)
+    g1 = takiff_extend(g, 1)
+    table = [[dict(entry) for entry in row] for row in g1._table]
+    table[1][5] = {5: -3}
+    table[5][1] = {5: 3}
+    pairing = [[g1.pairing(x, y) for y in range(g1.dim)] for x in range(g1.dim)]
+    with pytest.raises(ValueError, match="Jacobi"):
+        liealg._check_lie_structure(table, pairing)
 
 
 def test_cartan_weight(sl2, sl3):
@@ -280,6 +323,62 @@ def test_sl3_takiff_invariants_annihilated(sl3):
         for b in invariants_graded(g1, d).basis:
             for x in range(g1.dim):
                 assert adjoint_derivation(g1, x, b) == Polynomial.zero(g1.dim)
+
+
+def _oracle_invariants(gm, degree):
+    """Degree-d invariants from every bracket_derivation, Cartan included,
+    on the monomials of weight zero under the diagonal of the base bracket."""
+    base = gm.base
+    weight = [[base.structure[c][v % base.dim].get(v % base.dim, 0) for c in base.cartan_indices]
+              for v in range(gm.dim)]
+    space = [Polynomial(gm.dim, {mono: 1}) for mono in monomials_of_degree(gm.dim, degree)
+             if not any(sum(e * weight[v][i] for v, e in mono)
+                        for i in range(len(base.cartan_indices)))]
+    maps = [partial(bracket_derivation, gm, x) for x in range(gm.dim)]
+    return GradedSubspace.from_polynomials(polynomial_joint_kernel(space, maps), gm.dim, degree)
+
+
+@pytest.mark.parametrize("algebra,m,max_degree", [
+    ("sl2", 0, 5), ("sl2", 1, 5), ("sl2", 2, 5), ("sl2", 3, 5), ("sl3", 0, 4), ("sl3", 1, 4),
+])
+def test_invariants_match_bracket_oracle(request, algebra, m, max_degree):
+    gm = takiff_extend(request.getfixturevalue(algebra), m)
+    for d in range(max_degree + 1):
+        basis = invariants_graded(gm, d)
+        assert basis == _oracle_invariants(gm, d)
+        for b in basis.basis:
+            assert all(not bracket_derivation(gm, x, b) for x in range(gm.dim))
+
+
+def test_takiff_kernel_work_guard(monkeypatch):
+    """sl2, m = 2, degree 6: the kernel path reads integer monomial images
+    only, each (derivation, monomial) image at most once in its step, and
+    never builds a polynomial derivation."""
+    real_kernel = liealg.joint_kernel
+    steps: list[Counter] = []
+
+    def forbidden(*args):
+        raise AssertionError("adjoint_derivation on the kernel path")
+
+    def watched(linear_map):
+        seen = Counter()
+        steps.append(seen)
+
+        def image(mono):
+            seen[mono] += 1
+            out = linear_map(mono)
+            assert all(type(c) is int for c in out.values())
+            return out
+        return image
+
+    def guarded_kernel(ambient_dim, monomials, maps):
+        return real_kernel(ambient_dim, monomials, [watched(f) for f in maps])
+
+    monkeypatch.setattr(liealg, "adjoint_derivation", forbidden)
+    monkeypatch.setattr(liealg, "joint_kernel", guarded_kernel)
+    assert invariants_graded(takiff_extend(make_sl(2), 2), 6).dim == 10
+    assert sum(map(len, steps)) > 0
+    assert all(count == 1 for seen in steps for count in seen.values())
 
 
 def test_derivation_generators_skip_diagonal_cartan(sl2):

@@ -1,6 +1,7 @@
 import random
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -141,13 +142,24 @@ def _random_maps(rng, dim, degree):
     return maps
 
 
+def on_monomials(dim, linear_map):
+    """A map on polynomials as the map of its values on monomials."""
+    return lambda mono: linear_map(Polynomial(dim, {mono: 1})).terms
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_joint_kernel_matches_stacked_elimination(seed):
+    """The input space is spanned by the monomials of seeded polynomials, a
+    random subset of the degree-d monomials; the same seeded maps act on it
+    through their values on monomials."""
     rng = random.Random(seed)
     dim, degree = rng.randint(1, 3), rng.randint(1, 3)
-    space = seeded_polynomials(rng, dim, degree, rng.randint(1, 6), homogeneous=degree)
+    seeded = seeded_polynomials(rng, dim, degree, rng.randint(1, 6), homogeneous=degree)
+    monomials = sorted({mono for p in seeded for mono in p.terms})
+    space = [Polynomial(dim, {mono: 1}) for mono in monomials]
     maps = _random_maps(rng, dim, degree)
-    ours = GradedSubspace.from_polynomials(joint_kernel(space, maps), dim, degree)
+    ours = GradedSubspace.from_polynomials(
+        joint_kernel(dim, monomials, [on_monomials(dim, f) for f in maps]), dim, degree)
     oracle = GradedSubspace.from_polynomials(stacked_kernel(space, maps), dim, degree)
     assert ours == oracle
     for b in ours.basis:
@@ -155,10 +167,25 @@ def test_joint_kernel_matches_stacked_elimination(seed):
 
 
 def test_joint_kernel_skips_zero_maps_and_empties_on_injective_ones():
+    monomials = [((0, 2),), ((0, 1), (1, 1)), ((1, 2),)]
     space = [parse("x1^2", 2), parse("x1 x2", 2), parse("x2^2", 2)]
-    assert joint_kernel(space, [lambda p: Polynomial.zero(2)]) == space
-    assert joint_kernel(space, [lambda p: p]) == []
-    assert joint_kernel([], [lambda p: p]) == []
+    assert joint_kernel(2, monomials, [lambda mono: {}]) == space
+    assert joint_kernel(2, monomials, [lambda mono: {mono: 1}]) == []
+    assert joint_kernel(2, [], [lambda mono: {mono: 1}]) == []
+
+
+def test_joint_kernel_skips_maps_whose_images_cancel(monkeypatch):
+    # After the first map the kernel is x1^2 - x2^2; the second map sends
+    # both monomials to 1, so its image rows cancel and nothing is eliminated.
+    calls = []
+    real_nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda *a: calls.append(a) or real_nullspace(*a))
+    coefficient_sum = lambda mono: {(): 1}   # noqa: E731
+    monomials = [((0, 2),), ((1, 2),)]
+    kernel = joint_kernel(2, monomials, [coefficient_sum, coefficient_sum])
+    assert GradedSubspace.from_polynomials(kernel, 2, 2) == GradedSubspace.from_polynomials(
+        [parse("x1^2 - x2^2", 2)], 2, 2)
+    assert len(calls) == 1
 
 
 # -- sympy as a differential oracle (test-only; skipped without sympy) ------------
@@ -293,29 +320,28 @@ def test_from_polynomials_matches_dense_canonicalisation(seed):
 def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
     """Every elimination behind the sl2, m = 2, degree-6 invariants gets
     mapping rows that store no more entries than the terms of the
-    polynomials they were read from: the derivation images, then the
-    surviving kernel bases.  A dense or transposed fallback stores more."""
+    polynomials they were read from: the derivation images of monomials,
+    then the surviving kernel bases.  A dense or transposed fallback stores
+    more."""
     entries, terms, calls = [0], [0], []
-    real_rref, real_derivation, real_kernel = (linalg.rref, liealg.adjoint_derivation,
-                                              liealg.joint_kernel)
+    real_rref, real_kernel = linalg.rref, liealg.joint_kernel
 
     def recording_rref(rows, ncols):
         calls.append(all(isinstance(row, Mapping) for row in rows))
         entries[0] += sum(len(row) for row in rows)
         return real_rref(rows, ncols)
 
-    def counted_derivation(gm, x, p):
-        image = real_derivation(gm, x, p)
-        terms[0] += len(image.terms)
+    def counted(linear_map, mono):
+        image = linear_map(mono)
+        terms[0] += len(image)
         return image
 
-    def counted_kernel(space, maps):
-        survivors = real_kernel(space, maps)
+    def counted_kernel(ambient_dim, monomials, maps):
+        survivors = real_kernel(ambient_dim, monomials, [partial(counted, f) for f in maps])
         terms[0] += sum(len(p.terms) for p in survivors)
         return survivors
 
     monkeypatch.setattr(linalg, "rref", recording_rref)
-    monkeypatch.setattr(liealg, "adjoint_derivation", counted_derivation)
     monkeypatch.setattr(liealg, "joint_kernel", counted_kernel)
     result = invariants_graded(takiff_extend(make_sl(2), 2), 6)
     assert result.dim > 0

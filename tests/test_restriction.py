@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dunklinv.exactalg import Polynomial, parse
+from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.liealg import invariants_graded, takiff_extend
 from dunklinv.linalg import GradedSubspace, mat_mul
 from dunklinv.restriction import (
@@ -12,10 +12,11 @@ from dunklinv.restriction import (
     chevalley_graded_check,
     criterion_check,
     criterion_subspace,
+    _condition2_maps,
     image_basis,
     restrict,
 )
-from oracles import series_coefficients
+from oracles import polynomial_joint_kernel, series_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,19 @@ def test_criterion_subspace_sl2_m2_degree2(frame2):
     space = criterion_subspace(frame2, 2)
     assert space == h_span(frame2, ["u w", "v^2", "v w", "w^2"], 2)
     assert space.contains(frame2.parse("v^2"))
+
+
+@pytest.mark.parametrize("algebra,m,max_degree", [("sl2", 1, 6), ("sl2", 2, 6), ("sl3", 1, 4)])
+def test_criterion_subspace_matches_polynomial_kernel(request, algebra, m, max_degree):
+    # Both conditions as maps on whole polynomials, reflections first, cut
+    # down in Fractions from all monomials of the degree.
+    frame = CartanFrame(takiff_extend(request.getfixturevalue(algebra), m))
+    for d in range(max_degree + 1):
+        space = [Polynomial(frame.dim, {mono: 1}) for mono in monomials_of_degree(frame.dim, d)]
+        maps = [*(lambda p, s=s: p.substitute(s) - p for s in frame.weyl.generators),
+                *(remainder for _, _, remainder in _condition2_maps(frame, d))]
+        assert criterion_subspace(frame, d) == GradedSubspace.from_polynomials(
+            polynomial_joint_kernel(space, maps), frame.dim, d)
 
 
 def test_remark_strict_inclusion(frame2):

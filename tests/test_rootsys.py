@@ -18,8 +18,8 @@ from dunklinv.rootsys import (
     reynolds,
     root_system,
 )
-from oracles import (breadth_first_group, classical_root_table, root_orbits,
-                     series_coefficients, transpose)
+from oracles import (breadth_first_group, classical_root_table, polynomial_joint_kernel,
+                     root_orbits, series_coefficients, transpose)
 
 ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18,
                "C2": 8, "C3": 18, "D3": 12, "G2": 12}
@@ -172,6 +172,19 @@ def test_invariant_basis_equals_reynolds_span(name):
                      for mono in monomials_of_degree(rs.rank, d)]
         assert invariant_basis(weyl, d) == GradedSubspace.from_polynomials(
             projected, rs.rank, d)
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_invariant_basis_matches_polynomial_kernel(name):
+    # The monomial-coordinate kernel and the kernel of p -> p o s - p, taken
+    # on whole polynomials in Fractions, give the same canonical basis.
+    rs = root_system(name)
+    weyl = generate_weyl(rs)
+    for d in range(7):
+        space = [Polynomial(rs.rank, {mono: 1}) for mono in monomials_of_degree(rs.rank, d)]
+        maps = [lambda p, s=s: p.substitute(s) - p for s in weyl.generators]
+        assert invariant_basis(weyl, d) == GradedSubspace.from_polynomials(
+            polynomial_joint_kernel(space, maps), rs.rank, d)
 
 
 def test_invariant_dimensions_a2_match_hilbert_series():
