@@ -43,14 +43,19 @@ operator paired with x_i.  Since the T's commute, (x_i m)(T) = m(T) T_i, so
 
     <x_i m, c> = <m, T_i c>,
 
-and on monomials of degree e the row of x_i m is the row of m in the
-degree-(e-1) Gram matrix times the matrix of T_i (Dunkl and Xu,
-*Orthogonal Polynomials of Several Variables*, ch. 7).  `gram_matrix` starts
-from G_0 = [1], peels the lowest-index variable off each monomial, and needs
-T_i only on single monomials.  Each root's divided difference of a monomial
-comes from the product rule above with the same peel, is formed once and is
-shared by every direction.  The pairing vanishes across degrees, so a basis
-is paired one homogeneous component at a time.
+and on monomials of degree e the row of x_i m is the row of m in G_{e-1}
+times the matrix of T_i (Dunkl and Xu, *Orthogonal Polynomials of Several
+Variables*, ch. 7).  `gram_matrix` starts from G_0 = [1], peels the
+lowest-index variable off each monomial, and needs T_i only on single
+monomials; each root's divided difference of a monomial comes from the
+product rule above with the same peel and is shared by every direction.
+It holds G_e = N_e / s_e with N_e an integer matrix, fraction-free as in
+Bareiss's elimination.  With D the lcm of the denominators of the dual
+directions and of the weights k_alpha alpha(xi_i), and R that of H_alpha and
+the reflected variables r_alpha x_i (1 on every supported system), the
+tables hold R^e times the quotients, D R^e T_i is integral and
+s_e = D R^e s_{e-1}.  The pairing vanishes across degrees, so a basis is
+paired one homogeneous component at a time, scaled to integers by one lcm.
 """
 
 from __future__ import annotations
@@ -58,12 +63,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
 from .exactalg import Monomial, Polynomial, mono_degree, monomials_of_degree, rational
 from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, act,
-                      generate_weyl, invariant_basis, reynolds, root_system)
+                      generate_weyl, invariant_basis, reflection_matrix, reynolds, root_system)
 
 
 @dataclass
@@ -184,38 +190,49 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
 
     Built by recursion on degree through <x_i m, c> = <m, T_i c>, with each
     divided difference (c - r_alpha c) / alpha taken from the degree below by
-    the product rule (see the module docstring).  Only two degrees of Gram
-    rows and quotient tables are held at a time; bases may mix degrees.
+    the product rule, each G_e held as N_e / s_e with N_e integral (see the
+    module docstring).  Two degrees of tables are held at once; bases may mix degrees.
     """
     if any(b.ambient_dim != ctx.rank for b in basis):
         raise ValueError("polynomials must live on the reflection representation")
-    # components[e][j]: the degree-e terms of basis[j]
-    components: dict[int, dict[int, dict]] = defaultdict(dict)
+    # components[e][j]: (L, L times the degree-e terms of basis[j]), L their lcm denominator
+    components: dict[int, dict[int, tuple]] = defaultdict(dict)
     for j, b in enumerate(basis):
-        for mono, coeff in b.terms.items():
-            components[mono_degree(mono)].setdefault(j, {})[mono] = coeff
+        for e in {mono_degree(mono) for mono in b.terms}:
+            terms = b.homogeneous_component(e).terms
+            den = lcm(*(c.denominator for c in terms.values()))
+            components[e][j] = den, {m: int(den * coeff) for m, coeff in terms.items()}
     matrix = [[Fraction(0)] * len(basis) for _ in basis]
-    directions = ctx._dual_directions
-    roots = [(weights, _reflected_variables(minus_alpha, coroot))
-             for minus_alpha, coroot, weights in _root_weights(ctx, directions)]
-    gram: dict = {(): {(): Fraction(1)}}            # G_0 as sparse rows
+    acting = _root_weights(ctx, ctx._dual_directions)
+    d = lcm(*(x.denominator for row in [*ctx._dual_directions, *(w for *_, w in acting)]
+              for x in row))
+    r = lcm(*((h * a).denominator for minus_alpha, coroot, _ in acting
+              for h in coroot for a in (1, *minus_alpha.terms.values())))
+    directions = [[int(d * x) for x in xi] for xi in ctx._dual_directions]
+    roots = [([int(d * w) for w in weights], _reflected_variables(minus_alpha, coroot, r))
+             for minus_alpha, coroot, weights in acting]
+    gram, scale = {(): {(): 1}}, 1                  # N_0 as sparse rows, s_0
     quotients = [{(): {}} for _ in roots]           # divided differences of 1 vanish
     canonical = {(): ()}                            # the degree-(e-1) monomials
     for e in range(max(components, default=-1) + 1):
         if e:
             monos = monomials_of_degree(ctx.rank, e)
             for n, (_, reflected) in enumerate(roots):      # frees each lower table
-                quotients[n] = _next_quotients(monos, quotients[n], reflected, canonical)
-            gram = _next_gram(monos, gram, directions, roots, quotients)
+                quotients[n] = _next_quotients(monos, quotients[n], reflected, canonical,
+                                               r ** (e - 1))
+            gram = _next_gram(monos, gram, [[r ** e * x for x in xi] for xi in directions],
+                              roots, quotients)
             canonical = {m: m for m in monos}
-        for j, row_terms in components.get(e, {}).items():
-            paired: dict = defaultdict(Fraction)    # basis[j]'s degree-e part times G_e
+            scale *= d * r ** e
+        for j, (den_j, row_terms) in components.get(e, {}).items():
+            paired: dict = defaultdict(int)         # basis[j]'s scaled degree-e part times N_e
             for m, coeff in row_terms.items():
                 for c, g in gram[m].items():
                     paired[c] += coeff * g
-            for l, col_terms in components[e].items():
-                matrix[j][l] += sum((coeff * paired[c] for c, coeff in col_terms.items()
-                                     if c in paired), Fraction(0))
+            for l, (den_l, col_terms) in components[e].items():
+                total = sum(coeff * paired[c] for c, coeff in col_terms.items() if c in paired)
+                if total:
+                    matrix[j][l] += Fraction(total, scale * den_j * den_l)
     return matrix
 
 
@@ -235,39 +252,27 @@ def _times_variable(m: Monomial, j: int) -> Monomial:
     return m + ((j, 1),)
 
 
-def _int_if_integral(x: Fraction) -> Fraction | int:
-    return x.numerator if x.denominator == 1 else x
+def _reflected_variables(minus_alpha: Polynomial, coroot, r: int) -> list[tuple]:
+    """(r H_alpha[i], r r_alpha x_i) for each i, with r_alpha x_i = x_i - H_alpha[i] alpha.
 
-
-def _reflected_variables(minus_alpha: Polynomial, coroot) -> list[tuple]:
-    """(H_alpha[i], r_alpha x_i = x_i - H_alpha[i] alpha) for each i.
-
-    The linear form is a list of (variable, coefficient) pairs.  Integral
-    values are kept as ints, so the quotient tables built from them hold
-    small ints (shared objects, cheap arithmetic) wherever they can.
+    The linear form is a list of (variable, coefficient) pairs, read off row i
+    of the reflection matrix.  r clears every denominator, so they are ints.
     """
-    out = []
-    for i, h in enumerate(coroot):
-        coeffs = defaultdict(Fraction)
-        coeffs[i] += 1
-        if h:
-            for ((j, _),), a in minus_alpha.terms.items():
-                coeffs[j] += h * a
-        out.append((_int_if_integral(h),
-                    [(j, _int_if_integral(a)) for j, a in sorted(coeffs.items()) if a]))
-    return out
+    alpha = [-minus_alpha.terms.get(((j, 1),), 0) for j in range(len(coroot))]
+    return [(int(r * h), [(j, int(r * a)) for j, a in enumerate(row) if a])
+            for h, row in zip(coroot, reflection_matrix(alpha, coroot))]
 
 
 def _product_rule(h, reflected: list, rest: Monomial, lower: dict, canonical: dict) -> dict:
     """Terms of (c - r_alpha c) / alpha for c = x_i c', from lower = that quotient of c'.
 
     r_alpha(x_i c') = r_alpha(x_i) r_alpha(c') and r_alpha c' = c' - alpha q'
-    give H_alpha[i] c' + r_alpha(x_i) q'; with h = H_alpha[i] = 0 this is x_i q'.
-    Monomials are taken from `canonical`, so the tables share one tuple each.
+    give H_alpha[i] c' + r_alpha(x_i) q' (scaled as in `gram_matrix`); with
+    h = 0 this is x_i q'.  Monomials come from `canonical`, one tuple each.
     """
     if not h:
-        ((i, _),) = reflected
-        return {canonical[_times_variable(t, i)]: q for t, q in lower.items()}
+        ((i, a),) = reflected
+        return {canonical[_times_variable(t, i)]: a * q for t, q in lower.items()}
     out = {rest: h}
     for t, q in lower.items():
         for j, a in reflected:
@@ -281,26 +286,27 @@ def _product_rule(h, reflected: list, rest: Monomial, lower: dict, canonical: di
 
 
 def _next_quotients(monos: Sequence[Monomial], lower: dict, reflected: list,
-                    canonical: dict) -> dict:
+                    canonical: dict, lift: int) -> dict:
     """One root's divided differences on the degree-e monomials, from degree e-1.
 
-    canonical maps each degree-(e-1) monomial to itself.
+    lift = R^(e-1) (see `gram_matrix`); canonical maps each degree-(e-1) monomial to itself.
     """
     table = {}
     for c in monos:
         i, rest = _peel(c)
         h, form = reflected[i]
-        table[c] = _product_rule(h, form, canonical[rest], lower[rest], canonical)
+        table[c] = _product_rule(lift * h, form, canonical[rest], lower[rest], canonical)
     return table
 
 
 def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
                quotients: list) -> dict:
-    """G_e from G_{e-1}: row x_i m' is row m' of G_{e-1} times T_i, i lowest in x_i m'.
+    """N_e from N_{e-1}: row x_i m' is row m' of N_{e-1} times D R^e T_i, i lowest in x_i m'.
 
     T_i c = d_i c + sum_alpha k_alpha alpha(xi_i) (c - r_alpha c) / alpha, the
-    quotients read from this degree's tables.  G_e is filled one column c at a
-    time, so only the images of one monomial are held.
+    quotients read from this degree's tables; with `directions` scaled by D R^e
+    and the weights by D, every sum is over ints.  N_e is filled one column c
+    at a time, so only the images of one monomial are held.
     """
     gram: dict = {m: {} for m in monos}
     rows = []                   # (row of x_i m', i, row of m' in G_{e-1})
@@ -310,7 +316,7 @@ def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
     for c in monos:
         images = []
         for xi in directions:
-            image = defaultdict(Fraction)
+            image = defaultdict(int)
             for idx, (v, e) in enumerate(c):
                 if xi[v]:
                     image[c[:idx] + c[idx + 1:] if e == 1
@@ -323,8 +329,7 @@ def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
                     for t, q in quot.items():
                         image[t] += w * q
         for row, i, lower in rows:
-            entry = sum((lower[t] * coeff for t, coeff in images[i].items() if t in lower),
-                        Fraction(0))
+            entry = sum(lower[t] * coeff for t, coeff in images[i].items() if t in lower)
             if entry:
                 row[c] = entry
     return gram

@@ -87,19 +87,15 @@ class CartanFrame:
 
         # Generators are vectors, so w acts on S[h_m] by substituting
         # blockdiag(w^T), one block per T-level.  generators[i] is the
-        # diagonal reflection of positive_roots[i].
-        base_weyl = rootsys.close_group(
-            [rootsys.reflection_matrix(root.functional, root.coroot)
-             for root in self.positive_roots], nc)
-
+        # diagonal reflection of positive_roots[i]; the group permutes the
+        # finite frame roots, so it is finite, and is closed on first use.
         def lift(w):
             return tuple(tuple(w[j % nc][i % nc] if i // nc == j // nc else Fraction(0)
                                for j in range(self.dim)) for i in range(self.dim))
 
-        self.weyl = rootsys.WeylGroup(
-            rank=self.dim,
-            elements=tuple(lift(w) for w in base_weyl.elements),
-            generators=tuple(lift(g) for g in base_weyl.generators))
+        self.weyl = rootsys.WeylGroup(rank=self.dim, generators=tuple(
+            lift(rootsys.reflection_matrix(root.functional, root.coroot))
+            for root in self.positive_roots))
 
     # -- criterion ingredients ----------------------------------------------
 

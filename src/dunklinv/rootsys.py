@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -145,9 +146,17 @@ class MultiplicityAssignment:
 
 @dataclass(frozen=True)
 class WeylGroup:
+    """A finite rational matrix group; `elements`, the breadth-first closure of
+    `generators` from the identity, is computed on first read and kept."""
+
     rank: int
-    elements: tuple[tuple[tuple[Fraction, ...], ...], ...]
     generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+    @cached_property
+    def elements(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        ident = tuple(map(tuple, linalg.identity(self.rank)))
+        return tuple(_closure([ident], self.generators,
+                              lambda w, g: tuple(map(tuple, linalg.mat_mul(w, g)))))
 
     @property
     def order(self) -> int:
@@ -235,17 +244,15 @@ def root_system(name: str) -> RootSystem:
 
 
 def close_group(generators, rank: int) -> WeylGroup:
-    """Breadth-first closure of rank x rank rational generators, deterministic order."""
-    gens = tuple(tuple(tuple(Fraction(x) for x in row) for row in g) for g in generators)
-    ident = tuple(tuple(row) for row in linalg.identity(rank))
-    elements = _closure([ident], gens,
-                        lambda w, g: tuple(tuple(row) for row in linalg.mat_mul(w, g)))
-    return WeylGroup(rank=rank, elements=tuple(elements), generators=gens)
+    """The group of rank x rank rational generators, closed at once: an infinite one raises."""
+    group = WeylGroup(rank, tuple(tuple(_fr(row) for row in g) for g in generators))
+    group.elements                      # closes the group now
+    return group
 
 
 def generate_weyl(rs: RootSystem) -> WeylGroup:
-    """The Weyl group of rs, closed from its simple reflections (the first roots)."""
-    return close_group([rs.reflection(i) for i in range(len(rs.simple_roots))], rs.rank)
+    """The Weyl group of rs from its simple reflections (the first roots), closed on first use."""
+    return WeylGroup(rs.rank, tuple(rs.reflection(i) for i in range(len(rs.simple_roots))))
 
 
 def act(w: Sequence[Sequence[Fraction]], p: Polynomial) -> Polynomial:

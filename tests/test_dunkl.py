@@ -4,8 +4,9 @@ from math import comb, prod
 
 import pytest
 
-from dunklinv import dunkl
+from dunklinv import cli, dunkl
 from dunklinv.dunkl import (
+    DunklContext,
     adjointness_check,
     commutator_check,
     dunkl_apply,
@@ -20,8 +21,9 @@ from dunklinv.dunkl import (
 )
 from dunklinv import exactalg
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
-from dunklinv.linalg import mat_inv
-from dunklinv.rootsys import SUPPORTED, invariant_basis
+from dunklinv.linalg import identity, mat_inv
+from dunklinv.rootsys import (SUPPORTED, MultiplicityAssignment, RootSystem, generate_weyl,
+                              invariant_basis)
 from oracles import (a1_dunkl, a1_pairing, apolarity, composed_gram, derivative_pairing,
                      seeded_polynomials, two_sided_dunkl)
 
@@ -403,6 +405,55 @@ def test_gram_mixed_degree_basis():
     matrix = gram_matrix(ctx, basis)
     assert matrix == composed_gram(ctx, basis)
     assert matrix[0][2] == matrix[2][0] == 0    # x1^2 + x2 has no constant term
+    # Fractional coefficients: each component is scaled to integers by its own lcm.
+    basis = [parse(text, 2)
+             for text in ("1/3", "1/2 x1 + 2/5 x2", "x1 x2", "3/7 x1^2 - x2 + 1/5")]
+    matrix = gram_matrix(ctx, basis)
+    assert matrix == composed_gram(ctx, basis)
+    assert all(type(x) is Fraction for row in matrix for x in row)
+
+
+def _custom_context(simple_roots, form, k):
+    rs = RootSystem(name="X", rank=len(form), simple_roots=simple_roots, form=form)
+    return DunklContext(rs=rs, weyl=generate_weyl(rs), k=MultiplicityAssignment.parse(k))
+
+
+# Realizations whose denominators the integer recursion must clear beyond the
+# benchmark's: A3's dual directions have denominators 2 and 4; the custom ones
+# have coroots 2/3 and 2/5 (so fractional H_alpha); A2 conjugated by
+# diag(1, 1/3) has reflected variables r_alpha x_i with coefficients 1/3.
+SCALING_CONTEXTS = {
+    "G2 long=5/7,short=3/11": lambda: make_context("G2", "long=5/7,short=3/11"),
+    "A3 all=7/9": lambda: make_context("A3", "all=7/9"),
+    "roots 3x1 all=2/3": lambda: _custom_context([[3]], [[1]], "all=2/3"),
+    "roots 3x1,5x2 long=1/2,short=5/3": lambda: _custom_context(
+        [[3, 0], [0, 5]], identity(2), "long=1/2,short=5/3"),
+    "A2 conjugated all=3/4": lambda: _custom_context(
+        [[2, Fraction(-1, 3)], [-1, Fraction(2, 3)]],
+        [[2, Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 9)]], "all=3/4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_CONTEXTS))
+def test_gram_scaling_matches_composition_oracle(name):
+    ctx = SCALING_CONTEXTS[name]()
+    for d in range(5):
+        basis = gram_basis(ctx, d, invariants_only=False)
+        assert gram_matrix(ctx, basis) == composed_gram(ctx, basis), d
+    for d in range(6):
+        basis = gram_basis(ctx, d, invariants_only=True)
+        matrix = gram_matrix(ctx, basis)
+        assert matrix == composed_gram(ctx, basis), d
+        assert all(type(x) is Fraction for row in matrix for x in row)
+
+
+def test_gram_scaling_reaches_fractional_coroots_and_reflections():
+    # The custom realizations above really carry the denominators they are for.
+    assert {h for c in SCALING_CONTEXTS["roots 3x1 all=2/3"]().rs.coroots for h in c} == \
+        {Fraction(2, 3), Fraction(-2, 3)}
+    assert Fraction(2, 5) in SCALING_CONTEXTS["roots 3x1,5x2 long=1/2,short=5/3"]().rs.coroots[1]
+    conjugated = SCALING_CONTEXTS["A2 conjugated all=3/4"]().rs
+    assert Fraction(1, 3) in conjugated.reflection(0)[0]
 
 
 def test_gram_empty_basis_and_wrong_ring():
@@ -438,6 +489,37 @@ def test_gram_work_guard(monkeypatch):
         gram_matrix(ctx, gram_basis(ctx, 4, invariants_only=False))
         assert len(dunkl._root_weights(ctx, ctx._dual_directions)) == acting
         assert len(calls) == acting * sum(comb(e + 2, 2) for e in range(1, 5)), system
+
+    # The recursion holds integer rows only: no Fraction enters _next_gram's output.
+    rows = []
+    real_next_gram = dunkl._next_gram
+
+    def integral(*args):
+        gram = real_next_gram(*args)
+        rows.extend(gram.values())
+        return gram
+
+    monkeypatch.setattr(dunkl, "_next_gram", integral)
+    for system, k in (("A3", "all=1/2"), ("B3", "long=1,short=1/2")):
+        ctx = make_context(system, k)
+        rows.clear()
+        gram_matrix(ctx, gram_basis(ctx, 4, invariants_only=False))
+        assert len(rows) == sum(comb(e + 2, 2) for e in range(1, 5)), system
+        assert all(type(x) is int for row in rows for x in row.values()), system
+
+    # `dunkl gram` reads only the generators of W: no context closes its group.
+    monkeypatch.undo()
+    contexts = []
+
+    def recorded(*args):
+        contexts.append(make_context(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(cli, "make_context", recorded)
+    assert cli.main(["dunkl", "gram", "--type", "B3", "--k", "long=1,short=1/2",
+                     "--degree", "8", "--invariants-only"]) == cli.EXIT_PASS
+    assert contexts
+    assert all("elements" not in ctx.weyl.__dict__ for ctx in contexts)
 
 
 @pytest.mark.parametrize("system", ["B3", "D3"])

@@ -4,11 +4,12 @@ Each case runs `cli.main` in-process and pins its exit code and the sha256
 of its JSON report without `wall_time_ms`, in the layout `perfbench/run.py`
 hashes.  The cases reach what the benchmark's three argvs do not: unequal
 and zero orbits, the types C, D and G and rank 1, degrees away from 4 and 8,
-`dunkl apply`, Takiff invariants of sl3 and of sl2 at m = 3, the restriction
-image at m = 1, the classical Chevalley check on sl3 and a failing
-criterion.  A faster path must leave every report byte-identical, so any
-change to a Gram matrix, a minor, a Dunkl image or an invariant basis fails
-here.
+multiplicities whose denominators the integer Gram recursion must clear,
+`dunkl apply` and `dunkl commute`, Takiff invariants of sl3 and of sl2 at
+m = 3, the restriction image at m = 1, the classical Chevalley check on sl3
+and a failing criterion.  A faster path must leave every report
+byte-identical, so any change to a Gram matrix, a minor, a Dunkl image or an
+invariant basis fails here.
 """
 
 import hashlib
@@ -33,6 +34,17 @@ GOLDEN = [
     (("dunkl", "apply", "--type", "B3", "--k", "long=1/2,short=3", "--xi", "1,-2,1/3",
       "--poly", "x1^3 x2 - 2 x2^2 x3^2 + 3/5 x1 x3^3 + x3"), EXIT_PASS,
      "0713d0119b24267e83229be8ed750c4468f1c63a7b360e493d09c31ca8659642"),
+    # --k comes first here, so that the id (the first four words) tells these
+    # cases apart from those above.
+    (("dunkl", "gram", "--k", "long=5/7,short=3/11", "--type", "G2", "--degree", "6",
+      "--invariants-only"), EXIT_PASS,
+     "7a0918a5d6830fc4b95c857c1231e1676eb92712dd229e2a23235c2cfa65a9e6"),
+    (("dunkl", "gram", "--k", "all=7/9", "--type", "A3", "--degree", "5"), EXIT_PASS,
+     "41fcca493c72b7a7e2f339c7f1e2300e3ad52a7185206b7f39a3d105ca25e4b6"),
+    (("dunkl", "gram", "--k", "long=2/3,short=5/2", "--type", "C3", "--degree", "4"), EXIT_PASS,
+     "37c411c6c75b99dd998ea68ed68b8c5b3f49a6bfca2ed4385e4633086fb1cb6f"),
+    (("dunkl", "commute", "--type", "A3", "--k", "all=1/2", "--max-degree", "4"), EXIT_PASS,
+     "c9c0a907b842081c46be0de70fa40cb2c606050490adbf19e4ff5813dc3c1ebe"),
     (("takiff", "invariants", "--algebra", "sl3", "--m", "1", "--degree", "4"), EXIT_PASS,
      "fd03cbf6829ecc5deae662ca4d17af9419274082c9fbfe9d95c260da3cc284e9"),
     (("takiff", "invariants", "--algebra", "sl2", "--m", "3", "--degree", "4"), EXIT_PASS,

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dunklinv.dunkl import DunklContext, invariant_stability_check, make_context
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.linalg import GradedSubspace, identity, mat_mul, mat_vec
 from dunklinv.rootsys import (
@@ -280,11 +281,51 @@ def test_generate_weyl_deterministic():
 @pytest.mark.parametrize("name", SUPPORTED)
 def test_generate_weyl_matches_textbook_closure(name):
     # Same elements in the same order, every entry an exact Fraction.
+    # The group is closed on first read of `elements`, not when it is built.
     rs = root_system(name)
     weyl = generate_weyl(rs)
+    assert "elements" not in weyl.__dict__
     simple_reflections = [rs.reflection(i) for i in range(len(rs.simple_roots))]
     assert weyl.elements == breadth_first_group(simple_reflections)
     assert all(type(x) is Fraction for w in weyl.elements for row in w for x in row)
+    assert weyl.elements is weyl.elements
+
+
+def test_close_group_rational_generators_match_textbook_closure():
+    # The A2 reflections conjugated by diag(1, 1/3) have entries 1/3 and 3;
+    # close_group closes them at once, in the oracle's order, all Fractions.
+    s, s_inv = [[1, 0], [0, Fraction(1, 3)]], [[1, 0], [0, 3]]
+    a2 = root_system("A2")
+    generators = [mat_mul(mat_mul(s, a2.reflection(i)), s_inv) for i in range(2)]
+    assert Fraction(1, 3) in {x for g in generators for row in g for x in row}
+    group = close_group(generators, 2)
+    assert "elements" in group.__dict__
+    assert group.elements == breadth_first_group(generators)
+    assert group.order == 6
+    assert all(type(x) is Fraction for w in group.elements for row in w for x in row)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2"])
+def test_lazy_weyl_closure_agrees_with_eager(name):
+    # reynolds and invariant_stability_check on a fresh context close W on
+    # first use and agree with a group closed at construction.
+    rs = root_system(name)
+    fresh = make_context(name, "all=1")
+    eager = close_group(fresh.weyl.generators, rs.rank)
+    assert "elements" not in fresh.weyl.__dict__
+    p = parse(" + ".join(f"x{i + 1}^2" for i in range(rs.rank)) + " + x1", rs.rank)
+    assert reynolds(fresh.weyl, p) == reynolds(eager, p)
+    assert "elements" in fresh.weyl.__dict__
+    assert fresh.weyl.elements == eager.elements
+
+    fresh = make_context(name, "all=1")
+    eager_ctx = DunklContext(rs=fresh.rs, weyl=eager, k=fresh.k)
+    invariants = invariant_basis(fresh.weyl, 2).basis + invariant_basis(fresh.weyl, 4).basis
+    assert "elements" not in fresh.weyl.__dict__
+    for q in invariants:
+        assert invariant_stability_check(fresh, invariants[0], q) is \
+            invariant_stability_check(eager_ctx, invariants[0], q) is True
+    assert "elements" in fresh.weyl.__dict__
 
 
 def test_close_group_rejects_infinite_group():
