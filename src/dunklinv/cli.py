@@ -22,7 +22,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import (ParseError, Polynomial, WorkBoundExceeded, check_work_bound,
@@ -41,19 +40,20 @@ EXIT_BOUND = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
 class Case:
-    name: str
-    status: str                     # "pass" | "fail" | "unknown"
-    witness: str | None = None
-    data: dict = field(default_factory=dict)
+    def __init__(self, name: str, status: str, witness: str | None = None,
+                 data: dict | None = None):
+        self.name = name
+        self.status = status            # "pass" | "fail" | "unknown"
+        self.witness = witness
+        self.data = {} if data is None else data
 
 
-@dataclass
 class Report:
-    command: str
-    parameters: dict
-    cases: list[Case] = field(default_factory=list)
+    def __init__(self, command: str, parameters: dict):
+        self.command = command
+        self.parameters = parameters
+        self.cases: list[Case] = []
 
     def add(self, case: Case) -> None:
         self.cases.append(case)

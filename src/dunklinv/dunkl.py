@@ -61,7 +61,6 @@ paired one homogeneous component at a time, scaled to integers by one lcm.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -72,17 +71,13 @@ from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, act,
                       generate_weyl, invariant_basis, reflection_matrix, reynolds, root_system)
 
 
-@dataclass
 class DunklContext:
     """A root system, its Weyl group, and a multiplicity assignment."""
 
-    rs: RootSystem
-    weyl: WeylGroup
-    k: MultiplicityAssignment
-    _terms: list = field(init=False, repr=False)
-    _dual_directions: list = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, rs: RootSystem, weyl: WeylGroup, k: MultiplicityAssignment):
+        self.rs = rs
+        self.weyl = weyl
+        self.k = k
         by_label = self.k.resolve(self.rs)
         self._terms = []
         for idx in self.rs.positive_indivisible():

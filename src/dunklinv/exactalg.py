@@ -97,6 +97,20 @@ def grlex_key(mono: Monomial, ambient_dim: int) -> tuple:
     return (mono_degree(mono), dense_exponents(mono, ambient_dim))
 
 
+class Frozen:
+    """Base of immutable records, which `__init__` fills with `self.__dict__.update`:
+    assignment raises, and equality and hashing go by the attribute values."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q in ``ambient_dim`` variables."""
 

@@ -25,7 +25,6 @@ rechecked against every basis derivation by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -36,17 +35,18 @@ from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (r
 from .linalg import GradedSubspace, det, joint_kernel, mat_mul
 
 
-@dataclass
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q with an invariant trace form."""
 
-    dim: int
-    basis_names: tuple[str, ...]
-    structure: tuple[tuple[dict[int, Fraction], ...], ...]   # [X_i, X_j] = sum_k c_ijk X_k
-    form: tuple[tuple[Fraction, ...], ...]
-    cartan_indices: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, dim: int, basis_names: tuple[str, ...],
+                 structure: tuple[tuple[dict[int, Fraction], ...], ...],
+                 form: tuple[tuple[Fraction, ...], ...], cartan_indices: tuple[int, ...]):
+        self.dim = dim
+        self.basis_names = basis_names
+        self.structure = structure          # [X_i, X_j] = sum_k c_ijk X_k
+        self.form = form
+        self.cartan_indices = cartan_indices
+        self._takiff_cache: dict[int, TakiffAlgebra] = {}     # m -> g_m, see takiff_extend
         self._validate()
 
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
@@ -156,15 +156,13 @@ def make_sl(n: int) -> LieAlgebra:
                       form=form, cartan_indices=cartan)
 
 
-@dataclass
 class TakiffAlgebra:
     """g_m = g (x) C[T]/T^{m+1}, with truncated bracket and top-degree pairing."""
 
-    base: LieAlgebra
-    m: int
-    _inv_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, base: LieAlgebra, m: int):
+        self.base = base
+        self.m = m
+        self._inv_cache: dict[int, GradedSubspace] = {}     # degree -> invariants_graded
         self._table, self._den = _integer_table(self.dim, self.bracket_flat)
         self._check_structure()
 
@@ -215,13 +213,9 @@ def takiff_extend(g: LieAlgebra, m: int) -> TakiffAlgebra:
     """
     if not 0 <= m <= 3:
         raise ValueError("truncation order m must be within 0..3")
-    cache = getattr(g, "_takiff_cache", None)
-    if cache is None:
-        cache = {}
-        g._takiff_cache = cache
-    if m not in cache:
-        cache[m] = TakiffAlgebra(base=g, m=m)
-    return cache[m]
+    if m not in g._takiff_cache:
+        g._takiff_cache[m] = TakiffAlgebra(base=g, m=m)
+    return g._takiff_cache[m]
 
 
 def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[Monomial, int]:

@@ -25,10 +25,9 @@ and the `nullspace` recombines the vectors; only the final kernel becomes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import Monomial, Polynomial, grlex_key, render
 
@@ -201,8 +200,7 @@ def leading_principal_minors(a: Matrix) -> list[Fraction]:
     return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
+class GradedSubspace(NamedTuple):
     """A degree-d subspace held by its canonical reduced basis.
 
     The basis is in reduced row echelon form with respect to descending
@@ -213,7 +211,7 @@ class GradedSubspace:
 
     ambient_dim: int
     degree: int
-    basis: tuple[Polynomial, ...] = field(default=())
+    basis: tuple[Polynomial, ...] = ()
 
     @classmethod
     def from_polynomials(cls, polys: Sequence[Polynomial], ambient_dim: int,

@@ -21,13 +21,14 @@ at degree 2.  The conditions are not meaningful for m = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from typing import NamedTuple
 
 from . import liealg, linalg, rootsys
-from .exactalg import Polynomial, divide_with_remainder, monomials_of_degree, render
+from .exactalg import (Frozen, Polynomial, divide_with_remainder, monomials_of_degree,
+                       render)
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
 from .linalg import GradedSubspace, joint_kernel
 
@@ -39,8 +40,7 @@ class RestrictionError(RuntimeError):
 _LEVEL_LETTERS = "uvwz"
 
 
-@dataclass(frozen=True)
-class FrameRoot:
+class FrameRoot(NamedTuple):
     label: str
     functional: tuple[Fraction, ...]   # alpha(h_c) in Cartan coordinates
     coroot: tuple[Fraction, ...]       # H_alpha in Cartan coordinates
@@ -145,8 +145,7 @@ def image_basis(frame: CartanFrame, degree: int, work_bound: int = 20000) -> Gra
     return image
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Frozen):
     polynomial: str
     condition1: bool
     condition1_witness: str | None
@@ -155,9 +154,14 @@ class CriterionReport:
     in_image: str                                      # "pass" | "fail" | "unknown"
     image_degree_bound: int
 
-    def __post_init__(self):
-        if self.in_image == "pass" and not (self.condition1 and self.condition2):
+    def __init__(self, polynomial, condition1, condition1_witness, condition2,
+                 condition2_witness, in_image, image_degree_bound):
+        if in_image == "pass" and not (condition1 and condition2):
             raise RestrictionError("image member violating the necessary conditions")
+        self.__dict__.update(
+            polynomial=polynomial, condition1=condition1, condition1_witness=condition1_witness,
+            condition2=condition2, condition2_witness=condition2_witness,
+            in_image=in_image, image_degree_bound=image_degree_bound)
 
     @property
     def passed(self) -> bool:
@@ -223,8 +227,7 @@ def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
     return GradedSubspace.from_polynomials(kernel, frame.dim, degree)
 
 
-@dataclass(frozen=True)
-class ChevalleyReport:
+class ChevalleyReport(NamedTuple):
     degree: int
     dim_invariants: int
     dim_restricted: int

@@ -29,13 +29,13 @@ whole group (`reynolds`) is kept as the projector onto invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import Polynomial, monomials_of_degree, rational, substitution
+from .exactalg import (Frozen, Polynomial, monomials_of_degree, rational,
+                       substitution)
 from .linalg import GradedSubspace, MonomialMap, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -51,8 +51,7 @@ class WeylClosureError(RuntimeError):
     """A group or root-orbit closure exceeded the safety bound; the input is broken."""
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Frozen):
     """A reduced root system derived from its simple roots and invariant form.
 
     `roots` is the breadth-first orbit of the simple roots, which come first.
@@ -62,27 +61,28 @@ class RootSystem:
     rank: int
     simple_roots: tuple[tuple[Fraction, ...], ...]
     form: tuple[tuple[Fraction, ...], ...]        # W-invariant inner product on the space
-    roots: tuple[tuple[Fraction, ...], ...] = field(init=False)     # functionals alpha, both signs
-    coroots: tuple[tuple[Fraction, ...], ...] = field(init=False)   # H_alpha, aligned with roots
-    orbit_labels: tuple[str, ...] = field(init=False)               # "all" or "long"/"short"
+    roots: tuple[tuple[Fraction, ...], ...]       # functionals alpha, both signs
+    coroots: tuple[tuple[Fraction, ...], ...]     # H_alpha, aligned with roots
+    orbit_labels: tuple[str, ...]                 # "all" or "long"/"short"
 
-    def __post_init__(self):
-        object.__setattr__(self, "simple_roots", tuple(_fr(row) for row in self.simple_roots))
-        object.__setattr__(self, "form", tuple(_fr(row) for row in self.form))
-        form_inv = linalg.mat_inv(self.form)
-        simple = [(alpha, coroot(alpha, form_inv)) for alpha in self.simple_roots]
+    def __init__(self, name, rank, simple_roots, form):
+        simple_roots = tuple(_fr(row) for row in simple_roots)
+        form = tuple(_fr(row) for row in form)
+        form_inv = linalg.mat_inv(form)
+        simple = [(alpha, coroot(alpha, form_inv)) for alpha in simple_roots]
         # Reflections keep the norm <alpha, form^-1 alpha>, so each root
         # carries the norm of the simple root its orbit started from.
         seeds = [(alpha, _dot(alpha, linalg.mat_vec(form_inv, alpha)))
-                 for alpha in self.simple_roots]
+                 for alpha in simple_roots]
         orbit = _closure(seeds, simple, _reflect_root)
         long_norm = max(norm for _, norm in orbit)
         one_length = all(norm == long_norm for _, norm in orbit)
-        object.__setattr__(self, "roots", tuple(alpha for alpha, _ in orbit))
-        object.__setattr__(self, "coroots", tuple(coroot(alpha, form_inv) for alpha in self.roots))
-        object.__setattr__(self, "orbit_labels", tuple(
-            "all" if one_length else "long" if norm == long_norm else "short"
-            for _, norm in orbit))
+        roots = tuple(alpha for alpha, _ in orbit)
+        self.__dict__.update(
+            name=name, rank=rank, simple_roots=simple_roots, form=form, roots=roots,
+            coroots=tuple(coroot(alpha, form_inv) for alpha in roots),
+            orbit_labels=tuple("all" if one_length else "long" if norm == long_norm else "short"
+                               for _, norm in orbit))
 
     def root_index(self, alpha: Sequence[Fraction | int]) -> int:
         key = tuple(Fraction(a) for a in alpha)
@@ -101,22 +101,21 @@ class RootSystem:
         return [idx for idx, row in enumerate(self.roots) if next(c for c in row if c) > 0]
 
 
-@dataclass(frozen=True)
-class MultiplicityAssignment:
+class MultiplicityAssignment(Frozen):
     """Per-orbit multiplicity parameters k >= 0, keyed "all" or "long"/"short"."""
 
     values: dict[str, Fraction]
 
-    def __post_init__(self):
+    def __init__(self, values):
         cleaned = {}
-        for label, v in self.values.items():
+        for label, v in values.items():
             if label not in ("all", "long", "short"):
                 raise ValueError(f"unknown orbit label {label!r}")
             v = rational(v)
             if v < 0:
                 raise ValueError("multiplicities must be nonnegative")
             cleaned[label] = v
-        object.__setattr__(self, "values", cleaned)
+        self.__dict__["values"] = cleaned
 
     @classmethod
     def parse(cls, text: str) -> "MultiplicityAssignment":
@@ -144,13 +143,22 @@ class MultiplicityAssignment:
         return dict(self.values)
 
 
-@dataclass(frozen=True)
-class WeylGroup:
+class WeylGroup(Frozen):
     """A finite rational matrix group; `elements`, the breadth-first closure of
     `generators` from the identity, is computed on first read and kept."""
 
     rank: int
     generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+    def __init__(self, rank, generators):
+        self.__dict__.update(rank=rank, generators=generators)
+
+    def __eq__(self, other: object) -> bool:      # `elements`, once cached, is not compared
+        return (type(other) is WeylGroup and self.rank == other.rank
+                and self.generators == other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.generators))
 
     @cached_property
     def elements(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:

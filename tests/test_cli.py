@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +358,30 @@ def test_cli_edge_values_never_traceback(capsys, command):
             err = capsys.readouterr().err
             assert "Traceback" not in err, argv
             assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BOUND, EXIT_INTERNAL), argv
+
+
+# -- start-up -------------------------------------------------------------------
+
+# Importing `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`: about
+# 20 ms of every CLI process, for nothing a computation needs.
+_INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def _introspection_loaded(code: str) -> set[str]:
+    """The `_INTROSPECTION` modules loaded after running `code` in a fresh interpreter."""
+    code += ("\nimport json, sys\n"
+             f"print(json.dumps(sorted(set({_INTROSPECTION!r}) & set(sys.modules))))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_run_loads_no_introspection_modules():
+    # Deterministic, no timing: a CLI run loads none of these beyond what a
+    # bare interpreter in the same environment already has.
+    run = ("from dunklinv import cli\n"
+           "cli.main(['dunkl', 'gram', '--type', 'A2', '--k', 'all=1/2', '--degree', '3'])\n"
+           "cli.main(['takiff', 'image', '--algebra', 'sl2', '--m', '1', '--max-degree', '2'])")
+    assert _introspection_loaded(run) <= _introspection_loaded("pass")

@@ -7,13 +7,16 @@ and zero orbits, the types C, D and G and rank 1, degrees away from 4 and 8,
 multiplicities whose denominators the integer Gram recursion must clear,
 `dunkl apply` and `dunkl commute`, Takiff invariants of sl3 and of sl2 at
 m = 3, the restriction image at m = 1, the classical Chevalley check on sl3
-and a failing criterion.  A faster path must leave every report
-byte-identical, so any change to a Gram matrix, a minor, a Dunkl image or an
-invariant basis fails here.
+and a failing criterion.  `TEXT_GOLDEN` pins the text layout of three
+reports the same way, with the trailing `(N ms)` of the summary line
+removed.  A faster path must leave every report byte-identical, so any
+change to a Gram matrix, a minor, a Dunkl image or an invariant basis, or
+to the text layout, fails here.
 """
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -67,3 +70,21 @@ def test_report_digest(capsys, argv, code, digest):
     report = json.loads(capsys.readouterr().out)
     del report["wall_time_ms"]
     assert hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest() == digest
+
+
+TEXT_GOLDEN = [
+    (("dunkl", "gram", "--type", "A2", "--k", "all=1/2", "--degree", "3"), EXIT_PASS,
+     "446baa7f383ac88880c66c9eafddc5bcc0821d5986ee6154a6fe8189cbb30fcb"),
+    (("takiff", "criterion", "--algebra", "sl2", "--m", "2", "--poly", "u^2"), EXIT_FAIL,
+     "daa9ba55343442cb0cb48ff4087dc5f4067c7b98311aa8d59f1aa0b78c559e19"),
+    (("chevalley", "check", "--algebra", "sl2", "--max-degree", "4"), EXIT_PASS,
+     "054c7cc749f15f0772458f3323b7ebd6e2c7ba9628ee3a7575375f13c8d969a6"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", TEXT_GOLDEN,
+                         ids=[" ".join(a[:4]) for a, _, _ in TEXT_GOLDEN])
+def test_text_report_digest(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    text = re.sub(r" \(\d+ ms\)\n\Z", "", capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

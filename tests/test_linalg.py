@@ -118,6 +118,19 @@ def test_subspace_render():
     assert a.render(["u", "v"]) == ["u v + v^2"]
 
 
+def test_graded_subspace_is_an_immutable_value():
+    # Equality and hashing go by (ambient_dim, degree, basis).
+    space = GradedSubspace.from_polynomials([parse("x1^2 - x2^2", 2), parse("x1 x2", 2)], 2, 2)
+    same = GradedSubspace(2, 2, space.basis)
+    assert space == same and hash(space) == hash(same)
+    assert space != GradedSubspace(2, 2, space.basis[:1])
+    assert GradedSubspace(2, 2) != GradedSubspace(2, 3) != GradedSubspace(3, 3)
+    assert GradedSubspace(2, 2) == GradedSubspace(2, 2, ())
+    for attr in ("ambient_dim", "degree", "basis", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(space, attr, None)
+
+
 # -- joint kernels ------------------------------------------------------------
 
 def _random_maps(rng, dim, degree):

@@ -175,6 +175,20 @@ def test_report_consistency_guard():
                         in_image="pass", image_degree_bound=8)
 
 
+def test_frame_roots_and_reports_are_immutable_values(frame1, sl2):
+    # Two runs on equal input give equal, equally hashed values; none can be assigned to.
+    values = [(frame1.roots[0], CartanFrame(frame1.gm).roots[0]),
+              (criterion_check(frame1, frame1.parse("u")),
+               criterion_check(frame1, frame1.parse("u"))),
+              (chevalley_graded_check(sl2, 2), chevalley_graded_check(sl2, 2))]
+    for value, again in values:
+        assert value is not again and value == again and hash(value) == hash(again)
+        for attr in ("degree", "label", "polynomial", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, attr, None)
+    assert values[1][0] != criterion_check(frame1, frame1.parse("u^2"))
+
+
 # -- criterion subspaces ---------------------------------------------------------------------
 
 def test_criterion_subspace_sl2_m1(frame1):

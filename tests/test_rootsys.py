@@ -328,6 +328,24 @@ def test_lazy_weyl_closure_agrees_with_eager(name):
     assert "elements" in fresh.weyl.__dict__
 
 
+def test_root_systems_groups_and_multiplicities_are_immutable_values():
+    # Equal inputs give equal, equally hashed values, whether or not a group
+    # has been closed yet; no attribute can be assigned, not even `elements`.
+    b3, again = root_system("B3"), root_system("B3")
+    assert b3 is not again and b3 == again and hash(b3) == hash(again)
+    weyl, closed = generate_weyl(b3), generate_weyl(again)
+    assert closed.elements is closed.elements
+    assert weyl == closed and hash(weyl) == hash(closed)
+    k = MultiplicityAssignment.parse("long=1,short=1/2")
+    assert k == MultiplicityAssignment.parse("long=1,short=1/2")
+    assert k != MultiplicityAssignment.parse("long=1,short=1")
+    for obj, attr in ((b3, "rank"), (b3, "roots"), (b3, "extra"), (weyl, "generators"),
+                      (weyl, "elements"), (k, "values")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+    assert "elements" not in weyl.__dict__
+
+
 def test_close_group_rejects_infinite_group():
     # A unipotent shear has infinite order, so the closure must hit its bound.
     with pytest.raises(WeylClosureError):
