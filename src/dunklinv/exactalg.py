@@ -19,6 +19,7 @@ floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, groupby
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -142,6 +143,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):           # pickle and copy rebuild through the validating constructor
+        return Polynomial, (self.ambient_dim, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -513,24 +517,11 @@ def monomials_of_degree(ambient_dim: int, degree: int) -> list[Monomial]:
     """All monomials of total degree ``degree``, descending graded-lex."""
     if degree < 0:
         return []
-    out: list[Monomial] = []
+    return [mono_from_variables(variables)
+            for variables in combinations_with_replacement(range(ambient_dim), degree)]
 
-    def rec(var: int, remaining: int, acc: list[tuple[int, int]]) -> None:
-        if var == ambient_dim - 1:
-            if remaining:
-                acc.append((var, remaining))
-                out.append(tuple(acc))
-                acc.pop()
-            else:
-                out.append(tuple(acc))
-            return
-        for e in range(remaining, -1, -1):
-            if e:
-                acc.append((var, e))
-                rec(var + 1, remaining - e, acc)
-                acc.pop()
-            else:
-                rec(var + 1, remaining, acc)
 
-    rec(0, degree, [])
-    return out
+def mono_from_variables(variables: Iterable[int]) -> Monomial:
+    """The monomial of a sorted multiset of variables.  Multisets of one size in
+    lexicographic order give their monomials in descending graded-lex order."""
+    return tuple((v, len(list(run))) for v, run in groupby(variables))

@@ -9,29 +9,31 @@ kernels of the derivations (`linalg.joint_kernel`).
 
 The bracket table is scaled once to integers by a common denominator.  The
 Jacobi and invariance checks read it exactly (they are homogeneous in the
-constants), and so does the derivation of a monomial, an integer image that
-the kernel path takes as it is; `adjoint_derivation` divides the scale out.
+constants), and so does the derivation of a monomial, an integer image on
+exponent vectors that the kernel path takes as it is.
 
 Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.
 
 Two structural gradings cut the kernel problem down before any elimination:
 monomials are filtered to weight zero under the base Cartan (those
-derivations are diagonal; the weights are scaled once to integers, so the
-filter is a plain integer sum), and the truncated bracket is graded by total
-T-degree, so the invariant space splits by T-degree as well.  The result is
-rechecked against every basis derivation by the test suite.
+derivations are diagonal) as multisets of variables, by integer sums, and
+the truncated bracket is graded by total T-degree, so the invariant space
+splits by T-degree as well.  The result is rechecked against every basis
+derivation by the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
-                       check_work_bound, mono_mul, monomials_of_degree)
+                       check_work_bound, mono_from_exponents,
+                       mono_from_variables)
 from .linalg import GradedSubspace, det, joint_kernel, mat_mul
 
 
@@ -198,6 +200,13 @@ class TakiffAlgebra:
             return Fraction(0)
         return self.base.form[i][j]
 
+    @cached_property
+    def _weights(self) -> list[list[int]]:
+        """Each variable's base-Cartan weight, scaled once to integers."""
+        weights = [self.base.cartan_weight(self.unflat(v)[0]) for v in range(self.dim)]
+        scale = lcm(*(w.denominator for weight in weights for w in weight))
+        return [[w.numerator * (scale // w.denominator) for w in weight] for weight in weights]
+
     def _check_structure(self) -> None:
         pairing = [[self.pairing(x, y) for y in range(self.dim)] for x in range(self.dim)]
         if any(pairing[x][y] != pairing[y][x]
@@ -218,16 +227,22 @@ def takiff_extend(g: LieAlgebra, m: int) -> TakiffAlgebra:
     return g._takiff_cache[m]
 
 
-def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[Monomial, int]:
+def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[tuple[int, ...], int]:
     """The derivation extending Y -> [X_x, Y], times the table's denominator, on one monomial."""
     images = gm._table[x]
-    out: dict[Monomial, int] = {}
-    for idx, (v, e) in enumerate(mono):
+    exps = [0] * len(images)
+    for v, e in mono:
+        exps[v] = e
+    out: dict[tuple[int, ...], int] = {}
+    for v, e in mono:
         if images[v]:
-            reduced = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1:]
+            exps[v] -= 1
             for w, c in images[v].items():
-                target = mono_mul(reduced, ((w, 1),))
+                exps[w] += 1
+                target = tuple(exps)
                 out[target] = out.get(target, 0) + e * c
+                exps[w] -= 1
+            exps[v] += 1
     return {target: c for target, c in out.items() if c}
 
 
@@ -235,11 +250,12 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
     """The derivation of S[g_m] extending Y -> [X_x, Y] on generators."""
     if p.ambient_dim != gm.dim:
         raise ValueError("polynomial does not live on g_m")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in p.terms.items():
         for target, c in _monomial_derivation(gm, x, mono).items():
             out[target] = out.get(target, 0) + coeff * c
-    return p._wrap({mono: c / gm._den for mono, c in out.items() if c})   # canonical by mono_mul
+    return p._wrap({mono_from_exponents(enumerate(target)): Fraction(c, gm._den)
+                    for target, c in out.items() if c})
 
 
 def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> list[Fraction]:
@@ -253,9 +269,11 @@ def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> lis
 
 
 def derivation_generators(gm: TakiffAlgebra) -> list[int]:
-    """All basis derivations except the diagonal base-Cartan ones."""
+    """All basis derivations but the diagonal base-Cartan ones, highest T-degree first:
+    ad(X (x) T^s) kills every variable of T-degree above m - s, so its images are
+    short and cut the kernel while elimination is cheap."""
     skip = {gm.flat(c, 0) for c in gm.base.cartan_indices}
-    return [x for x in range(gm.dim) if x not in skip]
+    return [x for x in sorted(range(gm.dim), key=lambda x: -gm.unflat(x)[1]) if x not in skip]
 
 
 def invariants_graded(gm: TakiffAlgebra, degree: int,
@@ -268,17 +286,15 @@ def invariants_graded(gm: TakiffAlgebra, degree: int,
     if key in gm._inv_cache:
         return gm._inv_cache[key]
 
-    weights = [gm.base.cartan_weight(gm.unflat(v)[0]) for v in range(gm.dim)]
-    scale = lcm(*(w.denominator for weight in weights for w in weight))
-    weights = [tuple(int(w * scale) for w in weight) for weight in weights]
+    # One integer per weight, in a base above twice any weight sum of the degree.
+    base = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
+    packed = [sum(w * base ** i for i, w in enumerate(weight)) for weight in gm._weights]
     t_degree = [gm.unflat(v)[1] for v in range(gm.dim)]
     blocks: dict[int, list[Monomial]] = {}
-    for mono in monomials_of_degree(gm.dim, degree):
-        if any(sum(e * weights[v][i] for v, e in mono)
-               for i in range(len(gm.base.cartan_indices))):
-            continue
-        tau = sum(e * t_degree[v] for v, e in mono)
-        blocks.setdefault(tau, []).append(mono)
+    for variables in combinations_with_replacement(range(gm.dim), degree):
+        if not sum(map(packed.__getitem__, variables)):
+            blocks.setdefault(sum(map(t_degree.__getitem__, variables)), []).append(
+                mono_from_variables(variables))
 
     maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
     survivors: list[Polynomial] = []

@@ -5,8 +5,8 @@ coprime integers once (lcm of its denominators, then its content) and runs
 fraction-free from there: a row is reduced against the pivot row sitting at
 its leading column until its leading column is free, then becomes a pivot
 itself, and back-substitution clears the pivot columns highest pivot first.
-Each pivot row is divided by its pivot once, at the end, the only place a
-`Fraction` is made, and nothing is ever rounded.
+`nullspace` reads integer kernel vectors off those pivot rows; `rref`
+divides each by its pivot, the only place a `Fraction` is made.
 
 Reduced row echelon form depends only on the row span and the column
 order; columns are always supplied in descending graded-lex monomial order,
@@ -15,19 +15,19 @@ exactly when their reduced bases render identically.
 
 Every graded subspace cut out by linear conditions (adjoint invariants,
 Weyl invariants, the restriction criterion) goes through one kernel path,
-`joint_kernel`: maps given by their values on monomials, and the kernel held
-as coprime integer vectors over those monomials.  Each map's image of a
-monomial is computed once, spread into one sparse row per image monomial,
-and the `nullspace` recombines the vectors; only the final kernel becomes
-`Polynomial`s.  No other module of the package calls `nullspace`;
-`GradedSubspace.from_polynomials` canonicalises the result on the same rows.
+`joint_kernel`: maps given by their integer values on monomials, and the
+kernel held as coprime integer vectors over those monomials.  Each map's
+image of a monomial is computed once, spread into one sparse row per image
+monomial, and the `nullspace` recombines the vectors, all in ints.  No other
+module of the package calls `nullspace`; `GradedSubspace.from_polynomials`
+canonicalises the result on the same rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import Monomial, Polynomial, grlex_key, render
 
@@ -39,9 +39,13 @@ def _integer_row(row: Row) -> dict[int, int]:
     """The row scaled to coprime integers, zero entries dropped."""
     entries = [(col, x) for col, x in row.items() if x]
     den = lcm(*(x.denominator for _, x in entries))
-    ints = {col: x.numerator * (den // x.denominator) for col, x in entries}
-    g = gcd(*ints.values())
-    return {col: x // g for col, x in ints.items()} if g > 1 else ints
+    return _primitive({col: x.numerator * (den // x.denominator) for col, x in entries})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A row of nonzero integers divided by their gcd."""
+    g = gcd(*row.values())
+    return {col: x // g for col, x in row.items()} if g > 1 else row
 
 
 def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int, int]:
@@ -55,16 +59,11 @@ def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int
             out[c] = x
         else:
             del out[c]
-    g = gcd(*out.values())
-    return {c: x // g for c, x in out.items()} if g > 1 else out
+    return _primitive(out)
 
 
-def rref(rows: Sequence[Row], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q of sparse rows with keys in range(ncols).
-
-    Returns the reduced rows, dense over the columns with unit pivots, and
-    the pivot columns in increasing order.
-    """
+def _pivot_rows(rows: Sequence[Row]) -> dict[int, dict[int, int]]:
+    """The fully reduced pivot rows of the span, coprime integers, keyed by pivot column."""
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
         row = _integer_row(row)
@@ -75,12 +74,22 @@ def rref(rows: Sequence[Row], ncols: int) -> tuple[list[list[Fraction]], list[in
                 pivot_rows[lead] = row
                 break
             row = _eliminate(row, lead, pivot)
-    pivots = sorted(pivot_rows)
-    for lead in reversed(pivots):
+    for lead in sorted(pivot_rows, reverse=True):
         row = pivot_rows[lead]
         for col in [c for c in row if c != lead and c in pivot_rows]:
             row = _eliminate(row, col, pivot_rows[col])
         pivot_rows[lead] = row
+    return pivot_rows
+
+
+def rref(rows: Sequence[Row], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of sparse rows with keys in range(ncols).
+
+    Returns the reduced rows, dense over the columns with unit pivots, and
+    the pivot columns in increasing order.
+    """
+    pivot_rows = _pivot_rows(rows)
+    pivots = sorted(pivot_rows)
     zero = Fraction(0)
     reduced = []
     for lead in pivots:
@@ -93,34 +102,32 @@ def rref(rows: Sequence[Row], ncols: int) -> tuple[list[list[Fraction]], list[in
     return reduced, pivots
 
 
-def nullspace(rows: Sequence[Row], ncols: int) -> list[list[Fraction]]:
-    """Canonical kernel basis: one vector per free column, unit at that column."""
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
+def nullspace(rows: Sequence[Row], ncols: int) -> list[dict[int, int]]:
+    """Canonical kernel basis: one vector per free column, sparse, in coprime
+    integers and positive at that column."""
+    pivot_rows = _pivot_rows(rows)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for row, col in zip(reduced, pivots):
-            if row[free]:
-                vec[col] = -row[free]
-        basis.append(vec)
+        if free not in pivot_rows:
+            column = [(lead, row[lead], row[free])
+                      for lead, row in pivot_rows.items() if free in row]
+            scale = lcm(*(abs(pv) for _, pv, _ in column))
+            basis.append(_primitive({free: scale} | {lead: -x * (scale // pv)
+                                                     for lead, pv, x in column}))
     return basis
 
 
-MonomialMap = Callable[[Monomial], Mapping[Monomial, Fraction | int]]
+MonomialMap = Callable[[Monomial], Mapping[Hashable, Fraction | int]]
 
 
 def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
                  maps: Iterable[MonomialMap]) -> list[Polynomial]:
     """Polynomials spanning the part of span(`monomials`) that every map kills.
 
-    The unit vectors are cut down one map at a time; a map that kills every
-    kernel vector is skipped.  The basis returned is not canonical; pass it
-    through `GradedSubspace.from_polynomials`.
+    A map may key its images by monomials in any one hashable form.  The unit
+    vectors are cut down one map at a time; a map that kills every kernel
+    vector is skipped.  The basis returned is not canonical and has int
+    coefficients; pass it through `GradedSubspace.from_polynomials`.
     """
     kernel: list[dict[int, int]] = [{j: 1} for j in range(len(monomials))]
     for linear_map in maps:
@@ -130,7 +137,7 @@ def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
         for k, vec in enumerate(kernel):
             for j, a in vec.items():
                 users.setdefault(j, []).append((k, a))
-        rows: dict[Monomial, dict[int, Fraction | int]] = {}
+        rows: dict[Hashable, dict[int, Fraction | int]] = {}
         for j, uses in users.items():
             for mono, c in linear_map(monomials[j]).items():
                 row = rows.setdefault(mono, {})
@@ -140,16 +147,17 @@ def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
         live = [row for row in rows.values() if any(row.values())]
         if live:                # else the map kills every vector: images may cancel in sums
             kernel = [_recombine(kernel, v) for v in nullspace(live, len(kernel))]
-    return [Polynomial(ambient_dim, {monomials[j]: a for j, a in vec.items()}) for vec in kernel]
+    zero = Polynomial(ambient_dim)
+    return [zero._wrap({monomials[j]: a for j, a in vec.items()}) for vec in kernel]
 
 
-def _recombine(kernel: Sequence[dict[int, int]], coefficients: Sequence[Fraction]) -> dict:
+def _recombine(kernel: Sequence[dict[int, int]], coefficients: Mapping[int, int]) -> dict:
     """sum_k coefficients[k] kernel[k], scaled to coprime integers."""
     out: dict[int, int] = {}
-    for k, c in _integer_row(dict(enumerate(coefficients))).items():
+    for k, c in coefficients.items():
         for j, a in kernel[k].items():
             out[j] = out.get(j, 0) + c * a
-    return _integer_row(out)
+    return _primitive({j: a for j, a in out.items() if a})
 
 
 def identity(n: int) -> list[list[Fraction]]:

@@ -17,6 +17,8 @@ exactly the hatted-root divisibility condition (and it characterizes the
 image); for m = 2 it is the direct generalization, which is necessary but
 not sufficient: the generalized sl(2) case exhibits a one-dimensional gap
 at degree 2.  The conditions are not meaningful for m = 0.
+
+Both run as integer maps on monomials (`_Divisibility` for condition 2).
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from math import lcm
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import liealg, linalg, rootsys
-from .exactalg import (Frozen, Polynomial, divide_with_remainder, monomials_of_degree,
-                       render)
+from .exactalg import (Frozen, Monomial, Polynomial, dense_exponents, mono_degree,
+                       mono_from_exponents, monomials_of_degree, render)
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
 from .linalg import GradedSubspace, joint_kernel
 
@@ -202,26 +206,70 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
                            in_image=membership, image_degree_bound=image_degree_bound)
 
 
+class _Divisibility:
+    """Condition 2 for one root: `image(n, m)` is c^|m| D^n times the remainder of
+    delta^n m by h^n, in ints on exponent vectors.  D and E scale delta's direction
+    and h to integers, and c leads Eh, at x_l: a step of the division by (Eh)^n
+    that lowers the power of x_l by j divides by c^j, so from c^|m| m it is exact.
+    delta^n m is derived from delta^(n-1) m, once per monomial."""
+
+    def __init__(self, frame: CartanFrame, root: FrameRoot, max_power: int):
+        direction = frame.delta_direction(root)
+        self.scale = lcm(*(x.denominator for x in direction))
+        self.direction = [(v, x.numerator * (self.scale // x.denominator))
+                          for v, x in enumerate(direction) if x]
+        divisor = frame.divisor(root) * lcm(*(x.denominator for x in root.coroot))
+        (((self.var, _),), lead) = divisor.leading_term()
+        self.lead, self.dim, self.chains = int(lead), frame.dim, {}
+        self.powers = [[(dense_exponents(mono, self.dim), int(x))     # (Eh)^n but its leading term
+                        for mono, x in (divisor ** n).terms.items() if mono != ((self.var, n),)]
+                       for n in range(max_power + 1)]
+
+    def image(self, n: int, mono: Monomial) -> dict[tuple[int, ...], int]:
+        derived = self.chains.setdefault(mono, [])       # c^|m| (D delta)^k m, k = 0, 1, ...
+        if not derived:
+            derived.append({dense_exponents(mono, self.dim): self.lead ** mono_degree(mono)})
+        while len(derived) <= n:
+            derived.append({})
+            for exps, c in derived[-2].items():
+                for v, x in self.direction:
+                    if exps[v]:
+                        k = exps[:v] + (exps[v] - 1,) + exps[v + 1:]
+                        derived[-1][k] = derived[-1].get(k, 0) + c * exps[v] * x
+        var, work = self.var, {k: c for k, c in derived[n].items() if c}
+        while work:
+            exps = max(work, key=itemgetter(var))
+            if exps[var] < n:
+                break
+            q = work.pop(exps) // self.lead ** n
+            base = exps[:var] + (exps[var] - n,) + exps[var + 1:]
+            for k, x in self.powers[n]:
+                key = tuple(map(add, base, k))
+                work[key] = work.get(key, 0) - q * x
+                if not work[key]:
+                    del work[key]
+        return work
+
+    def remainder(self, n: int, q: Polynomial) -> Polynomial:
+        """The remainder of delta^n q by h^n."""
+        return Polynomial(self.dim, [
+            (mono_from_exponents(enumerate(k)),
+             Fraction(c * x, self.lead ** mono_degree(mono) * self.scale ** n))
+            for mono, c in q.terms.items() for k, x in self.image(n, mono).items()])
+
+
 def _condition2_maps(frame: CartanFrame, max_power: int):
     """Condition 2 as linear maps: (root, n, q -> remainder of delta^n q by divisor^n)."""
     for root in frame.positive_roots:
-        direction = frame.delta_direction(root)
-        divisor = frame.divisor(root)
+        condition = _Divisibility(frame, root, max_power)
         for n in range(1, max_power + 1):
-            yield root, n, partial(_delta_remainder, direction, n, divisor ** n)
-
-
-def _delta_remainder(direction: list[Fraction], n: int, divisor_power: Polynomial,
-                     q: Polynomial) -> Polynomial:
-    for _ in range(n):
-        q = q.directional_derivative(direction)
-    return divide_with_remainder(q, divisor_power)[1]
+            yield root, n, partial(condition.remainder, n)
 
 
 def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
     """Degree-d polynomials on h_m satisfying both criterion conditions."""
-    condition2 = (lambda mono, f=f: f(Polynomial(frame.dim, {mono: 1})).terms
-                  for _, _, f in _condition2_maps(frame, degree))
+    conditions = (_Divisibility(frame, root, degree) for root in frame.positive_roots)
+    condition2 = (partial(c.image, n) for c in conditions for n in range(1, degree + 1))
     kernel = joint_kernel(frame.dim, monomials_of_degree(frame.dim, degree),
                           chain(rootsys.invariance_maps(frame.weyl), condition2))
     return GradedSubspace.from_polynomials(kernel, frame.dim, degree)

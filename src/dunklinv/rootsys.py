@@ -30,12 +30,14 @@ whole group (`reynolds`) is kept as the projector onto invariants.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from math import lcm
+from operator import add
 from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import (Frozen, Polynomial, monomials_of_degree, rational,
-                       substitution)
+from .exactalg import (Frozen, Monomial, Polynomial, dense_exponents, mono_degree,
+                       monomials_of_degree, rational)
 from .linalg import GradedSubspace, MonomialMap, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -279,10 +281,38 @@ def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
 
 
 def invariance_maps(weyl: WeylGroup) -> Iterator[MonomialMap]:
-    """m -> m o s - m on monomials, one map per generator s, each built when it is reached."""
+    """m -> D^d (m o s - m) on degree-d monomials, one map per generator s, each built
+    when it is reached: ints on exponent vectors, from the powers of the forms
+    x_i(Dsx), kept between calls, where D clears the denominators of s."""
+    one = {(0,) * weyl.rank: 1}
+    units = [tuple(int(i == j) for i in range(weyl.rank)) for j in range(weyl.rank)]
     for s in weyl.generators:
-        image = substitution(s)
-        yield lambda mono: (image(mono) - Polynomial(weyl.rank, {mono: 1})).terms
+        scale = lcm(*(x.denominator for row in s for x in row))
+        forms = [{units[j]: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
+                 for row in s]
+        yield partial(_substitution_image, [[one, form] for form in forms], scale)
+
+
+def _substitution_image(towers: list[list[dict]], scale: int,
+                        mono: Monomial) -> dict[tuple[int, ...], int]:
+    image = {(0,) * len(towers): 1}
+    for v, e in mono:
+        tower = towers[v]
+        while len(tower) <= e:
+            tower.append(_product(tower[-1], tower[1]))
+        image = _product(image, tower[e])
+    exps = dense_exponents(mono, len(towers))
+    image[exps] = image.get(exps, 0) - scale ** mono_degree(mono)
+    return {k: c for k, c in image.items() if c}
+
+
+def _product(a: dict, b: dict) -> dict[tuple[int, ...], int]:
+    out: dict[tuple[int, ...], int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return out
 
 
 def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from dunklinv.exactalg import Polynomial, divide_with_remainder
-from dunklinv.linalg import mat_vec, nullspace
+from dunklinv.linalg import mat_vec
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -241,8 +241,8 @@ def polynomial_joint_kernel(space, maps) -> list[Polynomial]:
     """Joint kernel of polynomial maps on span(space), one elimination per map.
 
     Each map is applied to the current spanning polynomials; each monomial of
-    the images gives one sparse row keyed by spanning element, and the
-    spanning list is recombined from the `nullspace` in `Fraction`s.  A map
+    the images gives one dense row over the spanning elements, and the
+    spanning list is recombined from `dense_nullspace` in `Fraction`s.  A map
     whose images are all zero is skipped.
     """
     space = list(space)
@@ -252,11 +252,11 @@ def polynomial_joint_kernel(space, maps) -> list[Polynomial]:
         rows: dict = {}
         for j, p in enumerate(space):
             for mono, c in linear_map(p).terms.items():
-                rows.setdefault(mono, {})[j] = c
+                rows.setdefault(mono, [0] * len(space))[j] = c
         if rows:
             space = [sum((p * c for p, c in zip(space, vec) if c),
                          Polynomial.zero(space[0].ambient_dim))
-                     for vec in nullspace(list(rows.values()), len(space))]
+                     for vec in dense_nullspace(list(rows.values()), len(space))]
     return space
 
 

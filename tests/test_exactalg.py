@@ -1,4 +1,7 @@
+import copy
+import pickle
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from dunklinv.exactalg import (
     ParseError,
     Polynomial,
     divide_with_remainder,
+    grlex_key,
+    mono_from_exponents,
     monomials_of_degree,
     parse,
     render,
@@ -282,6 +287,45 @@ def test_monomials_of_degree_count_and_order():
     assert len(monos) == 6
     assert monos[0] == ((0, 2),)                 # x1^2 first in descending grlex
     assert monos[-1] == ((2, 2),)
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 0), (1, 5), (2, 4), (3, 3), (4, 4), (5, 2)])
+def test_monomials_of_degree_are_all_monomials_in_descending_grlex(dim, degree):
+    # The oracle filters every exponent vector by its degree and sorts.
+    vectors = [e for e in product(range(degree + 1), repeat=dim) if sum(e) == degree]
+    expected = sorted((mono_from_exponents(enumerate(e)) for e in vectors),
+                      key=lambda m: grlex_key(m, dim), reverse=True)
+    assert monomials_of_degree(dim, degree) == expected
+    assert monomials_of_degree(dim, -1) == []
+
+
+ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+               "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_values_survive_pickling_and_copying(how):
+    # Each copy is rebuilt through the validating constructor: an equal,
+    # still immutable polynomial, also inside the values that hold them.
+    from dunklinv.dunkl import make_context
+    from dunklinv.liealg import invariants_graded, make_sl, takiff_extend
+
+    round_trip = ROUND_TRIPS[how]
+    p = poly("x1^2 x3 - 1/2 x2 + 3")
+    q = round_trip(p)
+    assert q == p and hash(q) == hash(p) and type(q) is Polynomial
+    assert all(type(c) is Fraction for c in q.terms.values())
+    with pytest.raises(AttributeError):
+        q.terms = {}
+    space = invariants_graded(takiff_extend(make_sl(2), 2), 4)
+    assert space.dim > 0 and round_trip(space) == space
+    ctx = make_context("B3", "long=1,short=1/2")
+    ctx.weyl.elements
+    copied = round_trip(ctx)
+    assert copied is not ctx
+    assert (copied.rs, copied.weyl, copied.k, copied._terms, copied._dual_directions) == \
+        (ctx.rs, ctx.weyl, ctx.k, ctx._terms, ctx._dual_directions)
+    assert copied.weyl.elements == ctx.weyl.elements
 
 
 def test_power_and_scalar_division():

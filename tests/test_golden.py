@@ -6,8 +6,10 @@ hashes.  The cases reach what the benchmark's three argvs do not: unequal
 and zero orbits, the types C, D and G and rank 1, degrees away from 4 and 8,
 multiplicities whose denominators the integer Gram recursion must clear,
 `dunkl apply` and `dunkl commute`, Takiff invariants of sl3 and of sl2 at
-m = 3, the restriction image at m = 1, the classical Chevalley check on sl3
-and a failing criterion.  `TEXT_GOLDEN` pins the text layout of three
+m = 3, the restriction image at m = 1, of sl2 at m = 2 up to degree 8 and of
+sl3 at m = 1 up to degree 5 (two Weyl generators, linear-form divisors), the
+classical Chevalley check on sl3, a failing criterion on sl2 and a passing
+one on sl3.  `TEXT_GOLDEN` pins the text layout of three
 reports the same way, with the trailing `(N ms)` of the summary line
 removed.  A faster path must leave every report byte-identical, so any
 change to a Gram matrix, a minor, a Dunkl image or an invariant basis, or
@@ -60,6 +62,15 @@ GOLDEN = [
      "0492e05465346666317a1f92c3476062105f4cb0727a81d2026466bab0766e67"),
     (("takiff", "criterion", "--algebra", "sl2", "--m", "2", "--poly", "u^2"), EXIT_FAIL,
      "4c8feff95a15589fd4f10e8c81894fab40c5834de2d9c0c95887a06097f1332e"),
+    # The options are reordered so that the id tells these cases apart from
+    # the image and criterion cases above.
+    (("takiff", "image", "--m", "2", "--algebra", "sl2", "--max-degree", "8"), EXIT_PASS,
+     "ecda67573267ee97c0f5b1b626db888ff2b00d91dd9ae6c078e5e2fdff6c7626"),
+    (("takiff", "image", "--max-degree", "5", "--algebra", "sl3", "--m", "1"), EXIT_PASS,
+     "45259640bd4856fe22e7ff705d1590ba26f6953d2ba587a5c14c10701fe7d0f3"),
+    (("takiff", "criterion", "--algebra", "sl3", "--m", "1",
+      "--poly", "u1 v1 + 1/2 u1 v2 + 1/2 u2 v1 + u2 v2"), EXIT_PASS,
+     "8c52871d896f8faf9f8f38ae416b045f3bc7596fed3c42af92168cd23fd36404"),
 ]
 
 

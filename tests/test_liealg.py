@@ -350,6 +350,23 @@ def test_invariants_match_bracket_oracle(request, algebra, m, max_degree):
             assert all(not bracket_derivation(gm, x, b) for x in range(gm.dim))
 
 
+@pytest.mark.parametrize("algebra,m,max_degree", [("sl2", 2, 5), ("sl3", 1, 4)])
+def test_invariants_do_not_depend_on_derivation_order(monkeypatch, request, algebra, m, max_degree):
+    # The derivations run by descending T-degree; seeded shuffles of that
+    # order give the bracket oracle's bases all the same.
+    base = request.getfixturevalue(algebra)
+    gm = takiff_extend(base, m)
+    order = derivation_generators(gm)
+    assert [gm.unflat(x)[1] for x in order] == sorted((gm.unflat(x)[1] for x in order),
+                                                      reverse=True)
+    expected = [_oracle_invariants(gm, d) for d in range(max_degree + 1)]
+    for seed in range(3):
+        shuffled = random.Random(seed).sample(order, len(order))
+        monkeypatch.setattr(liealg, "derivation_generators", lambda gm, s=shuffled: list(s))
+        fresh = liealg.TakiffAlgebra(base, m)     # its own, empty invariant cache
+        assert [invariants_graded(fresh, d) for d in range(max_degree + 1)] == expected
+
+
 def test_takiff_kernel_work_guard(monkeypatch):
     """sl2, m = 2, degree 6: the kernel path reads integer monomial images
     only, each (derivation, monomial) image at most once in its step, and
@@ -379,6 +396,31 @@ def test_takiff_kernel_work_guard(monkeypatch):
     assert invariants_graded(takiff_extend(make_sl(2), 2), 6).dim == 10
     assert sum(map(len, steps)) > 0
     assert all(count == 1 for seen in steps for count in seen.values())
+
+
+def test_takiff_kernel_builds_no_fraction(monkeypatch):
+    """Once the algebra's integer weights are cached, the sl2, m = 2, degree-6
+    invariants build no Fraction until from_polynomials canonicalises them."""
+    gm = takiff_extend(make_sl(2), 2)
+    assert gm._weights == [[2], [0], [-2]] * 3
+    outside, inside = [0], [0]
+    real_new, real_canonical = Fraction.__new__, GradedSubspace.from_polynomials.__func__
+
+    def counted_new(cls, *args, **kwargs):
+        outside[0] += not inside[0]
+        return real_new(cls, *args, **kwargs)
+
+    def canonical(cls, *args, **kwargs):
+        inside[0] += 1
+        try:
+            return real_canonical(cls, *args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(GradedSubspace, "from_polynomials", classmethod(canonical))
+    assert invariants_graded(gm, 6).dim == 10
+    assert outside == [0]
 
 
 def test_derivation_generators_skip_diagonal_cartan(sl2):

@@ -2,6 +2,7 @@ import random
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 import pytest
 
@@ -26,6 +27,18 @@ def sparse(rows):
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
+def coprime(vectors):
+    """Dense rational vectors as the sparse coprime integer vectors, each a
+    positive multiple of its input, that `nullspace` returns."""
+    out = []
+    for vec in vectors:
+        den = lcm(*(Fraction(x).denominator for x in vec))
+        ints = [int(x * den) for x in vec]
+        g = gcd(*ints)
+        out.append({j: x // g for j, x in enumerate(ints) if x})
+    return out
+
+
 def test_rref_canonical_under_row_operations():
     rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
     shuffled = [[8, 10, 12], [7, 8, 9], [1, 2, 3]]   # scaled + reordered, same span
@@ -43,8 +56,9 @@ def test_nullspace_annihilates():
     kernel = nullspace(sparse(rows), 4)
     assert len(kernel) == 2
     for vec in kernel:
+        assert all(type(x) is int for x in vec.values())
         for row in rows:
-            assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
+            assert sum(row[j] * x for j, x in vec.items()) == 0
 
 
 def test_nullspace_full_rank_is_empty():
@@ -242,8 +256,8 @@ def test_elimination_matches_sympy(seed):
 
     matrix = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                            for row in rows])
-    assert nullspace(sparse(rows), ncols) == [[_from_sympy(x) for x in vec]
-                                              for vec in matrix.nullspace()]
+    assert nullspace(sparse(rows), ncols) == coprime([[_from_sympy(x) for x in vec]
+                                                      for vec in matrix.nullspace()])
     n = min(len(rows), ncols)
     assert det([row[:n] for row in rows[:n]]) == _from_sympy(matrix[:n, :n].det())
 
@@ -271,10 +285,11 @@ def _check_against_oracles(rows, ncols):
     assert all(type(x) is Fraction for row in reduced for x in row)
     assert (reduced, pivots) == dense_rref(rows, ncols)
     kernel = nullspace(sparse(rows), ncols)
-    assert kernel == dense_nullspace(rows, ncols)
+    assert kernel == coprime(dense_nullspace(rows, ncols))
     expected = _sympy_elimination(rows, ncols)
     if expected is not None:
-        assert (reduced, pivots, kernel) == expected
+        sym_reduced, sym_pivots, sym_kernel = expected
+        assert (reduced, pivots, kernel) == (sym_reduced, sym_pivots, coprime(sym_kernel))
 
 
 def _seeded_sparse_matrix(seed):
@@ -337,12 +352,12 @@ def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
     then the surviving kernel bases.  A dense or transposed fallback stores
     more."""
     entries, terms, calls = [0], [0], []
-    real_rref, real_kernel = linalg.rref, liealg.joint_kernel
+    real_elimination, real_kernel = linalg._pivot_rows, liealg.joint_kernel
 
-    def recording_rref(rows, ncols):
+    def recording_elimination(rows):
         calls.append(all(isinstance(row, Mapping) for row in rows))
         entries[0] += sum(len(row) for row in rows)
-        return real_rref(rows, ncols)
+        return real_elimination(rows)
 
     def counted(linear_map, mono):
         image = linear_map(mono)
@@ -354,7 +369,7 @@ def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
         terms[0] += sum(len(p.terms) for p in survivors)
         return survivors
 
-    monkeypatch.setattr(linalg, "rref", recording_rref)
+    monkeypatch.setattr(linalg, "_pivot_rows", recording_elimination)
     monkeypatch.setattr(liealg, "joint_kernel", counted_kernel)
     result = invariants_graded(takiff_extend(make_sl(2), 2), 6)
     assert result.dim > 0

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
-from dunklinv.liealg import invariants_graded, takiff_extend
-from dunklinv.linalg import GradedSubspace, mat_mul
+from dunklinv import exactalg, linalg, restriction, rootsys
+from dunklinv.exactalg import Polynomial, divide_with_remainder, monomials_of_degree, parse
+from dunklinv.liealg import LieAlgebra, invariants_graded, takiff_extend
+from dunklinv.linalg import GradedSubspace, mat_inv, mat_mul, mat_vec
 from dunklinv.restriction import (
     CartanFrame,
     CriterionReport,
@@ -16,7 +17,7 @@ from dunklinv.restriction import (
     image_basis,
     restrict,
 )
-from oracles import polynomial_joint_kernel, series_coefficients
+from oracles import polynomial_joint_kernel, series_coefficients, transpose
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,96 @@ def test_criterion_subspace_matches_polynomial_kernel(request, algebra, m, max_d
                 *(remainder for _, _, remainder in _condition2_maps(frame, d))]
         assert criterion_subspace(frame, d) == GradedSubspace.from_polynomials(
             polynomial_joint_kernel(space, maps), frame.dim, d)
+
+
+def test_criterion_and_weyl_kernels_run_in_integers(monkeypatch, frame2, sl3):
+    # No substitution of polynomials, and only ints in every monomial image and
+    # in every row and vector that the elimination handles.
+    def forbidden(*args):
+        raise AssertionError("polynomial substitution on an integer kernel path")
+
+    values = []
+    real_nullspace, real_kernel = linalg.nullspace, linalg.joint_kernel
+
+    def watched_nullspace(rows, ncols):
+        kernel = real_nullspace(rows, ncols)
+        values.extend(x for row in rows + kernel for x in row.values())
+        return kernel
+
+    def watched(linear_map):
+        def image(mono):
+            out = linear_map(mono)
+            values.extend(out.values())
+            return out
+        return image
+
+    monkeypatch.setattr(Polynomial, "substitute", forbidden)
+    monkeypatch.setattr(exactalg, "substitution", forbidden)
+    monkeypatch.setattr(linalg, "nullspace", watched_nullspace)
+    for module in (restriction, rootsys):
+        monkeypatch.setattr(module, "joint_kernel", lambda dim, monos, maps: real_kernel(
+            dim, monos, map(watched, maps)))
+    frame3 = CartanFrame(takiff_extend(sl3, 1))
+    assert [criterion_subspace(frame, d).dim for frame in (frame2, frame3) for d in range(5)] \
+        == [1, 0, 4, 0, 9, 1, 0, 2, 2, 3]
+    conjugated = rootsys.close_group(
+        [mat_mul(mat_mul([[1, 0], [0, Fraction(1, 3)]], rootsys.root_system("A2").reflection(i)),
+                 [[1, 0], [0, 3]]) for i in range(2)], 2)
+    for weyl in (rootsys.generate_weyl(rootsys.root_system("B3")), conjugated):
+        assert rootsys.invariant_basis(weyl, 6).dim > 0
+    assert len(values) > 1000 and all(type(x) is int for x in values)
+
+
+def _sl3_with_cartan_basis(sl3, rows):
+    """sl3 with its Cartan basis replaced by `rows`, coordinates on (h1, h2)."""
+    n, cartan = sl3.dim, sl3.cartan_indices
+    change = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c, row in zip(cartan, rows):
+        change[c] = [Fraction(0)] * n
+        for d, x in zip(cartan, row):
+            change[c][d] = Fraction(x)
+    back = transpose(mat_inv(change))       # old coordinates -> new coordinates
+
+    def bracket(i, j):
+        old = [Fraction(0)] * n
+        for a, x in enumerate(change[i]):
+            for b, y in enumerate(change[j]):
+                for k, c in sl3.structure[a][b].items():
+                    old[k] += x * y * c
+        return {k: c for k, c in enumerate(mat_vec(back, old)) if c}
+
+    form = mat_mul(mat_mul(change, sl3.form), transpose(change))
+    return LieAlgebra(dim=n, basis_names=sl3.basis_names,
+                      structure=tuple(tuple(bracket(i, j) for j in range(n)) for i in range(n)),
+                      form=tuple(map(tuple, form)), cartan_indices=cartan)
+
+
+def test_criterion_with_non_unit_leading_divisor_coefficient(sl3):
+    # In the Cartan basis (h1, 2 h1 + h2) one coroot has coordinates +-(2, -1),
+    # so its divisor leads with 2 and the division scales by 2^|m|.  The
+    # criterion still equals the image (m = 1) and the kernel of the
+    # remainders that exactalg's division gives from derivatives.
+    frame = CartanFrame(takiff_extend(_sl3_with_cartan_basis(sl3, [[1, 0], [2, 1]]), 1))
+    leads = [restriction._Divisibility(frame, root, 1).lead for root in frame.positive_roots]
+    assert sorted(leads) == [-1, 1, 2]
+    for d in range(5):
+        space = [Polynomial(frame.dim, {mono: 1}) for mono in monomials_of_degree(frame.dim, d)]
+
+        def remainder(q, root, n):
+            for _ in range(n):
+                q = q.directional_derivative(frame.delta_direction(root))
+            return divide_with_remainder(q, frame.divisor(root) ** n)[1]
+
+        maps = [*(lambda p, s=s: p.substitute(s) - p for s in frame.weyl.generators),
+                *(lambda q, r=r, n=n: remainder(q, r, n)
+                  for r in frame.positive_roots for n in range(1, d + 1))]
+        expected = GradedSubspace.from_polynomials(polynomial_joint_kernel(space, maps),
+                                                   frame.dim, d)
+        assert criterion_subspace(frame, d) == expected == image_basis(frame, d)
+        assert expected.dim == [1, 0, 2, 2, 3][d]
+        for q in space:
+            for root, n, f in restriction._condition2_maps(frame, d):
+                assert f(q) == remainder(q, root, n)
 
 
 def test_remark_strict_inclusion(frame2):

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from dunklinv.dunkl import DunklContext, invariant_stability_check, make_context
-from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
+from dunklinv.exactalg import Polynomial, mono_from_exponents, monomials_of_degree, parse
+from dunklinv.liealg import make_sl, takiff_extend
+from dunklinv.restriction import CartanFrame
 from dunklinv.linalg import GradedSubspace, identity, mat_mul, mat_vec
 from dunklinv.rootsys import (
     SUPPORTED,
@@ -15,6 +18,7 @@ from dunklinv.rootsys import (
     build_root_system,
     close_group,
     generate_weyl,
+    invariance_maps,
     invariant_basis,
     reynolds,
     root_system,
@@ -186,6 +190,50 @@ def test_invariant_basis_matches_polynomial_kernel(name):
         maps = [lambda p, s=s: p.substitute(s) - p for s in weyl.generators]
         assert invariant_basis(weyl, d) == GradedSubspace.from_polynomials(
             polynomial_joint_kernel(space, maps), rs.rank, d)
+
+
+def _custom_weyl(simple_roots, form):
+    return generate_weyl(RootSystem(name="X", rank=len(form), simple_roots=simple_roots, form=form))
+
+
+# Every kind of group whose invariance maps a kernel path reads: the nine
+# supported Weyl groups, the diagonal groups of the sl2 (m = 2) and sl3
+# (m = 1) Cartan frames, the custom realizations with coroots 2/3 and 2/5
+# (their reflections stay integral) and A2 conjugated by diag(1, 1/3), the
+# one group here whose generators have a denominator.
+def _frame_weyl(n, m):
+    return CartanFrame(takiff_extend(make_sl(n), m)).weyl
+
+
+INVARIANCE_GROUPS = {
+    **{name: lambda name=name: generate_weyl(root_system(name)) for name in SUPPORTED},
+    "sl2 m=2 frame": lambda: _frame_weyl(2, 2),
+    "sl3 m=1 frame": lambda: _frame_weyl(3, 1),
+    "roots 3x1": lambda: _custom_weyl([[3]], [[1]]),
+    "roots 3x1,5x2": lambda: _custom_weyl([[3, 0], [0, 5]], identity(2)),
+    "A2 conjugated": lambda: _custom_weyl(
+        [[2, Fraction(-1, 3)], [-1, Fraction(2, 3)]],
+        [[2, Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 9)]]),
+}
+
+
+@pytest.mark.parametrize("name", list(INVARIANCE_GROUPS))
+def test_invariance_maps_are_integer_multiples_of_substitution(name):
+    # Map i sends a degree-d monomial m to D^d (m o s_i - m), D the lcm of the
+    # denominators of s_i, in integers keyed by exponent vectors.
+    weyl = INVARIANCE_GROUPS[name]()
+    n, scales = weyl.rank, []
+    for s, image in zip(weyl.generators, invariance_maps(weyl)):
+        scales.append(lcm(*(x.denominator for row in s for x in row)))
+        for d in range(5):
+            for mono in monomials_of_degree(n, d):
+                m = Polynomial(n, {mono: 1})
+                out = image(mono)
+                assert all(type(c) is int for c in out.values())
+                terms = {mono_from_exponents(enumerate(k)): c for k, c in out.items()}
+                assert Polynomial(n, terms) == (m.substitute(s) - m) * scales[-1] ** d
+    assert len(scales) == len(weyl.generators)
+    assert (max(scales) > 1) == (name == "A2 conjugated")
 
 
 def test_invariant_dimensions_a2_match_hilbert_series():
