@@ -335,6 +335,7 @@ def _int_at_least(low: int):
 
 
 _NONNEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Dunkl operators, Weyl invariants, and Takiff restriction images.")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized cases")
-    parser.add_argument("--work-bound", type=int, default=20000,
+    parser.add_argument("--work-bound", type=_POSITIVE, default=20000,
                         help="monomial-space size limit for graded computations")
     # The same flags are accepted after the subcommand; SUPPRESS keeps a
     # subcommand-level absence from clobbering a top-level occurrence.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--work-bound", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--work-bound", type=_POSITIVE, default=argparse.SUPPRESS)
     parents = {"parents": [common]}
     top = parser.add_subparsers(dest="group", required=True)
 
@@ -388,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
     image = takiff.add_parser("image", help="restriction image vs criterion space", **parents)
     image.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
-    image.add_argument("--m", type=_int_at_least(1), default=1,
+    image.add_argument("--m", type=_POSITIVE, default=1,
                        help="truncation order; the criterion is meaningless at m = 0")
     image.add_argument("--degree", type=_NONNEGATIVE)
     image.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
     crit = takiff.add_parser("criterion", help="run the membership criterion on a polynomial", **parents)
     crit.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
-    crit.add_argument("--m", type=_int_at_least(1), default=1,
+    crit.add_argument("--m", type=_POSITIVE, default=1,
                       help="truncation order; the criterion is meaningless at m = 0")
     crit.add_argument("--poly", required=True, help="polynomial in the h_m aliases (u, v, w)")
     crit.add_argument("--max-degree", type=_NONNEGATIVE, default=8,

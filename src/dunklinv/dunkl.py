@@ -62,11 +62,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Sequence
 
 from . import linalg
-from .exactalg import Monomial, Polynomial, mono_degree, monomials_of_degree, rational
+from .exactalg import Monomial, Polynomial, monomials_of_degree, rational
 from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, act,
                       generate_weyl, invariant_basis, reflection_matrix, reynolds, root_system)
 
@@ -110,7 +111,8 @@ def _divided_difference(p: Polynomial, minus_alpha: Polynomial, coroot) -> Polyn
 
 
 def _root_weights(ctx: DunklContext, directions: Sequence[Sequence[Fraction]]) -> list:
-    """(-alpha, H_alpha, [k_alpha alpha(xi) for xi in directions]) for each root that acts.
+    """(alpha, -alpha, H_alpha, [k_alpha alpha(xi) for xi in directions]) for each root
+    that acts, alpha as its row of coefficients and -alpha as a polynomial.
 
     A root drops out when k_alpha = 0 or when alpha(xi) = 0 for every direction.
     """
@@ -121,7 +123,7 @@ def _root_weights(ctx: DunklContext, directions: Sequence[Sequence[Fraction]]) -
         weights = [k_alpha * sum((a * c for a, c in zip(row, xi)), Fraction(0))
                    for xi in directions]
         if any(weights):
-            out.append((minus_alpha, coroot, weights))
+            out.append((row, minus_alpha, coroot, weights))
     return out
 
 
@@ -131,7 +133,7 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) 
         raise ValueError(f"direction of length {len(xi)} for rank {ctx.rank}")
     xi = [rational(c) for c in xi]
     image = p.directional_derivative(xi)
-    for minus_alpha, coroot, (weight,) in _root_weights(ctx, [xi]):
+    for _, minus_alpha, coroot, (weight,) in _root_weights(ctx, [xi]):
         image = image + _divided_difference(p, minus_alpha, coroot) * weight
     return image
 
@@ -148,9 +150,9 @@ def dunkl_compose(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Polynomial
     total = Polynomial.zero(ctx.rank)
     for mono, coeff in p.terms.items():
         current = q
-        for var, exp in sorted(mono, reverse=True):
+        for var in reversed(range(ctx.rank)):
             direction = ctx._dual_directions[var]
-            for _ in range(exp):
+            for _ in range(mono[var]):
                 current = dunkl_apply(ctx, direction, current)
                 if not current:
                     break
@@ -193,7 +195,7 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
     # components[e][j]: (L, L times the degree-e terms of basis[j]), L their lcm denominator
     components: dict[int, dict[int, tuple]] = defaultdict(dict)
     for j, b in enumerate(basis):
-        for e in {mono_degree(mono) for mono in b.terms}:
+        for e in set(map(sum, b.terms)):
             terms = b.homogeneous_component(e).terms
             den = lcm(*(c.denominator for c in terms.values()))
             components[e][j] = den, {m: int(den * coeff) for m, coeff in terms.items()}
@@ -201,14 +203,15 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
     acting = _root_weights(ctx, ctx._dual_directions)
     d = lcm(*(x.denominator for row in [*ctx._dual_directions, *(w for *_, w in acting)]
               for x in row))
-    r = lcm(*((h * a).denominator for minus_alpha, coroot, _ in acting
-              for h in coroot for a in (1, *minus_alpha.terms.values())))
+    r = lcm(*((h * a).denominator for alpha, _, coroot, _ in acting
+              for h in coroot for a in (1, *alpha)))
     directions = [[int(d * x) for x in xi] for xi in ctx._dual_directions]
-    roots = [([int(d * w) for w in weights], _reflected_variables(minus_alpha, coroot, r))
-             for minus_alpha, coroot, weights in acting]
-    gram, scale = {(): {(): 1}}, 1                  # N_0 as sparse rows, s_0
-    quotients = [{(): {}} for _ in roots]           # divided differences of 1 vanish
-    canonical = {(): ()}                            # the degree-(e-1) monomials
+    roots = [([int(d * w) for w in weights], _reflected_variables(alpha, coroot, r))
+             for alpha, _, coroot, weights in acting]
+    one = (0,) * ctx.rank
+    gram, scale = {one: {one: 1}}, 1                # N_0 as sparse rows, s_0
+    quotients = [{one: {}} for _ in roots]          # divided differences of 1 vanish
+    canonical = {one: one}                          # the degree-(e-1) monomials
     for e in range(max(components, default=-1) + 1):
         if e:
             monos = monomials_of_degree(ctx.rank, e)
@@ -233,27 +236,21 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
 
 def _peel(m: Monomial) -> tuple[int, Monomial]:
     """(i, m') with m = x_i m' and x_i the lowest-index variable of m."""
-    (i, exp), rest = m[0], m[1:]
-    return i, rest if exp == 1 else ((i, exp - 1),) + rest
+    i = next(compress(range(len(m)), m))
+    return i, m[:i] + (m[i] - 1,) + m[i + 1:]
 
 
 def _times_variable(m: Monomial, j: int) -> Monomial:
-    """x_j m, kept sorted."""
-    for idx, (v, e) in enumerate(m):
-        if v == j:
-            return m[:idx] + ((j, e + 1),) + m[idx + 1:]
-        if v > j:
-            return m[:idx] + ((j, 1),) + m[idx:]
-    return m + ((j, 1),)
+    """x_j m."""
+    return m[:j] + (m[j] + 1,) + m[j + 1:]
 
 
-def _reflected_variables(minus_alpha: Polynomial, coroot, r: int) -> list[tuple]:
+def _reflected_variables(alpha, coroot, r: int) -> list[tuple]:
     """(r H_alpha[i], r r_alpha x_i) for each i, with r_alpha x_i = x_i - H_alpha[i] alpha.
 
     The linear form is a list of (variable, coefficient) pairs, read off row i
     of the reflection matrix.  r clears every denominator, so they are ints.
     """
-    alpha = [-minus_alpha.terms.get(((j, 1),), 0) for j in range(len(coroot))]
     return [(int(r * h), [(j, int(r * a)) for j, a in enumerate(row) if a])
             for h, row in zip(coroot, reflection_matrix(alpha, coroot))]
 
@@ -312,10 +309,9 @@ def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
         images = []
         for xi in directions:
             image = defaultdict(int)
-            for idx, (v, e) in enumerate(c):
+            for v in compress(range(len(c)), c):
                 if xi[v]:
-                    image[c[:idx] + c[idx + 1:] if e == 1
-                          else c[:idx] + ((v, e - 1),) + c[idx + 1:]] += e * xi[v]
+                    image[c[:v] + (c[v] - 1,) + c[v + 1:]] += c[v] * xi[v]
             images.append(image)
         for (weights, _), table in zip(roots, quotients):
             quot = table[c]

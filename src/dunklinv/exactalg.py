@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-This is the substrate every other module computes in.  A monomial is a
-sorted tuple of (variable index, positive exponent) pairs, so x1^2*x3 in a
-four-variable ring is ((0, 2), (2, 1)) and the empty tuple is 1.  A
-polynomial maps monomials to nonzero Fractions; the zero polynomial has no
-terms, so two polynomials are equal exactly when their term maps are.
+This is the substrate every other module computes in.  A monomial x^a is
+its exponent vector a, a tuple with one nonnegative int per variable, so
+x1^2*x3 in a four-variable ring is (2, 0, 1, 0) and 1 is (0, 0, 0, 0).
+Every module, down to the integer maps of the kernel path, uses this one
+form.  A polynomial maps monomials to nonzero Fractions; the zero
+polynomial has no terms, so two polynomials are equal exactly when their
+term maps are.
 
-Terms are ordered graded-lexicographically (total degree first, ties broken
-with x1 before x2 before ...), highest first.  Rendering, leading terms and
-every reduced basis downstream use this one order, which is what makes
-rendered bases canonical.
+Terms are ordered graded-lexicographically: by (|a|, a), total degree
+first, ties broken with x1 before x2 before ..., highest first (Cox, Little
+and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 section 2).
+Rendering, leading terms and every reduced basis downstream use this one
+order, which is what makes rendered bases canonical.
 
 All values are immutable after construction and every operation is a pure
 function, so independent computations can safely run in parallel.  No
@@ -19,11 +22,12 @@ floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, compress
 from math import comb
+from operator import add, ge, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-Monomial = tuple[tuple[int, int], ...]
+Monomial = tuple[int, ...]
 
 Scalar = Fraction | int
 
@@ -63,39 +67,9 @@ def rational(value: Scalar | str) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def mono_from_exponents(exps: Mapping[int, int] | Iterable[tuple[int, int]]) -> Monomial:
-    items = exps.items() if isinstance(exps, Mapping) else exps
-    cleaned = [(v, e) for v, e in items if e != 0]
-    if any(e < 0 for _, e in cleaned):
-        raise ValueError("negative exponent in monomial")
-    return tuple(sorted(cleaned))
-
-
-def dense_exponents(mono: Monomial, ambient_dim: int) -> tuple[int, ...]:
-    dense = [0] * ambient_dim
-    for v, e in mono:
-        dense[v] = e
-    return tuple(dense)
-
-
-def grlex_key(mono: Monomial, ambient_dim: int) -> tuple:
+def grlex_key(mono: Monomial) -> tuple:
     """Sort key: graded-lex, so max() picks the leading monomial."""
-    return (mono_degree(mono), dense_exponents(mono, ambient_dim))
+    return sum(mono), mono
 
 
 class Frozen:
@@ -124,15 +98,12 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         canonical: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            mono = tuple(sorted((v, e) for v, e in mono))
-            for v, e in mono:
-                if not 0 <= v < ambient_dim:
-                    raise DimensionMismatch(
-                        f"variable index {v} outside ring of dimension {ambient_dim}")
-                if e <= 0:
-                    raise ValueError("monomial stores a non-positive exponent")
-            if len({v for v, _ in mono}) < len(mono):
-                raise ValueError("monomial repeats a variable")
+            mono = tuple(mono)
+            if len(mono) != ambient_dim:
+                raise DimensionMismatch(
+                    f"exponent vector of length {len(mono)} in a ring of dimension {ambient_dim}")
+            if not all(type(e) is int and e >= 0 for e in mono):
+                raise ValueError(f"exponents must be nonnegative ints, got {mono}")
             coeff = rational(coeff) + canonical.get(mono, Fraction(0))
             if coeff:
                 canonical[mono] = coeff
@@ -155,17 +126,21 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ambient_dim: int, value: Scalar) -> "Polynomial":
-        return cls(ambient_dim, {(): value})
+        return cls(ambient_dim, {(0,) * ambient_dim: value})
 
     @classmethod
     def variable(cls, ambient_dim: int, index: int) -> "Polynomial":
-        return cls(ambient_dim, {((index, 1),): Fraction(1)})
+        if not 0 <= index < ambient_dim:
+            raise DimensionMismatch(
+                f"variable index {index} outside ring of dimension {ambient_dim}")
+        return cls.linear_form([int(i == index) for i in range(ambient_dim)])
 
     @classmethod
     def linear_form(cls, coefficients: Sequence[Scalar]) -> "Polynomial":
         """The polynomial sum_i c_i x_i in len(coefficients) variables."""
         n = len(coefficients)
-        return cls(n, {((i, 1),): c for i, c in enumerate(coefficients) if c})
+        return cls(n, {tuple(int(i == j) for j in range(n)): c
+                       for i, c in enumerate(coefficients) if c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -205,7 +180,7 @@ class Polynomial:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
+                mono = tuple(map(add, m1, m2))
                 acc = out.get(mono, Fraction(0)) + c1 * c2
                 if acc:
                     out[mono] = acc
@@ -252,31 +227,29 @@ class Polynomial:
         """Total degree; the zero polynomial has degree -1."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def is_homogeneous(self) -> bool:
-        return len({mono_degree(m) for m in self.terms}) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        return self._wrap({m: c for m, c in self.terms.items() if mono_degree(m) == d})
+        return self._wrap({m: c for m, c in self.terms.items() if sum(m) == d})
 
     def evaluate_at_zero(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((0,) * self.ambient_dim, Fraction(0))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
     def sorted_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lex order."""
-        n = self.ambient_dim
-        for mono in sorted(self.terms, key=lambda m: grlex_key(m, n), reverse=True):
+        for mono in sorted(self.terms, key=grlex_key, reverse=True):
             yield mono, self.terms[mono]
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        n = self.ambient_dim
-        mono = max(self.terms, key=lambda m: grlex_key(m, n))
+        mono = max(self.terms, key=grlex_key)
         return mono, self.terms[mono]
 
     # -- calculus and substitution ----------------------------------------
@@ -287,15 +260,14 @@ class Polynomial:
             raise DimensionMismatch(
                 f"direction of length {len(direction)} in dimension {self.ambient_dim}")
         direction = [rational(c) for c in direction]
+        support = [v for v, c in enumerate(direction) if c]
         out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            for i, (v, e) in enumerate(mono):
-                if not direction[v]:
+            for v in support:
+                e = mono[v]
+                if not e:
                     continue
-                if e == 1:
-                    reduced = mono[:i] + mono[i + 1:]
-                else:
-                    reduced = mono[:i] + ((v, e - 1),) + mono[i + 1:]
+                reduced = mono[:v] + (e - 1,) + mono[v + 1:]
                 acc = out.get(reduced, Fraction(0)) + coeff * e * direction[v]
                 if acc:
                     out[reduced] = acc
@@ -323,7 +295,8 @@ def substitution(matrix: Sequence[Sequence[Scalar]]) -> Callable[..., Polynomial
 
     def image(mono: Monomial, coeff: Scalar = 1) -> Polynomial:
         factor = Polynomial.constant(n, coeff)
-        for v, e in mono:
+        for v in compress(range(n), mono):
+            e = mono[v]
             tower = powers.setdefault(v, [Polynomial.constant(n, 1)])
             while len(tower) <= e:
                 tower.append(tower[-1] * images[v])
@@ -343,22 +316,20 @@ def divide_with_remainder(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Pol
         raise ZeroDivisionError("division by the zero polynomial")
     n = p.ambient_dim
     lt_mono, lt_coeff = d.leading_term()
-    lt_exps = dict(lt_mono)
     work = dict(p.terms)
     quotient: dict[Monomial, Fraction] = {}
     remainder: dict[Monomial, Fraction] = {}
     while work:
-        mono = max(work, key=lambda m: grlex_key(m, n))
+        mono = max(work, key=grlex_key)
         coeff = work.pop(mono)
-        exps = dict(mono)
-        if all(exps.get(v, 0) >= e for v, e in lt_exps.items()):
-            q_mono = mono_from_exponents({v: e - lt_exps.get(v, 0) for v, e in exps.items()})
+        if all(map(ge, mono, lt_mono)):
+            q_mono = tuple(map(sub, mono, lt_mono))
             q_coeff = coeff / lt_coeff
             quotient[q_mono] = quotient.get(q_mono, Fraction(0)) + q_coeff
             for m2, c2 in d.terms.items():
                 if m2 == lt_mono:
                     continue
-                target = mono_mul(q_mono, m2)
+                target = tuple(map(add, q_mono, m2))
                 acc = work.get(target, Fraction(0)) - q_coeff * c2
                 if acc:
                     work[target] = acc
@@ -393,7 +364,7 @@ def render(p: Polynomial, names: Sequence[str] | None = None) -> str:
     for mono, coeff in p.sorted_terms():
         sign = "-" if coeff < 0 else "+"
         mag = -coeff if coeff < 0 else coeff
-        factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in mono]
+        factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in enumerate(mono) if e]
         if not factors:
             body = str(mag)
         elif mag == 1:
@@ -413,7 +384,7 @@ def parse(text: str, ambient_dim: int | None = None,
 
     >>> render(parse("x1 + x1", 2))
     '2 x1'
-    >>> parse("3/2 x1^2 x2 - x3", 3).coefficient(((2, 1),))
+    >>> parse("3/2 x1^2 x2 - x3", 3).coefficient((0, 0, 1))
     Fraction(-1, 1)
     """
     if names is None:
@@ -462,7 +433,7 @@ def parse(text: str, ambient_dim: int | None = None,
     while True:
         skip_ws()
         coeff = Fraction(1)
-        exps: dict[int, int] = {}
+        exps = [0] * ambient_dim
         seen = False
         if pos < end and text[pos].isdigit():
             num = read_int()
@@ -492,14 +463,13 @@ def parse(text: str, ambient_dim: int | None = None,
                     e = read_int()
                     if e <= 0:
                         raise ParseError("exponent must be positive", exp_at)
-                v = index[name]
-                exps[v] = exps.get(v, 0) + e
+                exps[index[name]] += e
                 seen = True
             else:
                 break
         if not seen:
             raise ParseError("expected a term", pos)
-        terms.append((mono_from_exponents(exps), sign * coeff))
+        terms.append((tuple(exps), sign * coeff))
         skip_ws()
         if pos == end:
             break
@@ -517,11 +487,14 @@ def monomials_of_degree(ambient_dim: int, degree: int) -> list[Monomial]:
     """All monomials of total degree ``degree``, descending graded-lex."""
     if degree < 0:
         return []
-    return [mono_from_variables(variables)
+    return [mono_from_variables(ambient_dim, variables)
             for variables in combinations_with_replacement(range(ambient_dim), degree)]
 
 
-def mono_from_variables(variables: Iterable[int]) -> Monomial:
-    """The monomial of a sorted multiset of variables.  Multisets of one size in
-    lexicographic order give their monomials in descending graded-lex order."""
-    return tuple((v, len(list(run))) for v, run in groupby(variables))
+def mono_from_variables(ambient_dim: int, variables: Iterable[int]) -> Monomial:
+    """The monomial of a multiset of variables, counted into an exponent vector.  Sorted
+    multisets of one size in lexicographic order give descending graded-lex order."""
+    exps = [0] * ambient_dim
+    for v in variables:
+        exps[v] += 1
+    return tuple(exps)

@@ -9,8 +9,9 @@ kernels of the derivations (`linalg.joint_kernel`).
 
 The bracket table is scaled once to integers by a common denominator.  The
 Jacobi and invariance checks read it exactly (they are homogeneous in the
-constants), and so does the derivation of a monomial, an integer image on
-exponent vectors that the kernel path takes as it is.
+constants), and so does the derivation of a monomial: an integer image keyed
+by exponent vectors, the package's one monomial form, which the kernel path
+and `adjoint_derivation` take as it is.
 
 Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.
@@ -32,8 +33,7 @@ from math import lcm
 from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
-                       check_work_bound, mono_from_exponents,
-                       mono_from_variables)
+                       check_work_bound, mono_from_variables)
 from .linalg import GradedSubspace, det, joint_kernel, mat_mul
 
 
@@ -166,6 +166,8 @@ class TakiffAlgebra:
         self.m = m
         self._inv_cache: dict[int, GradedSubspace] = {}     # degree -> invariants_graded
         self._table, self._den = _integer_table(self.dim, self.bracket_flat)
+        # per basis index x, the variables that ad(X_x) does not kill
+        self._acting = [[v for v, image in enumerate(row) if image] for row in self._table]
         self._check_structure()
 
     @property
@@ -227,15 +229,14 @@ def takiff_extend(g: LieAlgebra, m: int) -> TakiffAlgebra:
     return g._takiff_cache[m]
 
 
-def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[tuple[int, ...], int]:
+def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[Monomial, int]:
     """The derivation extending Y -> [X_x, Y], times the table's denominator, on one monomial."""
     images = gm._table[x]
-    exps = [0] * len(images)
-    for v, e in mono:
-        exps[v] = e
-    out: dict[tuple[int, ...], int] = {}
-    for v, e in mono:
-        if images[v]:
+    exps = list(mono)
+    out: dict[Monomial, int] = {}
+    for v in gm._acting[x]:
+        e = mono[v]
+        if e:
             exps[v] -= 1
             for w, c in images[v].items():
                 exps[w] += 1
@@ -250,12 +251,11 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
     """The derivation of S[g_m] extending Y -> [X_x, Y] on generators."""
     if p.ambient_dim != gm.dim:
         raise ValueError("polynomial does not live on g_m")
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
         for target, c in _monomial_derivation(gm, x, mono).items():
             out[target] = out.get(target, 0) + coeff * c
-    return p._wrap({mono_from_exponents(enumerate(target)): Fraction(c, gm._den)
-                    for target, c in out.items() if c})
+    return p._wrap({target: Fraction(c, gm._den) for target, c in out.items() if c})
 
 
 def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> list[Fraction]:
@@ -294,7 +294,7 @@ def invariants_graded(gm: TakiffAlgebra, degree: int,
     for variables in combinations_with_replacement(range(gm.dim), degree):
         if not sum(map(packed.__getitem__, variables)):
             blocks.setdefault(sum(map(t_degree.__getitem__, variables)), []).append(
-                mono_from_variables(variables))
+                mono_from_variables(gm.dim, variables))
 
     maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
     survivors: list[Polynomial] = []

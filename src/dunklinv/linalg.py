@@ -15,11 +15,12 @@ exactly when their reduced bases render identically.
 
 Every graded subspace cut out by linear conditions (adjoint invariants,
 Weyl invariants, the restriction criterion) goes through one kernel path,
-`joint_kernel`: maps given by their integer values on monomials, and the
-kernel held as coprime integer vectors over those monomials.  Each map's
-image of a monomial is computed once, spread into one sparse row per image
-monomial, and the `nullspace` recombines the vectors, all in ints.  No other
-module of the package calls `nullspace`; `GradedSubspace.from_polynomials`
+`joint_kernel`: maps given by their integer values on monomials, images
+keyed by exponent vectors as everywhere in the package, and the kernel held
+as coprime integer vectors over those monomials.  Each map's image of a
+monomial is computed once, spread into one sparse row per image monomial,
+and the `nullspace` recombines the vectors, all in ints.  No other module of
+the package calls `nullspace`; `GradedSubspace.from_polynomials`
 canonicalises the result on the same rows.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exactalg import Monomial, Polynomial, grlex_key, render
 
@@ -117,17 +118,16 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[dict[int, int]]:
     return basis
 
 
-MonomialMap = Callable[[Monomial], Mapping[Hashable, Fraction | int]]
+MonomialMap = Callable[[Monomial], Mapping[Monomial, Fraction | int]]
 
 
 def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
                  maps: Iterable[MonomialMap]) -> list[Polynomial]:
     """Polynomials spanning the part of span(`monomials`) that every map kills.
 
-    A map may key its images by monomials in any one hashable form.  The unit
-    vectors are cut down one map at a time; a map that kills every kernel
-    vector is skipped.  The basis returned is not canonical and has int
-    coefficients; pass it through `GradedSubspace.from_polynomials`.
+    The unit vectors are cut down one map at a time; a map that kills every
+    kernel vector is skipped.  The basis returned is not canonical and has
+    int coefficients; pass it through `GradedSubspace.from_polynomials`.
     """
     kernel: list[dict[int, int]] = [{j: 1} for j in range(len(monomials))]
     for linear_map in maps:
@@ -137,7 +137,7 @@ def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
         for k, vec in enumerate(kernel):
             for j, a in vec.items():
                 users.setdefault(j, []).append((k, a))
-        rows: dict[Hashable, dict[int, Fraction | int]] = {}
+        rows: dict[Monomial, dict[int, Fraction | int]] = {}
         for j, uses in users.items():
             for mono, c in linear_map(monomials[j]).items():
                 row = rows.setdefault(mono, {})
@@ -232,8 +232,7 @@ class GradedSubspace(NamedTuple):
                 raise ValueError(f"expected homogeneous polynomials of degree {degree}")
         if not polys:
             return cls(ambient_dim, degree, ())
-        columns = sorted({mono for p in polys for mono in p.terms},
-                         key=lambda m: grlex_key(m, ambient_dim), reverse=True)
+        columns = sorted({mono for p in polys for mono in p.terms}, key=grlex_key, reverse=True)
         index = {mono: j for j, mono in enumerate(columns)}
         rows = [{index[mono]: c for mono, c in p.terms.items()} for p in polys]
         reduced, _ = rref(rows, len(columns))

@@ -18,7 +18,9 @@ image); for m = 2 it is the direct generalization, which is necessary but
 not sufficient: the generalized sl(2) case exhibits a one-dimensional gap
 at degree 2.  The conditions are not meaningful for m = 0.
 
-Both run as integer maps on monomials (`_Divisibility` for condition 2).
+Both run as integer maps on monomials (`_Divisibility` for condition 2),
+keyed by exponent vectors like every polynomial here; restriction reads the
+Cartan entries of a vector and keeps the term when they carry its degree.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import liealg, linalg, rootsys
-from .exactalg import (Frozen, Monomial, Polynomial, dense_exponents, mono_degree,
-                       mono_from_exponents, monomials_of_degree, render)
+from .exactalg import Frozen, Monomial, Polynomial, monomials_of_degree, render
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
 from .linalg import GradedSubspace, joint_kernel
 
@@ -70,7 +71,6 @@ class CartanFrame:
         else:
             self.names = [f"{_LEVEL_LETTERS[s]}{k + 1}"
                           for s in range(gm.m + 1) for k in range(nc)]
-        self._flat_to_frame = {flat: i for i, flat in enumerate(self.cartan_flat)}
 
         gram = [[base.form[cb][cc] for cc in cartan] for cb in cartan]
         gram_inv = linalg.mat_inv(gram)
@@ -132,10 +132,10 @@ def restrict(frame: CartanFrame, p: Polynomial) -> Polynomial:
     if p.ambient_dim != frame.gm.dim:
         raise ValueError("polynomial does not live on g_m")
     out = {}
-    lookup = frame._flat_to_frame
     for mono, coeff in p.terms.items():
-        if all(v in lookup for v, _ in mono):
-            out[tuple(sorted((lookup[v], e) for v, e in mono))] = coeff
+        restricted = tuple(mono[v] for v in frame.cartan_flat)
+        if sum(restricted) == sum(mono):
+            out[restricted] = coeff
     return Polynomial(frame.dim, out)
 
 
@@ -191,7 +191,7 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
             break
     membership = "pass"
     if p:
-        degrees = sorted({sum(e for _, e in mono) for mono in p.terms})
+        degrees = sorted(set(map(sum, p.terms)))
         for d in degrees:
             if d > image_degree_bound:
                 membership = "unknown"
@@ -208,9 +208,9 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
 
 class _Divisibility:
     """Condition 2 for one root: `image(n, m)` is c^|m| D^n times the remainder of
-    delta^n m by h^n, in ints on exponent vectors.  D and E scale delta's direction
-    and h to integers, and c leads Eh, at x_l: a step of the division by (Eh)^n
-    that lowers the power of x_l by j divides by c^j, so from c^|m| m it is exact.
+    delta^n m by h^n, in ints.  D and E scale delta's direction and h to
+    integers, and c leads Eh, at x_l: a step of the division by (Eh)^n that
+    lowers the power of x_l by j divides by c^j, so from c^|m| m it is exact.
     delta^n m is derived from delta^(n-1) m, once per monomial."""
 
     def __init__(self, frame: CartanFrame, root: FrameRoot, max_power: int):
@@ -219,16 +219,16 @@ class _Divisibility:
         self.direction = [(v, x.numerator * (self.scale // x.denominator))
                           for v, x in enumerate(direction) if x]
         divisor = frame.divisor(root) * lcm(*(x.denominator for x in root.coroot))
-        (((self.var, _),), lead) = divisor.leading_term()
-        self.lead, self.dim, self.chains = int(lead), frame.dim, {}
-        self.powers = [[(dense_exponents(mono, self.dim), int(x))     # (Eh)^n but its leading term
-                        for mono, x in (divisor ** n).terms.items() if mono != ((self.var, n),)]
+        unit, lead = divisor.leading_term()
+        self.var, self.lead, self.dim, self.chains = unit.index(1), int(lead), frame.dim, {}
+        self.powers = [[(mono, int(x))          # (Eh)^n but its leading term x_l^n
+                        for mono, x in (divisor ** n).terms.items() if mono[self.var] < n]
                        for n in range(max_power + 1)]
 
-    def image(self, n: int, mono: Monomial) -> dict[tuple[int, ...], int]:
+    def image(self, n: int, mono: Monomial) -> dict[Monomial, int]:
         derived = self.chains.setdefault(mono, [])       # c^|m| (D delta)^k m, k = 0, 1, ...
         if not derived:
-            derived.append({dense_exponents(mono, self.dim): self.lead ** mono_degree(mono)})
+            derived.append({mono: self.lead ** sum(mono)})
         while len(derived) <= n:
             derived.append({})
             for exps, c in derived[-2].items():
@@ -253,8 +253,7 @@ class _Divisibility:
     def remainder(self, n: int, q: Polynomial) -> Polynomial:
         """The remainder of delta^n q by h^n."""
         return Polynomial(self.dim, [
-            (mono_from_exponents(enumerate(k)),
-             Fraction(c * x, self.lead ** mono_degree(mono) * self.scale ** n))
+            (k, Fraction(c * x, self.lead ** sum(mono) * self.scale ** n))
             for mono, c in q.terms.items() for k, x in self.image(n, mono).items()])
 
 

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import compress
 from math import lcm
 from operator import add
 from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import (Frozen, Monomial, Polynomial, dense_exponents, mono_degree,
-                       monomials_of_degree, rational)
+from .exactalg import Frozen, Monomial, Polynomial, monomials_of_degree, rational
 from .linalg import GradedSubspace, MonomialMap, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -282,7 +282,7 @@ def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
 
 def invariance_maps(weyl: WeylGroup) -> Iterator[MonomialMap]:
     """m -> D^d (m o s - m) on degree-d monomials, one map per generator s, each built
-    when it is reached: ints on exponent vectors, from the powers of the forms
+    when it is reached: ints keyed by monomials, from the powers of the forms
     x_i(Dsx), kept between calls, where D clears the denominators of s."""
     one = {(0,) * weyl.rank: 1}
     units = [tuple(int(i == j) for i in range(weyl.rank)) for j in range(weyl.rank)]
@@ -294,20 +294,19 @@ def invariance_maps(weyl: WeylGroup) -> Iterator[MonomialMap]:
 
 
 def _substitution_image(towers: list[list[dict]], scale: int,
-                        mono: Monomial) -> dict[tuple[int, ...], int]:
+                        mono: Monomial) -> dict[Monomial, int]:
     image = {(0,) * len(towers): 1}
-    for v, e in mono:
-        tower = towers[v]
+    for v in compress(range(len(towers)), mono):
+        tower, e = towers[v], mono[v]
         while len(tower) <= e:
             tower.append(_product(tower[-1], tower[1]))
         image = _product(image, tower[e])
-    exps = dense_exponents(mono, len(towers))
-    image[exps] = image.get(exps, 0) - scale ** mono_degree(mono)
+    image[mono] = image.get(mono, 0) - scale ** sum(mono)
     return {k: c for k, c in image.items() if c}
 
 
-def _product(a: dict, b: dict) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
+def _product(a: dict, b: dict) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = tuple(map(add, ka, kb))

@@ -17,14 +17,12 @@ def a1_dunkl_monomial(n: int, k) -> Polynomial:
     if n == 0:
         return Polynomial.zero(1)
     coeff = Fraction(n) + Fraction(k) * (1 - (-1) ** n)
-    mono = ((0, n - 1),) if n > 1 else ()
-    return Polynomial(1, {mono: coeff})
+    return Polynomial(1, {(n - 1,): coeff})
 
 
 def a1_dunkl(p: Polynomial, k) -> Polynomial:
     out = Polynomial.zero(1)
-    for mono, coeff in p.terms.items():
-        n = mono[0][1] if mono else 0
+    for (n,), coeff in p.terms.items():
         out = out + a1_dunkl_monomial(n, k) * coeff
     return out
 
@@ -32,8 +30,7 @@ def a1_dunkl(p: Polynomial, k) -> Polynomial:
 def a1_pairing(p: Polynomial, q: Polynomial, k) -> Fraction:
     """p(T) q at 0 using only the closed-form rank-1 operator."""
     total = Fraction(0)
-    for mono, coeff in p.terms.items():
-        n = mono[0][1] if mono else 0
+    for (n,), coeff in p.terms.items():
         current = q
         for _ in range(n):
             current = a1_dunkl(current, k)
@@ -334,7 +331,7 @@ def apolarity(p: Polynomial, q: Polynomial) -> Fraction:
         d = q.terms.get(mono)
         if d:
             fact = 1
-            for _, e in mono:
+            for e in mono:
                 fact *= factorial(e)
             total += c * d * fact
     return total
@@ -346,7 +343,7 @@ def derivative_pairing(p: Polynomial, q: Polynomial, directions) -> Fraction:
     total = Fraction(0)
     for mono, coeff in p.terms.items():
         current = q
-        for var, exp in sorted(mono, reverse=True):
+        for var, exp in reversed(list(enumerate(mono))):
             for _ in range(exp):
                 current = current.directional_derivative(directions[var])
         total += coeff * current.evaluate_at_zero()

@@ -78,6 +78,11 @@ MEANINGLESS = [
     ("dunkl", "gram", "--type", "A1", "--k", "all=1", "--degree", "-1"),
     ("chevalley", "check", "--algebra", "sl2", "--max-degree", "-1"),
     ("dunkl", "commute", "--type", "A1", "--k", "all=1"),
+    # No computation fits a work bound below 1: degree 0 alone has dimension 1.
+    ("--work-bound", "0", "chevalley", "check", "--algebra", "sl2", "--max-degree", "1"),
+    ("--work-bound", "-1", "dunkl", "gram", "--type", "A2", "--k", "all=1", "--degree", "0"),
+    ("chevalley", "check", "--algebra", "sl2", "--max-degree", "1", "--work-bound", "0"),
+    ("dunkl", "gram", "--type", "A2", "--k", "all=1", "--degree", "0", "--work-bound", "-1"),
 ]
 
 

@@ -139,7 +139,7 @@ def sympy_divided_difference(sympy, rs, idx):
         return sympy.Rational(c.numerator, c.denominator)
 
     def to_sympy(p):
-        return sum((rat(c) * prod(xs[v] ** e for v, e in mono)
+        return sum((rat(c) * prod(xs[v] ** e for v, e in enumerate(mono))
                     for mono, c in p.terms.items()), sympy.Integer(0))
 
     alpha_x = to_sympy(Polynomial.linear_form(rs.roots[idx]))
@@ -173,7 +173,7 @@ def gram_quotient_tables(monkeypatch, ctx, degree):
     real = dunkl._next_gram
 
     def spy(monos, previous, directions, roots, quotients):
-        seen.append((monos, [(minus_alpha, coroot, table) for (minus_alpha, coroot, _), table
+        seen.append((monos, [(minus_alpha, coroot, table) for (_, minus_alpha, coroot, _), table
                              in zip(acting, quotients, strict=True)]))
         return real(monos, previous, directions, roots, quotients)
 
@@ -207,7 +207,7 @@ def test_gram_quotients_match_taylor_form(monkeypatch, system, k):
             assert not dunkl._divided_difference(one, minus_alpha, coroot)
             assert set(table) == set(monos)
             for c in monos:
-                short_branch |= not coroot[c[0][0]]
+                short_branch |= not coroot[next(v for v, e in enumerate(c) if e)]
                 p = Polynomial(ctx.rank, {c: Fraction(1)})
                 assert Polynomial(ctx.rank, table[c]) == \
                     dunkl._divided_difference(p, minus_alpha, coroot), (c, coroot)

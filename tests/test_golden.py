@@ -5,12 +5,13 @@ of its JSON report without `wall_time_ms`, in the layout `perfbench/run.py`
 hashes.  The cases reach what the benchmark's three argvs do not: unequal
 and zero orbits, the types C, D and G and rank 1, degrees away from 4 and 8,
 multiplicities whose denominators the integer Gram recursion must clear,
-`dunkl apply` and `dunkl commute`, Takiff invariants of sl3 and of sl2 at
+`dunkl apply` (also on the non-orthogonal G2 realization) and `dunkl
+commute`, Takiff invariants of sl3 (at m = 2 on 24 variables) and of sl2 at
 m = 3, the restriction image at m = 1, of sl2 at m = 2 up to degree 8 and of
 sl3 at m = 1 up to degree 5 (two Weyl generators, linear-form divisors), the
-classical Chevalley check on sl3, a failing criterion on sl2 and a passing
-one on sl3.  `TEXT_GOLDEN` pins the text layout of three
-reports the same way, with the trailing `(N ms)` of the summary line
+classical Chevalley check on sl3, a failing criterion on sl2, a passing one
+on sl3 and one on sl3 that fails only condition 2.  `TEXT_GOLDEN` pins the
+text layout of three reports the same way, with the trailing `(N ms)` of the summary line
 removed.  A faster path must leave every report byte-identical, so any
 change to a Gram matrix, a minor, a Dunkl image or an invariant basis, or
 to the text layout, fails here.
@@ -71,6 +72,17 @@ GOLDEN = [
     (("takiff", "criterion", "--algebra", "sl3", "--m", "1",
       "--poly", "u1 v1 + 1/2 u1 v2 + 1/2 u2 v1 + u2 v2"), EXIT_PASS,
      "8c52871d896f8faf9f8f38ae416b045f3bc7596fed3c42af92168cd23fd36404"),
+    # The widest exponent vectors (24 variables), a criterion that passes
+    # condition 1 and fails condition 2 with witness 3 u1, and a Dunkl image
+    # on a non-orthogonal realization.  The options are reordered so that the
+    # ids differ from those above.
+    (("takiff", "invariants", "--m", "2", "--algebra", "sl3", "--degree", "3"), EXIT_PASS,
+     "d96578a94d347502445a17084e27f885dc6e29bb0d07ff9f04f67b72da432c9f"),
+    (("takiff", "criterion", "--m", "1", "--algebra", "sl3", "--poly", "u1^2 + u1 u2 + u2^2"),
+     EXIT_FAIL, "460c11a77df4466927f8d7aa88993c9bfbb6f381603becd59f381417084c9927"),
+    (("dunkl", "apply", "--type", "G2", "--k", "long=1/3,short=2", "--xi", "1/2,-1",
+      "--poly", "x1^3 - 2/3 x1 x2^2 + x2"), EXIT_PASS,
+     "ad82b312ee4dff66ef3f14ad9b6ea40b1285c62bf92de28ab0821422dbb86ca3"),
 ]
 
 

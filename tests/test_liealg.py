@@ -332,7 +332,7 @@ def _oracle_invariants(gm, degree):
     weight = [[base.structure[c][v % base.dim].get(v % base.dim, 0) for c in base.cartan_indices]
               for v in range(gm.dim)]
     space = [Polynomial(gm.dim, {mono: 1}) for mono in monomials_of_degree(gm.dim, degree)
-             if not any(sum(e * weight[v][i] for v, e in mono)
+             if not any(sum(e * weight[v][i] for v, e in enumerate(mono))
                         for i in range(len(base.cartan_indices)))]
     maps = [partial(bracket_derivation, gm, x) for x in range(gm.dim)]
     return GradedSubspace.from_polynomials(polynomial_joint_kernel(space, maps), gm.dim, degree)
