@@ -40,6 +40,7 @@ from .liealg import (
     adjoint_derivation,
     invariants_graded,
     make_sl,
+    matrix_algebra,
     takiff_extend,
 )
 from .restriction import (

@@ -229,12 +229,13 @@ def cmd_chevalley_check(args: argparse.Namespace) -> Report:
 # -- takiff ----------------------------------------------------------------
 
 
+# --algebra name -> (n of sl(n), the highest m `takiff image` accepts,
+#                    whether the `takiff image` report lists bases)
+_ALGEBRAS = {"sl2": (2, 2, True), "sl3": (3, 1, False)}
+
+
 def _algebra(name: str):
-    if name == "sl2":
-        return make_sl(2)
-    if name == "sl3":
-        return make_sl(3)
-    raise ValueError(f"unsupported algebra {name!r}; use sl2 or sl3")
+    return make_sl(_ALGEBRAS[name][0])
 
 
 def _degree_range(args: argparse.Namespace) -> list[int]:
@@ -260,15 +261,13 @@ def cmd_takiff_invariants(args: argparse.Namespace) -> Report:
 
 
 def cmd_takiff_image(args: argparse.Namespace) -> Report:
-    if args.algebra == "sl2" and args.m > 2:
-        raise ValueError("takiff image supports sl2 with m <= 2")
-    if args.algebra == "sl3" and args.m != 1:
-        raise ValueError("takiff image supports sl3 with m = 1 only")
+    _, max_m, list_bases = _ALGEBRAS[args.algebra]
+    if args.m > max_m:
+        raise ValueError(f"takiff image supports {args.algebra} with m <= {max_m}")
     gm = takiff_extend(_algebra(args.algebra), args.m)
     frame = CartanFrame(gm)
-    dims_only = args.algebra == "sl3"
     report = Report("takiff image", {
-        "algebra": args.algebra, "m": args.m, "mode": "dims" if dims_only else "basis",
+        "algebra": args.algebra, "m": args.m, "mode": "basis" if list_bases else "dims",
         "work_bound": args.work_bound})
     for d in _degree_range(args):
         image = image_basis(frame, d, args.work_bound)
@@ -282,7 +281,7 @@ def cmd_takiff_image(args: argparse.Namespace) -> Report:
             verdict = "criterion does not contain image"
         data = {"dim_image": image.dim, "dim_criterion": criterion.dim,
                 "verdict": verdict}
-        if not dims_only:
+        if list_bases:
             data["image_basis"] = image.render(frame.names)
             data["criterion_basis"] = criterion.render(frame.names)
         report.add(Case(name=f"degree {d}",
@@ -377,24 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
     chev = top.add_parser("chevalley", help="graded restriction checks").add_subparsers(
         dest="action", required=True)
     check = chev.add_parser("check", help="invariant/restriction/target dimensions", **parents)
-    check.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
+    check.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     check.add_argument("--max-degree", type=_NONNEGATIVE, default=6)
 
     takiff = top.add_parser("takiff", help="Takiff algebra computations").add_subparsers(
         dest="action", required=True)
     inv = takiff.add_parser("invariants", help="graded invariant bases", **parents)
-    inv.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
+    inv.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     inv.add_argument("--m", type=int, default=1)
     inv.add_argument("--degree", type=_NONNEGATIVE)
     inv.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
     image = takiff.add_parser("image", help="restriction image vs criterion space", **parents)
-    image.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
+    image.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     image.add_argument("--m", type=_POSITIVE, default=1,
                        help="truncation order; the criterion is meaningless at m = 0")
     image.add_argument("--degree", type=_NONNEGATIVE)
     image.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
     crit = takiff.add_parser("criterion", help="run the membership criterion on a polynomial", **parents)
-    crit.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
+    crit.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     crit.add_argument("--m", type=_POSITIVE, default=1,
                       help="truncation order; the criterion is meaningless at m = 0")
     crit.add_argument("--poly", required=True, help="polynomial in the h_m aliases (u, v, w)")

@@ -1,4 +1,9 @@
-"""Concrete sl(n) by structure constants, Takiff extensions, and invariants.
+"""Matrix Lie algebras by structure constants, Takiff extensions, and invariants.
+
+A Lie algebra is built from a basis of matrices (`matrix_algebra`): the
+bracket is the commutator, read back in that basis, and the form is the
+trace form of the matrices.  `make_sl(n)` supplies the Chevalley basis of
+sl(n) for any n >= 2.
 
 The symmetric algebra S[g_m] is realized literally: polynomial variable
 (i, s) *is* the basis vector X_i (x) T^s, with flat index s*dim(g) + i, and
@@ -11,7 +16,8 @@ The bracket table is scaled once to integers by a common denominator.  The
 Jacobi and invariance checks read it exactly (they are homogeneous in the
 constants), and so does the derivation of a monomial: an integer image keyed
 by exponent vectors, the package's one monomial form, which the kernel path
-and `adjoint_derivation` take as it is.
+takes as it is.  `adjoint_derivation` scales its polynomial to integers once
+too, and makes one `Fraction` per term of the image.
 
 Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.
@@ -33,8 +39,8 @@ from math import lcm
 from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
-                       check_work_bound, mono_from_variables)
-from .linalg import GradedSubspace, det, joint_kernel, mat_mul
+                       check_work_bound, mono_from_variables, rational)
+from .linalg import GradedSubspace, Matrix, det, joint_kernel, mat_inv, rref
 
 
 class LieAlgebra:
@@ -108,54 +114,64 @@ def _check_lie_structure(table, form: Sequence[Sequence[Fraction]]) -> None:
         raise ValueError("form is degenerate")
 
 
+def matrix_algebra(matrices: Sequence[Matrix], names: Sequence[str],
+                   cartan_indices: Sequence[int]) -> LieAlgebra:
+    """The Lie algebra spanned by square matrices under the commutator, with
+    the trace form tr(XY).
+
+    [X_i, X_j] is read in the given basis off the pivot entries of the
+    flattened matrices: one `rref` finds them and one `mat_inv`, kept as a
+    sparse solve, turns them into coordinates.  Dependent matrices make that
+    inverse singular, and a commutator that its coordinates do not rebuild
+    lies outside the span: both are refused.
+    """
+    n = len(matrices[0])
+    basis = [{(r, c): rational(x) for r, row in enumerate(mat) for c, x in enumerate(row) if x}
+             for mat in matrices]
+    _, pivots = rref([{r * n + c: x for (r, c), x in b.items()} for b in basis], n * n)
+    pivots = [divmod(p, n) for p in pivots]
+    inverse = mat_inv([[b.get(p, 0) for p in pivots] for b in basis])
+    solve = {p: {k: x for k, x in enumerate(row) if x} for p, row in zip(pivots, inverse)}
+
+    def coordinates(x, y):
+        residue = {}                    # [x, y], less its rebuild below
+        for (r, j), a in x.items():
+            for (k, c), b in y.items():
+                if j == k:
+                    residue[r, c] = residue.get((r, c), 0) + a * b
+                if c == r:
+                    residue[k, j] = residue.get((k, j), 0) - a * b
+        coords = {}
+        for p, a in residue.items():
+            for k, b in solve.get(p, {}).items():
+                coords[k] = coords.get(k, 0) + a * b
+        for k, c in coords.items():
+            for p, a in basis[k].items():
+                residue[p] = residue.get(p, 0) - c * a
+        if any(residue.values()):
+            raise ValueError("matrices are not closed under the commutator")
+        return {k: c for k, c in coords.items() if c}
+
+    structure = tuple(tuple(coordinates(x, y) for y in basis) for x in basis)
+    form = tuple(tuple(sum((a * y.get((j, r), 0) for (r, j), a in x.items()), Fraction(0))
+                       for y in basis) for x in basis)
+    return LieAlgebra(len(basis), tuple(names), structure, form, tuple(cartan_indices))
+
+
 def make_sl(n: int) -> LieAlgebra:
-    """Chevalley basis of sl(n) with the defining-representation trace form."""
-    if n not in (2, 3):
-        raise ValueError("only sl(2) and sl(3) are constructed")
-
-    def unit(i: int, j: int) -> list[list[Fraction]]:
-        return [[Fraction(int(r == i and c == j)) for c in range(n)] for r in range(n)]
-
+    """Chevalley basis of sl(n) with the defining-representation trace form;
+    sl(2) keeps the names e, h, f."""
+    if n < 2:
+        raise ValueError("sl(n) needs n >= 2")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    mats: list[list[list[Fraction]]] = []
-    names: list[str] = []
-    for i, j in pairs:
-        mats.append(unit(i, j))
-        names.append("e" if n == 2 else f"e{i + 1}{j + 1}")
-    for k in range(n - 1):
-        h = [[Fraction(0)] * n for _ in range(n)]
-        h[k][k], h[k + 1][k + 1] = Fraction(1), Fraction(-1)
-        mats.append(h)
-        names.append("h" if n == 2 else f"h{k + 1}")
-    for i, j in pairs:
-        mats.append(unit(j, i))
-        names.append("f" if n == 2 else f"f{i + 1}{j + 1}")
-    cartan = tuple(range(len(pairs), len(pairs) + n - 1))
-    dim = len(mats)
-
-    def expand(mat) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for idx, (i, j) in enumerate(pairs):
-            if mat[i][j]:
-                out[idx] = mat[i][j]
-            if mat[j][i]:
-                out[len(pairs) + n - 1 + idx] = mat[j][i]
-        partial = Fraction(0)
-        for k in range(n - 1):
-            partial += mat[k][k]
-            if partial:
-                out[len(pairs) + k] = partial
-        return out
-
-    structure = tuple(
-        tuple(expand([[a - b for a, b in zip(row_ab, row_ba)]
-                      for row_ab, row_ba in zip(mat_mul(x, y), mat_mul(y, x))])
-              for y in mats)
-        for x in mats)
-    form = tuple(tuple(sum((x[r][c] * y[c][r] for r in range(n) for c in range(n)),
-                           Fraction(0)) for y in mats) for x in mats)
-    return LieAlgebra(dim=dim, basis_names=tuple(names), structure=structure,
-                      form=form, cartan_indices=cartan)
+    entries = ([{(i, j): 1} for i, j in pairs]
+               + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+               + [{(j, i): 1} for i, j in pairs])
+    names = ([f"e{i + 1}{j + 1}" for i, j in pairs] + [f"h{k + 1}" for k in range(n - 1)]
+             + [f"f{i + 1}{j + 1}" for i, j in pairs])
+    matrices = [[[e.get((r, c), 0) for c in range(n)] for r in range(n)] for e in entries]
+    return matrix_algebra(matrices, ("e", "h", "f") if n == 2 else names,
+                          range(len(pairs), len(pairs) + n - 1))
 
 
 class TakiffAlgebra:
@@ -251,11 +267,14 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
     """The derivation of S[g_m] extending Y -> [X_x, Y] on generators."""
     if p.ambient_dim != gm.dim:
         raise ValueError("polynomial does not live on g_m")
-    out: dict[Monomial, Fraction] = {}
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    out: dict[Monomial, int] = {}
     for mono, coeff in p.terms.items():
+        scaled = coeff.numerator * (den // coeff.denominator)
         for target, c in _monomial_derivation(gm, x, mono).items():
-            out[target] = out.get(target, 0) + coeff * c
-    return p._wrap({target: Fraction(c, gm._den) for target, c in out.items() if c})
+            out[target] = out.get(target, 0) + scaled * c
+    den *= gm._den
+    return p._wrap({target: Fraction(c, den) for target, c in out.items() if c})
 
 
 def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> list[Fraction]:

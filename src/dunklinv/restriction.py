@@ -1,5 +1,9 @@
 """Chevalley-type restriction to the Cartan and the image criterion.
 
+The Chevalley check compares, degree by degree, the adjoint invariants of
+g, their restriction to h, and the invariants on h of the Weyl group that
+the Cartan frame generates from the roots of g.
+
 Restriction is coordinate projection: under the trace-form identification
 the complement of h_m inside g_m is spanned by the root-vector coordinates,
 so an invariant polynomial restricts by setting every non-Cartan variable
@@ -293,22 +297,16 @@ class ChevalleyReport(NamedTuple):
         return self.surjective and self.injective
 
 
-_TARGET_SYSTEM = {3: "A1", 8: "A2"}   # dim g -> Weyl group of its Cartan
-
-
 def chevalley_graded_check(g: LieAlgebra, degree: int,
                            work_bound: int = 20000) -> ChevalleyReport:
-    """Compare adjoint invariants, their restriction, and W-invariants at one degree."""
+    """Compare adjoint invariants, their restriction, and W-invariants at one degree.
+
+    W is the frame's own Weyl group of (g, h), acting on h."""
     gm = takiff_extend(g, 0)
     frame = CartanFrame(gm)
     invariants = invariants_graded(gm, degree, work_bound)
     image = image_basis(frame, degree, work_bound)
-    system = _TARGET_SYSTEM.get(g.dim)
-    if system is None:
-        raise ValueError("no reference Weyl group for this algebra")
-    rs = rootsys.root_system(system)
-    weyl = rootsys.generate_weyl(rs)
-    target = rootsys.invariant_basis(weyl, degree)
+    target = rootsys.invariant_basis(frame.weyl, degree)
     return ChevalleyReport(degree=degree,
                            dim_invariants=invariants.dim,
                            dim_restricted=image.dim,

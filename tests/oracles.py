@@ -257,6 +257,48 @@ def polynomial_joint_kernel(space, maps) -> list[Polynomial]:
     return space
 
 
+def sl_structure(n: int) -> tuple[tuple, tuple]:
+    """Structure constants and trace form of sl(n) in the Chevalley basis
+    e_ij (i < j), h_k = E_kk - E_k+1,k+1, f_ij, each commutator multiplied out
+    densely and decoded by hand: an off-diagonal entry is an e or f
+    coordinate, and the h_k coordinate is the diagonal summed through k."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def unit(*entries):
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for r, c, x in entries:
+            mat[r][c] = Fraction(x)
+        return mat
+
+    def product(a, b):
+        return [[sum((a[r][t] * b[t][c] for t in range(n)), Fraction(0)) for c in range(n)]
+                for r in range(n)]
+
+    def expand(mat) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for idx, (i, j) in enumerate(pairs):
+            if mat[i][j]:
+                out[idx] = mat[i][j]
+            if mat[j][i]:
+                out[len(pairs) + n - 1 + idx] = mat[j][i]
+        partial = Fraction(0)
+        for k in range(n - 1):
+            partial += mat[k][k]
+            if partial:
+                out[len(pairs) + k] = partial
+        return out
+
+    mats = ([unit((i, j, 1)) for i, j in pairs]
+            + [unit((k, k, 1), (k + 1, k + 1, -1)) for k in range(n - 1)]
+            + [unit((j, i, 1)) for i, j in pairs])
+    structure = tuple(tuple(expand([[a - b for a, b in zip(ab, ba)]
+                                    for ab, ba in zip(product(x, y), product(y, x))])
+                            for y in mats) for x in mats)
+    form = tuple(tuple(sum((x[r][c] * y[c][r] for r in range(n) for c in range(n)), Fraction(0))
+                       for y in mats) for x in mats)
+    return structure, form
+
+
 def bracket_derivation(gm, x: int, p: Polynomial) -> Polynomial:
     """sum_y [X_x, Y] dp/dy on S[g_m], from the base structure constants.
 

@@ -229,6 +229,14 @@ def test_takiff_image_sl3_dimension_mode(capsys):
     assert "image_basis" not in case["data"]
 
 
+@pytest.mark.parametrize("algebra, m, highest", [("sl3", "2", 1), ("sl2", "3", 2)])
+def test_takiff_image_refuses_m_past_the_algebra_table(capsys, algebra, m, highest):
+    code, out, err = run(capsys, "takiff", "image", "--algebra", algebra, "--m", m)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines() == [f"error: takiff image supports {algebra} with m <= {highest}"]
+
+
 def test_takiff_criterion_base_case_generator(capsys):
     code, data, _ = run_json(capsys, "takiff", "criterion", "--algebra", "sl2",
                              "--m", "1", "--poly", "u v")

@@ -15,11 +15,12 @@ from dunklinv.liealg import (
     derivation_generators,
     invariants_graded,
     make_sl,
+    matrix_algebra,
     takiff_extend,
 )
 from dunklinv.linalg import GradedSubspace
 from oracles import (bracket_derivation, polynomial_joint_kernel, seeded_polynomials,
-                     series_coefficients)
+                     series_coefficients, sl_structure)
 
 
 def gm_parse(gm, text):
@@ -49,9 +50,28 @@ def test_sl3_shape(sl3):
     assert sl3.basis_names == ("e12", "e13", "e23", "h1", "h2", "f12", "f13", "f23")
 
 
-def test_make_sl_rejects_other_ranks():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_make_sl_matches_hand_decoded_commutators(n):
+    structure, form = sl_structure(n)
+    g = make_sl(n)
+    assert g.structure == structure
+    assert g.form == form
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_make_sl_rejects_n_below_two(n):
     with pytest.raises(ValueError):
-        make_sl(4)
+        make_sl(n)
+
+
+def test_matrix_algebra_refuses_a_span_that_is_not_a_lie_algebra():
+    e, f = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    with pytest.raises(ValueError, match="not closed"):
+        matrix_algebra([e, f], ("e", "f"), ())         # [e, f] = h is missing
+    with pytest.raises(ValueError, match="singular"):
+        matrix_algebra([e, e], ("e", "e'"), ())
+    with pytest.raises(TypeError):
+        matrix_algebra([[[0.5]]], ("x",), ())
 
 
 def test_validation_rejects_bad_structure():

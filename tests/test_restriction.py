@@ -4,7 +4,7 @@ import pytest
 
 from dunklinv import exactalg, linalg, restriction, rootsys
 from dunklinv.exactalg import Polynomial, divide_with_remainder, monomials_of_degree, parse
-from dunklinv.liealg import LieAlgebra, invariants_graded, takiff_extend
+from dunklinv.liealg import LieAlgebra, invariants_graded, make_sl, takiff_extend
 from dunklinv.linalg import GradedSubspace, mat_inv, mat_mul, mat_vec
 from dunklinv.restriction import (
     CartanFrame,
@@ -341,6 +341,22 @@ def test_chevalley_sl3_low_degrees(sl3):
         rep = chevalley_graded_check(sl3, d)
         assert rep.isomorphic
         assert rep.dim_target == series_coefficients([2, 3], 3)[d]
+
+
+def test_chevalley_sl4_matches_a3_series():
+    expected = series_coefficients([2, 3, 4], 5)
+    for d in range(6):
+        rep = chevalley_graded_check(make_sl(4), d)
+        assert rep.isomorphic
+        assert rep.dim_target == expected[d]
+
+
+def test_chevalley_target_matches_reference_root_system(sl2, sl3):
+    """The frame's Weyl group gives the invariant dimensions of the tabulated system."""
+    for g, name, top in ((sl2, "A1", 8), (sl3, "A2", 6)):
+        weyl = rootsys.generate_weyl(rootsys.root_system(name))
+        for d in range(top + 1):
+            assert chevalley_graded_check(g, d).dim_target == rootsys.invariant_basis(weyl, d).dim
 
 
 def test_chevalley_degree_one_trivial(sl2, sl3):
