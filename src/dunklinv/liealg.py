@@ -20,7 +20,10 @@ takes as it is.  `adjoint_derivation` scales its polynomial to integers once
 too, and makes one `Fraction` per term of the image.
 
 Rendered names follow the base algebra with a tensor-degree suffix:
-"h" is h (x) 1 and "h_2" is h (x) T^2.
+"h" is h (x) 1 and "h_2" is h (x) T^2.  `TakiffAlgebra.pairing` is the
+top-degree form; the contraction directions delta(H (x) T^m) that the
+restriction criterion needs are read on h from the frame's root system
+(`restriction.CartanFrame.delta_direction`).
 
 Two structural gradings cut the kernel problem down before any elimination:
 monomials are filtered to weight zero under the base Cartan (those
@@ -275,16 +278,6 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
             out[target] = out.get(target, 0) + scaled * c
     den *= gm._den
     return p._wrap({target: Fraction(c, den) for target, c in out.items() if c})
-
-
-def delta_direction(gm: TakiffAlgebra, x: int | Sequence[Fraction | int]) -> list[Fraction]:
-    """delta(X) as a direction on g_m: generator Y gets <X, Y> in the Takiff pairing.
-
-    X is a basis index or a coefficient vector on the flat basis.
-    """
-    element = {x: Fraction(1)} if isinstance(x, int) else dict(enumerate(x))
-    return [sum((Fraction(c) * gm.pairing(v, y) for v, c in element.items() if c), Fraction(0))
-            for y in range(gm.dim)]
 
 
 def derivation_generators(gm: TakiffAlgebra) -> list[int]:

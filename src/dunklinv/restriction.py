@@ -1,8 +1,11 @@
 """Chevalley-type restriction to the Cartan and the image criterion.
 
-The Chevalley check compares, degree by degree, the adjoint invariants of
-g, their restriction to h, and the invariants on h of the Weyl group that
-the Cartan frame generates from the roots of g.
+The Cartan frame holds the roots of (g, h) as one `rootsys.RootSystem`,
+`CartanFrame.rs`: the Cartan weights of g's basis with the trace form on h,
+the same kind of system the Dunkl layer runs on.  Every label, coroot and
+reflection the criterion uses is read from it.  The Chevalley check
+compares, degree by degree, the adjoint invariants of g, their restriction
+to h, and the invariants on h of the Weyl group of those roots.
 
 Restriction is coordinate projection: under the trace-form identification
 the complement of h_m inside g_m is spanned by the root-vector coordinates,
@@ -36,7 +39,7 @@ from math import lcm
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from . import liealg, linalg, rootsys
+from . import linalg, rootsys
 from .exactalg import Frozen, Monomial, Polynomial, monomials_of_degree, render
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
 from .linalg import GradedSubspace, joint_kernel
@@ -49,16 +52,13 @@ class RestrictionError(RuntimeError):
 _LEVEL_LETTERS = "uvwz"
 
 
-class FrameRoot(NamedTuple):
-    label: str
-    functional: tuple[Fraction, ...]   # alpha(h_c) in Cartan coordinates
-    coroot: tuple[Fraction, ...]       # H_alpha in Cartan coordinates
-
-
 class CartanFrame:
     """Cartan coordinates of a Takiff algebra with the diagonal Weyl action.
 
-    `weyl` is the base Weyl group acting diagonally on S[h_m], held as a
+    `rs` is the root system of (g, h): the distinct Cartan weights of g's
+    basis, with the trace form on h.  `positive_roots` indexes rs.roots in
+    basis order, and every root datum below is read from `rs`.  `weyl` is
+    the base Weyl group acting diagonally on S[h_m], held as a
     rootsys.WeylGroup of substitution matrices on the frame coordinates.
     """
 
@@ -76,22 +76,24 @@ class CartanFrame:
             self.names = [f"{_LEVEL_LETTERS[s]}{k + 1}"
                           for s in range(gm.m + 1) for k in range(nc)]
 
-        gram = [[base.form[cb][cc] for cc in cartan] for cb in cartan]
-        gram_inv = linalg.mat_inv(gram)
-        seen: set[tuple[Fraction, ...]] = set()
-        self.roots: list[FrameRoot] = []
+        weights = []
         for j in range(base.dim):
             if j in cartan:
                 continue
-            row = base.cartan_weight(j)
-            if row in seen:
-                continue
-            seen.add(row)
-            label = "(" + ", ".join(str(x) for x in row) + ")"
-            self.roots.append(FrameRoot(label=label, functional=row,
-                                        coroot=rootsys.coroot(row, gram_inv)))
-        self.positive_roots = [r for r in self.roots
-                               if next(c for c in r.functional if c) > 0]
+            weight = base.cartan_weight(j)
+            if not any(weight):
+                raise ValueError(f"{base.basis_names[j]} has weight zero outside the "
+                                 "Cartan: the Cartan is not maximal")
+            if weight not in weights:
+                weights.append(weight)
+        positive = [w for w in weights if next(c for c in w if c) > 0]
+        sums = {tuple(map(add, a, b)) for a in positive for b in positive}
+        self.rs = rootsys.RootSystem(
+            name="(g, h)", rank=nc, simple_roots=[w for w in positive if w not in sums],
+            form=[[base.form[cb][cc] for cc in cartan] for cb in cartan])
+        if set(self.rs.roots) != set(weights):
+            raise ValueError("the Cartan weights of g are not a root system")
+        self.positive_roots = [self.rs.root_index(w) for w in positive]
 
         # Generators are vectors, so w acts on S[h_m] by substituting
         # blockdiag(w^T), one block per T-level.  generators[i] is the
@@ -102,26 +104,24 @@ class CartanFrame:
                                for j in range(self.dim)) for i in range(self.dim))
 
         self.weyl = rootsys.WeylGroup(rank=self.dim, generators=tuple(
-            lift(rootsys.reflection_matrix(root.functional, root.coroot))
-            for root in self.positive_roots))
+            lift(self.rs.reflection(i)) for i in self.positive_roots))
 
     # -- criterion ingredients ----------------------------------------------
 
-    def divisor(self, root: FrameRoot) -> Polynomial:
-        """The coordinate of H_alpha (x) T^m as a linear form on h_m."""
-        nc = len(root.coroot)
-        coeffs = [Fraction(0)] * self.dim
-        for i, c in enumerate(root.coroot):
-            coeffs[self.gm.m * nc + i] = c
-        return Polynomial.linear_form(coeffs)
+    def label(self, i: int) -> str:
+        """Root i of `rs` as its coordinates, like "(2, -1)"."""
+        return "(" + ", ".join(map(str, self.rs.roots[i])) + ")"
 
-    def delta_direction(self, root: FrameRoot) -> list[Fraction]:
-        """delta(H_alpha (x) T^m) on S[h_m]: the Cartan slots of its direction on g_m."""
-        element = [Fraction(0)] * self.gm.dim
-        for c, h in zip(self.gm.base.cartan_indices, root.coroot):
-            element[self.gm.flat(c, self.gm.m)] = h
-        direction = liealg.delta_direction(self.gm, element)
-        return [direction[flat] for flat in self.cartan_flat]
+    def divisor(self, i: int) -> Polynomial:
+        """The coordinate of H_alpha (x) T^m as a linear form on h_m, alpha = root i."""
+        below = [Fraction(0)] * (self.dim - self.rs.rank)
+        return Polynomial.linear_form(below + list(self.rs.coroots[i]))
+
+    def delta_direction(self, i: int) -> list[Fraction]:
+        """delta(H_alpha (x) T^m) on S[h_m], alpha = root i: the Takiff pairing
+        couples T^m only with T^0, so it is <H_alpha, .> on level 0 and zero above."""
+        rest = [Fraction(0)] * (self.dim - self.rs.rank)
+        return linalg.mat_vec(self.rs.form, self.rs.coroots[i]) + rest
 
     def parse(self, text: str) -> Polynomial:
         from .exactalg import parse as parse_poly
@@ -183,15 +183,15 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
     if p.ambient_dim != frame.dim:
         raise ValueError("polynomial does not live on h_m")
     cond1, witness1 = True, None
-    for root, refl in zip(frame.positive_roots, frame.weyl.generators):
+    for i, refl in zip(frame.positive_roots, frame.weyl.generators):
         if p.substitute(refl) != p:
-            cond1, witness1 = False, root.label
+            cond1, witness1 = False, frame.label(i)
             break
     cond2, witness2 = True, None
-    for root, n, remainder in _condition2_maps(frame, p.degree()):
+    for i, n, remainder in _condition2_maps(frame, p.degree()):
         r = remainder(p)
         if r:
-            cond2, witness2 = False, (root.label, n, frame.render(r))
+            cond2, witness2 = False, (frame.label(i), n, frame.render(r))
             break
     membership = "pass"
     if p:
@@ -211,18 +211,19 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
 
 
 class _Divisibility:
-    """Condition 2 for one root: `image(n, m)` is c^|m| D^n times the remainder of
-    delta^n m by h^n, in ints.  D and E scale delta's direction and h to
-    integers, and c leads Eh, at x_l: a step of the division by (Eh)^n that
-    lowers the power of x_l by j divides by c^j, so from c^|m| m it is exact.
-    delta^n m is derived from delta^(n-1) m, once per monomial."""
+    """Condition 2 for root i of `frame.rs`: `image(n, m)` is c^|m| D^n times
+    the remainder of delta^n m by h^n, in ints.  D and E scale delta's
+    direction and h to integers, and c leads Eh, at x_l: a step of the
+    division by (Eh)^n that lowers the power of x_l by j divides by c^j, so
+    from c^|m| m it is exact.  delta^n m is derived from delta^(n-1) m, once
+    per monomial."""
 
-    def __init__(self, frame: CartanFrame, root: FrameRoot, max_power: int):
-        direction = frame.delta_direction(root)
+    def __init__(self, frame: CartanFrame, i: int, max_power: int):
+        direction = frame.delta_direction(i)
         self.scale = lcm(*(x.denominator for x in direction))
         self.direction = [(v, x.numerator * (self.scale // x.denominator))
                           for v, x in enumerate(direction) if x]
-        divisor = frame.divisor(root) * lcm(*(x.denominator for x in root.coroot))
+        divisor = frame.divisor(i) * lcm(*(x.denominator for x in frame.rs.coroots[i]))
         unit, lead = divisor.leading_term()
         self.var, self.lead, self.dim, self.chains = unit.index(1), int(lead), frame.dim, {}
         self.powers = [[(mono, int(x))          # (Eh)^n but its leading term x_l^n
@@ -262,16 +263,16 @@ class _Divisibility:
 
 
 def _condition2_maps(frame: CartanFrame, max_power: int):
-    """Condition 2 as linear maps: (root, n, q -> remainder of delta^n q by divisor^n)."""
-    for root in frame.positive_roots:
-        condition = _Divisibility(frame, root, max_power)
+    """Condition 2 as linear maps: (root index, n, q -> remainder of delta^n q by divisor^n)."""
+    for i in frame.positive_roots:
+        condition = _Divisibility(frame, i, max_power)
         for n in range(1, max_power + 1):
-            yield root, n, partial(condition.remainder, n)
+            yield i, n, partial(condition.remainder, n)
 
 
 def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
     """Degree-d polynomials on h_m satisfying both criterion conditions."""
-    conditions = (_Divisibility(frame, root, degree) for root in frame.positive_roots)
+    conditions = (_Divisibility(frame, i, degree) for i in frame.positive_roots)
     condition2 = (partial(c.image, n) for c in conditions for n in range(1, degree + 1))
     kernel = joint_kernel(frame.dim, monomials_of_degree(frame.dim, degree),
                           chain(rootsys.invariance_maps(frame.weyl), condition2))

@@ -8,8 +8,11 @@ r_alpha(x) = x - alpha(x) H_alpha is then an exact rational matrix.
 A system is given by its simple roots and its W-invariant inner product
 `form`; the roots, coroots and orbit labels are derived from these.  The
 roots are the orbit of the simple roots under the simple reflections, the
-coroot is H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha> (`coroot`), and
-a root is "long" or "short" by that norm ("all" when there is one length).
+coroot is H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha> (`coroot`, which
+refuses a root of norm zero), and a root is "long" or "short" by that norm
+("all" when there is one length).  Besides the table systems below, the
+restriction module's Cartan frame builds one from the Cartan weights of a
+Lie algebra and its trace form.
 
 Supported systems are realized over Q directly: B/C/D in standard
 coordinates of Q^n, A_n in simple-coroot coordinates of the sum-zero
@@ -77,7 +80,7 @@ class RootSystem(Frozen):
         seeds = [(alpha, _dot(alpha, linalg.mat_vec(form_inv, alpha)))
                  for alpha in simple_roots]
         orbit = _closure(seeds, simple, _reflect_root)
-        long_norm = max(norm for _, norm in orbit)
+        long_norm = max((norm for _, norm in orbit), default=None)   # None: no roots
         one_length = all(norm == long_norm for _, norm in orbit)
         roots = tuple(alpha for alpha, _ in orbit)
         self.__dict__.update(
@@ -185,6 +188,8 @@ def coroot(alpha: Sequence[Fraction], form_inv) -> tuple[Fraction, ...]:
     """H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha>, so that alpha(H_alpha) = 2."""
     dual = [_dot(row, alpha) for row in form_inv]
     norm = _dot(alpha, dual)
+    if not norm:
+        raise ValueError(f"({', '.join(map(str, alpha))}) has norm zero under the form")
     return tuple(2 * x / norm for x in dual)
 
 

@@ -320,6 +320,41 @@ def bracket_derivation(gm, x: int, p: Polynomial) -> Polynomial:
     return result
 
 
+def delta_direction(gm, x) -> list[Fraction]:
+    """delta(X) as a direction on g_m: generator Y gets <X, Y> in the Takiff pairing.
+
+    X is a basis index or a coefficient vector on the flat basis.
+    """
+    element = {x: Fraction(1)} if isinstance(x, int) else dict(enumerate(x))
+    return [sum((Fraction(c) * gm.pairing(v, y) for v, c in element.items() if c), Fraction(0))
+            for y in range(gm.dim)]
+
+
+def coroot_delta(frame, i: int) -> list[Fraction]:
+    """delta(H_alpha (x) T^m) for root i of `frame.rs`, built on all of g_m by
+    `delta_direction` and read at the frame's Cartan variables."""
+    gm = frame.gm
+    element = [Fraction(0)] * gm.dim
+    for c, h in zip(gm.base.cartan_indices, frame.rs.coroots[i]):
+        element[gm.flat(c, gm.m)] = h
+    direction = delta_direction(gm, element)
+    return [direction[v] for v in frame.cartan_flat]
+
+
+def coroot_remainder(frame, i: int, n: int, q: Polynomial) -> Polynomial:
+    """Condition 2 in `Fraction`s: the remainder of delta^n q by h^n, for h the
+    coordinate of H_alpha (x) T^m (alpha root i of `frame.rs`) and delta from
+    `coroot_delta`, applied n times by `directional_derivative` and then
+    divided by `divide_with_remainder`."""
+    cartan, coroot, m = frame.gm.base.cartan_indices, frame.rs.coroots[i], frame.gm.m
+    h = Polynomial.linear_form([coroot[cartan.index(c)] if s == m else 0
+                                for c, s in frame.raw_pairs])
+    direction = coroot_delta(frame, i)
+    for _ in range(n):
+        q = q.directional_derivative(direction)
+    return divide_with_remainder(q, h ** n)[1]
+
+
 def breadth_first_group(generators) -> tuple:
     """Closure of square matrix generators under the textbook product, breadth-first
     from the identity, elements in discovery order."""

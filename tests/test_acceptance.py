@@ -22,7 +22,7 @@ from dunklinv.dunkl import (
     positivity_certificate,
 )
 from dunklinv.exactalg import Polynomial, monomials_of_degree, render
-from dunklinv.liealg import delta_direction, invariants_graded, takiff_extend
+from dunklinv.liealg import invariants_graded, takiff_extend
 from dunklinv.linalg import GradedSubspace, mat_inv
 from dunklinv.restriction import (
     CartanFrame,
@@ -32,7 +32,8 @@ from dunklinv.restriction import (
     image_basis,
 )
 from dunklinv.rootsys import invariant_basis
-from oracles import apolarity, derivative_pairing, seeded_polynomials, series_coefficients
+from oracles import (apolarity, delta_direction, derivative_pairing, seeded_polynomials,
+                     series_coefficients)
 
 K_GRID_1 = ["0", "1/2", "1", "7/3"]
 

@@ -10,8 +10,9 @@ commute`, Takiff invariants of sl3 (at m = 2 on 24 variables) and of sl2 at
 m = 3, the restriction image at m = 1, of sl2 at m = 2 up to degree 8 and of
 sl3 at m = 1 up to degree 5 (two Weyl generators, linear-form divisors), the
 classical Chevalley check on sl3, a failing criterion on sl2, a passing one
-on sl3 and one on sl3 that fails only condition 2.  `TEXT_GOLDEN` pins the
-text layout of three reports the same way, with the trailing `(N ms)` of the summary line
+on sl3, one on sl3 that fails only condition 2 and one on sl3 that fails
+both at its second positive root.  `TEXT_GOLDEN` pins the text layout of
+five reports the same way, with the trailing `(N ms)` of the summary line
 removed.  A faster path must leave every report byte-identical, so any
 change to a Gram matrix, a minor, a Dunkl image or an invariant basis, or
 to the text layout, fails here.
@@ -83,6 +84,11 @@ GOLDEN = [
     (("dunkl", "apply", "--type", "G2", "--k", "long=1/3,short=2", "--xi", "1/2,-1",
       "--poly", "x1^3 - 2/3 x1 x2^2 + x2"), EXIT_PASS,
      "ad82b312ee4dff66ef3f14ad9b6ea40b1285c62bf92de28ab0821422dbb86ca3"),
+    # Witness order on sl3: u1 v1 fails both conditions first at (1, 1), the
+    # second positive root, so a change in the order of the frame's roots
+    # changes this report.  The failing case above pins (2, -1) for condition 2.
+    (("takiff", "criterion", "--poly", "u1 v1", "--algebra", "sl3", "--m", "1"), EXIT_FAIL,
+     "83bfaa936bad75f22eea5c63483c7e2802f5bd5f5bc3bf7901d72e6aa9fb2c76"),
 ]
 
 
@@ -102,6 +108,10 @@ TEXT_GOLDEN = [
      "daa9ba55343442cb0cb48ff4087dc5f4067c7b98311aa8d59f1aa0b78c559e19"),
     (("chevalley", "check", "--algebra", "sl2", "--max-degree", "4"), EXIT_PASS,
      "054c7cc749f15f0772458f3323b7ebd6e2c7ba9628ee3a7575375f13c8d969a6"),
+    (("takiff", "criterion", "--algebra", "sl3", "--m", "1", "--poly", "u1 v1"), EXIT_FAIL,
+     "6f170aa4c077dc1d09e0ab8490c20b9f70678374732af950121f2f44cb237d88"),
+    (("takiff", "criterion", "--poly", "u1^2 + u1 u2 + u2^2", "--algebra", "sl3", "--m", "1"),
+     EXIT_FAIL, "122fef62daad28043aabccf296fe6ddbef13cbc55f6ed467eff55e4b1526edae"),
 ]
 
 

@@ -11,7 +11,6 @@ from dunklinv.liealg import (
     LieAlgebra,
     WorkBoundExceeded,
     adjoint_derivation,
-    delta_direction,
     derivation_generators,
     invariants_graded,
     make_sl,
@@ -19,8 +18,8 @@ from dunklinv.liealg import (
     takiff_extend,
 )
 from dunklinv.linalg import GradedSubspace
-from oracles import (bracket_derivation, polynomial_joint_kernel, seeded_polynomials,
-                     series_coefficients, sl_structure)
+from oracles import (bracket_derivation, delta_direction, polynomial_joint_kernel,
+                     seeded_polynomials, series_coefficients, sl_structure)
 
 
 def gm_parse(gm, text):

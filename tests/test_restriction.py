@@ -1,9 +1,11 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from dunklinv import exactalg, linalg, restriction, rootsys
-from dunklinv.exactalg import Polynomial, divide_with_remainder, monomials_of_degree, parse
+from dunklinv.dunkl import DunklContext, gram_basis, gram_matrix, make_context
+from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.liealg import LieAlgebra, invariants_graded, make_sl, takiff_extend
 from dunklinv.linalg import GradedSubspace, mat_inv, mat_mul, mat_vec
 from dunklinv.restriction import (
@@ -13,11 +15,11 @@ from dunklinv.restriction import (
     chevalley_graded_check,
     criterion_check,
     criterion_subspace,
-    _condition2_maps,
     image_basis,
     restrict,
 )
-from oracles import polynomial_joint_kernel, series_coefficients, transpose
+from oracles import (coroot_delta, coroot_remainder, polynomial_joint_kernel,
+                     series_coefficients, transpose)
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +42,9 @@ def h_span(frame, texts, degree):
 def test_sl2_frame_layout(frame1):
     assert frame1.names == ["u", "v"]
     assert frame1.raw_pairs == [(1, 0), (1, 1)]
-    root = frame1.positive_roots[0]
-    assert root.functional == (Fraction(2),)
-    assert root.coroot == (Fraction(1),)
+    i = frame1.positive_roots[0]
+    assert frame1.rs.roots[i] == (Fraction(2),)
+    assert frame1.rs.coroots[i] == (Fraction(1),)
     assert frame1.weyl.order == 2
 
 
@@ -51,8 +53,8 @@ def test_sl3_frame_layout(sl3):
     assert frame.names == ["u1", "u2", "v1", "v2"]
     assert len(frame.positive_roots) == 3
     assert frame.weyl.order == 6
-    for root in frame.positive_roots:
-        assert sum(a * h for a, h in zip(root.functional, root.coroot)) == 2
+    for i in frame.positive_roots:
+        assert sum(a * h for a, h in zip(frame.rs.roots[i], frame.rs.coroots[i])) == 2
 
 
 def test_frame_weyl_is_the_diagonal_group(sl3):
@@ -63,10 +65,10 @@ def test_frame_weyl_is_the_diagonal_group(sl3):
             assert tuple(tuple(row) for row in mat_mul(w, v)) in elements
     # generators[i] is the diagonal reflection of positive_roots[i]: it negates
     # the coroot's coordinate form on every T-level.
-    for root, refl in zip(frame.positive_roots, frame.weyl.generators):
+    for i, refl in zip(frame.positive_roots, frame.weyl.generators):
         for level in range(frame.gm.m + 1):
             coeffs = [Fraction(0)] * frame.dim
-            coeffs[2 * level:2 * level + 2] = root.coroot
+            coeffs[2 * level:2 * level + 2] = frame.rs.coroots[i]
             form = Polynomial.linear_form(coeffs)
             assert form.substitute(refl) == -form
 
@@ -78,6 +80,68 @@ def test_divisor_and_delta_direction(frame1, frame2):
     root2 = frame2.positive_roots[0]
     assert frame2.divisor(root2) == frame2.parse("w")
     assert frame2.delta_direction(root2) == [Fraction(2), Fraction(0), Fraction(0)]
+
+
+def test_delta_direction_matches_the_pairing_on_g_m(sl2, sl3):
+    # The frame reads delta(H_alpha (x) T^m) off the form on h; the oracle
+    # pairs H_alpha (x) T^m with every generator of g_m.
+    frames = [CartanFrame(takiff_extend(g, m)) for g, m in (
+        (sl2, 0), (sl2, 1), (sl2, 2), (sl3, 1),
+        (_sl3_with_cartan_basis(sl3, [[1, 0], [2, 1]]), 1))]
+    for frame in frames:
+        for i in range(len(frame.rs.roots)):
+            assert frame.delta_direction(i) == coroot_delta(frame, i)
+
+
+@pytest.mark.parametrize("n,name", [(2, "A1"), (3, "A2"), (4, "A3")])
+def test_frame_root_system_is_the_table_system(n, name):
+    # sl(n) in its Chevalley basis has A_{n-1}'s roots and coroots in
+    # simple-coroot coordinates; from sl3 on, its trace form is the table's
+    # form too, so the Dunkl layer on the frame's roots is the table's.
+    rs, table = CartanFrame(takiff_extend(make_sl(n), 0)).rs, rootsys.root_system(name)
+    assert dict(zip(rs.roots, rs.coroots)) == dict(zip(table.roots, table.coroots))
+    if n == 2:
+        return
+    assert rs.form == table.form
+    k = rootsys.MultiplicityAssignment.parse("all=1/2")
+    ctx = DunklContext(rs, rootsys.generate_weyl(rs), k)
+    reference = make_context(name, "all=1/2")
+    for d in range(4):
+        assert gram_matrix(ctx, gram_basis(ctx, d, False)) == \
+            gram_matrix(reference, gram_basis(reference, d, False))
+    for d in range(7):
+        assert rootsys.invariant_basis(ctx.weyl, d) == rootsys.invariant_basis(reference.weyl, d)
+
+
+def test_frame_of_an_abelian_algebra_has_no_roots():
+    # gl1: no weights, so W is trivial and every polynomial on h_m lies in
+    # the image and in the criterion space.
+    g = LieAlgebra(1, ("z",), (({},),), ((Fraction(1),),), (0,))
+    frame = CartanFrame(takiff_extend(g, 1))
+    assert frame.rs.roots == () and frame.positive_roots == [] and frame.weyl.order == 1
+    for d in range(4):
+        assert criterion_subspace(frame, d) == image_basis(frame, d)
+        assert image_basis(frame, d).dim == d + 1
+
+
+def test_frame_refuses_a_cartan_that_is_not_maximal(sl3):
+    # h1 alone: h2 commutes with it, so weight zero lies outside the Cartan.
+    g = LieAlgebra(sl3.dim, sl3.basis_names, sl3.structure, sl3.form, (3,))
+    with pytest.raises(ValueError, match="h2 has weight zero outside the Cartan"):
+        CartanFrame(takiff_extend(g, 1))
+
+
+def test_frame_refuses_an_isotropic_weight():
+    # The diamond algebra [J, P] = P, [J, Q] = -Q, [P, Q] = T with <J, T> =
+    # <P, Q> = 1: on the Cartan (J, T) the weight (1, 0) of P has norm zero.
+    structure = [[{} for _ in range(4)] for _ in range(4)]
+    for i, j, k, c in ((0, 1, 1, 1), (0, 2, 2, -1), (1, 2, 3, 1)):
+        structure[i][j], structure[j][i] = {k: Fraction(c)}, {k: Fraction(-c)}
+    form = [[Fraction(i + j == 3) for j in range(4)] for i in range(4)]
+    g = LieAlgebra(4, ("J", "P", "Q", "T"), tuple(map(tuple, structure)),
+                   tuple(map(tuple, form)), (0, 3))
+    with pytest.raises(ValueError, match=r"\(1, 0\) has norm zero"):
+        CartanFrame(takiff_extend(g, 1))
 
 
 # -- restriction ---------------------------------------------------------------------
@@ -178,7 +242,7 @@ def test_report_consistency_guard():
 
 def test_frame_roots_and_reports_are_immutable_values(frame1, sl2):
     # Two runs on equal input give equal, equally hashed values; none can be assigned to.
-    values = [(frame1.roots[0], CartanFrame(frame1.gm).roots[0]),
+    values = [(frame1.rs, CartanFrame(frame1.gm).rs),
               (criterion_check(frame1, frame1.parse("u")),
                criterion_check(frame1, frame1.parse("u"))),
               (chevalley_graded_check(sl2, 2), chevalley_graded_check(sl2, 2))]
@@ -206,12 +270,14 @@ def test_criterion_subspace_sl2_m2_degree2(frame2):
 @pytest.mark.parametrize("algebra,m,max_degree", [("sl2", 1, 6), ("sl2", 2, 6), ("sl3", 1, 4)])
 def test_criterion_subspace_matches_polynomial_kernel(request, algebra, m, max_degree):
     # Both conditions as maps on whole polynomials, reflections first, cut
-    # down in Fractions from all monomials of the degree.
+    # down in Fractions from all monomials of the degree; condition 2 by
+    # derivatives and exactalg's division (`oracles.coroot_remainder`).
     frame = CartanFrame(takiff_extend(request.getfixturevalue(algebra), m))
     for d in range(max_degree + 1):
         space = [Polynomial(frame.dim, {mono: 1}) for mono in monomials_of_degree(frame.dim, d)]
         maps = [*(lambda p, s=s: p.substitute(s) - p for s in frame.weyl.generators),
-                *(remainder for _, _, remainder in _condition2_maps(frame, d))]
+                *(partial(coroot_remainder, frame, i, n)
+                  for i in frame.positive_roots for n in range(1, d + 1))]
         assert criterion_subspace(frame, d) == GradedSubspace.from_polynomials(
             polynomial_joint_kernel(space, maps), frame.dim, d)
 
@@ -284,26 +350,20 @@ def test_criterion_with_non_unit_leading_divisor_coefficient(sl3):
     # criterion still equals the image (m = 1) and the kernel of the
     # remainders that exactalg's division gives from derivatives.
     frame = CartanFrame(takiff_extend(_sl3_with_cartan_basis(sl3, [[1, 0], [2, 1]]), 1))
-    leads = [restriction._Divisibility(frame, root, 1).lead for root in frame.positive_roots]
+    leads = [restriction._Divisibility(frame, i, 1).lead for i in frame.positive_roots]
     assert sorted(leads) == [-1, 1, 2]
     for d in range(5):
         space = [Polynomial(frame.dim, {mono: 1}) for mono in monomials_of_degree(frame.dim, d)]
-
-        def remainder(q, root, n):
-            for _ in range(n):
-                q = q.directional_derivative(frame.delta_direction(root))
-            return divide_with_remainder(q, frame.divisor(root) ** n)[1]
-
         maps = [*(lambda p, s=s: p.substitute(s) - p for s in frame.weyl.generators),
-                *(lambda q, r=r, n=n: remainder(q, r, n)
-                  for r in frame.positive_roots for n in range(1, d + 1))]
+                *(partial(coroot_remainder, frame, i, n)
+                  for i in frame.positive_roots for n in range(1, d + 1))]
         expected = GradedSubspace.from_polynomials(polynomial_joint_kernel(space, maps),
                                                    frame.dim, d)
         assert criterion_subspace(frame, d) == expected == image_basis(frame, d)
         assert expected.dim == [1, 0, 2, 2, 3][d]
         for q in space:
-            for root, n, f in restriction._condition2_maps(frame, d):
-                assert f(q) == remainder(q, root, n)
+            for i, n, f in restriction._condition2_maps(frame, d):
+                assert f(q) == coroot_remainder(frame, i, n, q)
 
 
 def test_remark_strict_inclusion(frame2):

@@ -70,6 +70,11 @@ def test_coroot_normalization(name):
         assert sum(a * h for a, h in zip(alpha, coroot)) == 2
 
 
+def test_isotropic_simple_root_is_refused():
+    with pytest.raises(ValueError, match=r"\(1, 0\) has norm zero under the form"):
+        RootSystem(name="isotropic", rank=2, simple_roots=[(1, 0)], form=[[0, 1], [1, 0]])
+
+
 @pytest.mark.parametrize("name", SUPPORTED)
 def test_roots_closed_under_negation(name):
     rs = root_system(name)
