@@ -13,7 +13,6 @@ from .rootsys import (
     RootSystem,
     UnsupportedSystem,
     WeylGroup,
-    act,
     build_root_system,
     generate_weyl,
     invariant_basis,
@@ -22,15 +21,11 @@ from .rootsys import (
 )
 from .dunkl import (
     DunklContext,
-    adjointness_check,
     commutator_check,
     dunkl_apply,
     dunkl_compose,
-    dunkl_pairing,
-    equivariance_check,
     gram_basis,
     gram_matrix,
-    invariant_stability_check,
     make_context,
 )
 from .liealg import (

@@ -96,14 +96,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
-def _matrix_strings(matrix) -> list[list[str]]:
-    return [[_frac(x) for x in row] for row in matrix]
-
-
 def _random_polynomial(rng: random.Random, dim: int, max_degree: int) -> Polynomial:
     terms = {}
     for d in range(max_degree + 1):
@@ -174,13 +166,13 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
                     status="pass" if symmetric else "fail",
                     witness=None if symmetric else "matrix is not symmetric",
                     data={"basis": [render(b) for b in basis],
-                          "matrix": _matrix_strings(matrix)}))
+                          "matrix": [list(map(str, row)) for row in matrix]}))
     k_values = ctx.k.resolve(ctx.rs)
     if args.invariants_only and all(v > 0 for v in k_values.values()):
         definite, minors = positivity_certificate(matrix)
         report.add(Case(name="positive definiteness (leading principal minors)",
                         status="pass" if definite else "fail",
-                        data={"minors": [_frac(m) for m in minors]}))
+                        data={"minors": [str(m) for m in minors]}))
     return report
 
 

@@ -68,8 +68,8 @@ from typing import Sequence
 
 from . import linalg
 from .exactalg import Monomial, Polynomial, monomials_of_degree, rational
-from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, act,
-                      generate_weyl, invariant_basis, reflection_matrix, reynolds, root_system)
+from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, generate_weyl,
+                      invariant_basis, reflection_matrix, root_system)
 
 
 class DunklContext:
@@ -167,11 +167,6 @@ def commutator_check(ctx: DunklContext, xi: Sequence[Fraction | int],
     """T_xi T_eta p - T_eta T_xi p; must be the zero polynomial."""
     return (dunkl_apply(ctx, xi, dunkl_apply(ctx, eta, p))
             - dunkl_apply(ctx, eta, dunkl_apply(ctx, xi, p)))
-
-
-def dunkl_pairing(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Fraction:
-    """<p, q> = (p(T) q)(0); symmetric, zero across distinct homogeneous degrees."""
-    return dunkl_compose(ctx, p, q).evaluate_at_zero()
 
 
 def gram_basis(ctx: DunklContext, degree: int, invariants_only: bool) -> list[Polynomial]:
@@ -330,32 +325,6 @@ def positivity_certificate(matrix: Sequence[Sequence[Fraction]]) -> tuple[bool, 
     """Exact positive-definiteness via leading principal minors."""
     minors = linalg.leading_principal_minors(matrix)
     return all(m > 0 for m in minors), minors
-
-
-def invariant_stability_check(ctx: DunklContext, p: Polynomial, q: Polynomial) -> bool:
-    """For W-invariant p, q: is p(T) q again W-invariant?  Must be True."""
-    if reynolds(ctx.weyl, p) != p or reynolds(ctx.weyl, q) != q:
-        raise ValueError("invariant_stability_check requires W-invariant inputs")
-    image = dunkl_compose(ctx, p, q)
-    return reynolds(ctx.weyl, image) == image
-
-
-def adjointness_check(ctx: DunklContext, xi: Sequence[Fraction | int],
-                      p: Polynomial, q: Polynomial) -> bool:
-    """<xi . p, q> == <p, T_xi q> with xi. multiplication by the dual form."""
-    left = dunkl_pairing(ctx, ctx.dual_form(xi) * p, q)
-    right = dunkl_pairing(ctx, p, dunkl_apply(ctx, xi, q))
-    return left == right
-
-
-def equivariance_check(ctx: DunklContext, w, xi: Sequence[Fraction | int],
-                       p: Polynomial) -> bool:
-    """w . T_xi (w^{-1} . p) == T_{w xi} p for a Weyl element w."""
-    xi = [rational(c) for c in xi]
-    inner = dunkl_apply(ctx, xi, act(linalg.mat_inv(w), p))
-    left = act(w, inner)
-    right = dunkl_apply(ctx, linalg.mat_vec(w, xi), p)
-    return left == right
 
 
 def make_context(system: str, k: str | MultiplicityAssignment) -> DunklContext:

@@ -8,6 +8,15 @@ form.  A polynomial maps monomials to nonzero Fractions; the zero
 polynomial has no terms, so two polynomials are equal exactly when their
 term maps are.
 
+Two operations here are the only ones of their kind in the package.
+`product` multiplies term dicts ({exponent vector: coefficient}, any exact
+coefficients); `Polynomial.__mul__` wraps it.  `substitution(M)` is the one
+linear change of variables: it returns D, the lcm of M's denominators, and
+a map from a monomial m to the int term dict of D^|m| m(Mx), multiplying
+powers of each x_i(DMx) that it keeps between calls.  `Polynomial.substitute`
+scales its images back by D^|m|; the Weyl invariance maps of the rootsys
+module subtract D^|m| m from them and stay in ints.
+
 Terms are ordered graded-lexicographically: by (|a|, a), total degree
 first, ties broken with x1 before x2 before ..., highest first (Cox, Little
 and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 section 2).
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
-from math import comb
+from math import comb, lcm
 from operator import add, ge, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -177,16 +186,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(map(add, m1, m2))
-                acc = out.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
-        return self._wrap(out)
+        return self._wrap({m: c for m, c in product(self.terms, other.terms).items() if c})
 
     __rmul__ = __mul__
 
@@ -283,26 +283,48 @@ class Polynomial:
         n = self.ambient_dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise DimensionMismatch("substitution matrix shape does not match ring")
-        image = substitution(matrix)
-        return sum((image(mono, coeff) for mono, coeff in self.terms.items()), Polynomial(n))
+        scale, image = substitution(matrix)
+        out: dict[Monomial, Fraction] = {}
+        for mono, coeff in self.terms.items():
+            coeff /= scale ** sum(mono)
+            for k, x in image(mono).items():
+                out[k] = out.get(k, 0) + coeff * x
+        return self._wrap({k: c for k, c in out.items() if c})
 
 
-def substitution(matrix: Sequence[Sequence[Scalar]]) -> Callable[..., Polynomial]:
-    """(mono, c) -> c mono(Mx) for a square M, keeping the powers of each x_i(Mx) between calls."""
-    n = len(matrix)
-    images = [Polynomial.linear_form(row) for row in matrix]
-    powers: dict[int, list[Polynomial]] = {}
+def product(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """The term dict of the product of two term dicts, in their coefficients' type.
 
-    def image(mono: Monomial, coeff: Scalar = 1) -> Polynomial:
-        factor = Polynomial.constant(n, coeff)
-        for v in compress(range(n), mono):
-            e = mono[v]
-            tower = powers.setdefault(v, [Polynomial.constant(n, 1)])
-            while len(tower) <= e:
-                tower.append(tower[-1] * images[v])
-            factor = factor * tower[e]
-        return factor
-    return image
+    Terms that cancel are kept as zeros; callers that need a canonical dict drop them.
+    """
+    out: dict[Monomial, Scalar] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def substitution(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Callable[[Monomial], dict]]:
+    """(D, image) for a square M: D is the lcm of M's denominators, and image(m)
+    is the int term dict of D^|m| m(Mx), zeros included.  It multiplies powers
+    of the forms x_i(DMx), kept between calls."""
+    rows = [[rational(x) for x in row] for row in matrix]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    one = (0,) * len(rows)
+    towers = [[{one: 1}, {one[:j] + (1,) + one[j + 1:]: x.numerator * (scale // x.denominator)
+                          for j, x in enumerate(row) if x}] for row in rows]
+
+    def image(mono: Monomial) -> dict[Monomial, int]:
+        out = None          # the first power is copied, not multiplied by 1: callers may edit it
+        for v in compress(range(len(rows)), mono):
+            tower = towers[v]
+            while len(tower) <= mono[v]:
+                tower.append(product(tower[-1], tower[1]))
+            power = tower[mono[v]]
+            out = dict(power) if out is None else product(out, power)
+        return {one: 1} if out is None else out
+    return scale, image
 
 
 def divide_with_remainder(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -21,7 +21,11 @@ as coprime integer vectors over those monomials.  Each map's image of a
 monomial is computed once, spread into one sparse row per image monomial,
 and the `nullspace` recombines the vectors, all in ints.  No other module of
 the package calls `nullspace`; `GradedSubspace.from_polynomials`
-canonicalises the result on the same rows.
+canonicalises the result on the same rows.  The Weyl invariance maps take
+their values from `exactalg.substitution`, the one linear change of
+variables, which multiplies with `exactalg.product`, the one product of
+term dicts; the adjoint derivations and condition 2 build theirs in the
+liealg and restriction modules.
 """
 
 from __future__ import annotations

@@ -22,25 +22,26 @@ dualize coordinates, which is what keeps the pairing symmetric in the
 non-orthogonal realizations.
 
 Polynomials here are functions on the reflection representation, and the
-group acts by act(w, p) = p o w^{-1}.  Group closure and invariants are
-written once, for any finite matrix group given by generators: the
-restriction module reuses them for the diagonal Weyl action on S[h_m].
-Invariant bases come from the generator kernel, the polynomials with
-p o s = p for each generator s (`linalg.joint_kernel`); averaging over the
-whole group (`reynolds`) is kept as the projector onto invariants.
+group acts by w.p = p o w^{-1}.  Group closure and invariants are written
+once, for any finite matrix group given by generators: the restriction
+module reuses them for the diagonal Weyl action on S[h_m].  Invariant bases
+come from the generator kernel, the polynomials with p o s = p for each
+generator s (`linalg.joint_kernel`); averaging over the whole group
+(`reynolds`) is kept as the projector onto invariants.  Both compose
+polynomials with matrices through `exactalg.substitution`, the package's
+one linear change of variables: `reynolds` by `Polynomial.substitute`, the
+kernel maps on its integer images directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import compress
-from math import lcm
-from operator import add
 from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import Frozen, Monomial, Polynomial, monomials_of_degree, rational
+from .exactalg import (Frozen, Monomial, Polynomial, monomials_of_degree, rational,
+                       substitution)
 from .linalg import GradedSubspace, MonomialMap, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -258,27 +259,13 @@ def root_system(name: str) -> RootSystem:
     return build_root_system(name[0], int(name[1]))
 
 
-def close_group(generators, rank: int) -> WeylGroup:
-    """The group of rank x rank rational generators, closed at once: an infinite one raises."""
-    group = WeylGroup(rank, tuple(tuple(_fr(row) for row in g) for g in generators))
-    group.elements                      # closes the group now
-    return group
-
-
 def generate_weyl(rs: RootSystem) -> WeylGroup:
     """The Weyl group of rs from its simple reflections (the first roots), closed on first use."""
     return WeylGroup(rs.rank, tuple(rs.reflection(i) for i in range(len(rs.simple_roots))))
 
 
-def act(w: Sequence[Sequence[Fraction]], p: Polynomial) -> Polynomial:
-    """Left action on functions: (w.p)(x) = p(w^{-1} x)."""
-    if p.ambient_dim != len(w):
-        raise ValueError("polynomial dimension does not match the group rank")
-    return p.substitute(linalg.mat_inv(w))
-
-
 def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
-    """The projector onto W-invariants: the average of p o w = act(w^{-1}, p) over W."""
+    """The projector onto W-invariants: the average of p o w over W."""
     total = Polynomial.zero(p.ambient_dim)
     for w in weyl.elements:
         total = total + p.substitute(w)
@@ -287,36 +274,16 @@ def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
 
 def invariance_maps(weyl: WeylGroup) -> Iterator[MonomialMap]:
     """m -> D^d (m o s - m) on degree-d monomials, one map per generator s, each built
-    when it is reached: ints keyed by monomials, from the powers of the forms
-    x_i(Dsx), kept between calls, where D clears the denominators of s."""
-    one = {(0,) * weyl.rank: 1}
-    units = [tuple(int(i == j) for i in range(weyl.rank)) for j in range(weyl.rank)]
+    when it is reached: ints keyed by monomials, from `exactalg.substitution(s)`,
+    where D clears the denominators of s."""
     for s in weyl.generators:
-        scale = lcm(*(x.denominator for row in s for x in row))
-        forms = [{units[j]: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
-                 for row in s]
-        yield partial(_substitution_image, [[one, form] for form in forms], scale)
+        yield partial(_difference, *substitution(s))
 
 
-def _substitution_image(towers: list[list[dict]], scale: int,
-                        mono: Monomial) -> dict[Monomial, int]:
-    image = {(0,) * len(towers): 1}
-    for v in compress(range(len(towers)), mono):
-        tower, e = towers[v], mono[v]
-        while len(tower) <= e:
-            tower.append(_product(tower[-1], tower[1]))
-        image = _product(image, tower[e])
-    image[mono] = image.get(mono, 0) - scale ** sum(mono)
-    return {k: c for k, c in image.items() if c}
-
-
-def _product(a: dict, b: dict) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = tuple(map(add, ka, kb))
-            out[k] = out.get(k, 0) + ca * cb
-    return out
+def _difference(scale: int, image, mono: Monomial) -> dict[Monomial, int]:
+    out = image(mono)
+    out[mono] = out.get(mono, 0) - scale ** sum(mono)
+    return {k: c for k, c in out.items() if c}
 
 
 def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:

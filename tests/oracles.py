@@ -2,14 +2,18 @@
 
 Everything here is deliberately written against closed forms or plain
 derivative composition, sharing no code with the operator implementations
-it checks.
+it checks.  The last section holds the checks and helpers that only tests
+call: the pairing and the identities it satisfies, the group action on
+polynomials and eager group closure.
 """
 
 from fractions import Fraction
 from math import factorial, gcd
 
-from dunklinv.exactalg import Polynomial, divide_with_remainder
-from dunklinv.linalg import mat_vec
+from dunklinv.dunkl import dunkl_apply, dunkl_compose
+from dunklinv.exactalg import Polynomial, divide_with_remainder, rational
+from dunklinv.linalg import mat_inv, mat_vec
+from dunklinv.rootsys import WeylGroup, reynolds
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -59,6 +63,30 @@ def two_sided_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
             assert not remainder, f"{alpha} does not divide p - r_alpha p"
             result = result + quotient * weight
     return result
+
+
+def naive_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p q by the schoolbook double loop over their terms; the Polynomial
+    constructor adds up equal monomials and drops what cancels."""
+    return Polynomial(p.ambient_dim, [(tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                                      for m1, c1 in p.terms.items()
+                                      for m2, c2 in q.terms.items()])
+
+
+def tower_substitute(p: Polynomial, matrix) -> Polynomial:
+    """p(Mx) in Fractions: x_i becomes the linear form of row i, each monomial
+    is the product of those forms, one `naive_product` per factor, and the
+    terms are summed."""
+    n = p.ambient_dim
+    forms = [Polynomial.linear_form(row) for row in matrix]
+    total = Polynomial.zero(n)
+    for mono, coeff in p.terms.items():
+        term = Polynomial.constant(n, coeff)
+        for v, e in enumerate(mono):
+            for _ in range(e):
+                term = naive_product(term, forms[v])
+        total = total + term
+    return total
 
 
 def classical_root_table(name: str) -> dict[tuple, tuple[tuple, str]]:
@@ -458,6 +486,50 @@ def seeded_polynomials(rng, dim: int, max_degree: int, count: int,
 
 def composed_gram(ctx, basis) -> list[list[Fraction]]:
     """Gram matrix entry by entry: one full operator composition p(T) q per pair."""
-    from dunklinv.dunkl import dunkl_pairing
-
     return [[dunkl_pairing(ctx, b, c) for c in basis] for b in basis]
+
+
+# -- test-only API: the pairing, its identities, the group action ----------------
+
+def dunkl_pairing(ctx, p: Polynomial, q: Polynomial) -> Fraction:
+    """<p, q> = (p(T) q)(0); symmetric, zero across distinct homogeneous degrees."""
+    return dunkl_compose(ctx, p, q).evaluate_at_zero()
+
+
+def invariant_stability_check(ctx, p: Polynomial, q: Polynomial) -> bool:
+    """For W-invariant p, q: is p(T) q again W-invariant?  Must be True."""
+    if reynolds(ctx.weyl, p) != p or reynolds(ctx.weyl, q) != q:
+        raise ValueError("invariant_stability_check requires W-invariant inputs")
+    image = dunkl_compose(ctx, p, q)
+    return reynolds(ctx.weyl, image) == image
+
+
+def adjointness_check(ctx, xi, p: Polynomial, q: Polynomial) -> bool:
+    """<xi . p, q> == <p, T_xi q> with xi. multiplication by the dual form."""
+    left = dunkl_pairing(ctx, ctx.dual_form(xi) * p, q)
+    right = dunkl_pairing(ctx, p, dunkl_apply(ctx, xi, q))
+    return left == right
+
+
+def equivariance_check(ctx, w, xi, p: Polynomial) -> bool:
+    """w . T_xi (w^{-1} . p) == T_{w xi} p for a Weyl element w."""
+    xi = [rational(c) for c in xi]
+    inner = dunkl_apply(ctx, xi, act(mat_inv(w), p))
+    left = act(w, inner)
+    right = dunkl_apply(ctx, mat_vec(w, xi), p)
+    return left == right
+
+
+def act(w, p: Polynomial) -> Polynomial:
+    """Left action on functions: (w.p)(x) = p(w^{-1} x)."""
+    if p.ambient_dim != len(w):
+        raise ValueError("polynomial dimension does not match the group rank")
+    return p.substitute(mat_inv(w))
+
+
+def close_group(generators, rank: int) -> WeylGroup:
+    """The group of rank x rank rational generators, closed at once: an infinite one raises."""
+    group = WeylGroup(rank, tuple(tuple(tuple(Fraction(x) for x in row) for row in g)
+                                  for g in generators))
+    group.elements                      # closes the group now
+    return group

@@ -12,12 +12,9 @@ from fractions import Fraction
 import pytest
 
 from dunklinv.dunkl import (
-    adjointness_check,
     commutator_check,
-    dunkl_pairing,
     gram_basis,
     gram_matrix,
-    invariant_stability_check,
     make_context,
     positivity_certificate,
 )
@@ -32,7 +29,8 @@ from dunklinv.restriction import (
     image_basis,
 )
 from dunklinv.rootsys import invariant_basis
-from oracles import (apolarity, delta_direction, derivative_pairing, seeded_polynomials,
+from oracles import (adjointness_check, apolarity, delta_direction, derivative_pairing,
+                     dunkl_pairing, invariant_stability_check, seeded_polynomials,
                      series_coefficients)
 
 K_GRID_1 = ["0", "1/2", "1", "7/3"]

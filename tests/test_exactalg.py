@@ -2,11 +2,13 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from dunklinv import exactalg
 from dunklinv.exactalg import (
     DimensionMismatch,
     ParseError,
@@ -17,6 +19,9 @@ from dunklinv.exactalg import (
     parse,
     render,
 )
+from dunklinv.linalg import mat_mul
+from dunklinv.rootsys import generate_weyl, root_system
+from oracles import naive_product, tower_substitute
 
 
 def poly(text, dim=3):
@@ -41,6 +46,11 @@ def polynomials(dim=3, max_degree=4, max_terms=5):
 def matrices(dim=3):
     return st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
                     min_size=dim, max_size=dim)
+
+
+def rational_matrices(dim=3):
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
 
 
 # -- basic arithmetic ---------------------------------------------------------
@@ -171,12 +181,90 @@ def test_substitute_negation_parity():
 @given(polynomials(), matrices(), matrices())
 def test_substitution_composes(p, m, n):
     mn = [[sum(m[i][t] * n[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
-    assert p.substitute(m).substitute(n) == p.substitute(mn)
+    assert p.substitute(m).substitute(n) == p.substitute(mn) == tower_substitute(p, mn)
 
 
 def test_substitute_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         poly("x1").substitute([[1, 0], [0, 1]])
+
+
+# -- the term-dict product and the integer substitution -----------------------------
+
+def test_product_keeps_cancelled_terms_as_zeros():
+    # (x1 + 1/2 x2)(x1 - 1/2 x2): the x1 x2 terms cancel to a zero entry,
+    # which the Polynomial product drops.
+    out = exactalg.product(poly("x1 + 1/2 x2").terms, poly("x1 - 1/2 x2").terms)
+    assert out == {(2, 0, 0): 1, (1, 1, 0): 0, (0, 2, 0): Fraction(-1, 4)}
+    assert all(type(c) is Fraction for c in out.values())
+    assert poly("x1 + 1/2 x2") * poly("x1 - 1/2 x2") == poly("x1^2 - 1/4 x2^2")
+
+
+@settings(max_examples=60)
+@given(polynomials(), polynomials())
+def test_product_matches_naive_double_loop(p, q):
+    out = exactalg.product(p.terms, q.terms)
+    assert {k: c for k, c in out.items() if c} == naive_product(p, q).terms
+    assert p * q == naive_product(p, q)
+    # The cross terms p q and -q p cancel, term by term.
+    assert (p + q) * (p - q) == naive_product(p, p) - naive_product(q, q)
+
+
+def test_substitution_keeps_cancelled_terms_as_zeros():
+    # x1 -> x1 + x2/3 and x2 -> x1 - x2/3: D = 3, and 9 x1 x2 goes to
+    # (3 x1 + x2)(3 x1 - x2), whose x1 x2 terms cancel.
+    scale, image = exactalg.substitution([[1, Fraction(1, 3)], [1, Fraction(-1, 3)]])
+    assert scale == 3
+    assert image((1, 1)) == {(2, 0): 9, (1, 1): 0, (0, 2): -1}
+    assert parse("x1 x2", 2).substitute([[1, Fraction(1, 3)], [1, Fraction(-1, 3)]]) == \
+        parse("x1^2 - 1/9 x2^2", 2)
+    assert parse("x1 - x2", 2).substitute([[1, 2], [1, 2]]) == Polynomial.zero(2)
+
+
+@settings(max_examples=60)
+@given(polynomials(), rational_matrices())
+def test_substitute_matches_fraction_tower(p, m):
+    assert p.substitute(m) == tower_substitute(p, m)
+
+
+@settings(max_examples=40)
+@given(st.lists(monomials(), min_size=1, max_size=6), rational_matrices())
+def test_substitution_is_integral(monos, m):
+    # image(mono) is D^|mono| mono(Mx) in ints, whatever powers earlier calls
+    # left in the towers and whatever callers did to the dicts they got.
+    scale, image = exactalg.substitution(m)
+    assert scale == lcm(*(Fraction(x).denominator for row in m for x in row))
+    for mono in monos + monos[::-1]:
+        out = image(mono)
+        assert all(type(c) is int for c in out.values())
+        assert Polynomial(3, out) == \
+            tower_substitute(Polynomial(3, {mono: 1}), m) * scale ** sum(mono)
+        out[mono] = out.get(mono, 0) + 1
+
+
+def _a2_conjugated():
+    # The A2 Weyl group conjugated by diag(1, 1/3): entries 1/3 and 3.
+    a2 = root_system("A2")
+    return [mat_mul(mat_mul([[1, 0], [0, Fraction(1, 3)]], w), [[1, 0], [0, 3]])
+            for w in generate_weyl(a2).elements]
+
+
+@pytest.mark.parametrize("elements", [
+    _a2_conjugated,
+    lambda: [root_system("G2").reflection(i) for i in range(12)],
+], ids=["A2 conjugated", "G2 reflections"])
+def test_substitution_of_group_elements_matches_fraction_tower(elements):
+    elements = elements()
+    assert len(elements) > 1
+    for w in elements:
+        scale, image = exactalg.substitution(w)
+        for d in range(6):
+            for mono in monomials_of_degree(2, d):
+                m = Polynomial(2, {mono: 1})
+                assert m.substitute(w) == tower_substitute(m, w)
+                assert Polynomial(2, image(mono)) == tower_substitute(m, w) * scale ** d
+    assert any(exactalg.substitution(w)[0] > 1 for w in elements) == \
+        any(x.denominator > 1 for w in elements for row in w for x in row)
 
 
 # -- exact division --------------------------------------------------------------

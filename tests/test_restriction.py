@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from dunklinv import exactalg, linalg, restriction, rootsys
+from dunklinv import linalg, restriction, rootsys
 from dunklinv.dunkl import DunklContext, gram_basis, gram_matrix, make_context
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.liealg import LieAlgebra, invariants_graded, make_sl, takiff_extend
@@ -18,8 +18,8 @@ from dunklinv.restriction import (
     image_basis,
     restrict,
 )
-from oracles import (coroot_delta, coroot_remainder, polynomial_joint_kernel,
-                     series_coefficients, transpose)
+from oracles import (close_group, coroot_delta, coroot_remainder, polynomial_joint_kernel,
+                     series_coefficients, tower_substitute, transpose)
 
 
 @pytest.fixture(scope="module")
@@ -270,12 +270,13 @@ def test_criterion_subspace_sl2_m2_degree2(frame2):
 @pytest.mark.parametrize("algebra,m,max_degree", [("sl2", 1, 6), ("sl2", 2, 6), ("sl3", 1, 4)])
 def test_criterion_subspace_matches_polynomial_kernel(request, algebra, m, max_degree):
     # Both conditions as maps on whole polynomials, reflections first, cut
-    # down in Fractions from all monomials of the degree; condition 2 by
+    # down in Fractions from all monomials of the degree: condition 1 by the
+    # Fraction power tower (`oracles.tower_substitute`), condition 2 by
     # derivatives and exactalg's division (`oracles.coroot_remainder`).
     frame = CartanFrame(takiff_extend(request.getfixturevalue(algebra), m))
     for d in range(max_degree + 1):
         space = [Polynomial(frame.dim, {mono: 1}) for mono in monomials_of_degree(frame.dim, d)]
-        maps = [*(lambda p, s=s: p.substitute(s) - p for s in frame.weyl.generators),
+        maps = [*(lambda p, s=s: tower_substitute(p, s) - p for s in frame.weyl.generators),
                 *(partial(coroot_remainder, frame, i, n)
                   for i in frame.positive_roots for n in range(1, d + 1))]
         assert criterion_subspace(frame, d) == GradedSubspace.from_polynomials(
@@ -283,10 +284,11 @@ def test_criterion_subspace_matches_polynomial_kernel(request, algebra, m, max_d
 
 
 def test_criterion_and_weyl_kernels_run_in_integers(monkeypatch, frame2, sl3):
-    # No substitution of polynomials, and only ints in every monomial image and
-    # in every row and vector that the elimination handles.
+    # No polynomial is substituted, added or subtracted, and only ints appear
+    # in every monomial image and in every row and vector that the
+    # elimination handles.
     def forbidden(*args):
-        raise AssertionError("polynomial substitution on an integer kernel path")
+        raise AssertionError("polynomial arithmetic on an integer kernel path")
 
     values = []
     real_nullspace, real_kernel = linalg.nullspace, linalg.joint_kernel
@@ -303,8 +305,11 @@ def test_criterion_and_weyl_kernels_run_in_integers(monkeypatch, frame2, sl3):
             return out
         return image
 
-    monkeypatch.setattr(Polynomial, "substitute", forbidden)
-    monkeypatch.setattr(exactalg, "substitution", forbidden)
+    conjugated = close_group(
+        [mat_mul(mat_mul([[1, 0], [0, Fraction(1, 3)]], rootsys.root_system("A2").reflection(i)),
+                 [[1, 0], [0, 3]]) for i in range(2)], 2)
+    for name in ("substitute", "__add__", "__sub__"):
+        monkeypatch.setattr(Polynomial, name, forbidden)
     monkeypatch.setattr(linalg, "nullspace", watched_nullspace)
     for module in (restriction, rootsys):
         monkeypatch.setattr(module, "joint_kernel", lambda dim, monos, maps: real_kernel(
@@ -312,9 +317,6 @@ def test_criterion_and_weyl_kernels_run_in_integers(monkeypatch, frame2, sl3):
     frame3 = CartanFrame(takiff_extend(sl3, 1))
     assert [criterion_subspace(frame, d).dim for frame in (frame2, frame3) for d in range(5)] \
         == [1, 0, 4, 0, 9, 1, 0, 2, 2, 3]
-    conjugated = rootsys.close_group(
-        [mat_mul(mat_mul([[1, 0], [0, Fraction(1, 3)]], rootsys.root_system("A2").reflection(i)),
-                 [[1, 0], [0, 3]]) for i in range(2)], 2)
     for weyl in (rootsys.generate_weyl(rootsys.root_system("B3")), conjugated):
         assert rootsys.invariant_basis(weyl, 6).dim > 0
     assert len(values) > 1000 and all(type(x) is int for x in values)
@@ -354,7 +356,7 @@ def test_criterion_with_non_unit_leading_divisor_coefficient(sl3):
     assert sorted(leads) == [-1, 1, 2]
     for d in range(5):
         space = [Polynomial(frame.dim, {mono: 1}) for mono in monomials_of_degree(frame.dim, d)]
-        maps = [*(lambda p, s=s: p.substitute(s) - p for s in frame.weyl.generators),
+        maps = [*(lambda p, s=s: tower_substitute(p, s) - p for s in frame.weyl.generators),
                 *(partial(coroot_remainder, frame, i, n)
                   for i in frame.positive_roots for n in range(1, d + 1))]
         expected = GradedSubspace.from_polynomials(polynomial_joint_kernel(space, maps),
