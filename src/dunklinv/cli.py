@@ -159,6 +159,9 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
         "type": args.type, "k": args.k, "degree": args.degree,
         "invariants_only": args.invariants_only})
     basis = gram_basis(ctx, args.degree, args.invariants_only)
+    if not basis:
+        raise ValueError(f"{args.type} has no W-invariants of degree {args.degree}: "
+                         "the Gram matrix would be empty")
     matrix = gram_matrix(ctx, basis)
     symmetric = all(matrix[i][j] == matrix[j][i]
                     for i in range(len(matrix)) for j in range(len(matrix)))

@@ -94,10 +94,6 @@ class DunklContext:
     def rank(self) -> int:
         return self.rs.rank
 
-    def dual_form(self, xi: Sequence[Fraction | int]) -> Polynomial:
-        """The linear form <xi, .> dual to the vector xi: multiplication partner of T_xi."""
-        return Polynomial.linear_form(linalg.mat_vec(self.rs.form, [rational(c) for c in xi]))
-
 
 def _divided_difference(p: Polynomial, minus_alpha: Polynomial, coroot) -> Polynomial:
     """(p - r_alpha p) / alpha = sum_j (-alpha)^(j-1) q_j, q_j = d_H^j p / j!, by Horner."""
@@ -322,7 +318,12 @@ def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
 
 
 def positivity_certificate(matrix: Sequence[Sequence[Fraction]]) -> tuple[bool, list[Fraction]]:
-    """Exact positive-definiteness via leading principal minors."""
+    """Exact positive-definiteness of a symmetric matrix by Sylvester's criterion.
+
+    The minors come from `linalg.leading_principal_minors`, one fraction-free
+    pass; the matrix is definite exactly when all of them are positive.  A
+    zero minor ends the list, and the verdict is then False.
+    """
     minors = linalg.leading_principal_minors(matrix)
     return all(m > 0 for m in minors), minors
 

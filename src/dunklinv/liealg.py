@@ -43,7 +43,7 @@ from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
                        check_work_bound, mono_from_variables, rational)
-from .linalg import GradedSubspace, Matrix, det, joint_kernel, mat_inv, rref
+from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, rref
 
 
 class LieAlgebra:
@@ -92,7 +92,8 @@ def _integer_table(dim: int, bracket) -> tuple[list[list[dict[int, int]]], int]:
 
 
 def _check_lie_structure(table, form: Sequence[Sequence[Fraction]]) -> None:
-    """Jacobi identity for a scaled bracket table; `form` invariant and nondegenerate."""
+    """Jacobi identity for a scaled bracket table; `form` invariant and nondegenerate,
+    that is of full rank under the fraction-free elimination of `linalg`."""
     dim = len(table)
     for i in range(dim):
         for j in range(dim):
@@ -113,7 +114,7 @@ def _check_lie_structure(table, form: Sequence[Sequence[Fraction]]) -> None:
                 rhs = sum(c * form[j][l] for l, c in table[i][k].items())
                 if lhs + rhs != 0:
                     raise ValueError("form is not invariant under the bracket")
-    if det(form) == 0:
+    if len(_pivot_rows([dict(enumerate(row)) for row in form])) < dim:
         raise ValueError("form is degenerate")
 
 

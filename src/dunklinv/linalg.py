@@ -6,7 +6,9 @@ fraction-free from there: a row is reduced against the pivot row sitting at
 its leading column until its leading column is free, then becomes a pivot
 itself, and back-substitution clears the pivot columns highest pivot first.
 `nullspace` reads integer kernel vectors off those pivot rows; `rref`
-divides each by its pivot, the only place a `Fraction` is made.
+divides each by its pivot, the only place elimination makes a `Fraction`.
+`leading_principal_minors`, the package's one determinant computation, is a
+Bareiss pass in the same integer arithmetic.
 
 Reduced row echelon form depends only on the row span and the column
 order; columns are always supplied in descending graded-lex monomial order,
@@ -187,29 +189,30 @@ def mat_inv(a: Matrix) -> list[list[Fraction]]:
     return [row[n:] for row in reduced]
 
 
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pv = work[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            f = work[r][col] / pv
-            if f:
-                work[r] = [a_ - f * b_ for a_, b_ in zip(work[r], work[col])]
-    return result * sign
-
-
 def leading_principal_minors(a: Matrix) -> list[Fraction]:
-    return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+    """The leading principal minors of a square matrix, from one Bareiss pass.
+
+    The matrix is scaled once to integers by D, the lcm of its entries'
+    denominators, and eliminated fraction-free without row exchanges: step k
+    takes a[i][j] to (a[i][j] p_k - a[i][k] a[k][j]) / p_(k-1), an exact
+    division, and leaves the pivot p_k = a[k][k] equal to the order-(k+1)
+    leading minor of the scaled matrix, so minor k+1 is p_k / D^(k+1).  The
+    list ends at the first zero minor, which it includes: the minors after it
+    need row exchanges and are not computed.
+    """
+    den = lcm(*(x.denominator for row in a for x in row))
+    work = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    minors, previous = [], 1
+    for k, top in enumerate(work):
+        pivot = top[k]
+        minors.append(Fraction(pivot, den ** (k + 1)))
+        if not pivot:
+            break
+        for row in work[k + 1:]:
+            row[k + 1:] = [(x * pivot - row[k] * y) // previous
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        previous = pivot
+    return minors
 
 
 class GradedSubspace(NamedTuple):

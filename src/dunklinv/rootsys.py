@@ -8,8 +8,8 @@ r_alpha(x) = x - alpha(x) H_alpha is then an exact rational matrix.
 A system is given by its simple roots and its W-invariant inner product
 `form`; the roots, coroots and orbit labels are derived from these.  The
 roots are the orbit of the simple roots under the simple reflections, the
-coroot is H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha> (`coroot`, which
-refuses a root of norm zero), and a root is "long" or "short" by that norm
+coroot is H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha> (`coroot`; a
+root of norm zero is refused), and a root is "long" or "short" by that norm
 ("all" when there is one length).  Besides the table systems below, the
 restriction module's Cartan frame builds one from the Cartan weights of a
 Lie algebra and its trace form.
@@ -75,18 +75,20 @@ class RootSystem(Frozen):
         simple_roots = tuple(_fr(row) for row in simple_roots)
         form = tuple(_fr(row) for row in form)
         form_inv = linalg.mat_inv(form)
-        simple = [(alpha, coroot(alpha, form_inv)) for alpha in simple_roots]
         # Reflections keep the norm <alpha, form^-1 alpha>, so each root
         # carries the norm of the simple root its orbit started from.
-        seeds = [(alpha, _dot(alpha, linalg.mat_vec(form_inv, alpha)))
-                 for alpha in simple_roots]
+        duals = [linalg.mat_vec(form_inv, alpha) for alpha in simple_roots]
+        seeds = [(alpha, _norm(alpha, dual)) for alpha, dual in zip(simple_roots, duals)]
+        simple = [(alpha, coroot(dual, norm)) for (alpha, norm), dual in zip(seeds, duals)]
         orbit = _closure(seeds, simple, _reflect_root)
         long_norm = max((norm for _, norm in orbit), default=None)   # None: no roots
         one_length = all(norm == long_norm for _, norm in orbit)
         roots = tuple(alpha for alpha, _ in orbit)
+        coroots = [h for _, h in simple] + [coroot(linalg.mat_vec(form_inv, alpha), norm)
+                                            for alpha, norm in orbit[len(simple):]]
         self.__dict__.update(
             name=name, rank=rank, simple_roots=simple_roots, form=form, roots=roots,
-            coroots=tuple(coroot(alpha, form_inv) for alpha in roots),
+            coroots=tuple(coroots),
             orbit_labels=tuple("all" if one_length else "long" if norm == long_norm else "short"
                                for _, norm in orbit))
 
@@ -177,20 +179,20 @@ class WeylGroup(Frozen):
         return len(self.elements)
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def _fr(seq) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in seq)
 
 
-def coroot(alpha: Sequence[Fraction], form_inv) -> tuple[Fraction, ...]:
-    """H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha>, so that alpha(H_alpha) = 2."""
-    dual = [_dot(row, alpha) for row in form_inv]
-    norm = _dot(alpha, dual)
+def _norm(alpha: Sequence[Fraction], dual: Sequence[Fraction]) -> Fraction:
+    """<alpha, form^-1 alpha> from dual = form^-1 alpha; a root of norm zero is refused."""
+    (norm,) = linalg.mat_vec([alpha], dual)
     if not norm:
         raise ValueError(f"({', '.join(map(str, alpha))}) has norm zero under the form")
+    return norm
+
+
+def coroot(dual: Sequence[Fraction], norm: Fraction) -> tuple[Fraction, ...]:
+    """H_alpha = 2 form^-1 alpha / norm from dual = form^-1 alpha, so that alpha(H_alpha) = 2."""
     return tuple(2 * x / norm for x in dual)
 
 
@@ -204,7 +206,7 @@ def reflection_matrix(alpha: Sequence[Fraction],
 def _reflect_root(root, simple):
     """(alpha, norm) -> (alpha o r_s = alpha - alpha(H_s) alpha_s, norm), s = (alpha_s, H_s)."""
     (alpha, norm), (alpha_s, h_s) = root, simple
-    c = _dot(alpha, h_s)
+    (c,) = linalg.mat_vec([alpha], h_s)
     return tuple(a - c * b for a, b in zip(alpha, alpha_s)), norm
 
 

@@ -154,6 +154,28 @@ def transpose(a) -> list[list[Fraction]]:
     return [list(col) for col in zip(*a)]
 
 
+def det(a) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over Q with row swaps."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] for row in a]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign = -sign
+        pv = work[col][col]
+        result *= pv
+        for r in range(col + 1, n):
+            f = work[r][col] / pv
+            if f:
+                work[r] = [a_ - f * b_ for a_, b_ in zip(work[r], work[col])]
+    return result * sign
+
+
 def _integer_rows(rows) -> list[list[int]]:
     out = []
     for row in rows:
@@ -504,9 +526,14 @@ def invariant_stability_check(ctx, p: Polynomial, q: Polynomial) -> bool:
     return reynolds(ctx.weyl, image) == image
 
 
+def dual_form(ctx, xi) -> Polynomial:
+    """The linear form <xi, .> dual to the vector xi: multiplication partner of T_xi."""
+    return Polynomial.linear_form(mat_vec(ctx.rs.form, xi))
+
+
 def adjointness_check(ctx, xi, p: Polynomial, q: Polynomial) -> bool:
     """<xi . p, q> == <p, T_xi q> with xi. multiplication by the dual form."""
-    left = dunkl_pairing(ctx, ctx.dual_form(xi) * p, q)
+    left = dunkl_pairing(ctx, dual_form(ctx, xi) * p, q)
     right = dunkl_pairing(ctx, p, dunkl_apply(ctx, xi, q))
     return left == right
 

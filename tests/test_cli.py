@@ -98,6 +98,15 @@ def test_exit_two_on_meaningless_parameters(capsys, argv):
     assert "error" in captured.err and "Traceback" not in captured.err
 
 
+def test_exit_two_on_empty_invariant_basis(capsys):
+    # B2 has no invariant linear forms: there is no Gram matrix to certify.
+    code, out, err = run(capsys, "dunkl", "gram", "--type", "B2", "--k", "long=1,short=1/2",
+                         "--degree", "1", "--invariants-only")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "B2" in err and "degree 1" in err
+
+
 @pytest.mark.parametrize("error", [RestrictionError, WeylClosureError])
 def test_exit_four_on_internal_invariant_failure(capsys, monkeypatch, error):
     def broken(args):

@@ -109,6 +109,23 @@ def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
         LieAlgebra(**_sl2_data(sl2, bracket, form))
 
 
+@pytest.mark.parametrize("z_norm,accepted", [(1, True), (0, False)])
+def test_validation_rejects_a_nonzero_degenerate_form(sl2, z_norm, accepted):
+    # sl2 + a central line z, with the trace form of sl2 and <z, z> = z_norm:
+    # invariant either way, and degenerate (though nonzero) when z_norm = 0.
+    data = dict(
+        dim=4, basis_names=sl2.basis_names + ("z",), cartan_indices=sl2.cartan_indices,
+        structure=tuple(tuple(sl2.structure[i][j] if max(i, j) < 3 else {} for j in range(4))
+                        for i in range(4)),
+        form=tuple(tuple(sl2.form[i][j] if max(i, j) < 3 else Fraction(z_norm * (i == j))
+                         for j in range(4)) for i in range(4)))
+    if accepted:
+        assert LieAlgebra(**data).dim == 4
+    else:
+        with pytest.raises(ValueError, match="degenerate"):
+            LieAlgebra(**data)
+
+
 def _rescaled_sl2(sl2, bracket=None):
     """sl2 on the basis (e/2, h, f): [e/2, f] = h/2 and <e/2, f> = 1/2."""
     scale = (Fraction(1, 2), Fraction(1), Fraction(1))

@@ -7,11 +7,11 @@ from math import gcd, lcm
 import pytest
 
 from dunklinv import liealg, linalg
+from dunklinv.dunkl import gram_basis, gram_matrix, make_context
 from dunklinv.exactalg import Polynomial, grlex_key, monomials_of_degree, parse
 from dunklinv.liealg import invariants_graded, make_sl, takiff_extend
 from dunklinv.linalg import (
     GradedSubspace,
-    det,
     joint_kernel,
     leading_principal_minors,
     mat_inv,
@@ -19,7 +19,7 @@ from dunklinv.linalg import (
     nullspace,
     rref,
 )
-from oracles import dense_nullspace, dense_rref, seeded_polynomials, stacked_kernel
+from oracles import det, dense_nullspace, dense_rref, seeded_polynomials, stacked_kernel
 
 
 def sparse(rows):
@@ -74,6 +74,52 @@ def test_det_values():
 def test_leading_principal_minors():
     m = [[2, 1], [1, 2]]
     assert leading_principal_minors(m) == [2, 3]
+    assert leading_principal_minors([[Fraction(1, 2), Fraction(1, 3)],
+                                     [Fraction(1, 3), Fraction(1, 4)]]) == [Fraction(1, 2),
+                                                                            Fraction(1, 72)]
+    assert leading_principal_minors([]) == []
+
+
+def test_leading_principal_minors_stop_at_the_first_zero():
+    # The second minor is 0 while the whole determinant is not: without row
+    # exchanges the third minor is not reached, so the list ends at the zero.
+    m = [[1, 1, 2], [1, 1, 3], [2, 3, 1]]
+    assert det(m) == -1
+    assert leading_principal_minors(m) == [1, 0]
+    assert leading_principal_minors([[0, 1], [1, 0]]) == [0]
+
+
+def oracle_minors(matrix):
+    """`oracles.det` of each leading block, through the first zero."""
+    minors = []
+    for k in range(1, len(matrix) + 1):
+        minors.append(det([row[:k] for row in matrix[:k]]))
+        if not minors[-1]:
+            break
+    return minors
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_leading_principal_minors_match_the_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    if seed % 4 == 0:                   # a zero minor part way down
+        k = rng.randrange(n)
+        m[k][:k + 1] = [2 * x for x in m[0][:k + 1]] if k else [Fraction(0)]
+    assert leading_principal_minors(m) == oracle_minors(m)
+
+
+@pytest.mark.parametrize("system,k,degree,invariants_only", [
+    ("B3", "long=1,short=1/2", 8, True),           # the gram-invariant benchmark's matrix
+    ("A3", "all=1/2", 4, False),                   # 15 x 15 on monomials
+])
+def test_leading_principal_minors_of_gram_matrices(system, k, degree, invariants_only):
+    ctx = make_context(system, k)
+    matrix = gram_matrix(ctx, gram_basis(ctx, degree, invariants_only))
+    minors = leading_principal_minors(matrix)
+    assert len(minors) == len(matrix) and all(x > 0 for x in minors)
+    assert minors == oracle_minors(matrix)
 
 
 def test_mat_inv_roundtrip():

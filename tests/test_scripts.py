@@ -10,11 +10,16 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+# Each script as it is, and the Gram script once more on the monomial basis,
+# whose minors take the certificate past the invariants' 1 x 1 blocks.
+RUNS = [pytest.param(path, (), id=path.name) for path in sorted(SCRIPT_DIR.glob("*.py"))]
+RUNS.append(pytest.param(SCRIPT_DIR / "gram_positivity.py", ("--full",),
+                         id="gram_positivity.py --full"))
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
-def test_script_exits_zero(script):
-    proc = subprocess.run([sys.executable, str(script), "--max-degree", "1"],
+@pytest.mark.parametrize("script,extra", RUNS)
+def test_script_exits_zero(script, extra):
+    proc = subprocess.run([sys.executable, str(script), "--max-degree", "1", *extra],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
