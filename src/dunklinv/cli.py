@@ -116,6 +116,8 @@ def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
     rank = ctx.rank
     if rank < 2:
         raise ValueError(f"{args.type} has rank 1: there is no pair of operators to commute")
+    if args.max_degree < 2:
+        raise ValueError(f"--max-degree {args.max_degree}: commutators vanish below degree 2")
     check_work_bound(rank, args.max_degree, args.work_bound)
     report = Report("dunkl commute", {
         "type": args.type, "k": args.k, "max_degree": args.max_degree,
@@ -183,6 +185,7 @@ def cmd_dunkl_apply(args: argparse.Namespace) -> Report:
     ctx = make_context(args.type, args.k)
     xi = [rational(part.strip()) for part in args.xi.split(",")]
     p = parse_poly(args.poly, ctx.rank)
+    check_work_bound(ctx.rank, max(p.degree(), 0), args.work_bound)
     result = dunkl_apply(ctx, xi, p)
     report = Report("dunkl apply", {
         "type": args.type, "k": args.k, "xi": args.xi, "poly": args.poly})

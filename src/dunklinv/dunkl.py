@@ -11,25 +11,28 @@ the alpha and -alpha terms coincide; the test oracle two_sided_dunkl
 so the collapse and the divisibility are checked on a path not run here.
 
 Nothing is substituted and no polynomial is divided, so no division can
-fail.  Since r_alpha x = x - alpha(x) H_alpha, the divided difference has
-two exact forms.  Taylor expansion along the coroot gives the finite sum
-
-    (p - r_alpha p) / alpha = sum_{j >= 1} (-alpha)^(j-1) / j! d_{H_alpha}^j p,
-
-evaluated Horner-style; it needs nothing but p, so `dunkl_apply` (and with
-it `dunkl_compose` and the commutator checks) uses it on any polynomial.
-Since r_alpha is a ring map with r_alpha x_i = x_i - H_alpha[i] alpha,
+fail.  Since r_alpha is a ring map with r_alpha x_i = x_i - H_alpha[i] alpha,
+the divided difference obeys the product rule
 
     (x_i c - r_alpha(x_i c)) / alpha
         = H_alpha[i] c + (x_i - H_alpha[i] alpha) (c - r_alpha c) / alpha,
 
-which is x_i times the lower quotient when H_alpha[i] = 0.  `gram_matrix`
-visits every monomial of every degree anyway, so it uses this product rule:
-each quotient costs one linear form times a quotient one degree down, where
-the Taylor sum rebuilds the whole tower of derivatives.  For one polynomial
-the product rule would first need the quotients of all divisors of its
-monomials, which is slower than the Taylor sum; kept apart, each form is
-also an independent check on the other.
+which is x_i times the lower quotient when H_alpha[i] = 0.  This is the one
+form of the divided difference here.  A context keeps, for every monomial c
+it has met and every acting root (k_alpha != 0), the quotient of c as int
+terms in a flat tuple (a dict per quotient took three times the memory: 0.33
+against 0.11 MB after a B3 degree-8 Gram matrix).  It peels c = x_i c', x_i
+the lowest-index variable, down to the first monomial it already holds and
+climbs back by the product rule, so each quotient costs one linear form
+times a quotient one degree down and is computed once per context.
+`dunkl_apply` (and with it `dunkl_compose` and the commutator checks) sums
+the quotients of p's monomials; `gram_matrix`, which visits every monomial
+of every degree, reads them degree by degree.  The Taylor expansion along
+the coroot,
+
+    (p - r_alpha p) / alpha = sum_{j >= 1} (-alpha)^(j-1) / j! d_{H_alpha}^j p,
+
+is the test oracle taylor_dunkl (tests/oracles.py).
 
 p(T) substitutes a commuting Dunkl operator for each coordinate: coordinate
 x_i is paired with the direction dual to it under the root system's
@@ -47,24 +50,24 @@ and on monomials of degree e the row of x_i m is the row of m in G_{e-1}
 times the matrix of T_i (Dunkl and Xu, *Orthogonal Polynomials of Several
 Variables*, ch. 7).  `gram_matrix` starts from G_0 = [1], peels the
 lowest-index variable off each monomial, and needs T_i only on single
-monomials; each root's divided difference of a monomial comes from the
-product rule above with the same peel and is shared by every direction.
-It holds G_e = N_e / s_e with N_e an integer matrix, fraction-free as in
-Bareiss's elimination.  With D the lcm of the denominators of the dual
-directions and of the weights k_alpha alpha(xi_i), and R that of H_alpha and
-the reflected variables r_alpha x_i (1 on every supported system), the
-tables hold R^e times the quotients, D R^e T_i is integral and
-s_e = D R^e s_{e-1}.  The pairing vanishes across degrees, so a basis is
-paired one homogeneous component at a time, scaled to integers by one lcm.
+monomials, whose divided differences the context's memo holds and every
+direction shares.  It holds G_e = N_e / s_e with N_e an integer matrix,
+fraction-free as in Bareiss's elimination.  With R the lcm of the
+denominators of H_alpha and the reflected variables r_alpha x_i (1 on every
+supported system), the memo holds R^|c| times the quotient of c; with D
+that of the dual directions and of the weights k_alpha alpha(xi_i),
+D R^e T_i is integral on degree e and s_e = D R^e s_{e-1}.  The pairing
+vanishes across degrees, so a basis is paired one homogeneous component at a
+time, scaled to integers by one lcm.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .exactalg import Monomial, Polynomial, monomials_of_degree, rational
@@ -73,54 +76,59 @@ from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, generate_we
 
 
 class DunklContext:
-    """A root system, its Weyl group, and a multiplicity assignment."""
+    """A root system, its Weyl group, a multiplicity assignment, and the memo
+    of divided differences of monomials (see the module docstring)."""
 
     def __init__(self, rs: RootSystem, weyl: WeylGroup, k: MultiplicityAssignment):
         self.rs = rs
         self.weyl = weyl
         self.k = k
         by_label = self.k.resolve(self.rs)
-        self._terms = []
-        for idx in self.rs.positive_indivisible():
-            k_alpha = by_label[self.rs.orbit_labels[idx]]
-            self._terms.append((k_alpha,
-                                self.rs.roots[idx],
-                                Polynomial.linear_form([-a for a in self.rs.roots[idx]]),
-                                self.rs.coroots[idx]))
-        form_inv = linalg.mat_inv(self.rs.form)
-        self._dual_directions = [[row[i] for row in form_inv] for i in range(self.rs.rank)]
+        # (index, k_alpha) of each acting root: positive, indivisible, k_alpha != 0
+        self._acting = [(idx, by_label[rs.orbit_labels[idx]])
+                        for idx in rs.positive_indivisible() if by_label[rs.orbit_labels[idx]]]
+        self._r = lcm(*((h * a).denominator for idx, _ in self._acting
+                        for h in rs.coroots[idx] for a in (1, *rs.roots[idx])))
+        self._reflected = [_reflected_variables(rs.roots[idx], rs.coroots[idx], self._r)
+                           for idx, _ in self._acting]
+        one = (0,) * rs.rank
+        self._monomials = {one: one}                # one tuple per monomial met
+        # c -> R^|c| (c - r_alpha c) / alpha for each acting root; those of 1 vanish
+        self._quotients = {one: tuple(() for _ in self._acting)}
+        form_inv = linalg.mat_inv(rs.form)
+        self._dual_directions = [[row[i] for row in form_inv] for i in range(rs.rank)]
 
     @property
     def rank(self) -> int:
         return self.rs.rank
 
+    def _weights(self, xi: Sequence[Fraction]) -> list[Fraction]:
+        """k_alpha alpha(xi) for each acting root."""
+        return [k_alpha * sum((a * c for a, c in zip(self.rs.roots[idx], xi)), Fraction(0))
+                for idx, k_alpha in self._acting]
 
-def _divided_difference(p: Polynomial, minus_alpha: Polynomial, coroot) -> Polynomial:
-    """(p - r_alpha p) / alpha = sum_j (-alpha)^(j-1) q_j, q_j = d_H^j p / j!, by Horner."""
-    q = [p]
-    while q[-1]:
-        q.append(q[-1].directional_derivative([h / len(q) for h in coroot]))
-    total = Polynomial.zero(p.ambient_dim)
-    for term in reversed(q[1:-1]):
-        total = term + minus_alpha * total
-    return total
+    def _quotients_of(self, c: Monomial) -> tuple[tuple, ...]:
+        """R^|c| (c - r_alpha c) / alpha for each acting root, as int terms
+        stored flat (see `_pairs`).
 
-
-def _root_weights(ctx: DunklContext, directions: Sequence[Sequence[Fraction]]) -> list:
-    """(alpha, -alpha, H_alpha, [k_alpha alpha(xi) for xi in directions]) for each root
-    that acts, alpha as its row of coefficients and -alpha as a polynomial.
-
-    A root drops out when k_alpha = 0 or when alpha(xi) = 0 for every direction.
-    """
-    out = []
-    for k_alpha, row, minus_alpha, coroot in ctx._terms:
-        if not k_alpha:
-            continue
-        weights = [k_alpha * sum((a * c for a, c in zip(row, xi)), Fraction(0))
-                   for xi in directions]
-        if any(weights):
-            out.append((row, minus_alpha, coroot, weights))
-    return out
+        The peels of c not yet held are walked down, then filled in bottom-up
+        by `_product_rule`; no recursion, so the depth is |c| at most.
+        """
+        memo, canonical = self._quotients, self._monomials
+        peels = []
+        while c not in memo:
+            i, rest = _peel(c)
+            peels.append((c, i))
+            c = rest
+        rest = canonical[c]
+        lift = self._r ** sum(rest)
+        for c, i in reversed(peels):
+            c = canonical.setdefault(c, c)
+            memo[c] = tuple(_product_rule(lift * variables[i][0], variables[i][1], rest, lower,
+                                          canonical)
+                            for variables, lower in zip(self._reflected, memo[rest]))
+            rest, lift = c, lift * self._r
+        return memo[rest]
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) -> Polynomial:
@@ -129,9 +137,18 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) 
         raise ValueError(f"direction of length {len(xi)} for rank {ctx.rank}")
     xi = [rational(c) for c in xi]
     image = p.directional_derivative(xi)
-    for _, minus_alpha, coroot, (weight,) in _root_weights(ctx, [xi]):
-        image = image + _divided_difference(p, minus_alpha, coroot) * weight
-    return image
+    weights = ctx._weights(xi)
+    if not any(weights):
+        return image
+    terms: dict = defaultdict(Fraction)
+    for c, coeff in p.terms.items():
+        scale = coeff / ctx._r ** sum(c)
+        for weight, quotient in zip(weights, ctx._quotients_of(c)):
+            if weight:
+                factor = weight * scale
+                for t, q in _pairs(quotient):
+                    terms[t] += factor * q
+    return image + Polynomial(ctx.rank, terms)
 
 
 def dunkl_compose(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -147,13 +164,8 @@ def dunkl_compose(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Polynomial
     for mono, coeff in p.terms.items():
         current = q
         for var in reversed(range(ctx.rank)):
-            direction = ctx._dual_directions[var]
             for _ in range(mono[var]):
-                current = dunkl_apply(ctx, direction, current)
-                if not current:
-                    break
-            if not current:
-                break
+                current = dunkl_apply(ctx, ctx._dual_directions[var], current)
         total = total + current * coeff
     return total
 
@@ -177,9 +189,9 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
     """Gram matrix of the pairing on a basis, such as one from `gram_basis`.
 
     Built by recursion on degree through <x_i m, c> = <m, T_i c>, with each
-    divided difference (c - r_alpha c) / alpha taken from the degree below by
-    the product rule, each G_e held as N_e / s_e with N_e integral (see the
-    module docstring).  Two degrees of tables are held at once; bases may mix degrees.
+    divided difference (c - r_alpha c) / alpha read from the context's memo
+    and each G_e held as N_e / s_e with N_e integral (see the module
+    docstring).  Two degrees of N are held at once; bases may mix degrees.
     """
     if any(b.ambient_dim != ctx.rank for b in basis):
         raise ValueError("polynomials must live on the reflection representation")
@@ -191,28 +203,17 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
             den = lcm(*(c.denominator for c in terms.values()))
             components[e][j] = den, {m: int(den * coeff) for m, coeff in terms.items()}
     matrix = [[Fraction(0)] * len(basis) for _ in basis]
-    acting = _root_weights(ctx, ctx._dual_directions)
-    d = lcm(*(x.denominator for row in [*ctx._dual_directions, *(w for *_, w in acting)]
-              for x in row))
-    r = lcm(*((h * a).denominator for alpha, _, coroot, _ in acting
-              for h in coroot for a in (1, *alpha)))
+    weights = list(zip(*map(ctx._weights, ctx._dual_directions)))     # one row per root
+    d = lcm(*(x.denominator for row in [*ctx._dual_directions, *weights] for x in row))
     directions = [[int(d * x) for x in xi] for xi in ctx._dual_directions]
-    roots = [([int(d * w) for w in weights], _reflected_variables(alpha, coroot, r))
-             for alpha, _, coroot, weights in acting]
+    weights = [[int(d * w) for w in row] for row in weights]
     one = (0,) * ctx.rank
     gram, scale = {one: {one: 1}}, 1                # N_0 as sparse rows, s_0
-    quotients = [{one: {}} for _ in roots]          # divided differences of 1 vanish
-    canonical = {one: one}                          # the degree-(e-1) monomials
     for e in range(max(components, default=-1) + 1):
         if e:
-            monos = monomials_of_degree(ctx.rank, e)
-            for n, (_, reflected) in enumerate(roots):      # frees each lower table
-                quotients[n] = _next_quotients(monos, quotients[n], reflected, canonical,
-                                               r ** (e - 1))
-            gram = _next_gram(monos, gram, [[r ** e * x for x in xi] for xi in directions],
-                              roots, quotients)
-            canonical = {m: m for m in monos}
-            scale *= d * r ** e
+            gram = _next_gram(ctx, monomials_of_degree(ctx.rank, e), gram,
+                              [[ctx._r ** e * x for x in xi] for xi in directions], weights)
+            scale *= d * ctx._r ** e
         for j, (den_j, row_terms) in components.get(e, {}).items():
             paired: dict = defaultdict(int)         # basis[j]'s scaled degree-e part times N_e
             for m, coeff in row_terms.items():
@@ -231,9 +232,16 @@ def _peel(m: Monomial) -> tuple[int, Monomial]:
     return i, m[:i] + (m[i] - 1,) + m[i + 1:]
 
 
-def _times_variable(m: Monomial, j: int) -> Monomial:
-    """x_j m."""
-    return m[:j] + (m[j] + 1,) + m[j + 1:]
+def _pairs(flat: tuple) -> Iterator[tuple[Monomial, int]]:
+    """The (monomial, coefficient) terms of a quotient held flat as m1, q1, m2, q2, ..."""
+    it = iter(flat)
+    return zip(it, it)
+
+
+def _times_variable(m: Monomial, j: int, canonical: dict) -> Monomial:
+    """x_j m, as the one tuple `canonical` holds for it."""
+    mono = m[:j] + (m[j] + 1,) + m[j + 1:]
+    return canonical.setdefault(mono, mono)
 
 
 def _reflected_variables(alpha, coroot, r: int) -> list[tuple]:
@@ -246,48 +254,32 @@ def _reflected_variables(alpha, coroot, r: int) -> list[tuple]:
             for h, row in zip(coroot, reflection_matrix(alpha, coroot))]
 
 
-def _product_rule(h, reflected: list, rest: Monomial, lower: dict, canonical: dict) -> dict:
+def _product_rule(h, reflected: list, rest: Monomial, lower: tuple, canonical: dict) -> tuple:
     """Terms of (c - r_alpha c) / alpha for c = x_i c', from lower = that quotient of c'.
 
     r_alpha(x_i c') = r_alpha(x_i) r_alpha(c') and r_alpha c' = c' - alpha q'
-    give H_alpha[i] c' + r_alpha(x_i) q' (scaled as in `gram_matrix`); with
-    h = 0 this is x_i q'.  Monomials come from `canonical`, one tuple each.
+    give H_alpha[i] c' + r_alpha(x_i) q' (scaled as in the memo); with h = 0
+    this is x_i q'.  Monomials come from `canonical`, one tuple each; the
+    terms are returned flat, as `_pairs` reads them.
     """
-    if not h:
-        ((i, a),) = reflected
-        return {canonical[_times_variable(t, i)]: a * q for t, q in lower.items()}
-    out = {rest: h}
-    for t, q in lower.items():
+    out = {rest: h} if h else {}
+    for t, q in _pairs(lower):
         for j, a in reflected:
-            mono = canonical[_times_variable(t, j)]
+            mono = _times_variable(t, j, canonical)
             acc = out.get(mono, 0) + a * q
             if acc:
                 out[mono] = acc
             else:
                 del out[mono]
-    return out
+    return tuple(chain.from_iterable(out.items()))
 
 
-def _next_quotients(monos: Sequence[Monomial], lower: dict, reflected: list,
-                    canonical: dict, lift: int) -> dict:
-    """One root's divided differences on the degree-e monomials, from degree e-1.
-
-    lift = R^(e-1) (see `gram_matrix`); canonical maps each degree-(e-1) monomial to itself.
-    """
-    table = {}
-    for c in monos:
-        i, rest = _peel(c)
-        h, form = reflected[i]
-        table[c] = _product_rule(lift * h, form, canonical[rest], lower[rest], canonical)
-    return table
-
-
-def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
-               quotients: list) -> dict:
+def _next_gram(ctx: DunklContext, monos: Sequence[Monomial], previous: dict, directions,
+               weights) -> dict:
     """N_e from N_{e-1}: row x_i m' is row m' of N_{e-1} times D R^e T_i, i lowest in x_i m'.
 
     T_i c = d_i c + sum_alpha k_alpha alpha(xi_i) (c - r_alpha c) / alpha, the
-    quotients read from this degree's tables; with `directions` scaled by D R^e
+    quotients read from the context's memo; with `directions` scaled by D R^e
     and the weights by D, every sum is over ints.  N_e is filled one column c
     at a time, so only the images of one monomial are held.
     """
@@ -304,11 +296,10 @@ def _next_gram(monos: Sequence[Monomial], previous: dict, directions, roots,
                 if xi[v]:
                     image[c[:v] + (c[v] - 1,) + c[v + 1:]] += c[v] * xi[v]
             images.append(image)
-        for (weights, _), table in zip(roots, quotients):
-            quot = table[c]
-            for image, w in zip(images, weights):
+        for root_weights, quot in zip(weights, ctx._quotients_of(c)):
+            for image, w in zip(images, root_weights):
                 if w:
-                    for t, q in quot.items():
+                    for t, q in _pairs(quot):
                         image[t] += w * q
         for row, i, lower in rows:
             entry = sum(lower[t] * coeff for t, coeff in images[i].items() if t in lower)

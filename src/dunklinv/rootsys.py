@@ -133,7 +133,10 @@ class MultiplicityAssignment(Frozen):
             if "=" not in piece:
                 raise ValueError(f"bad multiplicity piece {piece!r}; expected label=value")
             label, _, raw = piece.partition("=")
-            values[label.strip()] = rational(raw.strip())
+            label = label.strip()
+            if label in values:
+                raise ValueError(f"orbit label {label!r} given twice")
+            values[label] = rational(raw.strip())
         return cls(values)
 
     def resolve(self, rs: RootSystem) -> dict[str, Fraction]:

@@ -1,10 +1,14 @@
 """Independent oracles used only by the tests.
 
-Everything here is deliberately written against closed forms or plain
-derivative composition, sharing no code with the operator implementations
-it checks.  The last section holds the checks and helpers that only tests
-call: the pairing and the identities it satisfies, the group action on
-polynomials and eager group closure.
+Everything here is deliberately written against closed forms, plain
+derivative composition, reflection and division, or the Taylor form of the
+divided difference, sharing no code with the operator implementations it
+checks.  `taylor_dunkl` is the second form of T_xi: the package keeps only
+the product-rule quotients, and the Gram oracles `composed_gram` and
+`dunkl_pairing` compose through the Taylor form instead.  The last section
+holds the checks and helpers that only tests call: the pairing and the
+identities it satisfies, the group action on polynomials and eager group
+closure.
 """
 
 from fractions import Fraction
@@ -62,6 +66,39 @@ def two_sided_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
             quotient, remainder = divide_with_remainder(diff, Polynomial.linear_form(alpha))
             assert not remainder, f"{alpha} does not divide p - r_alpha p"
             result = result + quotient * weight
+    return result
+
+
+def taylor_divided_difference(p: Polynomial, alpha, coroot) -> Polynomial:
+    """(p - r_alpha p) / alpha by Taylor expansion along the coroot,
+
+        sum_{j >= 1} (-alpha)^(j-1) q_j,   q_j = d_{H_alpha}^j p / j!,
+
+    summed Horner-style: derivatives and products only, no reflection, no
+    division and no product rule."""
+    minus_alpha = Polynomial.linear_form([-a for a in alpha])
+    q = [p]
+    while q[-1]:
+        q.append(q[-1].directional_derivative([h / len(q) for h in coroot]))
+    total = Polynomial.zero(p.ambient_dim)
+    for term in reversed(q[1:-1]):
+        total = term + minus_alpha * total
+    return total
+
+
+def taylor_dunkl(rs, k, xi, p: Polynomial) -> Polynomial:
+    """T_xi p = d_xi p + sum_{alpha > 0} k_alpha alpha(xi) (p - r_alpha p) / alpha,
+    one `taylor_divided_difference` per positive indivisible root, built from
+    the root table and the resolved multiplicities alone."""
+    k_by_label = k.resolve(rs)
+    xi = [rational(c) for c in xi]
+    result = p.directional_derivative(xi)
+    for idx in rs.positive_indivisible():
+        alpha = rs.roots[idx]
+        weight = k_by_label[rs.orbit_labels[idx]] * sum(
+            (a * c for a, c in zip(alpha, xi)), Fraction(0))
+        if weight:
+            result = result + taylor_divided_difference(p, alpha, rs.coroots[idx]) * weight
     return result
 
 
@@ -507,15 +544,25 @@ def seeded_polynomials(rng, dim: int, max_degree: int, count: int,
 
 
 def composed_gram(ctx, basis) -> list[list[Fraction]]:
-    """Gram matrix entry by entry: one full operator composition p(T) q per pair."""
+    """Gram matrix entry by entry: one full Taylor-form composition p(T) q per pair."""
     return [[dunkl_pairing(ctx, b, c) for c in basis] for b in basis]
 
 
 # -- test-only API: the pairing, its identities, the group action ----------------
 
 def dunkl_pairing(ctx, p: Polynomial, q: Polynomial) -> Fraction:
-    """<p, q> = (p(T) q)(0); symmetric, zero across distinct homogeneous degrees."""
-    return dunkl_compose(ctx, p, q).evaluate_at_zero()
+    """<p, q> = (p(T) q)(0), each T from `taylor_dunkl`: x_i acts along the
+    form-dual of e_i, column i of the inverse form.  Symmetric, and zero
+    across distinct homogeneous degrees."""
+    directions = transpose(mat_inv(ctx.rs.form))
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        current = q
+        for var, exp in reversed(list(enumerate(mono))):
+            for _ in range(exp):
+                current = taylor_dunkl(ctx.rs, ctx.k, directions[var], current)
+        total += coeff * current.evaluate_at_zero()
+    return total
 
 
 def invariant_stability_check(ctx, p: Polynomial, q: Polynomial) -> bool:

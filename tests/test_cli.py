@@ -10,7 +10,9 @@ import pytest
 from dunklinv import cli
 from dunklinv.cli import EXIT_BOUND, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, main
 from dunklinv.restriction import RestrictionError
+from dunklinv.exactalg import render
 from dunklinv.rootsys import WeylClosureError, invariant_basis
+from oracles import a1_dunkl_monomial
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -61,6 +63,15 @@ def test_exit_two_on_bad_multiplicities(capsys):
     assert "short" in err
 
 
+def test_exit_two_on_repeated_orbit_label(capsys):
+    # The second long= would otherwise silently replace the first.
+    code, out, err = run(capsys, "dunkl", "gram", "--type", "B2",
+                         "--k", "long=1,long=0,short=1", "--degree", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'long' given twice" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("dunkl", "gram", "--type", "A2", "--k", "all=1/0"),
     ("dunkl", "apply", "--type", "A2", "--k", "all=1", "--xi", "1/0,1", "--poly", "x1"),
@@ -78,6 +89,10 @@ MEANINGLESS = [
     ("dunkl", "gram", "--type", "A1", "--k", "all=1", "--degree", "-1"),
     ("chevalley", "check", "--algebra", "sl2", "--max-degree", "-1"),
     ("dunkl", "commute", "--type", "A1", "--k", "all=1"),
+    # Below degree 2 every T_j p is constant, so every commutator vanishes.
+    ("dunkl", "commute", "--type", "A2", "--k", "all=1", "--max-degree", "0"),
+    ("dunkl", "commute", "--type", "B2", "--k", "long=1,short=2", "--max-degree", "1",
+     "--random", "3"),
     # No computation fits a work bound below 1: degree 0 alone has dimension 1.
     ("--work-bound", "0", "chevalley", "check", "--algebra", "sl2", "--max-degree", "1"),
     ("--work-bound", "-1", "dunkl", "gram", "--type", "A2", "--k", "all=1", "--degree", "0"),
@@ -135,6 +150,27 @@ def test_exit_three_when_dunkl_space_exceeds_work_bound(capsys, action, degree_f
     assert code == EXIT_BOUND
     assert out == ""
     assert "dimension 4 > 1" in err and "Traceback" not in err
+
+
+def test_exit_three_when_dunkl_apply_exceeds_work_bound(capsys):
+    # The degree of p sets the monomial space, as the degree does for gram.
+    code, out, err = run(capsys, "dunkl", "apply", "--type", "B3", "--k", "long=1,short=1/2",
+                         "--xi", "1,0,0", "--poly", "x1^300 x2 - 2/3 x3^300")
+    assert code == EXIT_BOUND
+    assert out == ""
+    assert "dimension 45753 > 20000" in err and "Traceback" not in err
+    code, _, _ = run(capsys, "--work-bound", "1", "dunkl", "apply", "--type", "A2",
+                     "--k", "all=1", "--xi", "1,0", "--poly", "0")
+    assert code == EXIT_PASS
+
+
+@pytest.mark.parametrize("n", [3000, 2999])
+def test_dunkl_apply_deep_monomial(capsys, n):
+    # Every peel of x1^n enters the quotient memo: the walk must not recurse.
+    code, data, _ = run_json(capsys, "dunkl", "apply", "--type", "A1", "--k", "all=1",
+                             "--xi", "1", "--poly", f"x1^{n}")
+    assert code == EXIT_PASS
+    assert data["cases"][0]["data"]["result"] == render(a1_dunkl_monomial(n, 1))
 
 
 def test_decimal_text_parses_exactly(capsys):

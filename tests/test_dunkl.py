@@ -22,7 +22,8 @@ from dunklinv.rootsys import (SUPPORTED, MultiplicityAssignment, RootSystem, gen
                               invariant_basis)
 from oracles import (a1_dunkl, a1_pairing, adjointness_check, apolarity, composed_gram,
                      derivative_pairing, dual_form, dunkl_pairing, equivariance_check,
-                     invariant_stability_check, seeded_polynomials, two_sided_dunkl)
+                     invariant_stability_check, seeded_polynomials, taylor_divided_difference,
+                     taylor_dunkl, two_sided_dunkl)
 
 K_VALUES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
 
@@ -86,15 +87,18 @@ TWO_SIDED_K = {"A1": "all=1/2", "A2": "all=1/2", "A3": "all=2/3",
                "D3": "all=5/4", "G2": "long=1,short=1/3"}
 
 
-@pytest.mark.parametrize("system,k", [(name, TWO_SIDED_K[name]) for name in SUPPORTED])
-def test_literal_two_sided_sum_agrees(system, k):
-    ctx = make_context(system, k)
+def assert_two_sided_sum_agrees(ctx):
     rng = random.Random(0)
     axes = [[int(i == j) for j in range(ctx.rank)] for i in range(ctx.rank)]
     slanted = [2, -3, Fraction(5, 2)][:ctx.rank]
     for p in seeded_polynomials(rng, ctx.rank, 4, 6):
         for xi in axes + [slanted]:
             assert dunkl_apply(ctx, xi, p) == two_sided_dunkl(ctx.rs, ctx.k, xi, p)
+
+
+@pytest.mark.parametrize("system,k", [(name, TWO_SIDED_K[name]) for name in SUPPORTED])
+def test_literal_two_sided_sum_agrees(system, k):
+    assert_two_sided_sum_agrees(make_context(system, k))
 
 
 def test_operator_runs_without_substitution_or_division(monkeypatch):
@@ -113,6 +117,32 @@ def test_operator_runs_without_substitution_or_division(monkeypatch):
     assert len(matrix) == 10
     assert all(matrix[i][j] == matrix[j][i] for i in range(10) for j in range(10))
     assert all(matrix[i][i] > 0 for i in range(10))
+
+
+def test_operator_computes_each_quotient_once(monkeypatch):
+    # T_xi reads the context's memo: one product-rule quotient per (acting
+    # root, monomial on the peel chains of p's monomials), whatever the
+    # direction and however often it is applied.
+    calls = []
+    real = dunkl._product_rule
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dunkl, "_product_rule", counted)
+    ctx = make_context("B3", "long=1,short=1/2")
+    p = parse("x1^3 x2 - 2 x2 x3^2 + 1/3 x1 x3", 3)
+    image = dunkl_apply(ctx, [1, 0, 0], p)
+    # x1^3 x2 -> x1^2 x2 -> x1 x2 -> x2, x2 x3^2 -> x3^2 -> x3 and x1 x3 -> x3
+    held = {(3, 1, 0), (2, 1, 0), (1, 1, 0), (0, 1, 0), (0, 1, 2), (0, 0, 2), (0, 0, 1),
+            (1, 0, 1)}
+    assert set(ctx._quotients) == held | {(0, 0, 0)}
+    assert len(calls) == len(ctx._acting) * len(held) == 9 * 8
+    for xi in ([0, 1, 0], [1, -2, 3], [1, 0, 0]):
+        assert dunkl_apply(ctx, xi, p) == taylor_dunkl(ctx.rs, ctx.k, xi, p)
+    assert dunkl_apply(ctx, [1, 0, 0], p) == image
+    assert len(calls) == 9 * 8
 
 
 def test_float_direction_rejected():
@@ -150,6 +180,7 @@ def sympy_divided_difference(sympy, rs, idx):
 
 
 def test_divided_difference_matches_sympy():
+    # The Taylor form of the oracle taylor_dunkl against sympy's cancellation.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
     for system in SUPPORTED:
@@ -157,27 +188,20 @@ def test_divided_difference_matches_sympy():
         for p in seeded_polynomials(rng, rs.rank, 4, 2):
             for idx in rs.positive_indivisible():
                 expected, to_sympy = sympy_divided_difference(sympy, rs, idx)
-                minus_alpha = Polynomial.linear_form([-a for a in rs.roots[idx]])
-                got = to_sympy(dunkl._divided_difference(p, minus_alpha, rs.coroots[idx]))
+                got = to_sympy(taylor_divided_difference(p, rs.roots[idx], rs.coroots[idx]))
                 assert sympy.expand(got - expected(p)) == 0, (system, rs.roots[idx], p)
 
 
-def gram_quotient_tables(monkeypatch, ctx, degree):
-    """The per-degree quotient tables gram_matrix carries on the degree-d monomials,
-    as [(monomials, [(minus_alpha, coroot, {monomial: terms}) per acting root])]."""
-    acting = dunkl._root_weights(ctx, ctx._dual_directions)
-    seen = []
-    real = dunkl._next_gram
-
-    def spy(monos, previous, directions, roots, quotients):
-        seen.append((monos, [(minus_alpha, coroot, table) for (_, minus_alpha, coroot, _), table
-                             in zip(acting, quotients, strict=True)]))
-        return real(monos, previous, directions, roots, quotients)
-
-    monkeypatch.setattr(dunkl, "_next_gram", spy)
+def gram_quotient_tables(ctx, degree):
+    """The context's memo after a degree-d monomial Gram matrix, by degree:
+    [(degree-e monomials, [(root index, {monomial: terms}) per acting root])]
+    for e = 1..d.  The memo must hold exactly the monomials of degree <= d."""
     gram_matrix(ctx, gram_basis(ctx, degree, invariants_only=False))
-    monkeypatch.undo()
-    return seen
+    layers = [monomials_of_degree(ctx.rank, e) for e in range(degree + 1)]
+    assert set(ctx._quotients) == {c for monos in layers for c in monos}
+    return [(monos, [(idx, {c: dict(dunkl._pairs(ctx._quotients[c][n])) for c in monos})
+                     for n, (idx, _) in enumerate(ctx._acting)])
+            for monos in layers[1:]]
 
 
 QUOTIENT_K = [(name, "all=1") for name in SUPPORTED] + \
@@ -186,46 +210,46 @@ QUOTIENT_K = [(name, "all=1") for name in SUPPORTED] + \
 
 
 @pytest.mark.parametrize("system,k", QUOTIENT_K)
-def test_gram_quotients_match_taylor_form(monkeypatch, system, k):
-    # The product-rule tables against the Taylor form, at every monomial of
-    # degree 1..6 (degree 0 is the seed: the quotient of 1 vanishes).
+def test_gram_quotients_match_taylor_form(system, k):
+    # The memo's product-rule quotients against the Taylor form of the oracle,
+    # at every monomial of degree 1..6 (degree 0 is the seed: the quotient of
+    # 1 vanishes).  The memo holds R^|c| times the quotient of c.
     ctx = make_context(system, k)
     zero_labels = {label for label, value in ctx.k.resolve(ctx.rs).items() if not value}
     expected_acting = [idx for idx in ctx.rs.positive_indivisible()
                        if ctx.rs.orbit_labels[idx] not in zero_labels]
-    tables = gram_quotient_tables(monkeypatch, ctx, 6)
+    tables = gram_quotient_tables(ctx, 6)
     assert [len(monos) for monos, _ in tables] == \
         [len(monomials_of_degree(ctx.rank, e)) for e in range(1, 7)]
     one = Polynomial.constant(ctx.rank, 1)
     short_branch = False
     for monos, roots in tables:
-        assert len(roots) == len(expected_acting)
-        for minus_alpha, coroot, table in roots:
-            assert not dunkl._divided_difference(one, minus_alpha, coroot)
+        assert [idx for idx, _ in roots] == expected_acting
+        for idx, table in roots:
+            alpha, coroot = ctx.rs.roots[idx], ctx.rs.coroots[idx]
+            assert not taylor_divided_difference(one, alpha, coroot)
             assert set(table) == set(monos)
             for c in monos:
                 short_branch |= not coroot[next(v for v, e in enumerate(c) if e)]
                 p = Polynomial(ctx.rank, {c: Fraction(1)})
                 assert Polynomial(ctx.rank, table[c]) == \
-                    dunkl._divided_difference(p, minus_alpha, coroot), (c, coroot)
+                    taylor_divided_difference(p, alpha, coroot) * ctx._r ** sum(c), (c, coroot)
                 assert all(table[c].values())
     assert short_branch or ctx.rank == 1       # H_alpha[i] = 0 for some peeled x_i
 
 
 @pytest.mark.parametrize("system,k", [("A3", "all=1"), ("B3", "long=0,short=1"),
                                       ("G2", "all=1")])
-def test_gram_quotients_match_sympy(monkeypatch, system, k):
+def test_gram_quotients_match_sympy(system, k):
     sympy = pytest.importorskip("sympy")
     ctx = make_context(system, k)
-    coroot_index = {tuple(ctx.rs.coroots[idx]): idx for idx in ctx.rs.positive_indivisible()}
-    for monos, roots in gram_quotient_tables(monkeypatch, ctx, 4):
-        for _, coroot, table in roots:
-            expected, to_sympy = sympy_divided_difference(sympy, ctx.rs,
-                                                          coroot_index[tuple(coroot)])
+    for monos, roots in gram_quotient_tables(ctx, 4):
+        for idx, table in roots:
+            expected, to_sympy = sympy_divided_difference(sympy, ctx.rs, idx)
             for c in monos:
-                got = to_sympy(Polynomial(ctx.rank, table[c]))
+                got = to_sympy(Polynomial(ctx.rank, table[c]) / ctx._r ** sum(c))
                 p = Polynomial(ctx.rank, {c: Fraction(1)})
-                assert sympy.expand(got - expected(p)) == 0, (system, coroot, c)
+                assert sympy.expand(got - expected(p)) == 0, (system, ctx.rs.coroots[idx], c)
 
 
 def test_direction_length_checked():
@@ -432,6 +456,13 @@ SCALING_CONTEXTS = {
 
 
 @pytest.mark.parametrize("name", sorted(SCALING_CONTEXTS))
+def test_literal_two_sided_sum_agrees_beyond_unit_scaling(name):
+    # The custom realizations have R = 3 or 15: the memo holds R^|c| times
+    # each quotient, which T_xi must divide out at every degree.
+    assert_two_sided_sum_agrees(SCALING_CONTEXTS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_CONTEXTS))
 def test_gram_scaling_matches_composition_oracle(name):
     ctx = SCALING_CONTEXTS[name]()
     for d in range(5):
@@ -462,10 +493,10 @@ def test_gram_empty_basis_and_wrong_ring():
 
 
 def test_gram_work_guard(monkeypatch):
-    # One product-rule quotient per (acting root, monomial of degree 1..4), no
-    # Taylor divided difference and no operator composition: a fall-back to
-    # either fails here.  B3 with a zero long orbit acts through its 3 short
-    # roots only.
+    # One product-rule quotient per (acting root, monomial of degree 1..4) and
+    # no operator composition: a fall-back to composition fails here.  B3 with
+    # a zero long orbit acts through its 3 short roots only.  The quotients
+    # stay in the context's memo: a second Gram matrix computes none again.
     calls = []
     real = dunkl._product_rule
 
@@ -474,17 +505,18 @@ def test_gram_work_guard(monkeypatch):
         return real(*args)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("gram_matrix must use neither the Taylor form nor composition")
+        raise AssertionError("gram_matrix must not compose operators")
 
     monkeypatch.setattr(dunkl, "_product_rule", counted)
-    monkeypatch.setattr(dunkl, "_divided_difference", forbidden)
     monkeypatch.setattr(dunkl, "dunkl_compose", forbidden)
     monkeypatch.setattr(dunkl, "dunkl_apply", forbidden)
     for system, k, acting in (("A3", "all=1/2", 6), ("B3", "long=0,short=1", 3)):
         ctx = make_context(system, k)
         calls.clear()
         gram_matrix(ctx, gram_basis(ctx, 4, invariants_only=False))
-        assert len(dunkl._root_weights(ctx, ctx._dual_directions)) == acting
+        assert len(ctx._acting) == acting
+        assert len(calls) == acting * sum(comb(e + 2, 2) for e in range(1, 5)), system
+        gram_matrix(ctx, gram_basis(ctx, 4, invariants_only=True))
         assert len(calls) == acting * sum(comb(e + 2, 2) for e in range(1, 5)), system
 
     # The recursion holds integer rows only: no Fraction enters _next_gram's output.

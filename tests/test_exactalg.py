@@ -399,7 +399,7 @@ ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
 def test_values_survive_pickling_and_copying(how):
     # Each copy is rebuilt through the validating constructor: an equal,
     # still immutable polynomial, also inside the values that hold them.
-    from dunklinv.dunkl import make_context
+    from dunklinv.dunkl import dunkl_apply, make_context
     from dunklinv.liealg import invariants_graded, make_sl, takiff_extend
 
     round_trip = ROUND_TRIPS[how]
@@ -413,11 +413,15 @@ def test_values_survive_pickling_and_copying(how):
     assert space.dim > 0 and round_trip(space) == space
     ctx = make_context("B3", "long=1,short=1/2")
     ctx.weyl.elements
+    image = dunkl_apply(ctx, [1, 0, 0], p)          # fills part of the quotient memo
     copied = round_trip(ctx)
     assert copied is not ctx
-    assert (copied.rs, copied.weyl, copied.k, copied._terms, copied._dual_directions) == \
-        (ctx.rs, ctx.weyl, ctx.k, ctx._terms, ctx._dual_directions)
+    assert (copied.rs, copied.weyl, copied.k, copied._acting, copied._r, copied._reflected,
+            copied._quotients, copied._dual_directions) == \
+        (ctx.rs, ctx.weyl, ctx.k, ctx._acting, ctx._r, ctx._reflected,
+         ctx._quotients, ctx._dual_directions)
     assert copied.weyl.elements == ctx.weyl.elements
+    assert dunkl_apply(copied, [1, 0, 0], p) == image
 
 
 def test_power_and_scalar_division():

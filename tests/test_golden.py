@@ -5,10 +5,11 @@ of its JSON report without `wall_time_ms`, in the layout `perfbench/run.py`
 hashes.  The cases reach what the benchmark's three argvs do not: unequal
 and zero orbits, the types C, D and G and rank 1, degrees away from 4 and 8,
 multiplicities whose denominators the integer Gram recursion must clear,
-`dunkl apply` (also on the non-orthogonal G2 realization) and `dunkl
-commute`, Takiff invariants of sl3 (at m = 2 on 24 variables) and of sl2 at
-m = 3, the restriction image at m = 1, of sl2 at m = 2 up to degree 8 and of
-sl3 at m = 1 up to degree 5 (two Weyl generators, linear-form divisors), the
+`dunkl apply` (also on the non-orthogonal G2 realization, once at degree
+16) and `dunkl commute` (on A3, and with random cases on B3 and G2), Takiff
+invariants of sl3 (at m = 2 on 24 variables) and of sl2 at m = 3, the
+restriction image at m = 1, of sl2 at m = 2 up to degree 8 and of sl3 at
+m = 1 up to degree 5 (two Weyl generators, linear-form divisors), the
 classical Chevalley check on sl3, a failing criterion on sl2, a passing one
 on sl3, one on sl3 that fails only condition 2 and one on sl3 that fails
 both at its second positive root.  `TEXT_GOLDEN` pins the text layout of
@@ -89,6 +90,17 @@ GOLDEN = [
     # changes this report.  The failing case above pins (2, -1) for condition 2.
     (("takiff", "criterion", "--poly", "u1 v1", "--algebra", "sl3", "--m", "1"), EXIT_FAIL,
      "83bfaa936bad75f22eea5c63483c7e2802f5bd5f5bc3bf7901d72e6aa9fb2c76"),
+    # Taken when T_xi still ran on the Taylor form: the commutators and a
+    # degree-16 image on two-orbit systems, now read from the quotient memo.
+    (("dunkl", "commute", "--type", "B3", "--k", "long=1,short=1/2", "--max-degree", "5",
+      "--random", "3"), EXIT_PASS,
+     "9c756b032b05ec6169eb22088fa227f8b3a4209303adc4d423bda39b25ee08d4"),
+    (("dunkl", "commute", "--type", "G2", "--k", "long=1,short=1/2", "--max-degree", "5",
+      "--random", "3"), EXIT_PASS,
+     "06ec0f36866946b8cf1255d88ea297c94adfbab0f194fd7ff0d7ab9ea03e932e"),
+    (("dunkl", "apply", "--xi", "1/2,-1", "--type", "G2", "--k", "long=1/3,short=2",
+      "--poly", "x1^16 - 3/5 x1^9 x2^7 + 2 x1^4 x2^12 + x2^16"), EXIT_PASS,
+     "ef7552c2776f9a05d5a7887d9f9b218688d8bf57435907c563cd2f989b5ece21"),
 ]
 
 
