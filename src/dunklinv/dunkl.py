@@ -19,16 +19,19 @@ the divided difference obeys the product rule
 
 which is x_i times the lower quotient when H_alpha[i] = 0.  This is the one
 form of the divided difference here.  A context keeps, for every monomial c
-it has met and every acting root (k_alpha != 0), the quotient of c as int
-terms in a flat tuple (a dict per quotient took three times the memory: 0.33
-against 0.11 MB after a B3 degree-8 Gram matrix).  It peels c = x_i c', x_i
-the lowest-index variable, down to the first monomial it already holds and
-climbs back by the product rule, so each quotient costs one linear form
-times a quotient one degree down and is computed once per context.
-`dunkl_apply` (and with it `dunkl_compose` and the commutator checks) sums
-the quotients of p's monomials; `gram_matrix`, which visits every monomial
-of every degree, reads them degree by degree.  The Taylor expansion along
-the coroot,
+it has met and every acting root (k_alpha != 0) asked for, the quotient of
+c as int terms in a flat tuple (a dict per quotient took three times the
+memory: 0.33 against 0.11 MB after a B3 degree-8 Gram matrix).  It peels
+c = x_i c', x_i the lowest-index variable, down to the first monomial that
+holds the roots asked for and climbs back by the product rule, so each
+quotient costs one linear form times a quotient one degree down and is
+computed once per context.  A direction xi asks only for the roots with
+alpha(xi) != 0.  `DunklContext._images` is the one T_xi on a monomial, in
+ints: the derivative of c plus the weighted quotients of c.
+`dunkl_apply` (and with it `dunkl_compose` and the commutator checks)
+applies it to p through `exactalg.apply_map`; `gram_matrix`, which visits
+every monomial of every degree, reads it degree by degree in `_next_gram`.
+The Taylor expansion along the coroot,
 
     (p - r_alpha p) / alpha = sum_{j >= 1} (-alpha)^(j-1) / j! d_{H_alpha}^j p,
 
@@ -70,7 +73,8 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import Monomial, Polynomial, monomials_of_degree, rational
+from .exactalg import (Monomial, Polynomial, apply_map, derivative, monomials_of_degree,
+                       rational)
 from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, generate_weyl,
                       invariant_basis, reflection_matrix, root_system)
 
@@ -93,8 +97,9 @@ class DunklContext:
                            for idx, _ in self._acting]
         one = (0,) * rs.rank
         self._monomials = {one: one}                # one tuple per monomial met
-        # c -> R^|c| (c - r_alpha c) / alpha for each acting root; those of 1 vanish
-        self._quotients = {one: tuple(() for _ in self._acting)}
+        # c -> R^|c| (c - r_alpha c) / alpha for each acting root, None until a
+        # root is asked for; those of 1 vanish
+        self._quotients = {one: [() for _ in self._acting]}
         form_inv = linalg.mat_inv(rs.form)
         self._dual_directions = [[row[i] for row in form_inv] for i in range(rs.rank)]
 
@@ -107,16 +112,43 @@ class DunklContext:
         return [k_alpha * sum((a * c for a, c in zip(self.rs.roots[idx], xi)), Fraction(0))
                 for idx, k_alpha in self._acting]
 
-    def _quotients_of(self, c: Monomial) -> tuple[tuple, ...]:
-        """R^|c| (c - r_alpha c) / alpha for each acting root, as int terms
-        stored flat (see `_pairs`).
+    def _scaled(self, directions: Sequence[Sequence[Fraction]]) -> tuple[int, list, list]:
+        """(D, D xi for each direction xi, D k_alpha alpha(xi)), all ints: the
+        weights hold one row per acting root, one entry per direction, and D is
+        the lcm of the denominators of the directions and the weights."""
+        weights = list(zip(*map(self._weights, directions)))
+        d = lcm(*(x.denominator for row in [*directions, *weights] for x in row))
+        return (d, [[int(d * x) for x in xi] for xi in directions],
+                [[int(d * w) for w in row] for row in weights])
 
-        The peels of c not yet held are walked down, then filled in bottom-up
-        by `_product_rule`; no recursion, so the depth is |c| at most.
+    def _images(self, c: Monomial, directions, weights) -> list[dict[Monomial, int]]:
+        """D R^|c| T_xi c for each direction, as int term dicts, from the D-scaled
+        directions and weights of `_scaled`: the derivative of c plus each
+        quotient of c times its weight.  Only the roots with a nonzero weight
+        are read from the memo, and filled in it."""
+        lift = self._r ** sum(c)
+        images = [derivative([lift * x for x in xi], c) for xi in directions]
+        roots = [a for a, row in enumerate(weights) if any(row)]
+        if roots:
+            quotients = self._quotients_of(c, roots)
+            for a in roots:
+                for image, w in zip(images, weights[a]):
+                    if w:
+                        for t, q in _pairs(quotients[a]):
+                            image[t] = image.get(t, 0) + w * q
+        return images
+
+    def _quotients_of(self, c: Monomial, roots: Sequence[int]) -> list:
+        """R^|c| (c - r_alpha c) / alpha for each acting root, as int terms
+        stored flat (see `_pairs`); those of the acting roots indexed by
+        `roots` are filled, the others may be None.
+
+        The peels of c that lack one of them are walked down, then filled in
+        bottom-up by `_product_rule`; no recursion, so the depth is |c| at most.
         """
         memo, canonical = self._quotients, self._monomials
         peels = []
-        while c not in memo:
+        while (held := memo.get(c)) is None or None in [held[a] for a in roots]:
             i, rest = _peel(c)
             peels.append((c, i))
             c = rest
@@ -124,9 +156,11 @@ class DunklContext:
         lift = self._r ** sum(rest)
         for c, i in reversed(peels):
             c = canonical.setdefault(c, c)
-            memo[c] = tuple(_product_rule(lift * variables[i][0], variables[i][1], rest, lower,
-                                          canonical)
-                            for variables, lower in zip(self._reflected, memo[rest]))
+            lower, held = memo[rest], memo.setdefault(c, [None] * len(self._acting))
+            for a in roots:
+                if held[a] is None:
+                    h, reflected = self._reflected[a][i]
+                    held[a] = _product_rule(lift * h, reflected, rest, lower[a], canonical)
             rest, lift = c, lift * self._r
         return memo[rest]
 
@@ -135,20 +169,11 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[Fraction | int], p: Polynomial) 
     """Apply T_xi to p; homogeneous degree d goes to homogeneous degree d-1."""
     if len(xi) != ctx.rank:
         raise ValueError(f"direction of length {len(xi)} for rank {ctx.rank}")
-    xi = [rational(c) for c in xi]
-    image = p.directional_derivative(xi)
-    weights = ctx._weights(xi)
-    if not any(weights):
-        return image
-    terms: dict = defaultdict(Fraction)
-    for c, coeff in p.terms.items():
-        scale = coeff / ctx._r ** sum(c)
-        for weight, quotient in zip(weights, ctx._quotients_of(c)):
-            if weight:
-                factor = weight * scale
-                for t, q in _pairs(quotient):
-                    terms[t] += factor * q
-    return image + Polynomial(ctx.rank, terms)
+    if p.ambient_dim != ctx.rank:
+        raise ValueError("polynomials must live on the reflection representation")
+    d, directions, weights = ctx._scaled([[rational(c) for c in xi]])
+    return apply_map(p, lambda c: ctx._images(c, directions, weights)[0],
+                     lambda e: d * ctx._r ** e)
 
 
 def dunkl_compose(ctx: DunklContext, p: Polynomial, q: Polynomial) -> Polynomial:
@@ -203,16 +228,12 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
             den = lcm(*(c.denominator for c in terms.values()))
             components[e][j] = den, {m: int(den * coeff) for m, coeff in terms.items()}
     matrix = [[Fraction(0)] * len(basis) for _ in basis]
-    weights = list(zip(*map(ctx._weights, ctx._dual_directions)))     # one row per root
-    d = lcm(*(x.denominator for row in [*ctx._dual_directions, *weights] for x in row))
-    directions = [[int(d * x) for x in xi] for xi in ctx._dual_directions]
-    weights = [[int(d * w) for w in row] for row in weights]
+    d, directions, weights = ctx._scaled(ctx._dual_directions)
     one = (0,) * ctx.rank
     gram, scale = {one: {one: 1}}, 1                # N_0 as sparse rows, s_0
     for e in range(max(components, default=-1) + 1):
         if e:
-            gram = _next_gram(ctx, monomials_of_degree(ctx.rank, e), gram,
-                              [[ctx._r ** e * x for x in xi] for xi in directions], weights)
+            gram = _next_gram(ctx, monomials_of_degree(ctx.rank, e), gram, directions, weights)
             scale *= d * ctx._r ** e
         for j, (den_j, row_terms) in components.get(e, {}).items():
             paired: dict = defaultdict(int)         # basis[j]'s scaled degree-e part times N_e
@@ -278,10 +299,9 @@ def _next_gram(ctx: DunklContext, monos: Sequence[Monomial], previous: dict, dir
                weights) -> dict:
     """N_e from N_{e-1}: row x_i m' is row m' of N_{e-1} times D R^e T_i, i lowest in x_i m'.
 
-    T_i c = d_i c + sum_alpha k_alpha alpha(xi_i) (c - r_alpha c) / alpha, the
-    quotients read from the context's memo; with `directions` scaled by D R^e
-    and the weights by D, every sum is over ints.  N_e is filled one column c
-    at a time, so only the images of one monomial are held.
+    The images D R^e T_i c are the context's `_images` of c, from the
+    D-scaled `directions` and `weights`, so every sum is over ints.  N_e is
+    filled one column c at a time, so only the images of one monomial are held.
     """
     gram: dict = {m: {} for m in monos}
     rows = []                   # (row of x_i m', i, row of m' in G_{e-1})
@@ -289,18 +309,7 @@ def _next_gram(ctx: DunklContext, monos: Sequence[Monomial], previous: dict, dir
         i, rest = _peel(m)
         rows.append((gram[m], i, previous[rest]))
     for c in monos:
-        images = []
-        for xi in directions:
-            image = defaultdict(int)
-            for v in compress(range(len(c)), c):
-                if xi[v]:
-                    image[c[:v] + (c[v] - 1,) + c[v + 1:]] += c[v] * xi[v]
-            images.append(image)
-        for root_weights, quot in zip(weights, ctx._quotients_of(c)):
-            for image, w in zip(images, root_weights):
-                if w:
-                    for t, q in _pairs(quot):
-                        image[t] += w * q
+        images = ctx._images(c, directions, weights)
         for row, i, lower in rows:
             entry = sum(lower[t] * coeff for t, coeff in images[i].items() if t in lower)
             if entry:

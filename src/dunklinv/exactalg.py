@@ -8,14 +8,21 @@ form.  A polynomial maps monomials to nonzero Fractions; the zero
 polynomial has no terms, so two polynomials are equal exactly when their
 term maps are.
 
-Two operations here are the only ones of their kind in the package.
+Four operations here are the only ones of their kind in the package.
 `product` multiplies term dicts ({exponent vector: coefficient}, any exact
 coefficients); `Polynomial.__mul__` wraps it.  `substitution(M)` is the one
 linear change of variables: it returns D, the lcm of M's denominators, and
 a map from a monomial m to the int term dict of D^|m| m(Mx), multiplying
-powers of each x_i(DMx) that it keeps between calls.  `Polynomial.substitute`
-scales its images back by D^|m|; the Weyl invariance maps of the rootsys
-module subtract D^|m| m from them and stay in ints.
+powers of each x_i(DMx) that it keeps between calls; the Weyl invariance
+maps of the rootsys module subtract D^|m| m from them and stay in ints.
+`derivative(xi, m)` is the one derivative of a monomial, in ints.
+`apply_map(p, image, den)` is the one way a linear map given on monomials
+reaches a polynomial: image(m) is the int term dict of den(|m|) L(m), and
+p is scaled to ints once, its images summed in ints and divided back with
+one `Fraction` per output term.  `Polynomial.substitute` and
+`Polynomial.directional_derivative` are `apply_map` over `substitution`
+and `derivative`; so are the adjoint derivations, criterion condition 2 and
+T_xi in the liealg, restriction and dunkl modules.
 
 Terms are ordered graded-lexicographically: by (|a|, a), total degree
 first, ties broken with x1 before x2 before ..., highest first (Cox, Little
@@ -31,6 +38,7 @@ floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, compress
 from math import comb, lcm
 from operator import add, ge, sub
@@ -39,6 +47,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 Monomial = tuple[int, ...]
 
 Scalar = Fraction | int
+
+MonomialMap = Callable[[Monomial], Mapping[Monomial, Scalar]]
 
 
 class DimensionMismatch(ValueError):
@@ -138,13 +148,6 @@ class Polynomial:
         return cls(ambient_dim, {(0,) * ambient_dim: value})
 
     @classmethod
-    def variable(cls, ambient_dim: int, index: int) -> "Polynomial":
-        if not 0 <= index < ambient_dim:
-            raise DimensionMismatch(
-                f"variable index {index} outside ring of dimension {ambient_dim}")
-        return cls.linear_form([int(i == index) for i in range(ambient_dim)])
-
-    @classmethod
     def linear_form(cls, coefficients: Sequence[Scalar]) -> "Polynomial":
         """The polynomial sum_i c_i x_i in len(coefficients) variables."""
         n = len(coefficients)
@@ -235,9 +238,6 @@ class Polynomial:
     def homogeneous_component(self, d: int) -> "Polynomial":
         return self._wrap({m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def evaluate_at_zero(self) -> Fraction:
-        return self.terms.get((0,) * self.ambient_dim, Fraction(0))
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
@@ -260,20 +260,9 @@ class Polynomial:
             raise DimensionMismatch(
                 f"direction of length {len(direction)} in dimension {self.ambient_dim}")
         direction = [rational(c) for c in direction]
-        support = [v for v, c in enumerate(direction) if c]
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for v in support:
-                e = mono[v]
-                if not e:
-                    continue
-                reduced = mono[:v] + (e - 1,) + mono[v + 1:]
-                acc = out.get(reduced, Fraction(0)) + coeff * e * direction[v]
-                if acc:
-                    out[reduced] = acc
-                else:
-                    del out[reduced]
-        return self._wrap(out)
+        scale = lcm(*(c.denominator for c in direction))
+        direction = [c.numerator * (scale // c.denominator) for c in direction]
+        return apply_map(self, partial(derivative, direction), lambda d: scale)
 
     def substitute(self, matrix: Sequence[Sequence[Scalar]]) -> "Polynomial":
         """p(Mx): variable x_i becomes the linear form sum_j M[i][j] x_j.
@@ -284,12 +273,33 @@ class Polynomial:
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise DimensionMismatch("substitution matrix shape does not match ring")
         scale, image = substitution(matrix)
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            coeff /= scale ** sum(mono)
-            for k, x in image(mono).items():
-                out[k] = out.get(k, 0) + coeff * x
-        return self._wrap({k: c for k, c in out.items() if c})
+        return apply_map(self, image, lambda d: scale ** d)
+
+
+def apply_map(p: Polynomial, image: MonomialMap, den: Callable[[int], int]) -> Polynomial:
+    """L(p) for a linear map L given on monomials: image(m) is the int term dict
+    of den(|m|) L(m), and L(p) lives in p's ring.
+
+    p is scaled to ints once: by s, the lcm of its denominators, and by
+    top // den(|m|), with top the lcm of den over p's degrees.  The images
+    are summed in ints and the sum divided by s top, one `Fraction` per term.
+    """
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    dens = {d: den(d) for d in set(map(sum, p.terms))}
+    top = lcm(*dens.values())
+    out: dict[Monomial, int] = {}
+    for mono, coeff in p.terms.items():
+        factor = coeff.numerator * (scale // coeff.denominator) * (top // dens[sum(mono)])
+        for k, x in image(mono).items():
+            out[k] = out.get(k, 0) + factor * x
+    top *= scale
+    return p._wrap({k: Fraction(c, top) for k, c in out.items() if c})
+
+
+def derivative(direction: Sequence[int], mono: Monomial) -> dict[Monomial, int]:
+    """The int term dict of d_xi m = sum_v xi_v dm/dx_v, for an int direction xi."""
+    return {mono[:v] + (mono[v] - 1,) + mono[v + 1:]: mono[v] * direction[v]
+            for v in compress(range(len(mono)), mono) if direction[v]}
 
 
 def product(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:

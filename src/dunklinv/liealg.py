@@ -16,8 +16,9 @@ The bracket table is scaled once to integers by a common denominator.  The
 Jacobi and invariance checks read it exactly (they are homogeneous in the
 constants), and so does the derivation of a monomial: an integer image keyed
 by exponent vectors, the package's one monomial form, which the kernel path
-takes as it is.  `adjoint_derivation` scales its polynomial to integers once
-too, and makes one `Fraction` per term of the image.
+takes as it is.  `adjoint_derivation` hands that same map to
+`exactalg.apply_map`, which scales a polynomial to integers once and makes
+one `Fraction` per term of its image.
 
 Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.  `TakiffAlgebra.pairing` is the
@@ -42,7 +43,7 @@ from math import lcm
 from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
-                       check_work_bound, mono_from_variables, rational)
+                       apply_map, check_work_bound, mono_from_variables, rational)
 from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, rref
 
 
@@ -271,14 +272,7 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
     """The derivation of S[g_m] extending Y -> [X_x, Y] on generators."""
     if p.ambient_dim != gm.dim:
         raise ValueError("polynomial does not live on g_m")
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    out: dict[Monomial, int] = {}
-    for mono, coeff in p.terms.items():
-        scaled = coeff.numerator * (den // coeff.denominator)
-        for target, c in _monomial_derivation(gm, x, mono).items():
-            out[target] = out.get(target, 0) + scaled * c
-    den *= gm._den
-    return p._wrap({target: Fraction(c, den) for target, c in out.items() if c})
+    return apply_map(p, partial(_monomial_derivation, gm, x), lambda d: gm._den)
 
 
 def derivation_generators(gm: TakiffAlgebra) -> list[int]:

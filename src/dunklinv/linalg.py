@@ -23,20 +23,22 @@ as coprime integer vectors over those monomials.  Each map's image of a
 monomial is computed once, spread into one sparse row per image monomial,
 and the `nullspace` recombines the vectors, all in ints.  No other module of
 the package calls `nullspace`; `GradedSubspace.from_polynomials`
-canonicalises the result on the same rows.  The Weyl invariance maps take
-their values from `exactalg.substitution`, the one linear change of
-variables, which multiplies with `exactalg.product`, the one product of
-term dicts; the adjoint derivations and condition 2 build theirs in the
-liealg and restriction modules.
+canonicalises the result on the same rows.  The maps come from the int maps
+that `exactalg.apply_map` applies to whole polynomials: the Weyl invariance
+maps take their values from `exactalg.substitution`, the one linear change
+of variables, which multiplies with `exactalg.product`, the one product of
+term dicts; the adjoint derivations and condition 2, whose delta chains
+derive monomials by `exactalg.derivative`, build theirs in the liealg and
+restriction modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exactalg import Monomial, Polynomial, grlex_key, render
+from .exactalg import Monomial, MonomialMap, Polynomial, grlex_key, render
 
 Matrix = Sequence[Sequence[Fraction]]
 Row = Mapping[int, Fraction | int]
@@ -122,9 +124,6 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[dict[int, int]]:
             basis.append(_primitive({free: scale} | {lead: -x * (scale // pv)
                                                      for lead, pv, x in column}))
     return basis
-
-
-MonomialMap = Callable[[Monomial], Mapping[Monomial, Fraction | int]]
 
 
 def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],

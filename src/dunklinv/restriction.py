@@ -40,7 +40,8 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import linalg, rootsys
-from .exactalg import Frozen, Monomial, Polynomial, monomials_of_degree, render
+from .exactalg import (Frozen, Monomial, Polynomial, apply_map, derivative,
+                       monomials_of_degree, render)
 from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
 from .linalg import GradedSubspace, joint_kernel
 
@@ -171,10 +172,6 @@ class CriterionReport(Frozen):
             condition2=condition2, condition2_witness=condition2_witness,
             in_image=in_image, image_degree_bound=image_degree_bound)
 
-    @property
-    def passed(self) -> bool:
-        return self.condition1 and self.condition2 and self.in_image != "fail"
-
 
 def criterion_check(frame: CartanFrame, p: Polynomial,
                     image_degree_bound: int = 8,
@@ -215,17 +212,17 @@ class _Divisibility:
     the remainder of delta^n m by h^n, in ints.  D and E scale delta's
     direction and h to integers, and c leads Eh, at x_l: a step of the
     division by (Eh)^n that lowers the power of x_l by j divides by c^j, so
-    from c^|m| m it is exact.  delta^n m is derived from delta^(n-1) m, once
-    per monomial."""
+    from c^|m| m it is exact.  delta^n m is derived from delta^(n-1) m by
+    `exactalg.derivative`, once per monomial; `remainder` applies image(n, .)
+    to a polynomial through `exactalg.apply_map`."""
 
     def __init__(self, frame: CartanFrame, i: int, max_power: int):
         direction = frame.delta_direction(i)
         self.scale = lcm(*(x.denominator for x in direction))
-        self.direction = [(v, x.numerator * (self.scale // x.denominator))
-                          for v, x in enumerate(direction) if x]
+        self.direction = [x.numerator * (self.scale // x.denominator) for x in direction]
         divisor = frame.divisor(i) * lcm(*(x.denominator for x in frame.rs.coroots[i]))
         unit, lead = divisor.leading_term()
-        self.var, self.lead, self.dim, self.chains = unit.index(1), int(lead), frame.dim, {}
+        self.var, self.lead, self.chains = unit.index(1), int(lead), {}
         self.powers = [[(mono, int(x))          # (Eh)^n but its leading term x_l^n
                         for mono, x in (divisor ** n).terms.items() if mono[self.var] < n]
                        for n in range(max_power + 1)]
@@ -237,10 +234,8 @@ class _Divisibility:
         while len(derived) <= n:
             derived.append({})
             for exps, c in derived[-2].items():
-                for v, x in self.direction:
-                    if exps[v]:
-                        k = exps[:v] + (exps[v] - 1,) + exps[v + 1:]
-                        derived[-1][k] = derived[-1].get(k, 0) + c * exps[v] * x
+                for k, x in derivative(self.direction, exps).items():
+                    derived[-1][k] = derived[-1].get(k, 0) + c * x
         var, work = self.var, {k: c for k, c in derived[n].items() if c}
         while work:
             exps = max(work, key=itemgetter(var))
@@ -257,9 +252,7 @@ class _Divisibility:
 
     def remainder(self, n: int, q: Polynomial) -> Polynomial:
         """The remainder of delta^n q by h^n."""
-        return Polynomial(self.dim, [
-            (k, Fraction(c * x, self.lead ** sum(mono) * self.scale ** n))
-            for mono, c in q.terms.items() for k, x in self.image(n, mono).items()])
+        return apply_map(q, partial(self.image, n), lambda d: self.lead ** d * self.scale ** n)
 
 
 def _condition2_maps(frame: CartanFrame, max_power: int):

@@ -40,9 +40,9 @@ from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import (Frozen, Monomial, Polynomial, monomials_of_degree, rational,
-                       substitution)
-from .linalg import GradedSubspace, MonomialMap, joint_kernel
+from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, monomials_of_degree,
+                       rational, substitution)
+from .linalg import GradedSubspace, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
 

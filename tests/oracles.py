@@ -42,7 +42,7 @@ def a1_pairing(p: Polynomial, q: Polynomial, k) -> Fraction:
         current = q
         for _ in range(n):
             current = a1_dunkl(current, k)
-        total += coeff * current.evaluate_at_zero()
+        total += coeff * current.coefficient((0,) * current.ambient_dim)
     return total
 
 
@@ -123,6 +123,16 @@ def tower_substitute(p: Polynomial, matrix) -> Polynomial:
             for _ in range(e):
                 term = naive_product(term, forms[v])
         total = total + term
+    return total
+
+
+def termwise_map(p: Polynomial, image, den) -> Polynomial:
+    """sum_m p_m image(m) / den(|m|) in `Fraction`s, term by term: each image
+    term becomes its own `Fraction`, with no common scale and no integer sum."""
+    total = Polynomial.zero(p.ambient_dim)
+    for mono, coeff in p.terms.items():
+        for k, x in image(mono).items():
+            total = total + Polynomial(p.ambient_dim, {k: coeff * Fraction(x, den(sum(mono)))})
     return total
 
 
@@ -403,7 +413,7 @@ def bracket_derivation(gm, x: int, p: Polynomial) -> Polynomial:
         unit = [Fraction(int(v == y)) for v in range(gm.dim)]
         partial = p.directional_derivative(unit)
         for k, c in base.structure[i][j].items():
-            result = result + Polynomial.variable(gm.dim, (s + t) * base.dim + k) * partial * c
+            result = result + variable(gm.dim, (s + t) * base.dim + k) * partial * c
     return result
 
 
@@ -510,7 +520,7 @@ def derivative_pairing(p: Polynomial, q: Polynomial, directions) -> Fraction:
         for var, exp in reversed(list(enumerate(mono))):
             for _ in range(exp):
                 current = current.directional_derivative(directions[var])
-        total += coeff * current.evaluate_at_zero()
+        total += coeff * current.coefficient((0,) * current.ambient_dim)
     return total
 
 
@@ -550,6 +560,11 @@ def composed_gram(ctx, basis) -> list[list[Fraction]]:
 
 # -- test-only API: the pairing, its identities, the group action ----------------
 
+def variable(ambient_dim: int, index: int) -> Polynomial:
+    """The coordinate x_(index + 1) as a polynomial in ambient_dim variables."""
+    return Polynomial(ambient_dim, {tuple(int(v == index) for v in range(ambient_dim)): 1})
+
+
 def dunkl_pairing(ctx, p: Polynomial, q: Polynomial) -> Fraction:
     """<p, q> = (p(T) q)(0), each T from `taylor_dunkl`: x_i acts along the
     form-dual of e_i, column i of the inverse form.  Symmetric, and zero
@@ -561,7 +576,7 @@ def dunkl_pairing(ctx, p: Polynomial, q: Polynomial) -> Fraction:
         for var, exp in reversed(list(enumerate(mono))):
             for _ in range(exp):
                 current = taylor_dunkl(ctx.rs, ctx.k, directions[var], current)
-        total += coeff * current.evaluate_at_zero()
+        total += coeff * current.coefficient((0,) * current.ambient_dim)
     return total
 
 

@@ -31,7 +31,7 @@ from dunklinv.restriction import (
 from dunklinv.rootsys import invariant_basis
 from oracles import (adjointness_check, apolarity, delta_direction, derivative_pairing,
                      dunkl_pairing, invariant_stability_check, seeded_polynomials,
-                     series_coefficients)
+                     series_coefficients, variable)
 
 K_GRID_1 = ["0", "1/2", "1", "7/3"]
 
@@ -239,8 +239,8 @@ def test_criterion_10_square_zero_roots(sl2):
     g1 = takiff_extend(sl2, 1)
     h_flat = g1.flat(1, 0)
     h1_flat = g1.flat(1, 1)
-    u = Polynomial.variable(g1.dim, h_flat)
-    v = Polynomial.variable(g1.dim, h1_flat)
+    u = variable(g1.dim, h_flat)
+    v = variable(g1.dim, h1_flat)
     delta = delta_direction(g1, h1_flat)
     ok = (v.directional_derivative(delta) == Polynomial.zero(g1.dim)
           and u.directional_derivative(delta) == Polynomial.constant(g1.dim, 2))

@@ -23,7 +23,7 @@ from dunklinv.rootsys import (SUPPORTED, MultiplicityAssignment, RootSystem, gen
 from oracles import (a1_dunkl, a1_pairing, adjointness_check, apolarity, composed_gram,
                      derivative_pairing, dual_form, dunkl_pairing, equivariance_check,
                      invariant_stability_check, seeded_polynomials, taylor_divided_difference,
-                     taylor_dunkl, two_sided_dunkl)
+                     taylor_dunkl, two_sided_dunkl, variable)
 
 K_VALUES = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
 
@@ -122,7 +122,8 @@ def test_operator_runs_without_substitution_or_division(monkeypatch):
 def test_operator_computes_each_quotient_once(monkeypatch):
     # T_xi reads the context's memo: one product-rule quotient per (acting
     # root, monomial on the peel chains of p's monomials), whatever the
-    # direction and however often it is applied.
+    # direction and however often it is applied.  A direction fills only the
+    # roots with alpha(xi) != 0: e1 touches 5 of B3's 9 acting roots.
     calls = []
     real = dunkl._product_rule
 
@@ -138,11 +139,27 @@ def test_operator_computes_each_quotient_once(monkeypatch):
     held = {(3, 1, 0), (2, 1, 0), (1, 1, 0), (0, 1, 0), (0, 1, 2), (0, 0, 2), (0, 0, 1),
             (1, 0, 1)}
     assert set(ctx._quotients) == held | {(0, 0, 0)}
-    assert len(calls) == len(ctx._acting) * len(held) == 9 * 8
+    touched = [a for a, w in enumerate(ctx._weights([1, 0, 0])) if w]
+    assert len(touched) == 5 and len(ctx._acting) == 9
+    assert len(calls) == len(touched) * len(held)
+    for c in held:
+        assert [a for a, q in enumerate(ctx._quotients[c]) if q is not None] == touched, c
     for xi in ([0, 1, 0], [1, -2, 3], [1, 0, 0]):
         assert dunkl_apply(ctx, xi, p) == taylor_dunkl(ctx.rs, ctx.k, xi, p)
     assert dunkl_apply(ctx, [1, 0, 0], p) == image
     assert len(calls) == 9 * 8
+
+
+def test_gram_after_partial_memo_matches_fresh_context():
+    # After T_e1 has filled 5 of B3's 9 roots, the Gram recursion fills the
+    # rest on the monomials already held, and agrees with a fresh context.
+    ctx = make_context("B3", "long=1,short=1/2")
+    dunkl_apply(ctx, [1, 0, 0], parse("x1^3 x2 - 2 x2 x3^2 + 1/3 x1 x3", 3))
+    for invariants_only, degree in ((False, 4), (True, 6)):
+        basis = gram_basis(ctx, degree, invariants_only)
+        fresh = make_context("B3", "long=1,short=1/2")
+        assert gram_matrix(ctx, basis) == gram_matrix(fresh, basis)
+    assert all(None not in quotients for quotients in ctx._quotients.values())
 
 
 def test_float_direction_rejected():
@@ -305,7 +322,7 @@ def test_compose_single_variable_is_apply():
         q = monomial_corpus(ctx.rank, 4)[-1]
         xi = [Fraction(0)] * ctx.rank
         xi[0] = Fraction(1)
-        assert dunkl_compose(ctx, Polynomial.variable(ctx.rank, 0), q) == \
+        assert dunkl_compose(ctx, variable(ctx.rank, 0), q) == \
             dunkl_apply(ctx, xi, q)
 
 
@@ -460,6 +477,18 @@ def test_literal_two_sided_sum_agrees_beyond_unit_scaling(name):
     # The custom realizations have R = 3 or 15: the memo holds R^|c| times
     # each quotient, which T_xi must divide out at every degree.
     assert_two_sided_sum_agrees(SCALING_CONTEXTS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_CONTEXTS))
+def test_operator_on_mixed_degrees_matches_taylor_beyond_unit_scaling(name):
+    # p mixes degrees, so the applier divides each term by its own D R^|m|
+    # (R = 3 or 15 on the custom realizations), under fractional directions.
+    ctx = SCALING_CONTEXTS[name]()
+    rng = random.Random(11)
+    for p in seeded_polynomials(rng, ctx.rank, 4, 3):
+        for xi in ([Fraction(1, 2)] + [Fraction(-2, 3)] * (ctx.rank - 1),
+                   [Fraction(j + 1, 5) for j in range(ctx.rank)]):
+            assert dunkl_apply(ctx, xi, p) == taylor_dunkl(ctx.rs, ctx.k, xi, p), (p, xi)
 
 
 @pytest.mark.parametrize("name", sorted(SCALING_CONTEXTS))

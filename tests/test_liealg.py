@@ -19,7 +19,7 @@ from dunklinv.liealg import (
 )
 from dunklinv.linalg import GradedSubspace
 from oracles import (bracket_derivation, delta_direction, polynomial_joint_kernel,
-                     seeded_polynomials, series_coefficients, sl_structure)
+                     seeded_polynomials, series_coefficients, sl_structure, variable)
 
 
 def gm_parse(gm, text):
@@ -150,8 +150,8 @@ def test_rescaled_basis_scales_the_bracket_table(sl2):
         for b in invariants_graded(gm, 4).basis:
             assert all(not bracket_derivation(gm, x, b) for x in range(gm.dim))
     g0 = takiff_extend(g, 0)
-    f = Polynomial.variable(3, 2)
-    assert adjoint_derivation(g0, 0, f) == Polynomial.variable(3, 1) * Fraction(1, 2)
+    f = variable(3, 2)
+    assert adjoint_derivation(g0, 0, f) == variable(3, 1) * Fraction(1, 2)
     # [h, f] = -3f/2 keeps antisymmetry but breaks Jacobi on (h, X, f).
     broken = {(1, 2): {2: Fraction(-3, 2)}, (2, 1): {2: Fraction(3, 2)}}
     with pytest.raises(ValueError, match="Jacobi"):
@@ -227,7 +227,7 @@ def test_derivation_kills_constants(sl2):
 
 def test_derivation_reads_back_bracket(sl2):
     g0 = takiff_extend(sl2, 0)
-    e = Polynomial.variable(3, 0)
+    e = variable(3, 0)
     assert adjoint_derivation(g0, 1, e) == e * 2       # [h, e] = 2e
 
 
@@ -270,8 +270,8 @@ def test_derivation_output_is_canonical(request, algebra, m, max_degree):
 def test_delta_values(sl2):
     g1 = takiff_extend(sl2, 1)
     h1 = g1.flat(1, 1)
-    u = Polynomial.variable(g1.dim, g1.flat(1, 0))
-    v = Polynomial.variable(g1.dim, h1)
+    u = variable(g1.dim, g1.flat(1, 0))
+    v = variable(g1.dim, h1)
     delta = delta_direction(g1, h1)
     assert u.directional_derivative(delta) == Polynomial.constant(g1.dim, 2)
     assert v.directional_derivative(delta) == Polynomial.zero(g1.dim)
@@ -285,7 +285,7 @@ def test_delta_accepts_element_vectors(sl3):
     element = [Fraction(0)] * g1.dim
     element[g1.flat(3, 1)] = Fraction(1)
     element[g1.flat(4, 1)] = Fraction(1)
-    u1 = Polynomial.variable(g1.dim, g1.flat(3, 0))
+    u1 = variable(g1.dim, g1.flat(3, 0))
     # <(h1+h2) (x) T, h1> = form(h1+h2, h1) = 2 - 1 = 1
     delta = delta_direction(g1, element)
     assert u1.directional_derivative(delta) == Polynomial.constant(g1.dim, 1)
