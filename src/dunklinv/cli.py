@@ -269,7 +269,7 @@ def cmd_takiff_image(args: argparse.Namespace) -> Report:
         "work_bound": args.work_bound})
     for d in _degree_range(args):
         image = image_basis(frame, d, args.work_bound)
-        criterion = criterion_subspace(frame, d)
+        criterion = criterion_subspace(frame, d, args.work_bound)
         included = criterion.contains_subspace(image)
         if image.dim == criterion.dim and included:
             verdict = "equal"

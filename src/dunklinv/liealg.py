@@ -9,8 +9,21 @@ The symmetric algebra S[g_m] is realized literally: polynomial variable
 (i, s) *is* the basis vector X_i (x) T^s, with flat index s*dim(g) + i, and
 the adjoint action extends Y -> [X, Y] as a derivation.  Invariance is
 tested through these derivations (the group is connected, so Lie-algebra
-invariance is group invariance) and graded invariant spaces are joint
-kernels of the derivations (`linalg.joint_kernel`).
+invariance is group invariance).
+
+The graded invariants come from a theorem when m >= 1.  S(g_m)^{g_m} is the
+polynomial ring on the polarizations of the basic invariants of g: for p of
+degree d, the coefficients of t^j, m(d - 1) <= j <= md, in
+p(sum_s X (x) T^s t^s) (M. Rais and P. Tauvel, J. reine angew. Math. 425,
+1992; T. Macedo and A. Savage, J. Pure Appl. Algebra 223, 2019).  So
+`invariants_graded` at m >= 1 spans the degree-d products of these
+polarizations (`polarizations`, `polarized_products`), all in ints.  The
+basic invariants themselves (`basic_invariants`) are found degree by degree
+at m = 0, and m = 0 keeps the kernel: there `invariants_graded` is the
+joint kernel of the derivations (`linalg.joint_kernel`) on the monomials of
+weight zero under the base Cartan, filtered as multisets of variables by
+integer sums, because `chevalley check` tests Chevalley's theorem and so
+must not assume it.
 
 The bracket table is scaled once to integers by a common denominator.  The
 Jacobi and invariance checks read it exactly (they are homogeneous in the
@@ -24,26 +37,22 @@ Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.  `TakiffAlgebra.pairing` is the
 top-degree form; the contraction directions delta(H (x) T^m) that the
 restriction criterion needs are read on h from the frame's root system
-(`restriction.CartanFrame.delta_direction`).
-
-Two structural gradings cut the kernel problem down before any elimination:
-monomials are filtered to weight zero under the base Cartan (those
-derivations are diagonal) as multisets of variables, by integer sums, and
-the truncated bracket is graded by total T-degree, so the invariant space
-splits by T-degree as well.  The result is rechecked against every basis
-derivation by the test suite.
+(`restriction.CartanFrame.delta_direction`).  The test suite rechecks the
+invariants against every basis derivation, and at m >= 1 against the
+kernel on all of S^d(g_m).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import combinations_with_replacement
 from math import lcm
 from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
-                       apply_map, check_work_bound, mono_from_variables, rational)
+                       apply_map, check_work_bound, mono_from_variables, product, rational,
+                       substitution)
 from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, rref
 
 
@@ -59,6 +68,7 @@ class LieAlgebra:
         self.form = form
         self.cartan_indices = cartan_indices
         self._takiff_cache: dict[int, TakiffAlgebra] = {}     # m -> g_m, see takiff_extend
+        self._basic_invariants: dict[int, list[Polynomial]] = {}  # degree -> its basic invariants
         self._validate()
 
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
@@ -276,37 +286,82 @@ def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
 
 
 def derivation_generators(gm: TakiffAlgebra) -> list[int]:
-    """All basis derivations but the diagonal base-Cartan ones, highest T-degree first:
-    ad(X (x) T^s) kills every variable of T-degree above m - s, so its images are
-    short and cut the kernel while elimination is cheap."""
-    skip = {gm.flat(c, 0) for c in gm.base.cartan_indices}
-    return [x for x in sorted(range(gm.dim), key=lambda x: -gm.unflat(x)[1]) if x not in skip]
+    """All basis derivations but the diagonal base-Cartan ones."""
+    return [x for x in range(gm.dim) if x not in gm.base.cartan_indices]     # X_c (x) 1 is x = c
+
+
+def polarizations(p: Polynomial, m: int) -> list[dict[Monomial, int]]:
+    """The polarizations of a homogeneous p of degree d on n variables, in ints.
+
+    c p(sum_s x_(i,s) t^s), for c the lcm of p's denominators, is one
+    `substitution` on the padded ring of n(m + 1) variables, flat index
+    s n + i; its terms split by T-degree sum_s s e_(i,s), the power of t.
+    The int term dicts of t^j, for j = m(d - 1), ..., md, are returned.
+    """
+    n, size = p.ambient_dim, p.ambient_dim * (m + 1)
+    _, image = substitution([[int(j % n == i) for j in range(size)] for i in range(size)])
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    out: list[dict[Monomial, int]] = [{} for _ in range(m * p.degree() + 1)]
+    for mono, coeff in p.terms.items():
+        for k, x in image(mono + (0,) * (size - n)).items():
+            level = out[sum(e * (v // n) for v, e in enumerate(k))]
+            level[k] = level.get(k, 0) + coeff.numerator * (scale // coeff.denominator) * x
+    return [{k: c for k, c in terms.items() if c} for terms in out[m * (p.degree() - 1):]]
+
+
+def polarized_products(ps: Sequence[Polynomial], n: int, m: int, degree: int) -> list[Polynomial]:
+    """The degree-d products of the polarizations to m of homogeneous polynomials
+    on n variables, each polarization weighted by the degree of its polynomial:
+    one product per multiset of polarizations, in ints, not canonical."""
+    generators = [(p.degree(), q) for p in ps for q in polarizations(p, m)]
+    one, zero = {(0,) * (n * (m + 1)): 1}, Polynomial(n * (m + 1))
+    products = (reduce(product, [q for _, q in factors], one) for size in range(degree + 1)
+                for factors in combinations_with_replacement(generators, size)
+                if sum(d for d, _ in factors) == degree)
+    return [zero._wrap({k: c for k, c in terms.items() if c}) for terms in products]
+
+
+def basic_invariants(g: LieAlgebra, degree: int) -> list[Polynomial]:
+    """The basic invariants of g of degree at most d, lowest degree first.
+
+    Degree by degree, the generators are a complement of the products of the
+    lower ones inside S(g)^g: the canonical invariants whose leading monomials
+    lead no element of that product span.  The search stops at rank(g)
+    generators.  Found on first use and kept on g.
+    """
+    found = g._basic_invariants
+    while len(found) < degree and sum(map(len, found.values())) < len(g.cartan_indices):
+        d, lower = len(found) + 1, [p for ps in found.values() for p in ps]
+        span = GradedSubspace.from_polynomials(polarized_products(lower, g.dim, 0, d), g.dim, d)
+        leads = {b.leading_term()[0] for b in span.basis}
+        found[d] = [b for b in invariants_graded(takiff_extend(g, 0), d).basis
+                    if b.leading_term()[0] not in leads]
+    return [p for d, ps in found.items() if d <= degree for p in ps]
 
 
 def invariants_graded(gm: TakiffAlgebra, degree: int,
                       work_bound: int = 20000) -> GradedSubspace:
-    """Canonical basis of the degree-d invariants S^d[g_m]^{g_m}."""
+    """Canonical basis of the degree-d invariants S^d[g_m]^{g_m}.
+
+    For m >= 1, the span of the degree-d products of the polarizations of
+    the basic invariants of g; for m = 0, the joint kernel of the adjoint
+    derivations on the weight-zero monomials.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     check_work_bound(gm.dim, degree, work_bound)
-    key = degree
-    if key in gm._inv_cache:
-        return gm._inv_cache[key]
-
-    # One integer per weight, in a base above twice any weight sum of the degree.
-    base = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
-    packed = [sum(w * base ** i for i, w in enumerate(weight)) for weight in gm._weights]
-    t_degree = [gm.unflat(v)[1] for v in range(gm.dim)]
-    blocks: dict[int, list[Monomial]] = {}
-    for variables in combinations_with_replacement(range(gm.dim), degree):
-        if not sum(map(packed.__getitem__, variables)):
-            blocks.setdefault(sum(map(t_degree.__getitem__, variables)), []).append(
-                mono_from_variables(gm.dim, variables))
-
-    maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
-    survivors: list[Polynomial] = []
-    for tau in sorted(blocks):
-        survivors.extend(joint_kernel(gm.dim, blocks[tau], maps))
-    result = GradedSubspace.from_polynomials(survivors, gm.dim, degree)
-    gm._inv_cache[key] = result
-    return result
+    if degree in gm._inv_cache:
+        return gm._inv_cache[degree]
+    if gm.m:
+        spanning = polarized_products(basic_invariants(gm.base, degree), gm.base.dim, gm.m, degree)
+    else:
+        # One integer per weight, in a base above twice any weight sum of the degree.
+        top = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
+        packed = [sum(w * top ** i for i, w in enumerate(weight)) for weight in gm._weights]
+        monomials = [mono_from_variables(gm.dim, variables)
+                     for variables in combinations_with_replacement(range(gm.dim), degree)
+                     if not sum(map(packed.__getitem__, variables))]
+        maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
+        spanning = joint_kernel(gm.dim, monomials, maps)
+    gm._inv_cache[degree] = GradedSubspace.from_polynomials(spanning, gm.dim, degree)
+    return gm._inv_cache[degree]

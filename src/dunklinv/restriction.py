@@ -13,6 +13,19 @@ so an invariant polynomial restricts by setting every non-Cartan variable
 to zero.  The restricted ring S[h_m] keeps the base Weyl group acting
 diagonally (same matrix on every T-level).
 
+For m >= 1 the image is read off generators, not off S^d(g_m).  S(g_m)^{g_m}
+is the polynomial ring on the polarizations of the basic invariants of g
+(Rais and Tauvel, 1992; see the liealg module), and restriction commutes
+with polarization level by level, so `image_basis` restricts the basic
+invariants to h first, polarizes them on h_m and spans their degree-d
+products.  Restriction is injective on a polynomial ring exactly when the
+restricted generators stay algebraically independent, which the dimension
+of that span checks degree by degree.  For m = 0 the image is the
+restricted kernel basis of the invariants: that is the input of the
+Chevalley check, which must not assume Chevalley's theorem.  The work bound
+of both `image_basis` at m >= 1 and `criterion_subspace` counts the degree-d
+monomials of S[h_m], the space they compute in.
+
 Membership in the restriction image is tested by two conditions:
 
   1. invariance under every diagonal reflection r_alpha, and
@@ -40,9 +53,10 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import linalg, rootsys
-from .exactalg import (Frozen, Monomial, Polynomial, apply_map, derivative,
+from .exactalg import (Frozen, Monomial, Polynomial, apply_map, check_work_bound, derivative,
                        monomials_of_degree, render)
-from .liealg import LieAlgebra, TakiffAlgebra, invariants_graded, takiff_extend
+from .liealg import (LieAlgebra, TakiffAlgebra, basic_invariants, invariants_graded,
+                     polarized_products, takiff_extend)
 from .linalg import GradedSubspace, joint_kernel
 
 
@@ -136,20 +150,33 @@ def restrict(frame: CartanFrame, p: Polynomial) -> Polynomial:
     """Set every non-Cartan coordinate of g_m to zero; a ring homomorphism."""
     if p.ambient_dim != frame.gm.dim:
         raise ValueError("polynomial does not live on g_m")
-    out = {}
-    for mono, coeff in p.terms.items():
-        restricted = tuple(mono[v] for v in frame.cartan_flat)
-        if sum(restricted) == sum(mono):
-            out[restricted] = coeff
-    return Polynomial(frame.dim, out)
+    return _restrict(p, frame.cartan_flat)
+
+
+def _restrict(p: Polynomial, coordinates: list[int]) -> Polynomial:
+    """p with every variable outside `coordinates` set to zero, on those coordinates."""
+    return Polynomial(len(coordinates), {tuple(mono[v] for v in coordinates): coeff
+                                         for mono, coeff in p.terms.items()
+                                         if sum(mono[v] for v in coordinates) == sum(mono)})
 
 
 def image_basis(frame: CartanFrame, degree: int, work_bound: int = 20000) -> GradedSubspace:
-    """Canonical basis of the degree-d restriction image Res S^d[g_m]^{g_m}."""
-    invariants = invariants_graded(frame.gm, degree, work_bound)
-    restricted = [restrict(frame, b) for b in invariants.basis]
-    image = GradedSubspace.from_polynomials(restricted, frame.dim, degree)
-    if image.dim != invariants.dim:
+    """Canonical basis of the degree-d restriction image Res S^d[g_m]^{g_m}.
+
+    For m >= 1, the degree-d products of the polarizations to h_m of the
+    basic invariants of g restricted to h; for m = 0, the restricted basis of
+    the invariants.  Either way the spanning list must stay independent.
+    """
+    gm = frame.gm
+    if gm.m:
+        check_work_bound(frame.dim, degree, work_bound)
+        restricted = [_restrict(p, gm.base.cartan_indices)
+                      for p in basic_invariants(gm.base, degree)]
+        spanning = polarized_products(restricted, frame.rs.rank, gm.m, degree)
+    else:
+        spanning = [restrict(frame, b) for b in invariants_graded(gm, degree, work_bound).basis]
+    image = GradedSubspace.from_polynomials(spanning, frame.dim, degree)
+    if image.dim != len(spanning):
         raise RestrictionError("restriction failed to be injective on invariants")
     return image
 
@@ -263,8 +290,9 @@ def _condition2_maps(frame: CartanFrame, max_power: int):
             yield i, n, partial(condition.remainder, n)
 
 
-def criterion_subspace(frame: CartanFrame, degree: int) -> GradedSubspace:
+def criterion_subspace(frame: CartanFrame, degree: int, work_bound: int = 20000) -> GradedSubspace:
     """Degree-d polynomials on h_m satisfying both criterion conditions."""
+    check_work_bound(frame.dim, degree, work_bound)
     conditions = (_Divisibility(frame, i, degree) for i in frame.positive_roots)
     condition2 = (partial(c.image, n) for c in conditions for n in range(1, degree + 1))
     kernel = joint_kernel(frame.dim, monomials_of_degree(frame.dim, degree),

@@ -5,18 +5,26 @@ derivative composition, reflection and division, or the Taylor form of the
 divided difference, sharing no code with the operator implementations it
 checks.  `taylor_dunkl` is the second form of T_xi: the package keeps only
 the product-rule quotients, and the Gram oracles `composed_gram` and
-`dunkl_pairing` compose through the Taylor form instead.  The last section
+`dunkl_pairing` compose through the Taylor form instead.  `kernel_invariants`
+is the second form of the Takiff invariants at m >= 1: the package spans them
+by products of polarized generators, and the oracle solves for them as the
+joint kernel of the adjoint derivations on S^d(g_m).  The last section
 holds the checks and helpers that only tests call: the pairing and the
 identities it satisfies, the group action on polynomials and eager group
 closure.
 """
 
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 from dunklinv.dunkl import dunkl_apply, dunkl_compose
-from dunklinv.exactalg import Polynomial, divide_with_remainder, rational
-from dunklinv.linalg import mat_inv, mat_vec
+from dunklinv.exactalg import (Polynomial, divide_with_remainder, mono_from_variables,
+                               monomials_of_degree, rational)
+from dunklinv.liealg import _monomial_derivation, derivation_generators
+from dunklinv.linalg import GradedSubspace, joint_kernel, mat_inv, mat_vec
+from dunklinv.restriction import restrict
 from dunklinv.rootsys import WeylGroup, reynolds
 
 
@@ -417,6 +425,35 @@ def bracket_derivation(gm, x: int, p: Polynomial) -> Polynomial:
     return result
 
 
+def kernel_invariants(gm, degree: int, order=None):
+    """Canonical degree-d invariants of g_m as a joint kernel, at any m: the
+    derivations run on the monomials of weight zero under the base Cartan,
+    block by block of total T-degree (the truncated bracket preserves it).
+    `order` lists the derivations (basis indices) to run; by default every
+    one but the diagonal base-Cartan ones, highest T-degree first, since
+    ad(X (x) T^s) kills every variable of T-degree above m - s."""
+    if order is None:
+        order = sorted(derivation_generators(gm), key=lambda x: -gm.unflat(x)[1])
+    # One integer per weight, in a base above twice any weight sum of the degree.
+    base = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
+    packed = [sum(w * base ** i for i, w in enumerate(weight)) for weight in gm._weights]
+    blocks: dict = {}
+    for variables in combinations_with_replacement(range(gm.dim), degree):
+        if not sum(packed[v] for v in variables):
+            blocks.setdefault(sum(gm.unflat(v)[1] for v in variables), []).append(
+                mono_from_variables(gm.dim, variables))
+    maps = [partial(_monomial_derivation, gm, x) for x in order]
+    survivors = [p for tau in sorted(blocks) for p in joint_kernel(gm.dim, blocks[tau], maps)]
+    return GradedSubspace.from_polynomials(survivors, gm.dim, degree)
+
+
+def kernel_image(frame, degree: int):
+    """The restriction image at degree d: `kernel_invariants` restricted to h_m."""
+    invariants = kernel_invariants(frame.gm, degree)
+    return GradedSubspace.from_polynomials([restrict(frame, b) for b in invariants.basis],
+                                           frame.dim, degree)
+
+
 def delta_direction(gm, x) -> list[Fraction]:
     """delta(X) as a direction on g_m: generator Y gets <X, Y> in the Takiff pairing.
 
@@ -537,8 +574,6 @@ def series_coefficients(generator_degrees, upto: int) -> list[int]:
 def seeded_polynomials(rng, dim: int, max_degree: int, count: int,
                        homogeneous: int | None = None) -> list[Polynomial]:
     """Deterministic random corpus with small rational coefficients."""
-    from dunklinv.exactalg import monomials_of_degree
-
     out = []
     degrees = [homogeneous] if homogeneous is not None else list(range(max_degree + 1))
     for _ in range(count):

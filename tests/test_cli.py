@@ -274,6 +274,19 @@ def test_takiff_image_sl3_dimension_mode(capsys):
     assert "image_basis" not in case["data"]
 
 
+def test_takiff_image_work_bound_counts_h_m_monomials(capsys):
+    # The image and the criterion space both live on h_2, 3 variables: 28
+    # monomials at degree 6, where S^6(g_2), on 9 variables, has 3003.
+    code, data, err = run_json(capsys, "--work-bound", "100", "takiff", "image",
+                               "--algebra", "sl2", "--m", "2", "--max-degree", "6")
+    assert code == EXIT_PASS and err == ""
+    assert [case["data"]["dim_image"] for case in data["cases"]] == [1, 0, 3, 0, 6, 0, 10]
+    code, out, err = run(capsys, "--work-bound", "20", "takiff", "image",
+                         "--algebra", "sl2", "--m", "2", "--max-degree", "6")
+    assert code == EXIT_BOUND and out == ""
+    assert err == "error: degree-5 monomial space has dimension 21 > 20\n"
+
+
 @pytest.mark.parametrize("algebra, m, highest", [("sl3", "2", 1), ("sl2", "3", 2)])
 def test_takiff_image_refuses_m_past_the_algebra_table(capsys, algebra, m, highest):
     code, out, err = run(capsys, "takiff", "image", "--algebra", algebra, "--m", m)

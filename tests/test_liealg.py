@@ -11,15 +11,18 @@ from dunklinv.liealg import (
     LieAlgebra,
     WorkBoundExceeded,
     adjoint_derivation,
+    basic_invariants,
     derivation_generators,
     invariants_graded,
     make_sl,
     matrix_algebra,
+    polarizations,
     takiff_extend,
 )
 from dunklinv.linalg import GradedSubspace
-from oracles import (bracket_derivation, delta_direction, polynomial_joint_kernel,
-                     seeded_polynomials, series_coefficients, sl_structure, variable)
+from oracles import (bracket_derivation, delta_direction, kernel_invariants,
+                     polynomial_joint_kernel, seeded_polynomials, series_coefficients,
+                     sl_structure, variable)
 
 
 def gm_parse(gm, text):
@@ -387,24 +390,19 @@ def test_invariants_match_bracket_oracle(request, algebra, m, max_degree):
 
 
 @pytest.mark.parametrize("algebra,m,max_degree", [("sl2", 2, 5), ("sl3", 1, 4)])
-def test_invariants_do_not_depend_on_derivation_order(monkeypatch, request, algebra, m, max_degree):
-    # The derivations run by descending T-degree; seeded shuffles of that
-    # order give the bracket oracle's bases all the same.
-    base = request.getfixturevalue(algebra)
-    gm = takiff_extend(base, m)
-    order = derivation_generators(gm)
-    assert [gm.unflat(x)[1] for x in order] == sorted((gm.unflat(x)[1] for x in order),
-                                                      reverse=True)
-    expected = [_oracle_invariants(gm, d) for d in range(max_degree + 1)]
+def test_invariants_do_not_depend_on_derivation_order(request, algebra, m, max_degree):
+    # The kernel oracle runs the derivations by descending T-degree; seeded
+    # shuffles of that order give the polarized bases all the same.
+    gm = takiff_extend(request.getfixturevalue(algebra), m)
+    order = sorted(derivation_generators(gm), key=lambda x: -gm.unflat(x)[1])
+    expected = [invariants_graded(gm, d) for d in range(max_degree + 1)]
     for seed in range(3):
         shuffled = random.Random(seed).sample(order, len(order))
-        monkeypatch.setattr(liealg, "derivation_generators", lambda gm, s=shuffled: list(s))
-        fresh = liealg.TakiffAlgebra(base, m)     # its own, empty invariant cache
-        assert [invariants_graded(fresh, d) for d in range(max_degree + 1)] == expected
+        assert [kernel_invariants(gm, d, shuffled) for d in range(max_degree + 1)] == expected
 
 
 def test_takiff_kernel_work_guard(monkeypatch):
-    """sl2, m = 2, degree 6: the kernel path reads integer monomial images
+    """sl3, m = 0, degree 6: the kernel path reads integer monomial images
     only, each (derivation, monomial) image at most once in its step, and
     never builds a polynomial derivation."""
     real_kernel = liealg.joint_kernel
@@ -429,16 +427,16 @@ def test_takiff_kernel_work_guard(monkeypatch):
 
     monkeypatch.setattr(liealg, "adjoint_derivation", forbidden)
     monkeypatch.setattr(liealg, "joint_kernel", guarded_kernel)
-    assert invariants_graded(takiff_extend(make_sl(2), 2), 6).dim == 10
+    assert invariants_graded(takiff_extend(make_sl(3), 0), 6).dim == 2
     assert sum(map(len, steps)) > 0
     assert all(count == 1 for seen in steps for count in seen.values())
 
 
 def test_takiff_kernel_builds_no_fraction(monkeypatch):
-    """Once the algebra's integer weights are cached, the sl2, m = 2, degree-6
+    """Once the algebra's integer weights are cached, the sl3, m = 0, degree-6
     invariants build no Fraction until from_polynomials canonicalises them."""
-    gm = takiff_extend(make_sl(2), 2)
-    assert gm._weights == [[2], [0], [-2]] * 3
+    gm = takiff_extend(make_sl(3), 0)
+    assert gm._weights == [[2, -1], [1, 1], [-1, 2], [0, 0], [0, 0], [-2, 1], [-1, -1], [1, -2]]
     outside, inside = [0], [0]
     real_new, real_canonical = Fraction.__new__, GradedSubspace.from_polynomials.__func__
 
@@ -455,7 +453,7 @@ def test_takiff_kernel_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     monkeypatch.setattr(GradedSubspace, "from_polynomials", classmethod(canonical))
-    assert invariants_graded(gm, 6).dim == 10
+    assert invariants_graded(gm, 6).dim == 2
     assert outside == [0]
 
 
@@ -468,6 +466,28 @@ def test_derivation_generators_skip_diagonal_cartan(sl2):
 
 
 def test_work_bound(sl3):
+    # `takiff invariants` counts S^d(g_m) whichever path computes it: here
+    # C(19, 4) = 3876 monomials on the 16 variables of g_1.
     g1 = takiff_extend(sl3, 1)
-    with pytest.raises(WorkBoundExceeded):
+    with pytest.raises(WorkBoundExceeded, match="dimension 3876 > 10"):
         invariants_graded(g1, 4, work_bound=10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_basic_invariant_degrees(n):
+    # sl(n) has basic invariants of degrees 2, ..., n; asking again finds no more.
+    g = make_sl(n)
+    assert [p.degree() for p in basic_invariants(g, 2)] == [2]
+    assert [p.degree() for p in basic_invariants(g, 8)] == list(range(2, n + 1))
+    assert sorted(g._basic_invariants) == list(range(1, n + 1))
+
+
+def test_polarizations_of_the_sl2_casimir(sl2):
+    # The t^1 and t^2 coefficients of c(e + e_1 t, h + h_1 t, f + f_1 t), c = h^2 + 4 e f.
+    g1 = takiff_extend(sl2, 1)
+    casimir = gm_parse(takiff_extend(sl2, 0), "h^2 + 4 e f")
+    polarized = [Polynomial(g1.dim, q) for q in polarizations(casimir, 1)]
+    assert polarized == [gm_parse(g1, "2 h h_1 + 4 e f_1 + 4 f e_1"),
+                         gm_parse(g1, "h_1^2 + 4 e_1 f_1")]
+    assert all(type(c) is int for q in polarizations(casimir * Fraction(1, 3), 2)
+               for c in q.values())

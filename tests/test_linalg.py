@@ -391,7 +391,7 @@ def test_from_polynomials_matches_dense_canonicalisation(seed):
 
 
 def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
-    """Every elimination behind the sl2, m = 2, degree-6 invariants gets
+    """Every elimination behind the sl3, m = 0, degree-6 invariants gets
     mapping rows that store no more entries than the terms of the
     polynomials they were read from: the derivation images of monomials,
     then the surviving kernel bases.  A dense or transposed fallback stores
@@ -416,7 +416,7 @@ def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
 
     monkeypatch.setattr(linalg, "_pivot_rows", recording_elimination)
     monkeypatch.setattr(liealg, "joint_kernel", counted_kernel)
-    result = invariants_graded(takiff_extend(make_sl(2), 2), 6)
+    result = invariants_graded(takiff_extend(make_sl(3), 0), 6)
     assert result.dim > 0
     assert calls and all(calls)
     assert 0 < entries[0] <= terms[0]

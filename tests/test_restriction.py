@@ -18,8 +18,8 @@ from dunklinv.restriction import (
     image_basis,
     restrict,
 )
-from oracles import (close_group, coroot_delta, coroot_remainder, polynomial_joint_kernel,
-                     series_coefficients, tower_substitute, transpose)
+from oracles import (close_group, coroot_delta, coroot_remainder, kernel_invariants,
+                     polynomial_joint_kernel, series_coefficients, tower_substitute, transpose)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +189,44 @@ def test_image_elements_diagonally_invariant(frame1):
         for b in image_basis(frame1, d).basis:
             for w in frame1.weyl.elements:
                 assert b.substitute(w) == b
+
+
+# Raïs-Tauvel: for m >= 1, S(g_m)^{g_m} is the polynomial ring on the m + 1
+# top polarizations of each basic invariant of g.  The kernel oracle solves
+# for the invariants instead, on every weight-zero monomial of S^d(g_m).
+@pytest.mark.parametrize("n,m,max_degree", [(2, 2, 8), (2, 3, 6), (3, 1, 6), (3, 2, 4),
+                                            (4, 1, 4)],
+                         ids=["sl2-m2", "sl2-m3", "sl3-m1", "sl3-m2", "sl4-m1"])
+def test_polarized_bases_match_kernel_oracle(n, m, max_degree):
+    frame = CartanFrame(takiff_extend(make_sl(n), m))
+    for d in range(max_degree + 1):
+        invariants = kernel_invariants(frame.gm, d)
+        assert invariants_graded(frame.gm, d, work_bound=10 ** 6) == invariants
+        assert image_basis(frame, d) == GradedSubspace.from_polynomials(
+            [restrict(frame, b) for b in invariants.basis], frame.dim, d)
+
+
+@pytest.mark.parametrize("algebra,degrees,max_m,max_degree", [
+    ("sl2", [2], 3, 8), ("sl3", [2, 3], 2, 6)], ids=["sl2", "sl3"])
+def test_image_dimensions_follow_the_hilbert_series(request, algebra, degrees, max_m,
+                                                    max_degree):
+    # dim_image at degree d is the t^d coefficient of prod_i (1 - t^(d_i))^-(m + 1).
+    g = request.getfixturevalue(algebra)
+    for m in range(max_m + 1):
+        frame = CartanFrame(takiff_extend(g, m))
+        assert [image_basis(frame, d).dim for d in range(max_degree + 1)] == \
+            series_coefficients(degrees * (m + 1), max_degree)
+
+
+def test_dependent_restricted_generators_raise(monkeypatch, sl2):
+    # A generator listed twice makes the products dependent: the image then
+    # has fewer dimensions than generator monomials.
+    frame = CartanFrame(takiff_extend(sl2, 1))
+    twice = restriction.basic_invariants(sl2, 2) * 2
+    monkeypatch.setattr(restriction, "basic_invariants", lambda g, degree: twice)
+    assert image_basis(frame, 0).dim == 1
+    with pytest.raises(RestrictionError, match="injective"):
+        image_basis(frame, 2)
 
 
 # -- criterion checks ---------------------------------------------------------------------
