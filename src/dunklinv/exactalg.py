@@ -193,9 +193,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: Scalar) -> "Polynomial":
-        return self * (Fraction(1) / scalar)
-
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")

@@ -169,12 +169,6 @@ def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    """a b for Fraction or int entries; floats are refused upstream, not re-checked here."""
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
-
-
 def mat_vec(a: Matrix, v: Sequence[Fraction | int]) -> list[Fraction]:
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 

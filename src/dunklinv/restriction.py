@@ -113,7 +113,7 @@ class CartanFrame:
         # Generators are vectors, so w acts on S[h_m] by substituting
         # blockdiag(w^T), one block per T-level.  generators[i] is the
         # diagonal reflection of positive_roots[i]; the group permutes the
-        # finite frame roots, so it is finite, and is closed on first use.
+        # finite frame roots, so it is finite.
         def lift(w):
             return tuple(tuple(w[j % nc][i % nc] if i // nc == j // nc else Fraction(0)
                                for j in range(self.dim)) for i in range(self.dim))

@@ -22,21 +22,23 @@ dualize coordinates, which is what keeps the pairing symmetric in the
 non-orthogonal realizations.
 
 Polynomials here are functions on the reflection representation, and the
-group acts by w.p = p o w^{-1}.  Group closure and invariants are written
-once, for any finite matrix group given by generators: the restriction
-module reuses them for the diagonal Weyl action on S[h_m].  Invariant bases
-come from the generator kernel, the polynomials with p o s = p for each
-generator s (`linalg.joint_kernel`); averaging over the whole group
-(`reynolds`) is kept as the projector onto invariants.  Both compose
-polynomials with matrices through `exactalg.substitution`, the package's
-one linear change of variables: `reynolds` by `Polynomial.substitute`, the
-kernel maps on its integer images directly.
+group acts by w.p = p o w^{-1}.  A Weyl group is held by its generators
+only, for any finite matrix group: the restriction module reuses it for the
+diagonal Weyl action on S[h_m].  A polynomial is invariant exactly when each
+generator fixes it, so invariant bases come from the generator kernel, the
+polynomials with p o s = p for each generator s (`linalg.joint_kernel`).
+The projector onto invariants (`reynolds`) is the mean of the orbit of p
+under the generators: by orbit-stabilizer each p o w occurs |Stab(p)| times
+in the group average, so the two agree and no group element is formed.
+Both compose polynomials with matrices through `exactalg.substitution`, the
+package's one linear change of variables: `reynolds` by
+`Polynomial.substitute`, the kernel maps on its integer images directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -54,7 +56,7 @@ class UnsupportedSystem(ValueError):
 
 
 class WeylClosureError(RuntimeError):
-    """A group or root-orbit closure exceeded the safety bound; the input is broken."""
+    """A root orbit or a polynomial orbit exceeded the safety bound; the input is broken."""
 
 
 class RootSystem(Frozen):
@@ -155,31 +157,13 @@ class MultiplicityAssignment(Frozen):
 
 
 class WeylGroup(Frozen):
-    """A finite rational matrix group; `elements`, the breadth-first closure of
-    `generators` from the identity, is computed on first read and kept."""
+    """A finite rational matrix group, held by its generators."""
 
     rank: int
     generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def __init__(self, rank, generators):
         self.__dict__.update(rank=rank, generators=generators)
-
-    def __eq__(self, other: object) -> bool:      # `elements`, once cached, is not compared
-        return (type(other) is WeylGroup and self.rank == other.rank
-                and self.generators == other.generators)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.generators))
-
-    @cached_property
-    def elements(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        ident = tuple(map(tuple, linalg.identity(self.rank)))
-        return tuple(_closure([ident], self.generators,
-                              lambda w, g: tuple(map(tuple, linalg.mat_mul(w, g)))))
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def _fr(seq) -> tuple[Fraction, ...]:
@@ -215,9 +199,9 @@ def _reflect_root(root, simple):
 
 def _closure(seeds, generators, step) -> list:
     """Breadth-first closure of seeds under x -> step(x, g): seeds first, then discovery order."""
-    elements = list(seeds)
-    seen = set(elements)
-    frontier = list(elements)
+    orbit = list(seeds)
+    seen = set(orbit)
+    frontier = list(orbit)
     while frontier:
         next_frontier = []
         for x in frontier:
@@ -225,12 +209,12 @@ def _closure(seeds, generators, step) -> list:
                 y = step(x, g)
                 if y not in seen:
                     seen.add(y)
-                    elements.append(y)
+                    orbit.append(y)
                     next_frontier.append(y)
-                    if len(elements) > _CLOSURE_BOUND:
+                    if len(orbit) > _CLOSURE_BOUND:
                         raise WeylClosureError(f"closure exceeded {_CLOSURE_BOUND} elements")
         frontier = next_frontier
-    return elements
+    return orbit
 
 
 def build_root_system(type_: str, rank: int) -> RootSystem:
@@ -265,16 +249,15 @@ def root_system(name: str) -> RootSystem:
 
 
 def generate_weyl(rs: RootSystem) -> WeylGroup:
-    """The Weyl group of rs from its simple reflections (the first roots), closed on first use."""
+    """The Weyl group of rs by its simple reflections (the first roots)."""
     return WeylGroup(rs.rank, tuple(rs.reflection(i) for i in range(len(rs.simple_roots))))
 
 
 def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
-    """The projector onto W-invariants: the average of p o w over W."""
-    total = Polynomial.zero(p.ambient_dim)
-    for w in weyl.elements:
-        total = total + p.substitute(w)
-    return total / weyl.order
+    """The projector onto W-invariants: the mean of the orbit of p under the generators,
+    which is the average of p o w over W."""
+    orbit = _closure([p], weyl.generators, Polynomial.substitute)
+    return sum(orbit, Polynomial.zero(p.ambient_dim)) * Fraction(1, len(orbit))
 
 
 def invariance_maps(weyl: WeylGroup) -> Iterator[MonomialMap]:

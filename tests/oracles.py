@@ -10,8 +10,9 @@ is the second form of the Takiff invariants at m >= 1: the package spans them
 by products of polarized generators, and the oracle solves for them as the
 joint kernel of the adjoint derivations on S^d(g_m).  The last section
 holds the checks and helpers that only tests call: the pairing and the
-identities it satisfies, the group action on polynomials and eager group
-closure.
+identities it satisfies and the group action on polynomials.  The package
+holds a Weyl group by its generators only; `breadth_first_group` closes a
+finite one here, by the textbook product.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ from dunklinv.exactalg import (Polynomial, divide_with_remainder, mono_from_vari
 from dunklinv.liealg import _monomial_derivation, derivation_generators
 from dunklinv.linalg import GradedSubspace, joint_kernel, mat_inv, mat_vec
 from dunklinv.restriction import restrict
-from dunklinv.rootsys import WeylGroup, reynolds
+from dunklinv.rootsys import reynolds, root_system
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -207,6 +208,12 @@ def classical_root_table(name: str) -> dict[tuple, tuple[tuple, str]]:
 
 def transpose(a) -> list[list[Fraction]]:
     return [list(col) for col in zip(*a)]
+
+
+def mat_mul(a, b) -> list[list[Fraction]]:
+    """a b for Fraction or int entries."""
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
 
 
 def det(a) -> Fraction:
@@ -491,7 +498,8 @@ def coroot_remainder(frame, i: int, n: int, q: Polynomial) -> Polynomial:
 
 def breadth_first_group(generators) -> tuple:
     """Closure of square matrix generators under the textbook product, breadth-first
-    from the identity, elements in discovery order."""
+    from the identity, elements in discovery order.  There is no bound: call it on
+    finite groups only."""
     n = len(generators[0])
 
     def product(a, b):
@@ -651,9 +659,8 @@ def act(w, p: Polynomial) -> Polynomial:
     return p.substitute(mat_inv(w))
 
 
-def close_group(generators, rank: int) -> WeylGroup:
-    """The group of rank x rank rational generators, closed at once: an infinite one raises."""
-    group = WeylGroup(rank, tuple(tuple(tuple(Fraction(x) for x in row) for row in g)
-                                  for g in generators))
-    group.elements                      # closes the group now
-    return group
+def conjugated_a2() -> tuple:
+    """The A2 simple reflections conjugated by s = diag(1, 1/3): entries 1/3 and 3."""
+    s, s_inv = [[1, 0], [0, Fraction(1, 3)]], [[1, 0], [0, 3]]
+    a2 = root_system("A2")
+    return tuple(tuple(map(tuple, mat_mul(mat_mul(s, a2.reflection(i)), s_inv))) for i in range(2))

@@ -20,9 +20,9 @@ from dunklinv.exactalg import (
     parse,
     render,
 )
-from dunklinv.linalg import mat_mul
-from dunklinv.rootsys import generate_weyl, root_system
-from oracles import naive_product, termwise_map, tower_substitute
+from dunklinv.rootsys import root_system
+from oracles import (breadth_first_group, conjugated_a2, naive_product, termwise_map,
+                     tower_substitute)
 
 
 def poly(text, dim=3):
@@ -84,7 +84,7 @@ def test_constructor_rejects_float_coefficients():
     with pytest.raises(TypeError, match="float"):
         Polynomial.constant(1, 2.0)
     with pytest.raises(TypeError):
-        poly("x1", 1) / 0.5
+        poly("x1", 1) * 0.5
 
 
 def test_directional_derivative_rejects_float_direction():
@@ -261,15 +261,8 @@ def test_substitution_is_integral(monos, m):
         out[mono] = out.get(mono, 0) + 1
 
 
-def _a2_conjugated():
-    # The A2 Weyl group conjugated by diag(1, 1/3): entries 1/3 and 3.
-    a2 = root_system("A2")
-    return [mat_mul(mat_mul([[1, 0], [0, Fraction(1, 3)]], w), [[1, 0], [0, 3]])
-            for w in generate_weyl(a2).elements]
-
-
 @pytest.mark.parametrize("elements", [
-    _a2_conjugated,
+    lambda: breadth_first_group(conjugated_a2()),
     lambda: [root_system("G2").reflection(i) for i in range(12)],
 ], ids=["A2 conjugated", "G2 reflections"])
 def test_substitution_of_group_elements_matches_fraction_tower(elements):
@@ -425,7 +418,6 @@ def test_values_survive_pickling_and_copying(how):
     space = invariants_graded(takiff_extend(make_sl(2), 2), 4)
     assert space.dim > 0 and round_trip(space) == space
     ctx = make_context("B3", "long=1,short=1/2")
-    ctx.weyl.elements
     image = dunkl_apply(ctx, [1, 0, 0], p)          # fills part of the quotient memo
     copied = round_trip(ctx)
     assert copied is not ctx
@@ -433,11 +425,10 @@ def test_values_survive_pickling_and_copying(how):
             copied._quotients, copied._dual_directions) == \
         (ctx.rs, ctx.weyl, ctx.k, ctx._acting, ctx._r, ctx._reflected,
          ctx._quotients, ctx._dual_directions)
-    assert copied.weyl.elements == ctx.weyl.elements
     assert dunkl_apply(copied, [1, 0, 0], p) == image
 
 
 def test_power_and_scalar_division():
     p = poly("x1 + 1")
     assert p ** 2 == poly("x1^2 + 2 x1 + 1")
-    assert (poly("2 x1") / 2) == poly("x1")
+    assert poly("2 x1") * Fraction(1, 2) == poly("x1")

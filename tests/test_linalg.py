@@ -15,11 +15,10 @@ from dunklinv.linalg import (
     joint_kernel,
     leading_principal_minors,
     mat_inv,
-    mat_mul,
     nullspace,
     rref,
 )
-from oracles import det, dense_nullspace, dense_rref, seeded_polynomials, stacked_kernel
+from oracles import det, dense_nullspace, dense_rref, mat_mul, seeded_polynomials, stacked_kernel
 
 
 def sparse(rows):

@@ -3,17 +3,18 @@ from math import lcm
 
 import pytest
 
-from dunklinv.dunkl import DunklContext, make_context
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.liealg import make_sl, takiff_extend
 from dunklinv.restriction import CartanFrame
-from dunklinv.linalg import GradedSubspace, identity, mat_mul, mat_vec
+from dunklinv.linalg import GradedSubspace, identity, mat_vec
 from dunklinv.rootsys import (
     SUPPORTED,
     MultiplicityAssignment,
     RootSystem,
     UnsupportedSystem,
     WeylClosureError,
+    WeylGroup,
+    _closure,
     build_root_system,
     generate_weyl,
     invariance_maps,
@@ -21,9 +22,9 @@ from dunklinv.rootsys import (
     reynolds,
     root_system,
 )
-from oracles import (act, breadth_first_group, classical_root_table, close_group,
-                     invariant_stability_check, polynomial_joint_kernel, root_orbits,
-                     series_coefficients, tower_substitute, transpose)
+from oracles import (act, breadth_first_group, classical_root_table, conjugated_a2,
+                     mat_mul, polynomial_joint_kernel, root_orbits, series_coefficients,
+                     tower_substitute, transpose)
 
 ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "B2": 8, "B3": 18,
                "C2": 8, "C3": 18, "D3": 12, "G2": 12}
@@ -35,7 +36,7 @@ WEYL_ORDER = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48,
 def test_construction_table(name):
     rs = root_system(name)
     assert len(rs.roots) == ROOT_COUNTS[name]
-    assert generate_weyl(rs).order == WEYL_ORDER[name]
+    assert len(breadth_first_group(generate_weyl(rs).generators)) == WEYL_ORDER[name]
 
 
 @pytest.mark.parametrize("name", SUPPORTED)
@@ -129,7 +130,7 @@ def test_act_identity_and_sign():
     rs = root_system("A1")
     weyl = generate_weyl(rs)
     p = parse("x1^3", 1)
-    assert act(weyl.elements[0], p) == p
+    assert act(breadth_first_group(weyl.generators)[0], p) == p
     r = rs.reflection(0)
     assert act(r, parse("x1", 1)) == parse("-x1", 1)
 
@@ -138,8 +139,9 @@ def test_act_composition_law_exhaustive_a2():
     rs = root_system("A2")
     weyl = generate_weyl(rs)
     p = parse("x1^2 x2 - 3 x2^3 + x1", 2)
-    for w1 in weyl.elements:
-        for w2 in weyl.elements:
+    group = breadth_first_group(weyl.generators)
+    for w1 in group:
+        for w2 in group:
             w1w2 = tuple(tuple(row) for row in mat_mul(w1, w2))
             assert act(w1, act(w2, p)) == act(w1w2, p)
 
@@ -160,7 +162,7 @@ def test_reynolds_idempotent_and_invariant(name):
                                  for i, mono in enumerate(monomials_of_degree(rs.rank, d))})
         image = reynolds(weyl, p)
         assert reynolds(weyl, image) == image
-        for w in weyl.elements:
+        for w in breadth_first_group(weyl.generators):
             assert act(w, image) == image
 
 
@@ -328,78 +330,86 @@ def test_positive_indivisible_picks_one_per_pair():
 
 def test_generate_weyl_deterministic():
     rs = root_system("B2")
-    assert generate_weyl(rs).elements == generate_weyl(rs).elements
+    assert generate_weyl(rs) == generate_weyl(rs)
+    assert generate_weyl(rs).generators == (rs.reflection(0), rs.reflection(1))
 
 
 @pytest.mark.parametrize("name", SUPPORTED)
 def test_generate_weyl_matches_textbook_closure(name):
-    # Same elements in the same order, every entry an exact Fraction.
-    # The group is closed on first read of `elements`, not when it is built.
+    # W is held by its simple reflections, every entry an exact Fraction; the
+    # textbook closure of those has the order of the table.
     rs = root_system(name)
     weyl = generate_weyl(rs)
-    assert "elements" not in weyl.__dict__
-    simple_reflections = [rs.reflection(i) for i in range(len(rs.simple_roots))]
-    assert weyl.elements == breadth_first_group(simple_reflections)
-    assert all(type(x) is Fraction for w in weyl.elements for row in w for x in row)
-    assert weyl.elements is weyl.elements
+    simple_reflections = tuple(rs.reflection(i) for i in range(len(rs.simple_roots)))
+    assert weyl == WeylGroup(rs.rank, simple_reflections)
+    assert all(type(x) is Fraction for g in weyl.generators for row in g for x in row)
+    assert len(breadth_first_group(weyl.generators)) == WEYL_ORDER[name]
 
 
 def test_close_group_rational_generators_match_textbook_closure():
-    # The A2 reflections conjugated by diag(1, 1/3) have entries 1/3 and 3;
-    # close_group closes them at once, in the oracle's order, all Fractions.
-    s, s_inv = [[1, 0], [0, Fraction(1, 3)]], [[1, 0], [0, 3]]
-    a2 = root_system("A2")
-    generators = [mat_mul(mat_mul(s, a2.reflection(i)), s_inv) for i in range(2)]
+    # The A2 reflections conjugated by diag(1, 1/3) have entries 1/3 and 3.
+    # They generate a group of order 6, all Fractions, whose generator kernel
+    # is the span of the Reynolds images of the monomials.
+    generators = conjugated_a2()
     assert Fraction(1, 3) in {x for g in generators for row in g for x in row}
-    group = close_group(generators, 2)
-    assert "elements" in group.__dict__
-    assert group.elements == breadth_first_group(generators)
-    assert group.order == 6
-    assert all(type(x) is Fraction for w in group.elements for row in w for x in row)
+    group = breadth_first_group(generators)
+    assert len(group) == 6
+    assert all(type(x) is Fraction for w in group for row in w for x in row)
+    weyl = WeylGroup(2, generators)
+    for d in range(5):
+        projected = [reynolds(weyl, Polynomial(2, {mono: 1}))
+                     for mono in monomials_of_degree(2, d)]
+        assert invariant_basis(weyl, d) == GradedSubspace.from_polynomials(projected, 2, d)
 
 
-@pytest.mark.parametrize("name", ["A2", "B3", "G2"])
-def test_lazy_weyl_closure_agrees_with_eager(name):
-    # reynolds and invariant_stability_check on a fresh context close W on
-    # first use and agree with a group closed at construction.
-    rs = root_system(name)
-    fresh = make_context(name, "all=1")
-    eager = close_group(fresh.weyl.generators, rs.rank)
-    assert "elements" not in fresh.weyl.__dict__
-    p = parse(" + ".join(f"x{i + 1}^2" for i in range(rs.rank)) + " + x1", rs.rank)
-    assert reynolds(fresh.weyl, p) == reynolds(eager, p)
-    assert "elements" in fresh.weyl.__dict__
-    assert fresh.weyl.elements == eager.elements
+@pytest.mark.parametrize("name", [*SUPPORTED, "A2 conjugated", "sl3 m=1 frame"])
+def test_reynolds_is_the_group_average(name):
+    # reynolds closes only the orbit of p.  By orbit-stabilizer its mean is the
+    # average of p o w over the group, which the oracle closes here.
+    weyl = INVARIANCE_GROUPS[name]()
+    n = weyl.rank
+    group = breadth_first_group(weyl.generators)
+    assert len(group) == WEYL_ORDER.get(name, 6)      # both extra groups have order 6
+    for text in ("7/2", "x1", f"x1^3 + 2 x1 x{n}", "1/3 x1^4 - x1^2 + 5"):
+        p = parse(text, n)
+        average = sum((p.substitute(w) for w in group), Polynomial.zero(n)) * \
+            Fraction(1, len(group))
+        assert reynolds(weyl, p) == average, text
 
-    fresh = make_context(name, "all=1")
-    eager_ctx = DunklContext(rs=fresh.rs, weyl=eager, k=fresh.k)
-    invariants = invariant_basis(fresh.weyl, 2).basis + invariant_basis(fresh.weyl, 4).basis
-    assert "elements" not in fresh.weyl.__dict__
-    for q in invariants:
-        assert invariant_stability_check(fresh, invariants[0], q) is \
-            invariant_stability_check(eager_ctx, invariants[0], q) is True
-    assert "elements" in fresh.weyl.__dict__
+
+def test_reynolds_orbit_meets_orbit_stabilizer():
+    # Under W(B3) the orbit of x1^2 is {x1^2, x2^2, x3^2}: 48 / |Stab(x1^2)| = 3.
+    weyl = generate_weyl(root_system("B3"))
+    p = parse("x1^2", 3)
+    group = breadth_first_group(weyl.generators)
+    stabilizer = sum(p.substitute(w) == p for w in group)
+    orbit = _closure([p], weyl.generators, Polynomial.substitute)
+    assert len(group) == 48 and 48 % stabilizer == 0
+    assert len(orbit) == 48 // stabilizer == 3
+    assert set(orbit) == {p.substitute(w) for w in group} == \
+        {parse(f"x{i}^2", 3) for i in (1, 2, 3)}
 
 
 def test_root_systems_groups_and_multiplicities_are_immutable_values():
-    # Equal inputs give equal, equally hashed values, whether or not a group
-    # has been closed yet; no attribute can be assigned, not even `elements`.
+    # Equal inputs give equal, equally hashed values; a Weyl group is its rank
+    # and generators only, and no attribute can be assigned.
     b3, again = root_system("B3"), root_system("B3")
     assert b3 is not again and b3 == again and hash(b3) == hash(again)
-    weyl, closed = generate_weyl(b3), generate_weyl(again)
-    assert closed.elements is closed.elements
-    assert weyl == closed and hash(weyl) == hash(closed)
+    weyl, other = generate_weyl(b3), generate_weyl(again)
+    assert weyl == other and hash(weyl) == hash(other)
+    assert list(vars(weyl)) == ["rank", "generators"]
     k = MultiplicityAssignment.parse("long=1,short=1/2")
     assert k == MultiplicityAssignment.parse("long=1,short=1/2")
     assert k != MultiplicityAssignment.parse("long=1,short=1")
     for obj, attr in ((b3, "rank"), (b3, "roots"), (b3, "extra"), (weyl, "generators"),
-                      (weyl, "elements"), (k, "values")):
+                      (k, "values")):
         with pytest.raises(AttributeError):
             setattr(obj, attr, None)
-    assert "elements" not in weyl.__dict__
 
 
 def test_close_group_rejects_infinite_group():
-    # A unipotent shear has infinite order, so the closure must hit its bound.
+    # A unipotent shear has infinite order: the orbit of x1 is x1 + j x2 for
+    # j = 0, 1, ..., so reynolds must hit the closure bound.
+    shear = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
     with pytest.raises(WeylClosureError):
-        close_group([[[1, 1], [0, 1]]], 2)
+        reynolds(WeylGroup(2, (shear,)), parse("x1", 2))
