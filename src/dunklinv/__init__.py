@@ -30,7 +30,6 @@ from .dunkl import (
 )
 from .liealg import (
     LieAlgebra,
-    TakiffAlgebra,
     WorkBoundExceeded,
     adjoint_derivation,
     invariants_graded,

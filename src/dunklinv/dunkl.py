@@ -54,12 +54,15 @@ times the matrix of T_i (Dunkl and Xu, *Orthogonal Polynomials of Several
 Variables*, ch. 7).  `gram_matrix` starts from G_0 = [1], peels the
 lowest-index variable off each monomial, and needs T_i only on single
 monomials, whose divided differences the context's memo holds and every
-direction shares.  It holds G_e = N_e / s_e with N_e an integer matrix,
-fraction-free as in Bareiss's elimination.  With R the lcm of the
-denominators of H_alpha and the reflected variables r_alpha x_i (1 on every
-supported system), the memo holds R^|c| times the quotient of c; with D
-that of the dual directions and of the weights k_alpha alpha(xi_i),
-D R^e T_i is integral on degree e and s_e = D R^e s_{e-1}.  The pairing
+direction shares.  It builds only the rows a basis reads: at each degree
+the supports of the basis there and the peels of the rows one degree up.
+Below the top degree a row needs every column, since T_i c reaches any
+monomial; at the top only the columns of the supports are built.  It holds
+G_e = N_e / s_e with N_e an integer matrix, fraction-free as in Bareiss's
+elimination.  With R the lcm of the denominators of H_alpha and the
+reflected variables r_alpha x_i (1 on every supported system), the memo
+holds R^|c| times the quotient of c; with D that of the dual directions
+and of the weights k_alpha alpha(xi_i), D R^e T_i is integral on degree e and s_e = D R^e s_{e-1}.  The pairing
 vanishes across degrees, so a basis is paired one homogeneous component at a
 time, scaled to integers by one lcm.
 """
@@ -70,7 +73,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .exactalg import (Monomial, Polynomial, apply_map, derivative, monomials_of_degree,
@@ -216,7 +219,8 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
     Built by recursion on degree through <x_i m, c> = <m, T_i c>, with each
     divided difference (c - r_alpha c) / alpha read from the context's memo
     and each G_e held as N_e / s_e with N_e integral (see the module
-    docstring).  Two degrees of N are held at once; bases may mix degrees.
+    docstring), on the rows and columns the basis reads.  Two degrees of N
+    are held at once; bases may mix degrees.
     """
     if any(b.ambient_dim != ctx.rank for b in basis):
         raise ValueError("polynomials must live on the reflection representation")
@@ -227,13 +231,21 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
             terms = b.homogeneous_component(e).terms
             den = lcm(*(c.denominator for c in terms.values()))
             components[e][j] = den, {m: int(den * coeff) for m, coeff in terms.items()}
+    top = max(components, default=-1)
+    # rows[e]: the degree-e rows read, the components' supports and the peels of rows[e + 1]
+    rows: dict[int, set] = defaultdict(set)
+    for e in range(top, 0, -1):
+        rows[e].update(m for _, terms in components.get(e, {}).values() for m in terms)
+        rows[e - 1].update(_peel(m)[1] for m in rows[e])
     matrix = [[Fraction(0)] * len(basis) for _ in basis]
     d, directions, weights = ctx._scaled(ctx._dual_directions)
     one = (0,) * ctx.rank
     gram, scale = {one: {one: 1}}, 1                # N_0 as sparse rows, s_0
-    for e in range(max(components, default=-1) + 1):
+    for e in range(top + 1):
         if e:
-            gram = _next_gram(ctx, monomials_of_degree(ctx.rank, e), gram, directions, weights)
+            # the top degree pairs only its own support, every lower row feeds the next
+            columns = rows[e] if e == top else monomials_of_degree(ctx.rank, e)
+            gram = _next_gram(ctx, rows[e], columns, gram, directions, weights)
             scale *= d * ctx._r ** e
         for j, (den_j, row_terms) in components.get(e, {}).items():
             paired: dict = defaultdict(int)         # basis[j]'s scaled degree-e part times N_e
@@ -295,22 +307,23 @@ def _product_rule(h, reflected: list, rest: Monomial, lower: tuple, canonical: d
     return tuple(chain.from_iterable(out.items()))
 
 
-def _next_gram(ctx: DunklContext, monos: Sequence[Monomial], previous: dict, directions,
-               weights) -> dict:
-    """N_e from N_{e-1}: row x_i m' is row m' of N_{e-1} times D R^e T_i, i lowest in x_i m'.
+def _next_gram(ctx: DunklContext, rows: Iterable[Monomial], columns: Iterable[Monomial],
+               previous: dict, directions, weights) -> dict:
+    """N_e from N_{e-1} on the given rows and columns: row x_i m' is row m' of
+    N_{e-1} times D R^e T_i, i lowest in x_i m'.
 
     The images D R^e T_i c are the context's `_images` of c, from the
     D-scaled `directions` and `weights`, so every sum is over ints.  N_e is
     filled one column c at a time, so only the images of one monomial are held.
     """
-    gram: dict = {m: {} for m in monos}
-    rows = []                   # (row of x_i m', i, row of m' in G_{e-1})
-    for m in monos:
+    gram: dict = {m: {} for m in rows}
+    peeled = []                 # (row of x_i m', i, row of m' in G_{e-1})
+    for m in gram:
         i, rest = _peel(m)
-        rows.append((gram[m], i, previous[rest]))
-    for c in monos:
+        peeled.append((gram[m], i, previous[rest]))
+    for c in columns:
         images = ctx._images(c, directions, weights)
-        for row, i, lower in rows:
+        for row, i, lower in peeled:
             entry = sum(lower[t] * coeff for t, coeff in images[i].items() if t in lower)
             if entry:
                 row[c] = entry

@@ -1,9 +1,11 @@
-"""Matrix Lie algebras by structure constants, Takiff extensions, and invariants.
+"""Lie algebras by structure constants, Takiff extensions, and invariants.
 
 A Lie algebra is built from a basis of matrices (`matrix_algebra`): the
 bracket is the commutator, read back in that basis, and the form is the
 trace form of the matrices.  `make_sl(n)` supplies the Chevalley basis of
-sl(n) for any n >= 2.
+sl(n) for any n >= 2.  A Takiff algebra g_m = g (x) C[T]/T^{m+1} is one more
+`LieAlgebra` (`takiff_extend`), with the truncated bracket and the
+top-degree form, validated like any other; g_0 is g itself.
 
 The symmetric algebra S[g_m] is realized literally: polynomial variable
 (i, s) *is* the basis vector X_i (x) T^s, with flat index s*dim(g) + i, and
@@ -34,9 +36,9 @@ takes as it is.  `adjoint_derivation` hands that same map to
 one `Fraction` per term of its image.
 
 Rendered names follow the base algebra with a tensor-degree suffix:
-"h" is h (x) 1 and "h_2" is h (x) T^2.  `TakiffAlgebra.pairing` is the
-top-degree form; the contraction directions delta(H (x) T^m) that the
-restriction criterion needs are read on h from the frame's root system
+"h" is h (x) 1 and "h_2" is h (x) T^2.  The form of g_m is the top-degree
+one; the contraction directions delta(H (x) T^m) that the restriction
+criterion needs are read on h from the frame's root system
 (`restriction.CartanFrame.delta_direction`).  The test suite rechecks the
 invariants against every basis derivation, and at m >= 1 against the
 kernel on all of S^d(g_m).
@@ -57,7 +59,9 @@ from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, 
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q with an invariant trace form."""
+    """Finite-dimensional Lie algebra over Q by structure constants, with a
+    symmetric invariant nondegenerate form: g itself, or a Takiff algebra g_m
+    from `takiff_extend`, which records g as its `base` and m as its `m`."""
 
     def __init__(self, dim: int, basis_names: tuple[str, ...],
                  structure: tuple[tuple[dict[int, Fraction], ...], ...],
@@ -67,12 +71,22 @@ class LieAlgebra:
         self.structure = structure          # [X_i, X_j] = sum_k c_ijk X_k
         self.form = form
         self.cartan_indices = cartan_indices
-        self._takiff_cache: dict[int, TakiffAlgebra] = {}     # m -> g_m, see takiff_extend
+        self.base, self.m = self, 0         # a plain algebra is its own g_0
+        self._takiff_cache: dict[int, LieAlgebra] = {0: self}     # m -> g_m, see takiff_extend
         self._basic_invariants: dict[int, list[Polynomial]] = {}  # degree -> its basic invariants
+        self._inv_cache: dict[int, GradedSubspace] = {}           # degree -> invariants_graded
+        # the bracket times one common denominator, in ints
+        self._den = lcm(*(c.denominator for row in structure for entry in row
+                          for c in entry.values()))
+        self._table = [[{z: c.numerator * (self._den // c.denominator) for z, c in entry.items()}
+                        for entry in row] for row in structure]
+        # per basis index x, the variables that ad(X_x) does not kill
+        self._acting = [[v for v, image in enumerate(row) if image] for row in self._table]
         self._validate()
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        return self.structure[i][j]
+    def flat(self, i: int, s: int) -> int:
+        """The basis index of X_i (x) T^s, X_i a basis vector of `base`."""
+        return s * self.base.dim + i
 
     def cartan_weight(self, j: int) -> tuple[Fraction, ...]:
         """The weight of basis vector X_j: its ad(h_c)-eigenvalue for each Cartan h_c."""
@@ -85,29 +99,24 @@ class LieAlgebra:
             raise ValueError("basis is not a Cartan weight basis")
         return tuple(row.get(j, Fraction(0)) for row in rows)
 
+    @cached_property
+    def _weights(self) -> list[list[int]]:
+        """Each variable's Cartan weight, scaled once to integers."""
+        weights = [self.cartan_weight(v) for v in range(self.dim)]
+        scale = lcm(*(w.denominator for weight in weights for w in weight))
+        return [[w.numerator * (scale // w.denominator) for w in weight] for weight in weights]
+
     def _validate(self) -> None:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                anti = {k: -c for k, c in self.structure[j][i].items()}
-                if self.structure[i][j] != anti:
-                    raise ValueError("structure constants are not antisymmetric")
-        _check_lie_structure(_integer_table(self.dim, self.bracket)[0], self.form)
-
-
-def _integer_table(dim: int, bracket) -> tuple[list[list[dict[int, int]]], int]:
-    """The bracket on basis indices times one common denominator, and that denominator."""
-    table = [[bracket(x, y) for y in range(dim)] for x in range(dim)]
-    den = lcm(*(c.denominator for row in table for entry in row for c in entry.values()))
-    return [[{z: c.numerator * (den // c.denominator) for z, c in entry.items()}
-             for entry in row] for row in table], den
-
-
-def _check_lie_structure(table, form: Sequence[Sequence[Fraction]]) -> None:
-    """Jacobi identity for a scaled bracket table; `form` invariant and nondegenerate,
-    that is of full rank under the fraction-free elimination of `linalg`."""
-    dim = len(table)
-    for i in range(dim):
-        for j in range(dim):
+        """Antisymmetry and the Jacobi identity on the integer table; the form
+        symmetric, invariant and nondegenerate, that is of full rank under the
+        fraction-free elimination of `linalg`."""
+        dim, table = self.dim, self._table
+        pairs = [(i, j) for i in range(dim) for j in range(dim)]
+        if any(table[i][j] != {k: -c for k, c in table[j][i].items()} for i, j in pairs):
+            raise ValueError("structure constants are not antisymmetric")
+        if any(self.form[i][j] != self.form[j][i] for i, j in pairs):
+            raise ValueError("form is not symmetric")
+        for i, j in pairs:
             for k in range(dim):
                 acc: dict[int, int] = {}
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
@@ -116,17 +125,16 @@ def _check_lie_structure(table, form: Sequence[Sequence[Fraction]]) -> None:
                             acc[r] = acc.get(r, 0) + c * c2
                 if any(acc.values()):
                     raise ValueError(f"Jacobi identity fails on basis triple {(i, j, k)}")
-    den = lcm(*(x.denominator for row in form for x in row))
-    form = [[x.numerator * (den // x.denominator) for x in row] for row in form]
-    for i in range(dim):
-        for j in range(dim):
+        den = lcm(*(x.denominator for row in self.form for x in row))
+        form = [[x.numerator * (den // x.denominator) for x in row] for row in self.form]
+        for i, j in pairs:
             for k in range(dim):
                 lhs = sum(c * form[l][k] for l, c in table[i][j].items())
                 rhs = sum(c * form[j][l] for l, c in table[i][k].items())
                 if lhs + rhs != 0:
                     raise ValueError("form is not invariant under the bracket")
-    if len(_pivot_rows([dict(enumerate(row)) for row in form])) < dim:
-        raise ValueError("form is degenerate")
+        if len(_pivot_rows([dict(enumerate(row)) for row in form])) < dim:
+            raise ValueError("form is degenerate")
 
 
 def matrix_algebra(matrices: Sequence[Matrix], names: Sequence[str],
@@ -189,78 +197,34 @@ def make_sl(n: int) -> LieAlgebra:
                           range(len(pairs), len(pairs) + n - 1))
 
 
-class TakiffAlgebra:
-    """g_m = g (x) C[T]/T^{m+1}, with truncated bracket and top-degree pairing."""
+def takiff_extend(g: LieAlgebra, m: int) -> LieAlgebra:
+    """g_m = g (x) C[T]/T^{m+1} as a `LieAlgebra`; m = 0 returns g itself.
 
-    def __init__(self, base: LieAlgebra, m: int):
-        self.base = base
-        self.m = m
-        self._inv_cache: dict[int, GradedSubspace] = {}     # degree -> invariants_graded
-        self._table, self._den = _integer_table(self.dim, self.bracket_flat)
-        # per basis index x, the variables that ad(X_x) does not kill
-        self._acting = [[v for v, image in enumerate(row) if image] for row in self._table]
-        self._check_structure()
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim * (self.m + 1)
-
-    @property
-    def basis_names(self) -> tuple[str, ...]:
-        names = []
-        for s in range(self.m + 1):
-            for name in self.base.basis_names:
-                names.append(name if s == 0 else f"{name}_{s}")
-        return tuple(names)
-
-    def flat(self, i: int, s: int) -> int:
-        return s * self.base.dim + i
-
-    def unflat(self, x: int) -> tuple[int, int]:
-        return x % self.base.dim, x // self.base.dim
-
-    def bracket_flat(self, x: int, y: int) -> dict[int, Fraction]:
-        i, s = self.unflat(x)
-        j, t = self.unflat(y)
-        if s + t > self.m:
-            return {}
-        return {self.flat(k, s + t): c for k, c in self.base.structure[i][j].items()}
-
-    def pairing(self, x: int, y: int) -> Fraction:
-        i, s = self.unflat(x)
-        j, t = self.unflat(y)
-        if s + t != self.m:
-            return Fraction(0)
-        return self.base.form[i][j]
-
-    @cached_property
-    def _weights(self) -> list[list[int]]:
-        """Each variable's base-Cartan weight, scaled once to integers."""
-        weights = [self.base.cartan_weight(self.unflat(v)[0]) for v in range(self.dim)]
-        scale = lcm(*(w.denominator for weight in weights for w in weight))
-        return [[w.numerator * (scale // w.denominator) for w in weight] for weight in weights]
-
-    def _check_structure(self) -> None:
-        pairing = [[self.pairing(x, y) for y in range(self.dim)] for x in range(self.dim)]
-        if any(pairing[x][y] != pairing[y][x]
-               for x in range(self.dim) for y in range(self.dim)):
-            raise ValueError("pairing is not symmetric")
-        _check_lie_structure(self._table, pairing)
-
-
-def takiff_extend(g: LieAlgebra, m: int) -> TakiffAlgebra:
-    """Build g_m; m = 0 returns g with its own form repackaged.
-
-    Extensions are memoized per base algebra so graded results accumulate.
+    X_i (x) T^s is basis index s dim(g) + i (`LieAlgebra.flat`), named after
+    X_i with the suffix _s for s >= 1.  The bracket [X (x) T^s, Y (x) T^t] is
+    [X, Y] (x) T^(s+t), zero once s + t > m, and the form is the top-degree
+    one: <X (x) T^s, Y (x) T^t> = <X, Y> when s + t = m, and 0 otherwise.
+    The Cartan indices are those of h (x) 1, whose weights grade S(g_m).
+    g_m records g as its `base` and m as its `m`.  Extensions are memoized
+    per base algebra so graded results accumulate.
     """
     if not 0 <= m <= 3:
         raise ValueError("truncation order m must be within 0..3")
     if m not in g._takiff_cache:
-        g._takiff_cache[m] = TakiffAlgebra(base=g, m=m)
+        n, levels = g.dim, range(m + 1)
+        structure = tuple(tuple({(s + t) * n + k: c for k, c in g.structure[i][j].items()}
+                                if s + t <= m else {} for t in levels for j in range(n))
+                          for s in levels for i in range(n))
+        form = tuple(tuple(g.form[i][j] if s + t == m else Fraction(0)
+                           for t in levels for j in range(n)) for s in levels for i in range(n))
+        names = tuple(f"{name}_{s}" if s else name for s in levels for name in g.basis_names)
+        gm = g._takiff_cache[m] = LieAlgebra(n * (m + 1), names, structure, form,
+                                             g.cartan_indices)
+        gm.base, gm.m = g, m
     return g._takiff_cache[m]
 
 
-def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[Monomial, int]:
+def _monomial_derivation(gm: LieAlgebra, x: int, mono: Monomial) -> dict[Monomial, int]:
     """The derivation extending Y -> [X_x, Y], times the table's denominator, on one monomial."""
     images = gm._table[x]
     exps = list(mono)
@@ -278,16 +242,16 @@ def _monomial_derivation(gm: TakiffAlgebra, x: int, mono: Monomial) -> dict[Mono
     return {target: c for target, c in out.items() if c}
 
 
-def adjoint_derivation(gm: TakiffAlgebra, x: int, p: Polynomial) -> Polynomial:
+def adjoint_derivation(gm: LieAlgebra, x: int, p: Polynomial) -> Polynomial:
     """The derivation of S[g_m] extending Y -> [X_x, Y] on generators."""
     if p.ambient_dim != gm.dim:
         raise ValueError("polynomial does not live on g_m")
     return apply_map(p, partial(_monomial_derivation, gm, x), lambda d: gm._den)
 
 
-def derivation_generators(gm: TakiffAlgebra) -> list[int]:
+def derivation_generators(gm: LieAlgebra) -> list[int]:
     """All basis derivations but the diagonal base-Cartan ones."""
-    return [x for x in range(gm.dim) if x not in gm.base.cartan_indices]     # X_c (x) 1 is x = c
+    return [x for x in range(gm.dim) if x not in gm.cartan_indices]
 
 
 def polarizations(p: Polynomial, m: int) -> list[dict[Monomial, int]]:
@@ -334,12 +298,12 @@ def basic_invariants(g: LieAlgebra, degree: int) -> list[Polynomial]:
         d, lower = len(found) + 1, [p for ps in found.values() for p in ps]
         span = GradedSubspace.from_polynomials(polarized_products(lower, g.dim, 0, d), g.dim, d)
         leads = {b.leading_term()[0] for b in span.basis}
-        found[d] = [b for b in invariants_graded(takiff_extend(g, 0), d).basis
+        found[d] = [b for b in invariants_graded(g, d).basis
                     if b.leading_term()[0] not in leads]
     return [p for d, ps in found.items() if d <= degree for p in ps]
 
 
-def invariants_graded(gm: TakiffAlgebra, degree: int,
+def invariants_graded(gm: LieAlgebra, degree: int,
                       work_bound: int = 20000) -> GradedSubspace:
     """Canonical basis of the degree-d invariants S^d[g_m]^{g_m}.
 

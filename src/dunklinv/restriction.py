@@ -55,8 +55,7 @@ from typing import NamedTuple
 from . import linalg, rootsys
 from .exactalg import (Frozen, Monomial, Polynomial, apply_map, check_work_bound, derivative,
                        monomials_of_degree, render)
-from .liealg import (LieAlgebra, TakiffAlgebra, basic_invariants, invariants_graded,
-                     polarized_products, takiff_extend)
+from .liealg import LieAlgebra, basic_invariants, invariants_graded, polarized_products
 from .linalg import GradedSubspace, joint_kernel
 
 
@@ -68,7 +67,8 @@ _LEVEL_LETTERS = "uvwz"
 
 
 class CartanFrame:
-    """Cartan coordinates of a Takiff algebra with the diagonal Weyl action.
+    """Cartan coordinates of a Takiff algebra g_m (g itself at m = 0) with the
+    diagonal Weyl action.
 
     `rs` is the root system of (g, h): the distinct Cartan weights of g's
     basis, with the trace form on h.  `positive_roots` indexes rs.roots in
@@ -77,7 +77,7 @@ class CartanFrame:
     rootsys.WeylGroup of substitution matrices on the frame coordinates.
     """
 
-    def __init__(self, gm: TakiffAlgebra):
+    def __init__(self, gm: LieAlgebra):
         base = gm.base
         cartan = base.cartan_indices
         nc = len(cartan)
@@ -324,9 +324,8 @@ def chevalley_graded_check(g: LieAlgebra, degree: int,
     """Compare adjoint invariants, their restriction, and W-invariants at one degree.
 
     W is the frame's own Weyl group of (g, h), acting on h."""
-    gm = takiff_extend(g, 0)
-    frame = CartanFrame(gm)
-    invariants = invariants_graded(gm, degree, work_bound)
+    frame = CartanFrame(g)
+    invariants = invariants_graded(g, degree, work_bound)
     image = image_basis(frame, degree, work_bound)
     target = rootsys.invariant_basis(frame.weyl, degree)
     return ChevalleyReport(degree=degree,

@@ -42,8 +42,8 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from . import linalg
-from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, monomials_of_degree,
-                       rational, substitution)
+from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, apply_map,
+                       monomials_of_degree, rational, substitution)
 from .linalg import GradedSubspace, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -255,8 +255,10 @@ def generate_weyl(rs: RootSystem) -> WeylGroup:
 
 def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
     """The projector onto W-invariants: the mean of the orbit of p under the generators,
-    which is the average of p o w over W."""
-    orbit = _closure([p], weyl.generators, Polynomial.substitute)
+    which is the average of p o w over W.  Each generator's `substitution` is
+    built once and applied through `exactalg.apply_map`."""
+    maps = [(image, partial(pow, scale)) for scale, image in map(substitution, weyl.generators)]
+    orbit = _closure([p], maps, lambda q, s: apply_map(q, *s))
     return sum(orbit, Polynomial.zero(p.ambient_dim)) * Fraction(1, len(orbit))
 
 

@@ -8,7 +8,9 @@ the product-rule quotients, and the Gram oracles `composed_gram` and
 `dunkl_pairing` compose through the Taylor form instead.  `kernel_invariants`
 is the second form of the Takiff invariants at m >= 1: the package spans them
 by products of polarized generators, and the oracle solves for them as the
-joint kernel of the adjoint derivations on S^d(g_m).  The last section
+joint kernel of the adjoint derivations on S^d(g_m).  `kronecker_takiff`
+is the second form of g_m itself: commutators of matrices X (x) N^s,
+against the package's truncated structure constants.  The last section
 holds the checks and helpers that only tests call: the pairing and the
 identities it satisfies and the group action on polynomials.  The package
 holds a Weyl group by its generators only; `breadth_first_group` closes a
@@ -369,10 +371,10 @@ def polynomial_joint_kernel(space, maps) -> list[Polynomial]:
     return space
 
 
-def sl_structure(n: int) -> tuple[tuple, tuple]:
-    """Structure constants and trace form of sl(n) in the Chevalley basis
-    e_ij (i < j), h_k = E_kk - E_k+1,k+1, f_ij, each commutator multiplied out
-    densely and decoded by hand: an off-diagonal entry is an e or f
+def sl_basis(n: int) -> tuple:
+    """The Chevalley basis e_ij (i < j), h_k = E_kk - E_k+1,k+1, f_ij of sl(n)
+    as dense matrices, and the decoder of a traceless matrix into its
+    coordinates, written by hand: an off-diagonal entry is an e or f
     coordinate, and the h_k coordinate is the diagonal summed through k."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -381,10 +383,6 @@ def sl_structure(n: int) -> tuple[tuple, tuple]:
         for r, c, x in entries:
             mat[r][c] = Fraction(x)
         return mat
-
-    def product(a, b):
-        return [[sum((a[r][t] * b[t][c] for t in range(n)), Fraction(0)) for c in range(n)]
-                for r in range(n)]
 
     def expand(mat) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -403,12 +401,69 @@ def sl_structure(n: int) -> tuple[tuple, tuple]:
     mats = ([unit((i, j, 1)) for i, j in pairs]
             + [unit((k, k, 1), (k + 1, k + 1, -1)) for k in range(n - 1)]
             + [unit((j, i, 1)) for i, j in pairs])
+    return mats, expand
+
+
+def sl_structure(n: int) -> tuple[tuple, tuple]:
+    """Structure constants and trace form of sl(n) in the Chevalley basis of
+    `sl_basis`, each commutator multiplied out densely and decoded by hand."""
+    mats, expand = sl_basis(n)
     structure = tuple(tuple(expand([[a - b for a, b in zip(ab, ba)]
-                                    for ab, ba in zip(product(x, y), product(y, x))])
+                                    for ab, ba in zip(mat_mul(x, y), mat_mul(y, x))])
                             for y in mats) for x in mats)
     form = tuple(tuple(sum((x[r][c] * y[c][r] for r in range(n) for c in range(n)), Fraction(0))
                        for y in mats) for x in mats)
     return structure, form
+
+
+def kronecker_takiff(n: int, m: int) -> tuple[tuple, tuple]:
+    """Structure constants and top-degree form of sl(n)_m on the flat basis
+    u dim(sl(n)) + k, from matrices: X_k (x) T^u is the Kronecker product
+    X_k (x) N^u, N the (m + 1) x (m + 1) nilpotent shift, so N^(m+1) = 0
+    truncates every commutator with no rule for it.  The level-u coordinates
+    of a commutator are its entries at rows (r, 0) and columns (c, u),
+    decoded by `sl_basis`, and the commutator must be rebuilt from them.
+    The form of A and B is the trace of the block of AB at rows (r, 0) and
+    columns (c, m): tr(XY) when s + t = m, and 0 otherwise.  Matrices are
+    sparse, {(row, column): entry}."""
+    mats, expand = sl_basis(n)
+    levels = m + 1
+
+    def product(a, b):
+        out: dict = {}
+        for (r, k), x in a.items():
+            for (l, c), y in b.items():
+                if k == l:
+                    out[r, c] = out.get((r, c), 0) + x * y
+        return out
+
+    def block(mat, u):
+        return [[mat.get((r * levels, c * levels + u), 0) for c in range(n)] for r in range(n)]
+
+    basis = [{(r * levels + a, c * levels + a + u): x                  # X (x) N^u
+              for r, row in enumerate(mat) for c, x in enumerate(row) if x
+              for a in range(levels - u)}
+             for u in range(levels) for mat in mats]
+    structure = []
+    for a in basis:
+        row = []
+        for b in basis:
+            bracket = product(a, b)
+            for key, x in product(b, a).items():
+                bracket[key] = bracket.get(key, 0) - x
+            coords = {u * len(mats) + k: c for u in range(levels)
+                      for k, c in expand(block(bracket, u)).items()}
+            rebuilt: dict = {}
+            for x, c in coords.items():
+                for key, y in basis[x].items():
+                    rebuilt[key] = rebuilt.get(key, 0) + c * y
+            assert {k: x for k, x in rebuilt.items() if x} == \
+                {k: x for k, x in bracket.items() if x}, "commutator outside the span"
+            row.append(coords)
+        structure.append(tuple(row))
+    form = tuple(tuple(sum((block(product(a, b), m)[r][r] for r in range(n)), Fraction(0))
+                       for b in basis) for a in basis)
+    return tuple(structure), form
 
 
 def bracket_derivation(gm, x: int, p: Polynomial) -> Polynomial:
@@ -440,14 +495,14 @@ def kernel_invariants(gm, degree: int, order=None):
     one but the diagonal base-Cartan ones, highest T-degree first, since
     ad(X (x) T^s) kills every variable of T-degree above m - s."""
     if order is None:
-        order = sorted(derivation_generators(gm), key=lambda x: -gm.unflat(x)[1])
+        order = sorted(derivation_generators(gm), key=lambda x: -(x // gm.base.dim))
     # One integer per weight, in a base above twice any weight sum of the degree.
     base = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
     packed = [sum(w * base ** i for i, w in enumerate(weight)) for weight in gm._weights]
     blocks: dict = {}
     for variables in combinations_with_replacement(range(gm.dim), degree):
         if not sum(packed[v] for v in variables):
-            blocks.setdefault(sum(gm.unflat(v)[1] for v in variables), []).append(
+            blocks.setdefault(sum(v // gm.base.dim for v in variables), []).append(
                 mono_from_variables(gm.dim, variables))
     maps = [partial(_monomial_derivation, gm, x) for x in order]
     survivors = [p for tau in sorted(blocks) for p in joint_kernel(gm.dim, blocks[tau], maps)]
@@ -467,7 +522,7 @@ def delta_direction(gm, x) -> list[Fraction]:
     X is a basis index or a coefficient vector on the flat basis.
     """
     element = {x: Fraction(1)} if isinstance(x, int) else dict(enumerate(x))
-    return [sum((Fraction(c) * gm.pairing(v, y) for v, c in element.items() if c), Fraction(0))
+    return [sum((Fraction(c) * gm.form[v][y] for v, c in element.items() if c), Fraction(0))
             for y in range(gm.dim)]
 
 

@@ -513,6 +513,43 @@ def test_gram_scaling_reaches_fractional_coroots_and_reflections():
     assert Fraction(1, 3) in conjugated.reflection(0)[0]
 
 
+# Rank-4 systems outside the supported table, in their orthogonal
+# realizations: more roots, and invariant supports far sparser than the
+# degree-d monomials, so most top columns go unbuilt.
+RANK4_SIMPLE_ROOTS = {
+    "B4": [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1]],
+    "D4": [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]],
+    "F4": [[0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1], [Fraction(1, 2), *[Fraction(-1, 2)] * 3]],
+}
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in sorted(RANK4_SIMPLE_ROOTS)
+                                    for k in _k_choices(name)[-2:]])
+def test_gram_recursion_matches_composition_oracle_in_rank_4(name, k):
+    ctx = _custom_context(RANK4_SIMPLE_ROOTS[name], identity(4), k)
+    for d in range(5):
+        basis = gram_basis(ctx, d, invariants_only=True)
+        assert gram_matrix(ctx, basis) == composed_gram(ctx, basis), d
+
+
+def test_gram_builds_only_the_quotients_its_basis_reads(monkeypatch):
+    # Rows: the supports of the basis and their peels.  Columns: every
+    # monomial below the top degree, only the support at the top.  On B3
+    # degree-8 invariants that takes 1,206 product-rule quotients, against
+    # 1,476 with every degree-8 column.
+    calls = []
+    real = dunkl._product_rule
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dunkl, "_product_rule", counted)
+    ctx = make_context("B3", "long=1,short=1/2")
+    gram_matrix(ctx, gram_basis(ctx, 8, invariants_only=True))
+    assert len(calls) == 1206
+
+
 def test_gram_empty_basis_and_wrong_ring():
     ctx = make_context("A2", "all=1")
     assert gram_matrix(ctx, []) == []

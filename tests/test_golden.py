@@ -10,10 +10,11 @@ multiplicities whose denominators the integer Gram recursion must clear,
 invariants of sl3 (at m = 2 on 24 variables) and of sl2 at m = 3, the
 restriction image at m = 1, of sl2 at m = 2 up to degree 8 and of sl3 at
 m = 1 up to degree 5 (two Weyl generators, linear-form divisors), the
-classical Chevalley check on sl3, a failing criterion on sl2, a passing one
-on sl3, one on sl3 that fails only condition 2 and one on sl3 that fails
-both at its second positive root.  `TEXT_GOLDEN` pins the text layout of
-five reports the same way, with the trailing `(N ms)` of the summary line
+classical Chevalley check on sl3, B3 invariants of degree 12 (the pruned
+Gram recursion past the benchmark's degree 8), a failing criterion on sl2,
+a passing one on sl3, one on sl3 that fails only condition 2 and one on sl3
+that fails both at its second positive root.  `TEXT_GOLDEN` pins the text layout of
+six reports the same way, with the trailing `(N ms)` of the summary line
 removed.  A faster path must leave every report byte-identical, so any
 change to a Gram matrix, a minor, a Dunkl image or an invariant basis, or
 to the text layout, fails here.
@@ -101,6 +102,12 @@ GOLDEN = [
     (("dunkl", "apply", "--xi", "1/2,-1", "--type", "G2", "--k", "long=1/3,short=2",
       "--poly", "x1^16 - 3/5 x1^9 x2^7 + 2 x1^4 x2^12 + x2^16"), EXIT_PASS,
      "ef7552c2776f9a05d5a7887d9f9b218688d8bf57435907c563cd2f989b5ece21"),
+    # Degree-12 invariants, deeper than the benchmark's degree 8: the Gram
+    # recursion builds only the rows their supports read and, at degree 12,
+    # only the support's columns.
+    (("dunkl", "gram", "--degree", "12", "--type", "B3", "--k", "long=1/3,short=1/2",
+      "--invariants-only"), EXIT_PASS,
+     "87b6ad71b2218ba4e98e2934bbbb491bea214913deb8d17d592f88c48ee7a005"),
 ]
 
 
@@ -124,6 +131,9 @@ TEXT_GOLDEN = [
      "6f170aa4c077dc1d09e0ab8490c20b9f70678374732af950121f2f44cb237d88"),
     (("takiff", "criterion", "--poly", "u1^2 + u1 u2 + u2^2", "--algebra", "sl3", "--m", "1"),
      EXIT_FAIL, "122fef62daad28043aabccf296fe6ddbef13cbc55f6ed467eff55e4b1526edae"),
+    # The Chevalley check runs on sl3 itself, its own g_0.
+    (("chevalley", "check", "--algebra", "sl3", "--max-degree", "6"), EXIT_PASS,
+     "83afcf78dd570c5aaaa14e2d96335ccead589004c2f5287d5e7c4dc1e6d6f926"),
 ]
 
 

@@ -22,7 +22,7 @@ from dunklinv.liealg import (
 from dunklinv.linalg import GradedSubspace
 from oracles import (bracket_derivation, delta_direction, kernel_invariants,
                      polynomial_joint_kernel, seeded_polynomials, series_coefficients,
-                     sl_structure, variable)
+                     kronecker_takiff, sl_structure, variable)
 
 
 def gm_parse(gm, text):
@@ -34,9 +34,9 @@ def gm_parse(gm, text):
 def test_sl2_structure(sl2):
     e, h, f = 0, 1, 2
     assert sl2.basis_names == ("e", "h", "f")
-    assert sl2.bracket(h, e) == {e: 2}
-    assert sl2.bracket(h, f) == {f: -2}
-    assert sl2.bracket(e, f) == {h: 1}
+    assert sl2.structure[h][e] == {e: 2}
+    assert sl2.structure[h][f] == {f: -2}
+    assert sl2.structure[e][f] == {h: 1}
     assert sl2.cartan_indices == (1,)
 
 
@@ -144,7 +144,7 @@ def _rescaled_sl2(sl2, bracket=None):
 
 def test_rescaled_basis_scales_the_bracket_table(sl2):
     g = _rescaled_sl2(sl2)
-    assert g.bracket(0, 2) == {1: Fraction(1, 2)}
+    assert g.structure[0][2] == {1: Fraction(1, 2)}
     for m, expected in ((1, [1, 0, 2, 0, 3]), (2, [1, 0, 3, 0, 6])):
         gm = takiff_extend(g, m)
         assert gm._den == 2
@@ -160,12 +160,12 @@ def test_rescaled_basis_scales_the_bracket_table(sl2):
     with pytest.raises(ValueError, match="Jacobi"):
         _rescaled_sl2(sl2, broken)
     g1 = takiff_extend(g, 1)
-    table = [[dict(entry) for entry in row] for row in g1._table]
-    table[1][5] = {5: -3}
-    table[5][1] = {5: 3}
-    pairing = [[g1.pairing(x, y) for y in range(g1.dim)] for x in range(g1.dim)]
+    structure = [list(row) for row in g1.structure]
+    structure[1][5] = {5: Fraction(-3, 2)}
+    structure[5][1] = {5: Fraction(3, 2)}
     with pytest.raises(ValueError, match="Jacobi"):
-        liealg._check_lie_structure(table, pairing)
+        LieAlgebra(g1.dim, g1.basis_names, tuple(map(tuple, structure)), g1.form,
+                   g1.cartan_indices)
 
 
 def test_cartan_weight(sl2, sl3):
@@ -185,28 +185,44 @@ def test_cartan_weight(sl2, sl3):
 
 def test_m0_is_the_base_algebra(sl2):
     g0 = takiff_extend(sl2, 0)
+    assert g0 is sl2 and (g0.base, g0.m) == (sl2, 0)
     assert g0.dim == 3
     for i in range(3):
         for j in range(3):
-            assert g0.bracket_flat(i, j) == sl2.bracket(i, j)
-            assert g0.pairing(i, j) == sl2.form[i][j]
+            assert g0.structure[i][j] == sl2.structure[i][j]
+            assert g0.form[i][j] == sl2.form[i][j]
 
 
 def test_bracket_truncation(sl2):
     g1 = takiff_extend(sl2, 1)
     e1 = g1.flat(0, 1)
     f1 = g1.flat(2, 1)
-    assert g1.bracket_flat(e1, f1) == {}
-    assert g1.bracket_flat(g1.flat(0, 0), f1) == {g1.flat(1, 1): Fraction(1)}
+    assert g1.structure[e1][f1] == {}
+    assert g1.structure[g1.flat(0, 0)][f1] == {g1.flat(1, 1): Fraction(1)}
 
 
 def test_takiff_pairing_values(sl2):
     g1 = takiff_extend(sl2, 1)
     h = g1.flat(1, 0)
     h1 = g1.flat(1, 1)
-    assert g1.pairing(h, h1) == 2
-    assert g1.pairing(h, h) == 0
-    assert g1.pairing(g1.flat(0, 0), g1.flat(2, 1)) == 1      # <e, f (x) T>
+    assert g1.form[h][h1] == 2
+    assert g1.form[h][h] == 0
+    assert g1.form[g1.flat(0, 0)][g1.flat(2, 1)] == 1      # <e, f (x) T>
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_takiff_extension_matches_kronecker_matrices(n, m):
+    # The truncated bracket against commutators of X (x) N^s, N the nilpotent
+    # shift, and the form against its definition: <X, Y> at s + t = m, else 0.
+    g = make_sl(n)
+    gm = takiff_extend(g, m)
+    structure, form = kronecker_takiff(n, m)
+    assert gm.structure == structure
+    assert gm.form == form
+    for x in range(gm.dim):
+        for y in range(gm.dim):
+            (s, i), (t, j) = divmod(x, g.dim), divmod(y, g.dim)
+            assert gm.form[x][y] == (g.form[i][j] if s + t == m else 0)
 
 
 def test_takiff_bound(sl2):
@@ -394,7 +410,7 @@ def test_invariants_do_not_depend_on_derivation_order(request, algebra, m, max_d
     # The kernel oracle runs the derivations by descending T-degree; seeded
     # shuffles of that order give the polarized bases all the same.
     gm = takiff_extend(request.getfixturevalue(algebra), m)
-    order = sorted(derivation_generators(gm), key=lambda x: -gm.unflat(x)[1])
+    order = sorted(derivation_generators(gm), key=lambda x: -(x // gm.base.dim))
     expected = [invariants_graded(gm, d) for d in range(max_degree + 1)]
     for seed in range(3):
         shuffled = random.Random(seed).sample(order, len(order))
