@@ -206,13 +206,13 @@ class BoundExceededWithPartial(Exception):
 
 
 def cmd_chevalley_check(args: argparse.Namespace) -> Report:
-    g = _algebra(args.algebra)
+    frame = CartanFrame(_algebra(args.algebra))
     report = Report("chevalley check", {
         "algebra": args.algebra, "max_degree": args.max_degree,
         "work_bound": args.work_bound})
     for d in range(args.max_degree + 1):
         try:
-            rep = chevalley_graded_check(g, d, args.work_bound)
+            rep = chevalley_graded_check(frame, d, args.work_bound)
         except WorkBoundExceeded as exc:
             raise BoundExceededWithPartial(report, exc) from exc
         report.add(Case(
@@ -237,9 +237,9 @@ def _algebra(name: str):
 
 
 def _degree_range(args: argparse.Namespace) -> list[int]:
-    if args.degree is not None:
-        return [args.degree]
-    return list(range(args.max_degree + 1))
+    """[--degree], else 0..--max-degree (default 4); the two flags exclude each other."""
+    top = 4 if args.max_degree is None else args.max_degree
+    return list(range(top + 1)) if args.degree is None else [args.degree]
 
 
 def cmd_takiff_invariants(args: argparse.Namespace) -> Report:
@@ -382,14 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     inv = takiff.add_parser("invariants", help="graded invariant bases", **parents)
     inv.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     inv.add_argument("--m", type=int, default=1)
-    inv.add_argument("--degree", type=_NONNEGATIVE)
-    inv.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
     image = takiff.add_parser("image", help="restriction image vs criterion space", **parents)
     image.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     image.add_argument("--m", type=_POSITIVE, default=1,
                        help="truncation order; the criterion is meaningless at m = 0")
-    image.add_argument("--degree", type=_NONNEGATIVE)
-    image.add_argument("--max-degree", type=_NONNEGATIVE, default=4)
+    for sub in (inv, image):
+        # One degree or a range, not both.  The range has no default in
+        # argparse, which would take an explicit "--max-degree 4" for absent.
+        degrees = sub.add_mutually_exclusive_group()
+        degrees.add_argument("--degree", type=_NONNEGATIVE)
+        degrees.add_argument("--max-degree", type=_NONNEGATIVE, help="0..D, default 4")
     crit = takiff.add_parser("criterion", help="run the membership criterion on a polynomial", **parents)
     crit.add_argument("--algebra", required=True, choices=_ALGEBRAS)
     crit.add_argument("--m", type=_POSITIVE, default=1,

@@ -5,7 +5,10 @@ bracket is the commutator, read back in that basis, and the form is the
 trace form of the matrices.  `make_sl(n)` supplies the Chevalley basis of
 sl(n) for any n >= 2.  A Takiff algebra g_m = g (x) C[T]/T^{m+1} is one more
 `LieAlgebra` (`takiff_extend`), with the truncated bracket and the
-top-degree form, validated like any other; g_0 is g itself.
+top-degree form; g_0 is g itself.  Every algebra given by its own table is
+validated (antisymmetry, Jacobi, an invariant nondegenerate form), and g_m
+records g as its base and trusts g's checked axioms, from which its own
+follow; the test suite validates every g_m the CLI builds.
 
 The symmetric algebra S[g_m] is realized literally: polynomial variable
 (i, s) *is* the basis vector X_i (x) T^s, with flat index s*dim(g) + i, and
@@ -61,17 +64,22 @@ from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, 
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q by structure constants, with a
     symmetric invariant nondegenerate form: g itself, or a Takiff algebra g_m
-    from `takiff_extend`, which records g as its `base` and m as its `m`."""
+    from `takiff_extend`, which records g as its `base` and m as its `m`.
+
+    An algebra that is its own base (any table given here, every
+    `matrix_algebra`) is validated at construction.  A Takiff algebra is
+    not: its axioms follow from those of its base, already checked."""
 
     def __init__(self, dim: int, basis_names: tuple[str, ...],
                  structure: tuple[tuple[dict[int, Fraction], ...], ...],
-                 form: tuple[tuple[Fraction, ...], ...], cartan_indices: tuple[int, ...]):
+                 form: tuple[tuple[Fraction, ...], ...], cartan_indices: tuple[int, ...],
+                 base: LieAlgebra | None = None, m: int = 0):
         self.dim = dim
         self.basis_names = basis_names
         self.structure = structure          # [X_i, X_j] = sum_k c_ijk X_k
         self.form = form
         self.cartan_indices = cartan_indices
-        self.base, self.m = self, 0         # a plain algebra is its own g_0
+        self.base, self.m = self if base is None else base, m   # g is its own g_0
         self._takiff_cache: dict[int, LieAlgebra] = {0: self}     # m -> g_m, see takiff_extend
         self._basic_invariants: dict[int, list[Polynomial]] = {}  # degree -> its basic invariants
         self._inv_cache: dict[int, GradedSubspace] = {}           # degree -> invariants_graded
@@ -82,7 +90,8 @@ class LieAlgebra:
                         for entry in row] for row in structure]
         # per basis index x, the variables that ad(X_x) does not kill
         self._acting = [[v for v, image in enumerate(row) if image] for row in self._table]
-        self._validate()
+        if self.base is self:
+            self._validate()
 
     def flat(self, i: int, s: int) -> int:
         """The basis index of X_i (x) T^s, X_i a basis vector of `base`."""
@@ -205,8 +214,11 @@ def takiff_extend(g: LieAlgebra, m: int) -> LieAlgebra:
     [X, Y] (x) T^(s+t), zero once s + t > m, and the form is the top-degree
     one: <X (x) T^s, Y (x) T^t> = <X, Y> when s + t = m, and 0 otherwise.
     The Cartan indices are those of h (x) 1, whose weights grade S(g_m).
-    g_m records g as its `base` and m as its `m`.  Extensions are memoized
-    per base algebra so graded results accumulate.
+    g_m records g as its `base` and m as its `m`, and is not validated
+    again: antisymmetry and Jacobi hold levelwise because they hold in g
+    and T-degrees add, and the top-degree form is symmetric, invariant and
+    nondegenerate because g's form is.  Extensions are memoized per base
+    algebra so graded results accumulate.
     """
     if not 0 <= m <= 3:
         raise ValueError("truncation order m must be within 0..3")
@@ -218,9 +230,8 @@ def takiff_extend(g: LieAlgebra, m: int) -> LieAlgebra:
         form = tuple(tuple(g.form[i][j] if s + t == m else Fraction(0)
                            for t in levels for j in range(n)) for s in levels for i in range(n))
         names = tuple(f"{name}_{s}" if s else name for s in levels for name in g.basis_names)
-        gm = g._takiff_cache[m] = LieAlgebra(n * (m + 1), names, structure, form,
-                                             g.cartan_indices)
-        gm.base, gm.m = g, m
+        g._takiff_cache[m] = LieAlgebra(n * (m + 1), names, structure, form,
+                                        g.cartan_indices, base=g, m=m)
     return g._takiff_cache[m]
 
 

@@ -38,23 +38,27 @@ image); for m = 2 it is the direct generalization, which is necessary but
 not sufficient: the generalized sl(2) case exhibits a one-dimensional gap
 at degree 2.  The conditions are not meaningful for m = 0.
 
-Both run as integer maps on monomials (`_Divisibility` for condition 2),
-keyed by exponent vectors like every polynomial here; restriction reads the
-Cartan entries of a vector and keeps the term when they carry its degree.
+Both run as integer maps on monomials, keyed by exponent vectors like every
+polynomial here, and `criterion_maps` lists them once, in one order:
+condition 1 per lifted reflection (`rootsys.invariance_maps`), then
+condition 2 per root and n (`_Divisibility`).  `criterion_subspace` is their
+joint kernel, and `criterion_check` applies each to p through
+`exactalg.apply_map` and keeps the first witness of each condition.
+Restriction reads the Cartan entries of a vector and keeps the term when
+they carry its degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from math import lcm
 from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import linalg, rootsys
 from .exactalg import (Frozen, Monomial, Polynomial, apply_map, check_work_bound, derivative,
-                       monomials_of_degree, render)
+                       monomials_of_degree, parse as parse_poly, render)
 from .liealg import LieAlgebra, basic_invariants, invariants_graded, polarized_products
 from .linalg import GradedSubspace, joint_kernel
 
@@ -139,7 +143,6 @@ class CartanFrame:
         return linalg.mat_vec(self.rs.form, self.rs.coroots[i]) + rest
 
     def parse(self, text: str) -> Polynomial:
-        from .exactalg import parse as parse_poly
         return parse_poly(text, names=self.names)
 
     def render(self, p: Polynomial) -> str:
@@ -206,17 +209,10 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
     """Run both membership conditions on p and, within bounds, test membership."""
     if p.ambient_dim != frame.dim:
         raise ValueError("polynomial does not live on h_m")
-    cond1, witness1 = True, None
-    for i, refl in zip(frame.positive_roots, frame.weyl.generators):
-        if p.substitute(refl) != p:
-            cond1, witness1 = False, frame.label(i)
-            break
-    cond2, witness2 = True, None
-    for i, n, remainder in _condition2_maps(frame, p.degree()):
-        r = remainder(p)
-        if r:
-            cond2, witness2 = False, (frame.label(i), n, frame.render(r))
-            break
+    witnesses = {}          # condition -> its first witness; n = 0 only in condition 1
+    for condition, i, n, image, den in criterion_maps(frame, p.degree()):
+        if condition not in witnesses and (r := apply_map(p, image, den)):
+            witnesses[condition] = (frame.label(i), n, frame.render(r)) if n else frame.label(i)
     membership = "pass"
     if p:
         degrees = sorted(set(map(sum, p.terms)))
@@ -229,8 +225,8 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
                 membership = "fail"
                 break
     return CriterionReport(polynomial=frame.render(p),
-                           condition1=cond1, condition1_witness=witness1,
-                           condition2=cond2, condition2_witness=witness2,
+                           condition1=1 not in witnesses, condition1_witness=witnesses.get(1),
+                           condition2=2 not in witnesses, condition2_witness=witnesses.get(2),
                            in_image=membership, image_degree_bound=image_degree_bound)
 
 
@@ -240,8 +236,8 @@ class _Divisibility:
     direction and h to integers, and c leads Eh, at x_l: a step of the
     division by (Eh)^n that lowers the power of x_l by j divides by c^j, so
     from c^|m| m it is exact.  delta^n m is derived from delta^(n-1) m by
-    `exactalg.derivative`, once per monomial; `remainder` applies image(n, .)
-    to a polynomial through `exactalg.apply_map`."""
+    `exactalg.derivative`, once per monomial; `den(n, |m|)` is the scale of
+    image(n, m), so `exactalg.apply_map` divides it out."""
 
     def __init__(self, frame: CartanFrame, i: int, max_power: int):
         direction = frame.delta_direction(i)
@@ -277,26 +273,30 @@ class _Divisibility:
                     del work[key]
         return work
 
-    def remainder(self, n: int, q: Polynomial) -> Polynomial:
-        """The remainder of delta^n q by h^n."""
-        return apply_map(q, partial(self.image, n), lambda d: self.lead ** d * self.scale ** n)
+    def den(self, n: int, d: int) -> int:
+        return self.lead ** d * self.scale ** n
 
 
-def _condition2_maps(frame: CartanFrame, max_power: int):
-    """Condition 2 as linear maps: (root index, n, q -> remainder of delta^n q by divisor^n)."""
+def criterion_maps(frame: CartanFrame, degree: int):
+    """Every map the criterion asks to vanish through degree d, as
+    (condition, root index, n, image, den) for `exactalg.apply_map`: condition 1
+    per lifted reflection (n = 0, from `rootsys.invariance_maps`), then
+    condition 2 per root and n = 1..d.  Lazy: a root's `_Divisibility` is
+    built when the generator reaches it."""
+    for i, (image, den) in zip(frame.positive_roots, rootsys.invariance_maps(frame.weyl)):
+        yield 1, i, 0, image, den
     for i in frame.positive_roots:
-        condition = _Divisibility(frame, i, max_power)
-        for n in range(1, max_power + 1):
-            yield i, n, partial(condition.remainder, n)
+        condition = _Divisibility(frame, i, degree)
+        for n in range(1, degree + 1):
+            yield 2, i, n, partial(condition.image, n), partial(condition.den, n)
 
 
 def criterion_subspace(frame: CartanFrame, degree: int, work_bound: int = 20000) -> GradedSubspace:
-    """Degree-d polynomials on h_m satisfying both criterion conditions."""
+    """Degree-d polynomials on h_m satisfying both criterion conditions: the
+    joint kernel of `criterion_maps`."""
     check_work_bound(frame.dim, degree, work_bound)
-    conditions = (_Divisibility(frame, i, degree) for i in frame.positive_roots)
-    condition2 = (partial(c.image, n) for c in conditions for n in range(1, degree + 1))
-    kernel = joint_kernel(frame.dim, monomials_of_degree(frame.dim, degree),
-                          chain(rootsys.invariance_maps(frame.weyl), condition2))
+    maps = (image for *_, image, _ in criterion_maps(frame, degree))
+    kernel = joint_kernel(frame.dim, monomials_of_degree(frame.dim, degree), maps)
     return GradedSubspace.from_polynomials(kernel, frame.dim, degree)
 
 
@@ -319,13 +319,13 @@ class ChevalleyReport(NamedTuple):
         return self.surjective and self.injective
 
 
-def chevalley_graded_check(g: LieAlgebra, degree: int,
+def chevalley_graded_check(frame: CartanFrame, degree: int,
                            work_bound: int = 20000) -> ChevalleyReport:
     """Compare adjoint invariants, their restriction, and W-invariants at one degree.
 
-    W is the frame's own Weyl group of (g, h), acting on h."""
-    frame = CartanFrame(g)
-    invariants = invariants_graded(g, degree, work_bound)
+    `frame` is the Cartan frame of g itself (m = 0), built once per check and
+    read at every degree; W is its own Weyl group of (g, h), acting on h."""
+    invariants = invariants_graded(frame.gm, degree, work_bound)
     image = image_basis(frame, degree, work_bound)
     target = rootsys.invariant_basis(frame.weyl, degree)
     return ChevalleyReport(degree=degree,

@@ -31,15 +31,18 @@ The projector onto invariants (`reynolds`) is the mean of the orbit of p
 under the generators: by orbit-stabilizer each p o w occurs |Stab(p)| times
 in the group average, so the two agree and no group element is formed.
 Both compose polynomials with matrices through `exactalg.substitution`, the
-package's one linear change of variables: `reynolds` by
-`Polynomial.substitute`, the kernel maps on its integer images directly.
+package's one linear change of variables, and apply its integer images
+through `exactalg.apply_map` or `linalg.joint_kernel`.  `invariance_maps`
+pairs each generator's difference map m -> D^d (m o s - m) with its scale
+d -> D^d, so the kernel and the restriction criterion's condition 1 read the
+same maps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import linalg
 from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, apply_map,
@@ -262,12 +265,13 @@ def reynolds(weyl: WeylGroup, p: Polynomial) -> Polynomial:
     return sum(orbit, Polynomial.zero(p.ambient_dim)) * Fraction(1, len(orbit))
 
 
-def invariance_maps(weyl: WeylGroup) -> Iterator[MonomialMap]:
-    """m -> D^d (m o s - m) on degree-d monomials, one map per generator s, each built
-    when it is reached: ints keyed by monomials, from `exactalg.substitution(s)`,
-    where D clears the denominators of s."""
-    for s in weyl.generators:
-        yield partial(_difference, *substitution(s))
+def invariance_maps(weyl: WeylGroup) -> Iterator[tuple[MonomialMap, Callable[[int], int]]]:
+    """(m -> D^d (m o s - m) on degree-d monomials, d -> D^d), one pair per generator s,
+    each built when it is reached: ints keyed by monomials, from
+    `exactalg.substitution(s)`, where D clears the denominators of s.  The pair
+    is what `exactalg.apply_map` takes, so p o s - p is `apply_map(p, *pair)`."""
+    for scale, image in map(substitution, weyl.generators):
+        yield partial(_difference, scale, image), partial(pow, scale)
 
 
 def _difference(scale: int, image, mono: Monomial) -> dict[Monomial, int]:
@@ -280,6 +284,6 @@ def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:
     """Canonical basis of degree-d W-invariants: the kernel of p -> p o s - p, all generators s."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    monomials = monomials_of_degree(weyl.rank, degree)
-    return GradedSubspace.from_polynomials(
-        joint_kernel(weyl.rank, monomials, invariance_maps(weyl)), weyl.rank, degree)
+    maps = (image for image, _ in invariance_maps(weyl))
+    kernel = joint_kernel(weyl.rank, monomials_of_degree(weyl.rank, degree), maps)
+    return GradedSubspace.from_polynomials(kernel, weyl.rank, degree)

@@ -162,13 +162,14 @@ def test_criterion_04_invariant_stability():
 def test_criterion_05_chevalley_graded(sl2, sl3):
     rows = []
     ok = True
+    frame2, frame3 = CartanFrame(sl2), CartanFrame(sl3)
     for d in range(9):
-        rep = chevalley_graded_check(sl2, d)
+        rep = chevalley_graded_check(frame2, d)
         rows.append(("sl2", d, rep))
         ok = ok and rep.isomorphic and rep.dim_target == series_coefficients([2], 8)[d]
     sl3_series = series_coefficients([2, 3], 6)
     for d in range(7):
-        rep = chevalley_graded_check(sl3, d)
+        rep = chevalley_graded_check(frame3, d)
         rows.append(("sl3", d, rep))
         ok = ok and rep.isomorphic and rep.dim_target == sl3_series[d]
     ok = ok and sl3_series[6] == 2

@@ -98,6 +98,12 @@ MEANINGLESS = [
     ("--work-bound", "-1", "dunkl", "gram", "--type", "A2", "--k", "all=1", "--degree", "0"),
     ("chevalley", "check", "--algebra", "sl2", "--max-degree", "1", "--work-bound", "0"),
     ("dunkl", "gram", "--type", "A2", "--k", "all=1", "--degree", "0", "--work-bound", "-1"),
+    # --degree and --max-degree ask for different rows; neither is dropped
+    # silently, not even when --max-degree repeats its default.
+    ("takiff", "invariants", "--algebra", "sl2", "--m", "1", "--degree", "3", "--max-degree", "2"),
+    ("takiff", "invariants", "--algebra", "sl2", "--m", "1", "--max-degree", "4", "--degree", "3"),
+    ("takiff", "image", "--algebra", "sl2", "--m", "1", "--degree", "3", "--max-degree", "2"),
+    ("takiff", "image", "--algebra", "sl2", "--m", "1", "--degree", "1", "--max-degree", "4"),
 ]
 
 
@@ -220,6 +226,25 @@ def test_chevalley_sl2(capsys):
     dims = [(c["data"]["dim_invariants"], c["data"]["dim_restricted"],
              c["data"]["dim_target"]) for c in data["cases"]]
     assert dims == [(1, 1, 1), (0, 0, 0), (1, 1, 1), (0, 0, 0), (1, 1, 1)]
+
+
+def test_chevalley_check_builds_one_frame(capsys, monkeypatch):
+    # Every degree reads the same Cartan frame of g.
+    frames = []
+    init = cli.CartanFrame.__init__
+    monkeypatch.setattr(cli.CartanFrame, "__init__",
+                        lambda self, gm: frames.append(gm) or init(self, gm))
+    code, data, _ = run_json(capsys, "chevalley", "check", "--algebra", "sl3",
+                             "--max-degree", "6")
+    assert code == EXIT_PASS and len(data["cases"]) == 7
+    assert len(frames) == 1 and frames[0].m == 0
+
+
+@pytest.mark.parametrize("command", ["invariants", "image"])
+def test_takiff_degree_range_defaults_to_four(capsys, command):
+    code, data, _ = run_json(capsys, "takiff", command, "--algebra", "sl2", "--m", "1")
+    assert code == EXIT_PASS
+    assert [case["name"].split()[1] for case in data["cases"]] == ["0", "1", "2", "3", "4"]
 
 
 def test_chevalley_degree_zero_row(capsys):

@@ -183,6 +183,32 @@ def test_cartan_weight(sl2, sl3):
 
 # -- takiff extension ----------------------------------------------------------
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_cli_takiff_algebra_passes_validation(n):
+    # g_m is built without `_validate`, trusting g; the axioms still hold
+    # on every g_m a CLI row can build.
+    g = make_sl(n)
+    for m in range(4):
+        gm = takiff_extend(g, m)
+        assert (gm.base, gm.m) == (g, m)
+        gm._validate()
+
+
+def test_takiff_extend_trusts_the_validated_base(monkeypatch):
+    calls = []
+    validate = LieAlgebra._validate
+    monkeypatch.setattr(LieAlgebra, "_validate", lambda self: calls.append(self) or validate(self))
+    g = make_sl(3)
+    assert calls == [g]
+    for m in (1, 2, 3):
+        assert takiff_extend(g, m).base is g
+    assert calls == [g]
+    # A table given by hand is still checked, even one copied from a g_m.
+    g2 = takiff_extend(g, 2)
+    copy = LieAlgebra(g2.dim, g2.basis_names, g2.structure, g2.form, g2.cartan_indices)
+    assert calls == [g, copy] and copy.base is copy
+
+
 def test_m0_is_the_base_algebra(sl2):
     g0 = takiff_extend(sl2, 0)
     assert g0 is sl2 and (g0.base, g0.m) == (sl2, 0)

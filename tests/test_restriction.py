@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -5,7 +6,7 @@ import pytest
 
 from dunklinv import linalg, restriction, rootsys
 from dunklinv.dunkl import DunklContext, gram_basis, gram_matrix, make_context
-from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
+from dunklinv.exactalg import Polynomial, apply_map, monomials_of_degree, parse
 from dunklinv.liealg import LieAlgebra, invariants_graded, make_sl, takiff_extend
 from dunklinv.linalg import GradedSubspace, mat_inv, mat_vec
 from dunklinv.restriction import (
@@ -14,6 +15,7 @@ from dunklinv.restriction import (
     RestrictionError,
     chevalley_graded_check,
     criterion_check,
+    criterion_maps,
     criterion_subspace,
     image_basis,
     restrict,
@@ -282,7 +284,8 @@ def test_frame_roots_and_reports_are_immutable_values(frame1, sl2):
     values = [(frame1.rs, CartanFrame(frame1.gm).rs),
               (criterion_check(frame1, frame1.parse("u")),
                criterion_check(frame1, frame1.parse("u"))),
-              (chevalley_graded_check(sl2, 2), chevalley_graded_check(sl2, 2))]
+              (chevalley_graded_check(CartanFrame(sl2), 2),
+               chevalley_graded_check(CartanFrame(sl2), 2))]
     for value, again in values:
         assert value is not again and value == again and hash(value) == hash(again)
         for attr in ("degree", "label", "polynomial", "extra"):
@@ -385,7 +388,8 @@ def test_criterion_with_non_unit_leading_divisor_coefficient(sl3):
     # In the Cartan basis (h1, 2 h1 + h2) one coroot has coordinates +-(2, -1),
     # so its divisor leads with 2 and the division scales by 2^|m|.  The
     # criterion still equals the image (m = 1) and the kernel of the
-    # remainders that exactalg's division gives from derivatives.
+    # remainders that exactalg's division gives from derivatives, and each
+    # criterion map applies to the oracle's value.
     frame = CartanFrame(takiff_extend(_sl3_with_cartan_basis(sl3, [[1, 0], [2, 1]]), 1))
     leads = [restriction._Divisibility(frame, i, 1).lead for i in frame.positive_roots]
     assert sorted(leads) == [-1, 1, 2]
@@ -398,9 +402,18 @@ def test_criterion_with_non_unit_leading_divisor_coefficient(sl3):
                                                    frame.dim, d)
         assert criterion_subspace(frame, d) == expected == image_basis(frame, d)
         assert expected.dim == [1, 0, 2, 2, 3][d]
+        maps = list(criterion_maps(frame, d))
+        assert [row[:3] for row in maps] == (
+            [(1, i, 0) for i in frame.positive_roots]
+            + [(2, i, n) for i in frame.positive_roots for n in range(1, d + 1)])
+        reflections = dict(zip(frame.positive_roots, frame.weyl.generators))
         for q in space:
-            for i, n, f in restriction._condition2_maps(frame, d):
-                assert f(q) == coroot_remainder(frame, i, n, q)
+            for condition, i, n, image, den in maps:
+                got = apply_map(q, image, den)
+                if condition == 2:
+                    assert got == coroot_remainder(frame, i, n, q)
+                else:
+                    assert got == tower_substitute(q, reflections[i]) - q
 
 
 def test_remark_strict_inclusion(frame2):
@@ -423,10 +436,31 @@ def test_necessity_every_image_element_passes(frame1):
             assert report.condition1 and report.condition2
 
 
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 1)])
+def test_criterion_check_agrees_with_criterion_subspace(n, m):
+    # Both read `criterion_maps`: a homogeneous p of degree d passes both
+    # conditions exactly when the degree-d criterion space contains it.  At
+    # m = 2 the conditions are not sufficient, but the two must still agree.
+    frame = CartanFrame(takiff_extend(make_sl(n), m))
+    rng = random.Random(f"agree {n} {m}")
+    for d in range(5):
+        space = criterion_subspace(frame, d)
+        monomials = [Polynomial(frame.dim, {mono: 1})
+                     for mono in monomials_of_degree(frame.dim, d)]
+        combinations = [sum((b * Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                             for b in pool), Polynomial(frame.dim))
+                        for pool in (space.basis, monomials) for _ in range(4)]
+        for p in [*space.basis, *monomials, *filter(None, combinations)]:
+            report = criterion_check(frame, p, image_degree_bound=0)
+            assert (report.condition1 and report.condition2) == space.contains(p), \
+                (d, frame.render(p))
+
+
 # -- chevalley graded check ----------------------------------------------------------------------
 
 def test_chevalley_sl2(sl2):
-    dims = [chevalley_graded_check(sl2, d) for d in range(9)]
+    frame = CartanFrame(sl2)
+    dims = [chevalley_graded_check(frame, d) for d in range(9)]
     expected = series_coefficients([2], 8)
     for d, rep in enumerate(dims):
         assert rep.dim_invariants == rep.dim_restricted == rep.dim_target == expected[d]
@@ -434,16 +468,18 @@ def test_chevalley_sl2(sl2):
 
 
 def test_chevalley_sl3_low_degrees(sl3):
+    frame = CartanFrame(sl3)
     for d in (0, 1, 2, 3):
-        rep = chevalley_graded_check(sl3, d)
+        rep = chevalley_graded_check(frame, d)
         assert rep.isomorphic
         assert rep.dim_target == series_coefficients([2, 3], 3)[d]
 
 
 def test_chevalley_sl4_matches_a3_series():
     expected = series_coefficients([2, 3, 4], 5)
+    frame = CartanFrame(make_sl(4))
     for d in range(6):
-        rep = chevalley_graded_check(make_sl(4), d)
+        rep = chevalley_graded_check(frame, d)
         assert rep.isomorphic
         assert rep.dim_target == expected[d]
 
@@ -451,12 +487,13 @@ def test_chevalley_sl4_matches_a3_series():
 def test_chevalley_target_matches_reference_root_system(sl2, sl3):
     """The frame's Weyl group gives the invariant dimensions of the tabulated system."""
     for g, name, top in ((sl2, "A1", 8), (sl3, "A2", 6)):
-        weyl = rootsys.generate_weyl(rootsys.root_system(name))
+        weyl, frame = rootsys.generate_weyl(rootsys.root_system(name)), CartanFrame(g)
         for d in range(top + 1):
-            assert chevalley_graded_check(g, d).dim_target == rootsys.invariant_basis(weyl, d).dim
+            assert (chevalley_graded_check(frame, d).dim_target
+                    == rootsys.invariant_basis(weyl, d).dim)
 
 
 def test_chevalley_degree_one_trivial(sl2, sl3):
     for g in (sl2, sl3):
-        rep = chevalley_graded_check(g, 1)
+        rep = chevalley_graded_check(CartanFrame(g), 1)
         assert (rep.dim_invariants, rep.dim_restricted, rep.dim_target) == (0, 0, 0)

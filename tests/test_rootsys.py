@@ -227,13 +227,15 @@ INVARIANCE_GROUPS = {
 @pytest.mark.parametrize("name", list(INVARIANCE_GROUPS))
 def test_invariance_maps_are_integer_multiples_of_substitution(name):
     # Map i sends a degree-d monomial m to D^d (m o s_i - m), D the lcm of the
-    # denominators of s_i, in integers keyed by exponent vectors; m o s_i
-    # comes from the Fraction power tower of the oracles.
+    # denominators of s_i, in integers keyed by exponent vectors, and its
+    # scale sends d to D^d; m o s_i comes from the Fraction power tower of
+    # the oracles.
     weyl = INVARIANCE_GROUPS[name]()
     n, scales = weyl.rank, []
-    for s, image in zip(weyl.generators, invariance_maps(weyl)):
+    for s, (image, den) in zip(weyl.generators, invariance_maps(weyl)):
         scales.append(lcm(*(x.denominator for row in s for x in row)))
         for d in range(5):
+            assert den(d) == scales[-1] ** d
             for mono in monomials_of_degree(n, d):
                 m = Polynomial(n, {mono: 1})
                 out = image(mono)
