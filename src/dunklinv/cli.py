@@ -5,10 +5,14 @@ Subcommands:
     chevalley check
     takiff invariants | image | criterion
 
-Reports render as text or JSON (--json).  Every rational is emitted as a
-"p/q" string, never a float, and a fixed seed makes randomized cases
-reproducible: identical configurations produce byte-identical JSON apart
-from the wall-time field.
+A report is the dict its JSON prints.  Each command builds "command",
+"parameters" and "cases", a case being "name", "status" ("pass", "fail" or
+"unknown"), "witness" and "data"; `_finish` adds "summary" and
+"wall_time_ms", and `_text` renders the same dict as text.  Every rational
+is emitted as a "p/q" string, never a float, and in full: the process lifts
+CPython's limit on the digits of an int printed as text.  A fixed seed makes
+randomized cases reproducible: identical configurations produce
+byte-identical JSON apart from the wall-time field.
 
 Exit codes: 0 all cases passed, 1 some property failed, 2 usage or parse
 error (including a parameter that leaves nothing to check), 3 a work bound
@@ -40,60 +44,41 @@ EXIT_BOUND = 3
 EXIT_INTERNAL = 4
 
 
-class Case:
-    def __init__(self, name: str, status: str, witness: str | None = None,
-                 data: dict | None = None):
-        self.name = name
-        self.status = status            # "pass" | "fail" | "unknown"
-        self.witness = witness
-        self.data = {} if data is None else data
+def _case(name: str, status: str, witness: str | None = None, data: dict | None = None) -> dict:
+    """One row of a report; status is "pass", "fail" or "unknown"."""
+    return {"name": name, "status": status, "witness": witness,
+            "data": {} if data is None else data}
 
 
-class Report:
-    def __init__(self, command: str, parameters: dict):
-        self.command = command
-        self.parameters = parameters
-        self.cases: list[Case] = []
+def _finish(report: dict, wall_ms: int) -> dict:
+    """Add the summary of the cases and the wall time, the last two keys of a report."""
+    statuses = [case["status"] for case in report["cases"]]
+    report["summary"] = {"total": len(statuses), "passed": statuses.count("pass"),
+                         "failed": statuses.count("fail"), "unknown": statuses.count("unknown")}
+    report["wall_time_ms"] = wall_ms
+    return report
 
-    def add(self, case: Case) -> None:
-        self.cases.append(case)
 
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.cases if c.status == "fail")
-
-    def to_dict(self, wall_ms: int) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "cases": [{"name": c.name, "status": c.status,
-                       "witness": c.witness, "data": c.data} for c in self.cases],
-            "summary": {"total": len(self.cases),
-                        "passed": sum(1 for c in self.cases if c.status == "pass"),
-                        "failed": self.failed,
-                        "unknown": sum(1 for c in self.cases if c.status == "unknown")},
-            "wall_time_ms": wall_ms,
-        }
-
-    def to_text(self, wall_ms: int) -> str:
-        lines = [f"command: {self.command}"]
-        for key, value in self.parameters.items():
-            lines.append(f"  {key}: {value}")
-        for c in self.cases:
-            line = f"[{c.status.upper():>4}] {c.name}"
-            if c.witness:
-                line += f"  witness: {c.witness}"
-            lines.append(line)
-            for key, value in c.data.items():
-                if isinstance(value, list):
-                    for item in value:
-                        lines.append(f"         {key}: {item}")
-                else:
-                    lines.append(f"         {key}: {value}")
-        s = self.to_dict(wall_ms)["summary"]
-        lines.append(f"summary: {s['passed']}/{s['total']} passed, "
-                     f"{s['failed']} failed, {s['unknown']} unknown ({wall_ms} ms)")
-        return "\n".join(lines)
+def _text(report: dict) -> str:
+    """The text form of a finished report."""
+    lines = [f"command: {report['command']}"]
+    for key, value in report["parameters"].items():
+        lines.append(f"  {key}: {value}")
+    for c in report["cases"]:
+        line = f"[{c['status'].upper():>4}] {c['name']}"
+        if c["witness"]:
+            line += f"  witness: {c['witness']}"
+        lines.append(line)
+        for key, value in c["data"].items():
+            if isinstance(value, list):
+                for item in value:
+                    lines.append(f"         {key}: {item}")
+            else:
+                lines.append(f"         {key}: {value}")
+    s = report["summary"]
+    lines.append(f"summary: {s['passed']}/{s['total']} passed, "
+                 f"{s['failed']} failed, {s['unknown']} unknown ({report['wall_time_ms']} ms)")
+    return "\n".join(lines)
 
 
 def _random_polynomial(rng: random.Random, dim: int, max_degree: int) -> Polynomial:
@@ -111,7 +96,7 @@ def _random_polynomial(rng: random.Random, dim: int, max_degree: int) -> Polynom
 # -- dunkl ----------------------------------------------------------------
 
 
-def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
+def cmd_dunkl_commute(args: argparse.Namespace) -> dict:
     ctx = make_context(args.type, args.k)
     rank = ctx.rank
     if rank < 2:
@@ -119,9 +104,7 @@ def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
     if args.max_degree < 2:
         raise ValueError(f"--max-degree {args.max_degree}: commutators vanish below degree 2")
     check_work_bound(rank, args.max_degree, args.work_bound)
-    report = Report("dunkl commute", {
-        "type": args.type, "k": args.k, "max_degree": args.max_degree,
-        "random": args.random_cases, "seed": args.seed})
+    cases = []
     directions = [[Fraction(i == j) for j in range(rank)] for i in range(rank)]
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -133,10 +116,9 @@ def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
                     count += 1
                     if commutator_check(ctx, directions[i], directions[j], p):
                         failures.append(render(p))
-            status = "pass" if not failures else "fail"
-            report.add(Case(
-                name=f"[T_e{i + 1}, T_e{j + 1}] on monomials of degree <= {args.max_degree}",
-                status=status,
+            cases.append(_case(
+                f"[T_e{i + 1}, T_e{j + 1}] on monomials of degree <= {args.max_degree}",
+                "pass" if not failures else "fail",
                 witness=failures[0] if failures else None,
                 data={"cases": count}))
     if args.random_cases:
@@ -148,18 +130,18 @@ def cmd_dunkl_commute(args: argparse.Namespace) -> Report:
                 for j in range(i + 1, rank):
                     if commutator_check(ctx, directions[i], directions[j], p):
                         failures.append(render(p))
-        report.add(Case(name=f"random polynomials ({args.random_cases})",
-                        status="pass" if not failures else "fail",
-                        witness=failures[0] if failures else None))
-    return report
+        cases.append(_case(f"random polynomials ({args.random_cases})",
+                           "pass" if not failures else "fail",
+                           witness=failures[0] if failures else None))
+    return {"command": "dunkl commute",
+            "parameters": {"type": args.type, "k": args.k, "max_degree": args.max_degree,
+                           "random": args.random_cases, "seed": args.seed},
+            "cases": cases}
 
 
-def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
+def cmd_dunkl_gram(args: argparse.Namespace) -> dict:
     ctx = make_context(args.type, args.k)
     check_work_bound(ctx.rank, args.degree, args.work_bound)
-    report = Report("dunkl gram", {
-        "type": args.type, "k": args.k, "degree": args.degree,
-        "invariants_only": args.invariants_only})
     basis = gram_basis(ctx, args.degree, args.invariants_only)
     if not basis:
         raise ValueError(f"{args.type} has no W-invariants of degree {args.degree}: "
@@ -167,57 +149,58 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> Report:
     matrix = gram_matrix(ctx, basis)
     symmetric = all(matrix[i][j] == matrix[j][i]
                     for i in range(len(matrix)) for j in range(len(matrix)))
-    report.add(Case(name=f"gram matrix ({len(basis)}x{len(basis)})",
-                    status="pass" if symmetric else "fail",
-                    witness=None if symmetric else "matrix is not symmetric",
-                    data={"basis": [render(b) for b in basis],
-                          "matrix": [list(map(str, row)) for row in matrix]}))
+    cases = [_case(f"gram matrix ({len(basis)}x{len(basis)})",
+                   "pass" if symmetric else "fail",
+                   witness=None if symmetric else "matrix is not symmetric",
+                   data={"basis": [render(b) for b in basis],
+                         "matrix": [list(map(str, row)) for row in matrix]})]
     k_values = ctx.k.resolve(ctx.rs)
     if args.invariants_only and all(v > 0 for v in k_values.values()):
         definite, minors = positivity_certificate(matrix)
-        report.add(Case(name="positive definiteness (leading principal minors)",
-                        status="pass" if definite else "fail",
-                        data={"minors": [str(m) for m in minors]}))
-    return report
+        cases.append(_case("positive definiteness (leading principal minors)",
+                           "pass" if definite else "fail",
+                           data={"minors": [str(m) for m in minors]}))
+    return {"command": "dunkl gram",
+            "parameters": {"type": args.type, "k": args.k, "degree": args.degree,
+                           "invariants_only": args.invariants_only},
+            "cases": cases}
 
 
-def cmd_dunkl_apply(args: argparse.Namespace) -> Report:
+def cmd_dunkl_apply(args: argparse.Namespace) -> dict:
     ctx = make_context(args.type, args.k)
     xi = [rational(part.strip()) for part in args.xi.split(",")]
     p = parse_poly(args.poly, ctx.rank)
     check_work_bound(ctx.rank, max(p.degree(), 0), args.work_bound)
     result = dunkl_apply(ctx, xi, p)
-    report = Report("dunkl apply", {
-        "type": args.type, "k": args.k, "xi": args.xi, "poly": args.poly})
-    report.add(Case(name=f"T_xi({render(p)})", status="pass",
-                    data={"result": render(result)}))
-    return report
+    return {"command": "dunkl apply",
+            "parameters": {"type": args.type, "k": args.k, "xi": args.xi, "poly": args.poly},
+            "cases": [_case(f"T_xi({render(p)})", "pass", data={"result": render(result)})]}
 
 
 # -- chevalley -------------------------------------------------------------
 
 
 class BoundExceededWithPartial(Exception):
-    """Carries the rows finished before a work bound stopped the sweep."""
+    """Carries the report of the rows finished before a work bound stopped the sweep."""
 
-    def __init__(self, report: Report, cause: WorkBoundExceeded):
+    def __init__(self, report: dict, cause: WorkBoundExceeded):
         super().__init__(str(cause))
         self.report = report
 
 
-def cmd_chevalley_check(args: argparse.Namespace) -> Report:
+def cmd_chevalley_check(args: argparse.Namespace) -> dict:
     frame = CartanFrame(_algebra(args.algebra))
-    report = Report("chevalley check", {
-        "algebra": args.algebra, "max_degree": args.max_degree,
-        "work_bound": args.work_bound})
+    report = {"command": "chevalley check",
+              "parameters": {"algebra": args.algebra, "max_degree": args.max_degree,
+                             "work_bound": args.work_bound},
+              "cases": []}
     for d in range(args.max_degree + 1):
         try:
             rep = chevalley_graded_check(frame, d, args.work_bound)
         except WorkBoundExceeded as exc:
             raise BoundExceededWithPartial(report, exc) from exc
-        report.add(Case(
-            name=f"degree {d}",
-            status="pass" if rep.isomorphic else "fail",
+        report["cases"].append(_case(
+            f"degree {d}", "pass" if rep.isomorphic else "fail",
             data={"dim_invariants": rep.dim_invariants,
                   "dim_restricted": rep.dim_restricted,
                   "dim_target": rep.dim_target}))
@@ -242,31 +225,29 @@ def _degree_range(args: argparse.Namespace) -> list[int]:
     return list(range(top + 1)) if args.degree is None else [args.degree]
 
 
-def cmd_takiff_invariants(args: argparse.Namespace) -> Report:
+def cmd_takiff_invariants(args: argparse.Namespace) -> dict:
     gm = takiff_extend(_algebra(args.algebra), args.m)
     names = list(gm.basis_names)
-    report = Report("takiff invariants", {
-        "algebra": args.algebra, "m": args.m, "work_bound": args.work_bound})
+    cases = []
     for d in _degree_range(args):
         basis = invariants_graded(gm, d, args.work_bound)
         annihilated = all(
             not adjoint_derivation(gm, x, b)
             for b in basis.basis for x in range(gm.dim))
-        report.add(Case(name=f"degree {d} invariants",
-                        status="pass" if annihilated else "fail",
-                        data={"dim": basis.dim, "basis": basis.render(names)}))
-    return report
+        cases.append(_case(f"degree {d} invariants", "pass" if annihilated else "fail",
+                           data={"dim": basis.dim, "basis": basis.render(names)}))
+    return {"command": "takiff invariants",
+            "parameters": {"algebra": args.algebra, "m": args.m, "work_bound": args.work_bound},
+            "cases": cases}
 
 
-def cmd_takiff_image(args: argparse.Namespace) -> Report:
+def cmd_takiff_image(args: argparse.Namespace) -> dict:
     _, max_m, list_bases = _ALGEBRAS[args.algebra]
     if args.m > max_m:
         raise ValueError(f"takiff image supports {args.algebra} with m <= {max_m}")
     gm = takiff_extend(_algebra(args.algebra), args.m)
     frame = CartanFrame(gm)
-    report = Report("takiff image", {
-        "algebra": args.algebra, "m": args.m, "mode": "basis" if list_bases else "dims",
-        "work_bound": args.work_bound})
+    cases = []
     for d in _degree_range(args):
         image = image_basis(frame, d, args.work_bound)
         criterion = criterion_subspace(frame, d, args.work_bound)
@@ -282,37 +263,38 @@ def cmd_takiff_image(args: argparse.Namespace) -> Report:
         if list_bases:
             data["image_basis"] = image.render(frame.names)
             data["criterion_basis"] = criterion.render(frame.names)
-        report.add(Case(name=f"degree {d}",
-                        status="pass" if included else "fail",
-                        data=data))
-    return report
+        cases.append(_case(f"degree {d}", "pass" if included else "fail", data=data))
+    return {"command": "takiff image",
+            "parameters": {"algebra": args.algebra, "m": args.m,
+                           "mode": "basis" if list_bases else "dims",
+                           "work_bound": args.work_bound},
+            "cases": cases}
 
 
-def cmd_takiff_criterion(args: argparse.Namespace) -> Report:
+def cmd_takiff_criterion(args: argparse.Namespace) -> dict:
     gm = takiff_extend(_algebra(args.algebra), args.m)
     frame = CartanFrame(gm)
     p = frame.parse(args.poly)
     result = criterion_check(frame, p, image_degree_bound=args.max_degree,
                              work_bound=args.work_bound)
-    report = Report("takiff criterion", {
-        "algebra": args.algebra, "m": args.m, "poly": args.poly,
-        "variables": list(frame.names),
-        "raw_variables": [[i, s] for (i, s) in frame.raw_pairs],
-        "image_degree_bound": args.max_degree})
-    report.add(Case(name="condition 1: diagonal reflection invariance",
-                    status="pass" if result.condition1 else "fail",
-                    witness=None if result.condition1
-                    else f"not fixed by r_alpha, alpha = {result.condition1_witness}"))
     if result.condition2:
-        report.add(Case(name="condition 2: coroot-power divisibility", status="pass"))
+        condition2 = _case("condition 2: coroot-power divisibility", "pass")
     else:
         root, n, remainder = result.condition2_witness
-        report.add(Case(name="condition 2: coroot-power divisibility", status="fail",
-                        witness=f"alpha = {root}, n = {n}, remainder = {remainder}"))
-    report.add(Case(name="membership in the restriction image",
-                    status=result.in_image,
-                    data={"degree_bound": result.image_degree_bound}))
-    return report
+        condition2 = _case("condition 2: coroot-power divisibility", "fail",
+                           witness=f"alpha = {root}, n = {n}, remainder = {remainder}")
+    return {"command": "takiff criterion",
+            "parameters": {"algebra": args.algebra, "m": args.m, "poly": args.poly,
+                           "variables": list(frame.names),
+                           "raw_variables": [[i, s] for (i, s) in frame.raw_pairs],
+                           "image_degree_bound": args.max_degree},
+            "cases": [_case("condition 1: diagonal reflection invariance",
+                            "pass" if result.condition1 else "fail",
+                            witness=None if result.condition1
+                            else f"not fixed by r_alpha, alpha = {result.condition1_witness}"),
+                      condition2,
+                      _case("membership in the restriction image", result.in_image,
+                            data={"degree_bound": result.image_degree_bound})]}
 
 
 # -- driver ----------------------------------------------------------------
@@ -417,13 +399,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    if hasattr(sys, "set_int_max_str_digits"):   # Python >= 3.10.7 caps int <-> str
+        sys.set_int_max_str_digits(0)            # at 4300 digits; exact answers exceed it
 
-    def emit(report: Report) -> None:
-        wall_ms = int((time.monotonic() - started) * 1000)
-        if args.json:
-            print(json.dumps(report.to_dict(wall_ms), indent=2))
-        else:
-            print(report.to_text(wall_ms))
+    def emit(report: dict) -> dict:
+        report = _finish(report, int((time.monotonic() - started) * 1000))
+        print(json.dumps(report, indent=2) if args.json else _text(report))
+        return report
 
     try:
         report = _COMMANDS[f"{args.group} {args.action}"](args)
@@ -440,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RestrictionError, WeylClosureError) as exc:
         print(f"internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    emit(report)
-    return EXIT_PASS if report.failed == 0 else EXIT_FAIL
+    return EXIT_PASS if emit(report)["summary"]["failed"] == 0 else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -39,10 +39,10 @@ is the test oracle taylor_dunkl (tests/oracles.py).
 
 p(T) substitutes a commuting Dunkl operator for each coordinate: coordinate
 x_i is paired with the direction dual to it under the root system's
-invariant form (for the orthogonal realizations this is just e_i).  The
-pairing <p, q> = (p(T) q)(0) is then symmetric, W-invariant, and positive
-definite for positive multiplicities, and the adjoint of T_xi is
-multiplication by the linear form dual to xi.
+invariant form, column i of `RootSystem.form_inv` (for the orthogonal
+realizations this is just e_i).  The pairing <p, q> = (p(T) q)(0) is then
+symmetric, W-invariant, and positive definite for positive multiplicities,
+and the adjoint of T_xi is multiplication by the linear form dual to xi.
 
 Gram matrices never compose operators entry by entry.  Write T_i for the
 operator paired with x_i.  Since the T's commute, (x_i m)(T) = m(T) T_i, so
@@ -103,8 +103,7 @@ class DunklContext:
         # c -> R^|c| (c - r_alpha c) / alpha for each acting root, None until a
         # root is asked for; those of 1 vanish
         self._quotients = {one: [() for _ in self._acting]}
-        form_inv = linalg.mat_inv(rs.form)
-        self._dual_directions = [[row[i] for row in form_inv] for i in range(rs.rank)]
+        self._dual_directions = [list(column) for column in zip(*rs.form_inv)]
 
     @property
     def rank(self) -> int:

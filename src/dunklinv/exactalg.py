@@ -68,11 +68,17 @@ class WorkBoundExceeded(RuntimeError):
 
 
 def check_work_bound(ambient_dim: int, degree: int, work_bound: int) -> None:
-    """Refuse a degree-d computation whose monomial space exceeds work_bound."""
+    """Refuse a degree-d computation whose monomial space exceeds work_bound,
+    or whose d + 1 degrees do: the graded recursions step through every degree
+    up to d.  That second rule only binds in one variable, where the degree-d
+    space is one monomial; in more, it has at least d + 1."""
     size = comb(ambient_dim + degree - 1, degree)
     if size > work_bound:
         raise WorkBoundExceeded(
             f"degree-{degree} monomial space has dimension {size} > {work_bound}")
+    if degree + 1 > work_bound:
+        raise WorkBoundExceeded(
+            f"degree {degree} steps through {degree + 1} degrees > {work_bound}")
 
 
 def rational(value: Scalar | str) -> Fraction:
@@ -437,7 +443,7 @@ def parse(text: str, ambient_dim: int | None = None,
     def read_int() -> int:
         nonlocal pos
         start = pos
-        while pos < end and text[pos].isdigit():
+        while pos < end and text[pos].isdecimal():
             pos += 1
         if pos == start:
             raise ParseError("expected an integer", start)
@@ -464,7 +470,7 @@ def parse(text: str, ambient_dim: int | None = None,
         coeff = Fraction(1)
         exps = [0] * ambient_dim
         seen = False
-        if pos < end and text[pos].isdigit():
+        if pos < end and text[pos].isdecimal():
             num = read_int()
             skip_ws()
             if pos < end and text[pos] == "/":

@@ -80,9 +80,7 @@ class LieAlgebra:
         self.form = form
         self.cartan_indices = cartan_indices
         self.base, self.m = self if base is None else base, m   # g is its own g_0
-        self._takiff_cache: dict[int, LieAlgebra] = {0: self}     # m -> g_m, see takiff_extend
         self._basic_invariants: dict[int, list[Polynomial]] = {}  # degree -> its basic invariants
-        self._inv_cache: dict[int, GradedSubspace] = {}           # degree -> invariants_graded
         # the bracket times one common denominator, in ints
         self._den = lcm(*(c.denominator for row in structure for entry in row
                           for c in entry.values()))
@@ -217,22 +215,20 @@ def takiff_extend(g: LieAlgebra, m: int) -> LieAlgebra:
     g_m records g as its `base` and m as its `m`, and is not validated
     again: antisymmetry and Jacobi hold levelwise because they hold in g
     and T-degrees add, and the top-degree form is symmetric, invariant and
-    nondegenerate because g's form is.  Extensions are memoized per base
-    algebra so graded results accumulate.
+    nondegenerate because g's form is.
     """
     if not 0 <= m <= 3:
         raise ValueError("truncation order m must be within 0..3")
-    if m not in g._takiff_cache:
-        n, levels = g.dim, range(m + 1)
-        structure = tuple(tuple({(s + t) * n + k: c for k, c in g.structure[i][j].items()}
-                                if s + t <= m else {} for t in levels for j in range(n))
-                          for s in levels for i in range(n))
-        form = tuple(tuple(g.form[i][j] if s + t == m else Fraction(0)
-                           for t in levels for j in range(n)) for s in levels for i in range(n))
-        names = tuple(f"{name}_{s}" if s else name for s in levels for name in g.basis_names)
-        g._takiff_cache[m] = LieAlgebra(n * (m + 1), names, structure, form,
-                                        g.cartan_indices, base=g, m=m)
-    return g._takiff_cache[m]
+    if not m:
+        return g
+    n, levels = g.dim, range(m + 1)
+    structure = tuple(tuple({(s + t) * n + k: c for k, c in g.structure[i][j].items()}
+                            if s + t <= m else {} for t in levels for j in range(n))
+                      for s in levels for i in range(n))
+    form = tuple(tuple(g.form[i][j] if s + t == m else Fraction(0)
+                       for t in levels for j in range(n)) for s in levels for i in range(n))
+    names = tuple(f"{name}_{s}" if s else name for s in levels for name in g.basis_names)
+    return LieAlgebra(n * (m + 1), names, structure, form, g.cartan_indices, base=g, m=m)
 
 
 def _monomial_derivation(gm: LieAlgebra, x: int, mono: Monomial) -> dict[Monomial, int]:
@@ -325,8 +321,6 @@ def invariants_graded(gm: LieAlgebra, degree: int,
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     check_work_bound(gm.dim, degree, work_bound)
-    if degree in gm._inv_cache:
-        return gm._inv_cache[degree]
     if gm.m:
         spanning = polarized_products(basic_invariants(gm.base, degree), gm.base.dim, gm.m, degree)
     else:
@@ -338,5 +332,4 @@ def invariants_graded(gm: LieAlgebra, degree: int,
                      if not sum(map(packed.__getitem__, variables))]
         maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
         spanning = joint_kernel(gm.dim, monomials, maps)
-    gm._inv_cache[degree] = GradedSubspace.from_polynomials(spanning, gm.dim, degree)
-    return gm._inv_cache[degree]
+    return GradedSubspace.from_polynomials(spanning, gm.dim, degree)

@@ -324,11 +324,14 @@ def chevalley_graded_check(frame: CartanFrame, degree: int,
     """Compare adjoint invariants, their restriction, and W-invariants at one degree.
 
     `frame` is the Cartan frame of g itself (m = 0), built once per check and
-    read at every degree; W is its own Weyl group of (g, h), acting on h."""
-    invariants = invariants_graded(frame.gm, degree, work_bound)
+    read at every degree; W is its own Weyl group of (g, h), acting on h.
+    The invariants are computed once, inside `image_basis`, which restricts
+    their canonical basis and raises `RestrictionError` unless the restricted
+    basis stays independent: so the invariants have the dimension of their
+    image, and `dim_invariants` is read from it."""
     image = image_basis(frame, degree, work_bound)
     target = rootsys.invariant_basis(frame.weyl, degree)
     return ChevalleyReport(degree=degree,
-                           dim_invariants=invariants.dim,
+                           dim_invariants=image.dim,
                            dim_restricted=image.dim,
                            dim_target=target.dim)

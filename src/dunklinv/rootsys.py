@@ -66,12 +66,15 @@ class RootSystem(Frozen):
     """A reduced root system derived from its simple roots and invariant form.
 
     `roots` is the breadth-first orbit of the simple roots, which come first.
+    `form_inv` is inverted once, here: the coroots are read from it, and the
+    Dunkl layer takes its columns as the directions dual to the coordinates.
     """
 
     name: str
     rank: int
     simple_roots: tuple[tuple[Fraction, ...], ...]
     form: tuple[tuple[Fraction, ...], ...]        # W-invariant inner product on the space
+    form_inv: tuple[tuple[Fraction, ...], ...]    # its inverse, the form on the dual
     roots: tuple[tuple[Fraction, ...], ...]       # functionals alpha, both signs
     coroots: tuple[tuple[Fraction, ...], ...]     # H_alpha, aligned with roots
     orbit_labels: tuple[str, ...]                 # "all" or "long"/"short"
@@ -79,7 +82,7 @@ class RootSystem(Frozen):
     def __init__(self, name, rank, simple_roots, form):
         simple_roots = tuple(_fr(row) for row in simple_roots)
         form = tuple(_fr(row) for row in form)
-        form_inv = linalg.mat_inv(form)
+        form_inv = tuple(map(tuple, linalg.mat_inv(form)))
         # Reflections keep the norm <alpha, form^-1 alpha>, so each root
         # carries the norm of the simple root its orbit started from.
         duals = [linalg.mat_vec(form_inv, alpha) for alpha in simple_roots]
@@ -92,8 +95,8 @@ class RootSystem(Frozen):
         coroots = [h for _, h in simple] + [coroot(linalg.mat_vec(form_inv, alpha), norm)
                                             for alpha, norm in orbit[len(simple):]]
         self.__dict__.update(
-            name=name, rank=rank, simple_roots=simple_roots, form=form, roots=roots,
-            coroots=tuple(coroots),
+            name=name, rank=rank, simple_roots=simple_roots, form=form, form_inv=form_inv,
+            roots=roots, coroots=tuple(coroots),
             orbit_labels=tuple("all" if one_length else "long" if norm == long_norm else "short"
                                for _, norm in orbit))
 
@@ -246,7 +249,7 @@ def build_root_system(type_: str, rank: int) -> RootSystem:
 
 def root_system(name: str) -> RootSystem:
     """Build from a string like "A2" or "G2"."""
-    if len(name) != 2 or not name[1].isdigit():
+    if len(name) != 2 or not name[1].isdecimal():
         raise UnsupportedSystem(f"bad root system name {name!r}")
     return build_root_system(name[0], int(name[1]))
 

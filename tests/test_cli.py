@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from dunklinv import cli
+from dunklinv import cli, restriction
 from dunklinv.cli import EXIT_BOUND, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, main
 from dunklinv.restriction import RestrictionError
-from dunklinv.exactalg import render
+from dunklinv.exactalg import Polynomial, render
 from dunklinv.rootsys import WeylClosureError, invariant_basis
-from oracles import a1_dunkl_monomial
+from oracles import a1_dunkl_monomial, a1_pairing
 
 RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -170,6 +170,32 @@ def test_exit_three_when_dunkl_apply_exceeds_work_bound(capsys):
     assert code == EXIT_PASS
 
 
+def test_exit_three_when_rank_one_degree_exceeds_work_bound(capsys):
+    # One variable has one monomial per degree, but the Dunkl recursion and
+    # its memo step through all d + 1 degrees: those are what the bound counts.
+    for argv in (("dunkl", "gram", "--type", "A1", "--k", "all=1", "--degree", "99999999999"),
+                 ("dunkl", "apply", "--type", "A1", "--k", "all=1", "--xi", "1",
+                  "--poly", "x1^99999999999")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BOUND and out == ""
+        assert err == "error: degree 99999999999 steps through 100000000000 degrees > 20000\n"
+    for bound, expected in (("3001", EXIT_PASS), ("3000", EXIT_BOUND)):
+        code, _, _ = run(capsys, "--work-bound", bound, "dunkl", "apply", "--type", "A1",
+                         "--k", "all=1", "--xi", "1", "--poly", "x1^3000")
+        assert code == expected, bound
+
+
+def test_gram_entry_past_the_int_string_limit_prints_in_full(capsys):
+    # <x^1600, x^1600>_k has 4437 digits, past CPython's default 4300-digit
+    # limit on int -> str conversion.
+    code, data, _ = run_json(capsys, "dunkl", "gram", "--type", "A1", "--k", "all=1",
+                             "--degree", "1600")
+    assert code == EXIT_PASS
+    [[entry]] = data["cases"][0]["data"]["matrix"]
+    x = Polynomial(1, {(1600,): 1})
+    assert len(entry) > 4300 and entry == str(a1_pairing(x, x, 1))
+
+
 @pytest.mark.parametrize("n", [3000, 2999])
 def test_dunkl_apply_deep_monomial(capsys, n):
     # Every peel of x1^n enters the quotient memo: the walk must not recurse.
@@ -238,6 +264,20 @@ def test_chevalley_check_builds_one_frame(capsys, monkeypatch):
                              "--max-degree", "6")
     assert code == EXIT_PASS and len(data["cases"]) == 7
     assert len(frames) == 1 and frames[0].m == 0
+
+
+def test_chevalley_check_computes_the_invariants_once_per_degree(capsys, monkeypatch):
+    # The restriction image is built from the invariants, and the invariants
+    # have its dimension: one `invariants_graded` call per degree.
+    degrees = []
+    graded = restriction.invariants_graded
+    monkeypatch.setattr(restriction, "invariants_graded",
+                        lambda gm, d, *rest: degrees.append(d) or graded(gm, d, *rest))
+    code, data, _ = run_json(capsys, "chevalley", "check", "--algebra", "sl3",
+                             "--max-degree", "6")
+    assert code == EXIT_PASS
+    assert degrees == list(range(7))
+    assert [case["data"]["dim_invariants"] for case in data["cases"]] == [1, 0, 1, 1, 1, 1, 2]
 
 
 @pytest.mark.parametrize("command", ["invariants", "image"])

@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from dunklinv import dunkl
+from dunklinv import dunkl, linalg
 from dunklinv.dunkl import (
     DunklContext,
     commutator_check,
@@ -402,6 +402,20 @@ def test_zero_multiplicity_equals_derivative_path_a2():
 
 
 # -- gram matrices ----------------------------------------------------------------
+
+@pytest.mark.parametrize("system,k", [("B3", "long=1,short=1/2"), ("A2", "all=1"),
+                                      ("G2", "long=1,short=2")])
+def test_context_inverts_the_form_once(monkeypatch, system, k):
+    # The root system keeps form^-1, and the pairing's dual directions are
+    # its columns (A2 and G2 have non-orthogonal forms).
+    calls = []
+    invert = linalg.mat_inv
+    monkeypatch.setattr(linalg, "mat_inv", lambda a: calls.append(a) or invert(a))
+    ctx = make_context(system, k)
+    assert len(calls) == 1
+    assert [list(row) for row in ctx.rs.form_inv] == invert(ctx.rs.form)
+    assert ctx._dual_directions == [list(col) for col in zip(*invert(ctx.rs.form))]
+
 
 def test_gram_degree_zero():
     ctx = make_context("G2", "all=1")

@@ -373,6 +373,13 @@ def test_parse_errors_carry_positions():
         parse("x1 ^ -2", 2)
     with pytest.raises(ParseError):
         parse("", 2)
+    # A superscript digit is a digit to str.isdigit but not a decimal: int() refuses it.
+    with pytest.raises(ParseError, match="expected an integer") as excinfo:
+        parse("x1^²", 1)
+    assert excinfo.value.position == 3
+    with pytest.raises(ParseError, match="expected a term") as excinfo:
+        parse("²x1", 1)
+    assert excinfo.value.position == 0
 
 
 @settings(max_examples=80)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 import pytest
 
@@ -232,6 +233,15 @@ def test_dependent_restricted_generators_raise(monkeypatch, sl2):
         image_basis(frame, 2)
 
 
+def test_chevalley_check_refuses_a_restriction_that_loses_invariants(monkeypatch, sl3):
+    # `dim_invariants` is read from the image; that holds only because the
+    # image refuses to be smaller than the invariants it restricts.
+    frame = CartanFrame(sl3)
+    monkeypatch.setattr(restriction, "restrict", lambda frame, p: Polynomial.zero(frame.dim))
+    with pytest.raises(RestrictionError, match="injective"):
+        chevalley_graded_check(frame, 2)
+
+
 # -- criterion checks ---------------------------------------------------------------------
 
 def test_criterion_u_squared_fails_divisibility(frame1):
@@ -321,6 +331,40 @@ def test_criterion_subspace_matches_polynomial_kernel(request, algebra, m, max_d
                   for i in frame.positive_roots for n in range(1, d + 1))]
         assert criterion_subspace(frame, d) == GradedSubspace.from_polynomials(
             polynomial_joint_kernel(space, maps), frame.dim, d)
+
+
+# Paper result 2 for sl2, at every m the CLI builds: with x_s the level-s
+# coordinate of h_m (u, v, w, z), the criterion space is the W-even part of
+# C[x_1, ..., x_m, x_0 x_m].  That ring is spanned by the monomials whose power
+# of x_0 is at most that of x_m; W = {1, -1} keeps those of even degree.  Its
+# Hilbert series is sum_j C(m, 2j) t^(2j) / (1 - t^2)^(m + 1).
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sl2_criterion_space_is_the_even_part_of_a_monomial_ring(sl2, m):
+    frame = CartanFrame(takiff_extend(sl2, m))
+    dims = []
+    for d in range(9):
+        ring = [Polynomial(frame.dim, {e: 1}) for e in monomials_of_degree(frame.dim, d)
+                if d % 2 == 0 and e[0] <= e[m]]
+        space = criterion_subspace(frame, d)
+        assert space == GradedSubspace.from_polynomials(ring, frame.dim, d), (m, d)
+        dims.append(space.dim)
+    assert dims == [sum(comb(m, 2 * j) * comb(d // 2 - j + m, m) for j in range(d // 2 + 1))
+                    if d % 2 == 0 else 0 for d in range(9)]
+    if m == 3:
+        assert dims[::2] == [1, 7, 22, 50, 95]
+
+
+@pytest.mark.parametrize("algebra,m,max_degree", [("sl2", 2, 6), ("sl2", 3, 4), ("sl3", 1, 4)])
+def test_criterion_space_is_closed_under_products(request, algebra, m, max_degree):
+    # Reflections are ring maps, and delta^n obeys Leibniz: delta^n (pq) is a
+    # sum of delta^k p delta^(n-k) q, which h^k h^(n-k) divides.
+    frame = CartanFrame(takiff_extend(request.getfixturevalue(algebra), m))
+    spaces = [criterion_subspace(frame, d) for d in range(max_degree + 1)]
+    for d1 in range(1, max_degree + 1):
+        for d2 in range(d1, max_degree + 1 - d1):
+            for p in spaces[d1].basis:
+                for q in spaces[d2].basis:
+                    assert spaces[d1 + d2].contains(p * q), (d1, d2)
 
 
 def test_criterion_and_weyl_kernels_run_in_integers(monkeypatch, frame2, sl3):

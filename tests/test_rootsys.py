@@ -122,6 +122,8 @@ def test_unsupported_system():
         build_root_system("A", 4)
     with pytest.raises(UnsupportedSystem):
         root_system("Q17")
+    with pytest.raises(UnsupportedSystem, match="bad root system name"):
+        root_system("A²")
 
 
 # -- group action ---------------------------------------------------------------
