@@ -41,8 +41,8 @@ def main() -> int:
     frame2 = CartanFrame(takiff_extend(sl2, 2))
     result = criterion_check(frame2, frame2.parse("v^2"))
     print("\nwitness v^2 at m = 2:")
-    print(f"  reflection invariance: {result.condition1}")
-    print(f"  divisibility:          {result.condition2}")
+    print(f"  reflection invariance: {result.condition1_witness is None}")
+    print(f"  divisibility:          {result.condition2_witness is None}")
     print(f"  in restriction image:  {result.in_image}")
     return 0
 

@@ -39,7 +39,6 @@ from .liealg import (
 )
 from .restriction import (
     CartanFrame,
-    ChevalleyReport,
     CriterionReport,
     chevalley_graded_check,
     criterion_check,

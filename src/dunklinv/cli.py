@@ -28,13 +28,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactalg import (ParseError, Polynomial, WorkBoundExceeded, check_work_bound,
+from .exactalg import (WORK_BOUND, ParseError, Polynomial, WorkBoundExceeded, check_work_bound,
                        monomials_of_degree, parse as parse_poly, rational, render)
 from .dunkl import (commutator_check, dunkl_apply, gram_basis, gram_matrix, make_context,
                     positivity_certificate)
 from .liealg import adjoint_derivation, invariants_graded, make_sl, takiff_extend
-from .restriction import (CartanFrame, RestrictionError, chevalley_graded_check,
-                          criterion_check, criterion_subspace, image_basis)
+from .restriction import (IMAGE_DEGREE_BOUND, CartanFrame, RestrictionError,
+                          chevalley_graded_check, criterion_check, criterion_subspace,
+                          image_basis)
 from .rootsys import WeylClosureError
 
 EXIT_PASS = 0
@@ -196,14 +197,15 @@ def cmd_chevalley_check(args: argparse.Namespace) -> dict:
               "cases": []}
     for d in range(args.max_degree + 1):
         try:
-            rep = chevalley_graded_check(frame, d, args.work_bound)
+            image, target = chevalley_graded_check(frame, d, args.work_bound)
         except WorkBoundExceeded as exc:
             raise BoundExceededWithPartial(report, exc) from exc
+        # image_basis raises unless restriction is injective, so the invariants
+        # have the image's dimension.
         report["cases"].append(_case(
-            f"degree {d}", "pass" if rep.isomorphic else "fail",
-            data={"dim_invariants": rep.dim_invariants,
-                  "dim_restricted": rep.dim_restricted,
-                  "dim_target": rep.dim_target}))
+            f"degree {d}", "pass" if image == target else "fail",
+            data={"dim_invariants": image.dim, "dim_restricted": image.dim,
+                  "dim_target": target.dim}))
     return report
 
 
@@ -275,26 +277,23 @@ def cmd_takiff_criterion(args: argparse.Namespace) -> dict:
     gm = takiff_extend(_algebra(args.algebra), args.m)
     frame = CartanFrame(gm)
     p = frame.parse(args.poly)
-    result = criterion_check(frame, p, image_degree_bound=args.max_degree,
-                             work_bound=args.work_bound)
-    if result.condition2:
-        condition2 = _case("condition 2: coroot-power divisibility", "pass")
-    else:
-        root, n, remainder = result.condition2_witness
-        condition2 = _case("condition 2: coroot-power divisibility", "fail",
-                           witness=f"alpha = {root}, n = {n}, remainder = {remainder}")
+    reflection, divisibility, membership = criterion_check(
+        frame, p, image_degree_bound=args.max_degree, work_bound=args.work_bound)
     return {"command": "takiff criterion",
             "parameters": {"algebra": args.algebra, "m": args.m, "poly": args.poly,
                            "variables": list(frame.names),
                            "raw_variables": [[i, s] for (i, s) in frame.raw_pairs],
                            "image_degree_bound": args.max_degree},
             "cases": [_case("condition 1: diagonal reflection invariance",
-                            "pass" if result.condition1 else "fail",
-                            witness=None if result.condition1
-                            else f"not fixed by r_alpha, alpha = {result.condition1_witness}"),
-                      condition2,
-                      _case("membership in the restriction image", result.in_image,
-                            data={"degree_bound": result.image_degree_bound})]}
+                            "pass" if reflection is None else "fail",
+                            witness=None if reflection is None
+                            else f"not fixed by r_alpha, alpha = {reflection}"),
+                      _case("condition 2: coroot-power divisibility",
+                            "pass" if divisibility is None else "fail",
+                            witness=None if divisibility is None
+                            else "alpha = {}, n = {}, remainder = {}".format(*divisibility)),
+                      _case("membership in the restriction image", membership,
+                            data={"degree_bound": args.max_degree})]}
 
 
 # -- driver ----------------------------------------------------------------
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Dunkl operators, Weyl invariants, and Takiff restriction images.")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized cases")
-    parser.add_argument("--work-bound", type=_POSITIVE, default=20000,
+    parser.add_argument("--work-bound", type=_POSITIVE, default=WORK_BOUND,
                         help="monomial-space size limit for graded computations")
     # The same flags are accepted after the subcommand; SUPPRESS keeps a
     # subcommand-level absence from clobbering a top-level occurrence.
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--m", type=_POSITIVE, default=1,
                       help="truncation order; the criterion is meaningless at m = 0")
     crit.add_argument("--poly", required=True, help="polynomial in the h_m aliases (u, v, w)")
-    crit.add_argument("--max-degree", type=_NONNEGATIVE, default=8,
+    crit.add_argument("--max-degree", type=_NONNEGATIVE, default=IMAGE_DEGREE_BOUND,
                       help="membership degree bound")
     return parser
 

@@ -78,17 +78,17 @@ from typing import Iterable, Iterator, Sequence
 from . import linalg
 from .exactalg import (Monomial, Polynomial, apply_map, derivative, monomials_of_degree,
                        rational)
-from .rootsys import (MultiplicityAssignment, RootSystem, WeylGroup, generate_weyl,
-                      invariant_basis, reflection_matrix, root_system)
+from .rootsys import (MultiplicityAssignment, RootSystem, generate_weyl, invariant_basis,
+                      reflection_matrix, root_system)
 
 
 class DunklContext:
     """A root system, its Weyl group, a multiplicity assignment, and the memo
     of divided differences of monomials (see the module docstring)."""
 
-    def __init__(self, rs: RootSystem, weyl: WeylGroup, k: MultiplicityAssignment):
+    def __init__(self, rs: RootSystem, k: MultiplicityAssignment):
         self.rs = rs
-        self.weyl = weyl
+        self.weyl = generate_weyl(rs)
         self.k = k
         by_label = self.k.resolve(self.rs)
         # (index, k_alpha) of each acting root: positive, indivisible, k_alpha != 0
@@ -345,4 +345,4 @@ def make_context(system: str, k: str | MultiplicityAssignment) -> DunklContext:
     rs = root_system(system)
     if isinstance(k, str):
         k = MultiplicityAssignment.parse(k)
-    return DunklContext(rs=rs, weyl=generate_weyl(rs), k=k)
+    return DunklContext(rs=rs, k=k)

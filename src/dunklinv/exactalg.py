@@ -67,6 +67,9 @@ class WorkBoundExceeded(RuntimeError):
     """A graded computation would exceed the configured monomial budget."""
 
 
+WORK_BOUND = 20000          # the default monomial budget of every graded computation
+
+
 def check_work_bound(ambient_dim: int, degree: int, work_bound: int) -> None:
     """Refuse a degree-d computation whose monomial space exceeds work_bound,
     or whose d + 1 degrees do: the graded recursions step through every degree
@@ -447,7 +450,10 @@ def parse(text: str, ambient_dim: int | None = None,
             pos += 1
         if pos == start:
             raise ParseError("expected an integer", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError as exc:       # past CPython's limit on digits converted
+            raise ParseError(str(exc), start) from None
 
     def read_name() -> str:
         nonlocal pos

@@ -56,8 +56,8 @@ from math import lcm
 from typing import Sequence
 
 from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
-                       apply_map, check_work_bound, mono_from_variables, product, rational,
-                       substitution)
+                       WORK_BOUND, apply_map, check_work_bound, mono_from_variables, product,
+                       rational, substitution)
 from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, rref
 
 
@@ -116,8 +116,16 @@ class LieAlgebra:
     def _validate(self) -> None:
         """Antisymmetry and the Jacobi identity on the integer table; the form
         symmetric, invariant and nondegenerate, that is of full rank under the
-        fraction-free elimination of `linalg`."""
+        fraction-free elimination of `linalg`.  Before these, `basis_names`,
+        `structure`, `form` and each row of the last two must have `dim` entries."""
         dim, table = self.dim, self._table
+        shapes = [("basis_names", self.basis_names), ("structure", self.structure),
+                  ("form", self.form),
+                  *((f"structure row {i}", row) for i, row in enumerate(self.structure)),
+                  *((f"form row {i}", row) for i, row in enumerate(self.form))]
+        for what, entries in shapes:
+            if len(entries) != dim:
+                raise ValueError(f"{what} has {len(entries)} entries, not dim = {dim}")
         pairs = [(i, j) for i in range(dim) for j in range(dim)]
         if any(table[i][j] != {k: -c for k, c in table[j][i].items()} for i, j in pairs):
             raise ValueError("structure constants are not antisymmetric")
@@ -311,7 +319,7 @@ def basic_invariants(g: LieAlgebra, degree: int) -> list[Polynomial]:
 
 
 def invariants_graded(gm: LieAlgebra, degree: int,
-                      work_bound: int = 20000) -> GradedSubspace:
+                      work_bound: int = WORK_BOUND) -> GradedSubspace:
     """Canonical basis of the degree-d invariants S^d[g_m]^{g_m}.
 
     For m >= 1, the span of the degree-d products of the polarizations of

@@ -3,9 +3,10 @@
 The Cartan frame holds the roots of (g, h) as one `rootsys.RootSystem`,
 `CartanFrame.rs`: the Cartan weights of g's basis with the trace form on h,
 the same kind of system the Dunkl layer runs on.  Every label, coroot and
-reflection the criterion uses is read from it.  The Chevalley check
-compares, degree by degree, the adjoint invariants of g, their restriction
-to h, and the invariants on h of the Weyl group of those roots.
+reflection the criterion uses is read from it.  The Chevalley check is one
+equality per degree, the theorem's own statement: the canonical basis of
+the restricted adjoint invariants of g equals that of the invariants on h
+of the Weyl group of those roots.
 
 Restriction is coordinate projection: under the trace-form identification
 the complement of h_m inside g_m is spanned by the root-vector coordinates,
@@ -43,7 +44,8 @@ polynomial here, and `criterion_maps` lists them once, in one order:
 condition 1 per lifted reflection (`rootsys.invariance_maps`), then
 condition 2 per root and n (`_Divisibility`).  `criterion_subspace` is their
 joint kernel, and `criterion_check` applies each to p through
-`exactalg.apply_map` and keeps the first witness of each condition.
+`exactalg.apply_map` and keeps the first witness of each condition, None
+when the condition holds.
 Restriction reads the Cartan entries of a vector and keeps the term when
 they carry its degree.
 """
@@ -57,8 +59,8 @@ from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import linalg, rootsys
-from .exactalg import (Frozen, Monomial, Polynomial, apply_map, check_work_bound, derivative,
-                       monomials_of_degree, parse as parse_poly, render)
+from .exactalg import (WORK_BOUND, Monomial, Polynomial, apply_map, check_work_bound,
+                       derivative, monomials_of_degree, parse as parse_poly, render)
 from .liealg import LieAlgebra, basic_invariants, invariants_graded, polarized_products
 from .linalg import GradedSubspace, joint_kernel
 
@@ -68,6 +70,8 @@ class RestrictionError(RuntimeError):
 
 
 _LEVEL_LETTERS = "uvwz"
+
+IMAGE_DEGREE_BOUND = 8      # default top degree at which `criterion_check` tests membership
 
 
 class CartanFrame:
@@ -163,7 +167,7 @@ def _restrict(p: Polynomial, coordinates: list[int]) -> Polynomial:
                                          if sum(mono[v] for v in coordinates) == sum(mono)})
 
 
-def image_basis(frame: CartanFrame, degree: int, work_bound: int = 20000) -> GradedSubspace:
+def image_basis(frame: CartanFrame, degree: int, work_bound: int = WORK_BOUND) -> GradedSubspace:
     """Canonical basis of the degree-d restriction image Res S^d[g_m]^{g_m}.
 
     For m >= 1, the degree-d products of the polarizations to h_m of the
@@ -184,29 +188,21 @@ def image_basis(frame: CartanFrame, degree: int, work_bound: int = 20000) -> Gra
     return image
 
 
-class CriterionReport(Frozen):
-    polynomial: str
-    condition1: bool
-    condition1_witness: str | None
-    condition2: bool
-    condition2_witness: tuple[str, int, str] | None   # (root, n, remainder)
+class CriterionReport(NamedTuple):
+    condition1_witness: str | None                     # a root whose reflection moves p
+    condition2_witness: tuple[str, int, str] | None    # (root, n, remainder)
     in_image: str                                      # "pass" | "fail" | "unknown"
-    image_degree_bound: int
-
-    def __init__(self, polynomial, condition1, condition1_witness, condition2,
-                 condition2_witness, in_image, image_degree_bound):
-        if in_image == "pass" and not (condition1 and condition2):
-            raise RestrictionError("image member violating the necessary conditions")
-        self.__dict__.update(
-            polynomial=polynomial, condition1=condition1, condition1_witness=condition1_witness,
-            condition2=condition2, condition2_witness=condition2_witness,
-            in_image=in_image, image_degree_bound=image_degree_bound)
 
 
 def criterion_check(frame: CartanFrame, p: Polynomial,
-                    image_degree_bound: int = 8,
-                    work_bound: int = 20000) -> CriterionReport:
-    """Run both membership conditions on p and, within bounds, test membership."""
+                    image_degree_bound: int = IMAGE_DEGREE_BOUND,
+                    work_bound: int = WORK_BOUND) -> CriterionReport:
+    """Run both membership conditions on p and, within bounds, test membership.
+
+    Each witness is None when its condition holds.  Membership is tested
+    in each degree of p up to `image_degree_bound`, "unknown" above it; a
+    member of the image that fails a condition raises `RestrictionError`,
+    since both conditions are necessary."""
     if p.ambient_dim != frame.dim:
         raise ValueError("polynomial does not live on h_m")
     witnesses = {}          # condition -> its first witness; n = 0 only in condition 1
@@ -224,10 +220,9 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
             if not image_basis(frame, d, work_bound).contains(component):
                 membership = "fail"
                 break
-    return CriterionReport(polynomial=frame.render(p),
-                           condition1=1 not in witnesses, condition1_witness=witnesses.get(1),
-                           condition2=2 not in witnesses, condition2_witness=witnesses.get(2),
-                           in_image=membership, image_degree_bound=image_degree_bound)
+    if membership == "pass" and witnesses:
+        raise RestrictionError("image member violating the necessary conditions")
+    return CriterionReport(witnesses.get(1), witnesses.get(2), membership)
 
 
 class _Divisibility:
@@ -291,7 +286,8 @@ def criterion_maps(frame: CartanFrame, degree: int):
             yield 2, i, n, partial(condition.image, n), partial(condition.den, n)
 
 
-def criterion_subspace(frame: CartanFrame, degree: int, work_bound: int = 20000) -> GradedSubspace:
+def criterion_subspace(frame: CartanFrame, degree: int,
+                       work_bound: int = WORK_BOUND) -> GradedSubspace:
     """Degree-d polynomials on h_m satisfying both criterion conditions: the
     joint kernel of `criterion_maps`."""
     check_work_bound(frame.dim, degree, work_bound)
@@ -300,38 +296,17 @@ def criterion_subspace(frame: CartanFrame, degree: int, work_bound: int = 20000)
     return GradedSubspace.from_polynomials(kernel, frame.dim, degree)
 
 
-class ChevalleyReport(NamedTuple):
-    degree: int
-    dim_invariants: int
-    dim_restricted: int
-    dim_target: int
-
-    @property
-    def surjective(self) -> bool:
-        return self.dim_restricted == self.dim_target
-
-    @property
-    def injective(self) -> bool:
-        return self.dim_invariants == self.dim_restricted
-
-    @property
-    def isomorphic(self) -> bool:
-        return self.surjective and self.injective
-
-
-def chevalley_graded_check(frame: CartanFrame, degree: int,
-                           work_bound: int = 20000) -> ChevalleyReport:
-    """Compare adjoint invariants, their restriction, and W-invariants at one degree.
+def chevalley_graded_check(frame: CartanFrame, degree: int, work_bound: int = WORK_BOUND
+                           ) -> tuple[GradedSubspace, GradedSubspace]:
+    """The two sides of Chevalley's theorem at one degree, as canonical bases:
+    the restriction image of the adjoint invariants (`image_basis`) and the
+    W-invariants on h (`rootsys.invariant_basis`).  The theorem holds at
+    this degree exactly when the two are equal.
 
     `frame` is the Cartan frame of g itself (m = 0), built once per check and
     read at every degree; W is its own Weyl group of (g, h), acting on h.
-    The invariants are computed once, inside `image_basis`, which restricts
-    their canonical basis and raises `RestrictionError` unless the restricted
-    basis stays independent: so the invariants have the dimension of their
-    image, and `dim_invariants` is read from it."""
-    image = image_basis(frame, degree, work_bound)
-    target = rootsys.invariant_basis(frame.weyl, degree)
-    return ChevalleyReport(degree=degree,
-                           dim_invariants=image.dim,
-                           dim_restricted=image.dim,
-                           dim_target=target.dim)
+    `image_basis` computes the invariants once and raises `RestrictionError`
+    unless their restricted basis stays independent, so restriction is
+    injective on every image it returns, and the invariants have the image's
+    dimension."""
+    return image_basis(frame, degree, work_bound), rootsys.invariant_basis(frame.weyl, degree)

@@ -164,18 +164,18 @@ def test_criterion_05_chevalley_graded(sl2, sl3):
     ok = True
     frame2, frame3 = CartanFrame(sl2), CartanFrame(sl3)
     for d in range(9):
-        rep = chevalley_graded_check(frame2, d)
-        rows.append(("sl2", d, rep))
-        ok = ok and rep.isomorphic and rep.dim_target == series_coefficients([2], 8)[d]
+        image, target = chevalley_graded_check(frame2, d)
+        rows.append(("sl2", d, image, target))
+        ok = ok and image == target and target.dim == series_coefficients([2], 8)[d]
     sl3_series = series_coefficients([2, 3], 6)
     for d in range(7):
-        rep = chevalley_graded_check(frame3, d)
-        rows.append(("sl3", d, rep))
-        ok = ok and rep.isomorphic and rep.dim_target == sl3_series[d]
+        image, target = chevalley_graded_check(frame3, d)
+        rows.append(("sl3", d, image, target))
+        ok = ok and image == target and target.dim == sl3_series[d]
     ok = ok and sl3_series[6] == 2
-    report("criterion 5: Chevalley dims equal per degree (sl2 <= 8, sl3 <= 6; sl3@6 = 2)",
-           ok, str([(n, d, (r.dim_invariants, r.dim_restricted, r.dim_target))
-                    for n, d, r in rows if not r.isomorphic]))
+    report("criterion 5: Chevalley image = W-invariants per degree (sl2 <= 8, sl3 <= 6; "
+           "sl3@6 = 2)", ok, str([(n, d, (image.dim, target.dim))
+                                 for n, d, image, target in rows if image != target]))
 
 
 def test_criterion_06_theorem_base_case(frame_m1):
@@ -201,7 +201,7 @@ def test_criterion_07_necessity_sl3(sl3):
     for d in range(5):
         for b in image_basis(frame, d).basis:
             result = criterion_check(frame, b, image_degree_bound=0)
-            if not (result.condition1 and result.condition2):
+            if result.condition1_witness is not None or result.condition2_witness is not None:
                 failures.append((d, frame.render(b)))
     report("criterion 7: every sl3 m=1 image element (deg <= 4) passes both conditions",
            not failures, str(failures) if failures else "")
@@ -221,7 +221,8 @@ def test_criterion_08_remark_insufficiency(frame_m2):
           and criterion.contains(v2)
           and criterion.contains_subspace(image)
           and not image.contains_subspace(criterion)
-          and result.condition1 and result.condition2 and result.in_image == "fail")
+          and result.condition1_witness is None and result.condition2_witness is None
+          and result.in_image == "fail")
     report("criterion 8: sl2 m=2 strict inclusion; v^2 passes conditions but is not in image",
            ok)
 

@@ -11,6 +11,7 @@ from dunklinv import cli, restriction
 from dunklinv.cli import EXIT_BOUND, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, main
 from dunklinv.restriction import RestrictionError
 from dunklinv.exactalg import Polynomial, render
+from dunklinv.linalg import GradedSubspace
 from dunklinv.rootsys import WeylClosureError, invariant_basis
 from oracles import a1_dunkl_monomial, a1_pairing
 
@@ -285,6 +286,20 @@ def test_takiff_degree_range_defaults_to_four(capsys, command):
     code, data, _ = run_json(capsys, "takiff", command, "--algebra", "sl2", "--m", "1")
     assert code == EXIT_PASS
     assert [case["name"].split()[1] for case in data["cases"]] == ["0", "1", "2", "3", "4"]
+
+
+def test_chevalley_check_compares_canonical_bases(capsys, monkeypatch):
+    # A target with the image's dimension but another basis fails its degree.
+    real = restriction.rootsys.invariant_basis
+    x1_squared = GradedSubspace.from_polynomials([Polynomial(2, {(2, 0): 1})], 2, 2)
+    monkeypatch.setattr(restriction.rootsys, "invariant_basis",
+                        lambda weyl, d: x1_squared if d == 2 else real(weyl, d))
+    code, data, _ = run_json(capsys, "chevalley", "check", "--algebra", "sl3",
+                             "--max-degree", "2")
+    assert code == EXIT_FAIL
+    assert [case["status"] for case in data["cases"]] == ["pass", "pass", "fail"]
+    assert data["cases"][2]["data"] == {"dim_invariants": 1, "dim_restricted": 1,
+                                        "dim_target": 1}
 
 
 def test_chevalley_degree_zero_row(capsys):

@@ -18,8 +18,7 @@ from dunklinv.dunkl import (
 from dunklinv import exactalg
 from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
 from dunklinv.linalg import identity, mat_inv
-from dunklinv.rootsys import (SUPPORTED, MultiplicityAssignment, RootSystem, generate_weyl,
-                              invariant_basis)
+from dunklinv.rootsys import SUPPORTED, MultiplicityAssignment, RootSystem, invariant_basis
 from oracles import (a1_dunkl, a1_pairing, adjointness_check, apolarity, breadth_first_group,
                      composed_gram, derivative_pairing, dual_form, dunkl_pairing,
                      equivariance_check, invariant_stability_check, seeded_polynomials,
@@ -467,7 +466,7 @@ def test_gram_mixed_degree_basis():
 
 def _custom_context(simple_roots, form, k):
     rs = RootSystem(name="X", rank=len(form), simple_roots=simple_roots, form=form)
-    return DunklContext(rs=rs, weyl=generate_weyl(rs), k=MultiplicityAssignment.parse(k))
+    return DunklContext(rs=rs, k=MultiplicityAssignment.parse(k))
 
 
 # Realizations whose denominators the integer recursion must clear beyond the

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -380,6 +381,24 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError, match="expected a term") as excinfo:
         parse("²x1", 1)
     assert excinfo.value.position == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int <-> str conversion")
+def test_parse_positions_an_integer_past_the_digit_limit():
+    # The CLI lifts the limit for its process, so in-process CLI tests leave
+    # it lifted: set CPython's default for this test only.
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        digits = "1" * 5000
+        for text, position in ((digits + " x1", 0), ("x1^" + digits, 3),
+                               ("1/" + digits + " x1", 2)):
+            with pytest.raises(ParseError, match="Exceeds the limit") as excinfo:
+                parse(text, 1)
+            assert excinfo.value.position == position
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 @settings(max_examples=80)

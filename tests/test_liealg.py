@@ -112,6 +112,24 @@ def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
         LieAlgebra(**_sl2_data(sl2, bracket, form))
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"dim": 2}, "basis_names has 3 entries, not dim = 2"),
+    ({"dim": 4}, "basis_names has 3 entries, not dim = 4"),
+    ({"structure": lambda s: s[:2]}, "structure has 2 entries, not dim = 3"),
+    ({"structure": lambda s: (s[0], s[1][:2], s[2])}, "structure row 1 has 2 entries"),
+    ({"form": lambda f: f[:2]}, "form has 2 entries, not dim = 3"),
+    ({"form": lambda f: (f[0], f[1], f[2] + (Fraction(0),))}, "form row 2 has 4 entries"),
+], ids=["dim-2", "dim-4", "structure", "structure-row", "form", "form-row"])
+def test_validation_rejects_a_table_of_the_wrong_shape(sl2, change, message):
+    # With dim = 2 the sl2 tables were once accepted, and the invariants then
+    # indexed past them; with dim = 4 the Jacobi check did.
+    data = _sl2_data(sl2)
+    data.update({key: value(data[key]) if callable(value) else value
+                 for key, value in change.items()})
+    with pytest.raises(ValueError, match=message):
+        LieAlgebra(**data)
+
+
 @pytest.mark.parametrize("z_norm,accepted", [(1, True), (0, False)])
 def test_validation_rejects_a_nonzero_degenerate_form(sl2, z_norm, accepted):
     # sl2 + a central line z, with the trace form of sl2 and <z, z> = z_norm:

@@ -12,7 +12,6 @@ from dunklinv.liealg import LieAlgebra, invariants_graded, make_sl, takiff_exten
 from dunklinv.linalg import GradedSubspace, mat_inv, mat_vec
 from dunklinv.restriction import (
     CartanFrame,
-    CriterionReport,
     RestrictionError,
     chevalley_graded_check,
     criterion_check,
@@ -108,7 +107,7 @@ def test_frame_root_system_is_the_table_system(n, name):
         return
     assert rs.form == table.form
     k = rootsys.MultiplicityAssignment.parse("all=1/2")
-    ctx = DunklContext(rs, rootsys.generate_weyl(rs), k)
+    ctx = DunklContext(rs, k)
     reference = make_context(name, "all=1/2")
     for d in range(4):
         assert gram_matrix(ctx, gram_basis(ctx, d, False)) == \
@@ -234,8 +233,9 @@ def test_dependent_restricted_generators_raise(monkeypatch, sl2):
 
 
 def test_chevalley_check_refuses_a_restriction_that_loses_invariants(monkeypatch, sl3):
-    # `dim_invariants` is read from the image; that holds only because the
-    # image refuses to be smaller than the invariants it restricts.
+    # The check reports the image's dimension as the invariants'; that holds
+    # only because the image refuses to be smaller than the invariants it
+    # restricts.
     frame = CartanFrame(sl3)
     monkeypatch.setattr(restriction, "restrict", lambda frame, p: Polynomial.zero(frame.dim))
     with pytest.raises(RestrictionError, match="injective"):
@@ -246,8 +246,8 @@ def test_chevalley_check_refuses_a_restriction_that_loses_invariants(monkeypatch
 
 def test_criterion_u_squared_fails_divisibility(frame1):
     report = criterion_check(frame1, frame1.parse("u^2"))
-    assert report.condition1
-    assert not report.condition2
+    assert report.condition1_witness is None
+    assert report.condition2_witness is not None
     root, n, remainder = report.condition2_witness
     assert n == 1
     assert remainder == "4 u"
@@ -256,24 +256,25 @@ def test_criterion_u_squared_fails_divisibility(frame1):
 
 def test_criterion_uv_passes(frame1):
     report = criterion_check(frame1, frame1.parse("u v"))
-    assert report.condition1 and report.condition2
+    assert report.condition1_witness is None and report.condition2_witness is None
     assert report.in_image == "pass"
 
 
 def test_criterion_v_squared_m2_shows_insufficiency(frame2):
     report = criterion_check(frame2, frame2.parse("v^2"))
-    assert report.condition1 and report.condition2
+    assert report.condition1_witness is None and report.condition2_witness is None
     assert report.in_image == "fail"
 
 
 def test_criterion_zero_polynomial(frame1):
     report = criterion_check(frame1, Polynomial.zero(2))
-    assert report.condition1 and report.condition2 and report.in_image == "pass"
+    assert report.condition1_witness is None and report.condition2_witness is None
+    assert report.in_image == "pass"
 
 
 def test_criterion_odd_degree_fails_reflection(frame1):
     report = criterion_check(frame1, frame1.parse("u"))
-    assert not report.condition1
+    assert report.condition1_witness is not None
     assert report.condition1_witness == "(2)"
 
 
@@ -282,11 +283,12 @@ def test_criterion_membership_bound(frame1):
     assert report.in_image == "unknown"
 
 
-def test_report_consistency_guard():
-    with pytest.raises(RestrictionError):
-        CriterionReport(polynomial="u", condition1=False, condition1_witness="(2)",
-                        condition2=True, condition2_witness=None,
-                        in_image="pass", image_degree_bound=8)
+def test_report_consistency_guard(monkeypatch, frame1):
+    # u is odd, so it fails condition 1; an image that contains it is a bug.
+    monkeypatch.setattr(restriction, "image_basis",
+                        lambda frame, d, work_bound: h_span(frame, ["u"], 1))
+    with pytest.raises(RestrictionError, match="violating the necessary conditions"):
+        criterion_check(frame1, frame1.parse("u"))
 
 
 def test_frame_roots_and_reports_are_immutable_values(frame1, sl2):
@@ -477,7 +479,7 @@ def test_necessity_every_image_element_passes(frame1):
     for d in range(9):
         for b in image_basis(frame1, d).basis:
             report = criterion_check(frame1, b, image_degree_bound=0)
-            assert report.condition1 and report.condition2
+            assert report.condition1_witness is None and report.condition2_witness is None
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 1)])
@@ -496,7 +498,8 @@ def test_criterion_check_agrees_with_criterion_subspace(n, m):
                         for pool in (space.basis, monomials) for _ in range(4)]
         for p in [*space.basis, *monomials, *filter(None, combinations)]:
             report = criterion_check(frame, p, image_degree_bound=0)
-            assert (report.condition1 and report.condition2) == space.contains(p), \
+            passes = report.condition1_witness is None and report.condition2_witness is None
+            assert passes == space.contains(p), \
                 (d, frame.render(p))
 
 
@@ -504,28 +507,35 @@ def test_criterion_check_agrees_with_criterion_subspace(n, m):
 
 def test_chevalley_sl2(sl2):
     frame = CartanFrame(sl2)
-    dims = [chevalley_graded_check(frame, d) for d in range(9)]
+    sides = [chevalley_graded_check(frame, d) for d in range(9)]
     expected = series_coefficients([2], 8)
-    for d, rep in enumerate(dims):
-        assert rep.dim_invariants == rep.dim_restricted == rep.dim_target == expected[d]
-        assert rep.isomorphic
+    for d, (image, target) in enumerate(sides):
+        assert image.dim == target.dim == expected[d]
+        assert image == target
+
+
+@pytest.mark.parametrize("algebra,top", [("sl2", 12), ("sl3", 9)])
+def test_chevalley_image_is_the_weyl_invariants_as_canonical_bases(request, algebra, top):
+    frame = CartanFrame(request.getfixturevalue(algebra))
+    for d in range(top + 1):
+        assert image_basis(frame, d) == rootsys.invariant_basis(frame.weyl, d), d
 
 
 def test_chevalley_sl3_low_degrees(sl3):
     frame = CartanFrame(sl3)
     for d in (0, 1, 2, 3):
-        rep = chevalley_graded_check(frame, d)
-        assert rep.isomorphic
-        assert rep.dim_target == series_coefficients([2, 3], 3)[d]
+        image, target = chevalley_graded_check(frame, d)
+        assert image == target
+        assert target.dim == series_coefficients([2, 3], 3)[d]
 
 
 def test_chevalley_sl4_matches_a3_series():
     expected = series_coefficients([2, 3, 4], 5)
     frame = CartanFrame(make_sl(4))
     for d in range(6):
-        rep = chevalley_graded_check(frame, d)
-        assert rep.isomorphic
-        assert rep.dim_target == expected[d]
+        image, target = chevalley_graded_check(frame, d)
+        assert image == target
+        assert target.dim == expected[d]
 
 
 def test_chevalley_target_matches_reference_root_system(sl2, sl3):
@@ -533,11 +543,11 @@ def test_chevalley_target_matches_reference_root_system(sl2, sl3):
     for g, name, top in ((sl2, "A1", 8), (sl3, "A2", 6)):
         weyl, frame = rootsys.generate_weyl(rootsys.root_system(name)), CartanFrame(g)
         for d in range(top + 1):
-            assert (chevalley_graded_check(frame, d).dim_target
+            assert (chevalley_graded_check(frame, d)[1].dim
                     == rootsys.invariant_basis(weyl, d).dim)
 
 
 def test_chevalley_degree_one_trivial(sl2, sl3):
     for g in (sl2, sl3):
-        rep = chevalley_graded_check(CartanFrame(g), 1)
-        assert (rep.dim_invariants, rep.dim_restricted, rep.dim_target) == (0, 0, 0)
+        image, target = chevalley_graded_check(CartanFrame(g), 1)
+        assert (image.dim, target.dim) == (0, 0)
