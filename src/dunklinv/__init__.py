@@ -4,6 +4,7 @@ from .exactalg import (
     DimensionMismatch,
     ParseError,
     Polynomial,
+    WorkBoundExceeded,
     parse,
     render,
 )
@@ -30,7 +31,6 @@ from .dunkl import (
 )
 from .liealg import (
     LieAlgebra,
-    WorkBoundExceeded,
     adjoint_derivation,
     invariants_graded,
     make_sl,

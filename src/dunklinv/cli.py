@@ -5,10 +5,11 @@ Subcommands:
     chevalley check
     takiff invariants | image | criterion
 
-A report is the dict its JSON prints.  Each command builds "command",
-"parameters" and "cases", a case being "name", "status" ("pass", "fail" or
-"unknown"), "witness" and "data"; `_finish` adds "summary" and
-"wall_time_ms", and `_text` renders the same dict as text.  Every rational
+A report is the dict its JSON prints.  Each command builds "parameters"
+and "cases", a case being "name", "status" ("pass", "fail" or "unknown"),
+"witness" and "data"; `main` puts the command's `_COMMANDS` key first, as
+"command", `_finish` adds "summary" and "wall_time_ms", and `_text` renders
+the same dict as text.  Every rational
 is emitted as a "p/q" string, never a float, and in full: the process lifts
 CPython's limit on the digits of an int printed as text.  A fixed seed makes
 randomized cases reproducible: identical configurations produce
@@ -134,8 +135,7 @@ def cmd_dunkl_commute(args: argparse.Namespace) -> dict:
         cases.append(_case(f"random polynomials ({args.random_cases})",
                            "pass" if not failures else "fail",
                            witness=failures[0] if failures else None))
-    return {"command": "dunkl commute",
-            "parameters": {"type": args.type, "k": args.k, "max_degree": args.max_degree,
+    return {"parameters": {"type": args.type, "k": args.k, "max_degree": args.max_degree,
                            "random": args.random_cases, "seed": args.seed},
             "cases": cases}
 
@@ -161,8 +161,7 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> dict:
         cases.append(_case("positive definiteness (leading principal minors)",
                            "pass" if definite else "fail",
                            data={"minors": [str(m) for m in minors]}))
-    return {"command": "dunkl gram",
-            "parameters": {"type": args.type, "k": args.k, "degree": args.degree,
+    return {"parameters": {"type": args.type, "k": args.k, "degree": args.degree,
                            "invariants_only": args.invariants_only},
             "cases": cases}
 
@@ -173,8 +172,7 @@ def cmd_dunkl_apply(args: argparse.Namespace) -> dict:
     p = parse_poly(args.poly, ctx.rank)
     check_work_bound(ctx.rank, max(p.degree(), 0), args.work_bound)
     result = dunkl_apply(ctx, xi, p)
-    return {"command": "dunkl apply",
-            "parameters": {"type": args.type, "k": args.k, "xi": args.xi, "poly": args.poly},
+    return {"parameters": {"type": args.type, "k": args.k, "xi": args.xi, "poly": args.poly},
             "cases": [_case(f"T_xi({render(p)})", "pass", data={"result": render(result)})]}
 
 
@@ -191,8 +189,7 @@ class BoundExceededWithPartial(Exception):
 
 def cmd_chevalley_check(args: argparse.Namespace) -> dict:
     frame = CartanFrame(_algebra(args.algebra))
-    report = {"command": "chevalley check",
-              "parameters": {"algebra": args.algebra, "max_degree": args.max_degree,
+    report = {"parameters": {"algebra": args.algebra, "max_degree": args.max_degree,
                              "work_bound": args.work_bound},
               "cases": []}
     for d in range(args.max_degree + 1):
@@ -238,8 +235,7 @@ def cmd_takiff_invariants(args: argparse.Namespace) -> dict:
             for b in basis.basis for x in range(gm.dim))
         cases.append(_case(f"degree {d} invariants", "pass" if annihilated else "fail",
                            data={"dim": basis.dim, "basis": basis.render(names)}))
-    return {"command": "takiff invariants",
-            "parameters": {"algebra": args.algebra, "m": args.m, "work_bound": args.work_bound},
+    return {"parameters": {"algebra": args.algebra, "m": args.m, "work_bound": args.work_bound},
             "cases": cases}
 
 
@@ -266,8 +262,7 @@ def cmd_takiff_image(args: argparse.Namespace) -> dict:
             data["image_basis"] = image.render(frame.names)
             data["criterion_basis"] = criterion.render(frame.names)
         cases.append(_case(f"degree {d}", "pass" if included else "fail", data=data))
-    return {"command": "takiff image",
-            "parameters": {"algebra": args.algebra, "m": args.m,
+    return {"parameters": {"algebra": args.algebra, "m": args.m,
                            "mode": "basis" if list_bases else "dims",
                            "work_bound": args.work_bound},
             "cases": cases}
@@ -279,8 +274,7 @@ def cmd_takiff_criterion(args: argparse.Namespace) -> dict:
     p = frame.parse(args.poly)
     reflection, divisibility, membership = criterion_check(
         frame, p, image_degree_bound=args.max_degree, work_bound=args.work_bound)
-    return {"command": "takiff criterion",
-            "parameters": {"algebra": args.algebra, "m": args.m, "poly": args.poly,
+    return {"parameters": {"algebra": args.algebra, "m": args.m, "poly": args.poly,
                            "variables": list(frame.names),
                            "raw_variables": [[i, s] for (i, s) in frame.raw_pairs],
                            "image_degree_bound": args.max_degree},
@@ -401,13 +395,15 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):   # Python >= 3.10.7 caps int <-> str
         sys.set_int_max_str_digits(0)            # at 4300 digits; exact answers exceed it
 
+    command = f"{args.group} {args.action}"
+
     def emit(report: dict) -> dict:
-        report = _finish(report, int((time.monotonic() - started) * 1000))
+        report = _finish({"command": command} | report, int((time.monotonic() - started) * 1000))
         print(json.dumps(report, indent=2) if args.json else _text(report))
         return report
 
     try:
-        report = _COMMANDS[f"{args.group} {args.action}"](args)
+        report = _COMMANDS[command](args)
     except BoundExceededWithPartial as exc:
         emit(exc.report)
         print(f"error: {exc}", file=sys.stderr)

@@ -64,7 +64,8 @@ reflected variables r_alpha x_i (1 on every supported system), the memo
 holds R^|c| times the quotient of c; with D that of the dual directions
 and of the weights k_alpha alpha(xi_i), D R^e T_i is integral on degree e and s_e = D R^e s_{e-1}.  The pairing
 vanishes across degrees, so a basis is paired one homogeneous component at a
-time, scaled to integers by one lcm.
+time, scaled to integers by one lcm.  R, D and each component come from
+`exactalg.integral`.
 """
 
 from __future__ import annotations
@@ -72,12 +73,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, compress
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
-from .exactalg import (Monomial, Polynomial, apply_map, derivative, monomials_of_degree,
-                       rational)
+from .exactalg import (Monomial, Polynomial, apply_map, derivative, integral,
+                       monomials_of_degree, rational)
 from .rootsys import (MultiplicityAssignment, RootSystem, generate_weyl, invariant_basis,
                       reflection_matrix, root_system)
 
@@ -94,10 +94,10 @@ class DunklContext:
         # (index, k_alpha) of each acting root: positive, indivisible, k_alpha != 0
         self._acting = [(idx, by_label[rs.orbit_labels[idx]])
                         for idx in rs.positive_indivisible() if by_label[rs.orbit_labels[idx]]]
-        self._r = lcm(*((h * a).denominator for idx, _ in self._acting
-                        for h in rs.coroots[idx] for a in (1, *rs.roots[idx])))
-        self._reflected = [_reflected_variables(rs.roots[idx], rs.coroots[idx], self._r)
-                           for idx, _ in self._acting]
+        # per acting root, H_alpha and then the rows of r_alpha, scaled by R
+        self._r, scaled = integral([[*rs.coroots[idx], *chain.from_iterable(
+            reflection_matrix(rs.roots[idx], rs.coroots[idx]))] for idx, _ in self._acting])
+        self._reflected = [_reflected_variables(rs.rank, row) for row in scaled]
         one = (0,) * rs.rank
         self._monomials = {one: one}                # one tuple per monomial met
         # c -> R^|c| (c - r_alpha c) / alpha for each acting root, None until a
@@ -118,10 +118,8 @@ class DunklContext:
         """(D, D xi for each direction xi, D k_alpha alpha(xi)), all ints: the
         weights hold one row per acting root, one entry per direction, and D is
         the lcm of the denominators of the directions and the weights."""
-        weights = list(zip(*map(self._weights, directions)))
-        d = lcm(*(x.denominator for row in [*directions, *weights] for x in row))
-        return (d, [[int(d * x) for x in xi] for xi in directions],
-                [[int(d * w) for w in row] for row in weights])
+        d, rows = integral([*directions, *zip(*map(self._weights, directions))])
+        return d, rows[:len(directions)], rows[len(directions):]
 
     def _images(self, c: Monomial, directions, weights) -> list[dict[Monomial, int]]:
         """D R^|c| T_xi c for each direction, as int term dicts, from the D-scaled
@@ -228,8 +226,8 @@ def gram_matrix(ctx: DunklContext, basis: Sequence[Polynomial]) -> list[list[Fra
     for j, b in enumerate(basis):
         for e in set(map(sum, b.terms)):
             terms = b.homogeneous_component(e).terms
-            den = lcm(*(c.denominator for c in terms.values()))
-            components[e][j] = den, {m: int(den * coeff) for m, coeff in terms.items()}
+            den, [coefficients] = integral([terms.values()])
+            components[e][j] = den, dict(zip(terms, coefficients))
     top = max(components, default=-1)
     # rows[e]: the degree-e rows read, the components' supports and the peels of rows[e + 1]
     rows: dict[int, set] = defaultdict(set)
@@ -276,14 +274,15 @@ def _times_variable(m: Monomial, j: int, canonical: dict) -> Monomial:
     return canonical.setdefault(mono, mono)
 
 
-def _reflected_variables(alpha, coroot, r: int) -> list[tuple]:
-    """(r H_alpha[i], r r_alpha x_i) for each i, with r_alpha x_i = x_i - H_alpha[i] alpha.
+def _reflected_variables(rank: int, scaled: Sequence[int]) -> list[tuple]:
+    """(r H_alpha[i], r r_alpha x_i) for each i, with r_alpha x_i = x_i - H_alpha[i] alpha,
+    from `scaled`: r H_alpha, then the rows of r times the reflection matrix, in ints.
 
     The linear form is a list of (variable, coefficient) pairs, read off row i
-    of the reflection matrix.  r clears every denominator, so they are ints.
+    of the reflection matrix.
     """
-    return [(int(r * h), [(j, int(r * a)) for j, a in enumerate(row) if a])
-            for h, row in zip(coroot, reflection_matrix(alpha, coroot))]
+    return [(scaled[i], [(j, a) for j, a in enumerate(scaled[rank * (i + 1):rank * (i + 2)]) if a])
+            for i in range(rank)]
 
 
 def _product_rule(h, reflected: list, rest: Monomial, lower: tuple, canonical: dict) -> tuple:

@@ -8,9 +8,12 @@ form.  A polynomial maps monomials to nonzero Fractions; the zero
 polynomial has no terms, so two polynomials are equal exactly when their
 term maps are.
 
-Four operations here are the only ones of their kind in the package.
-`product` multiplies term dicts ({exponent vector: coefficient}, any exact
-coefficients); `Polynomial.__mul__` wraps it.  `substitution(M)` is the one
+Five operations here are the only ones of their kind in the package.
+`integral(rows)` turns exact values into integers: it returns D, the lcm
+of every entry's denominator, and each row times D (a vector is one row);
+no other module reads a numerator or a denominator.  `product` multiplies
+term dicts ({exponent vector: coefficient}, any exact coefficients);
+`Polynomial.__mul__` wraps it.  `substitution(M)` is the one
 linear change of variables: it returns D, the lcm of M's denominators, and
 a map from a monomial m to the int term dict of D^|m| m(Mx), multiplying
 powers of each x_i(DMx) that it keeps between calls; the Weyl invariance
@@ -18,8 +21,8 @@ maps of the rootsys module subtract D^|m| m from them and stay in ints.
 `derivative(xi, m)` is the one derivative of a monomial, in ints.
 `apply_map(p, image, den)` is the one way a linear map given on monomials
 reaches a polynomial: image(m) is the int term dict of den(|m|) L(m), and
-p is scaled to ints once, its images summed in ints and divided back with
-one `Fraction` per output term.  `Polynomial.substitute` and
+p is scaled to ints once by `integral`, its images summed in ints and
+divided back with one `Fraction` per output term.  `Polynomial.substitute` and
 `Polynomial.directional_derivative` are `apply_map` over `substitution`
 and `derivative`; so are the adjoint derivations, criterion condition 2 and
 T_xi in the liealg, restriction and dunkl modules.
@@ -42,7 +45,7 @@ from functools import partial
 from itertools import combinations_with_replacement, compress
 from math import comb, lcm
 from operator import add, ge, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -93,6 +96,17 @@ def rational(value: Scalar | str) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def integral(rows: Sequence[Collection[Scalar]]) -> tuple[int, list[list[int]]]:
+    """(D, the rows times D): D is the lcm of the denominators of every entry,
+    so each scaled row is a list of ints.  A vector is passed as one row.
+
+    >>> integral([[Fraction(1, 2), 3], [Fraction(-2, 3)]])
+    (6, [[3, 18], [-4]])
+    """
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def grlex_key(mono: Monomial) -> tuple:
@@ -265,9 +279,7 @@ class Polynomial:
         if len(direction) != self.ambient_dim:
             raise DimensionMismatch(
                 f"direction of length {len(direction)} in dimension {self.ambient_dim}")
-        direction = [rational(c) for c in direction]
-        scale = lcm(*(c.denominator for c in direction))
-        direction = [c.numerator * (scale // c.denominator) for c in direction]
+        scale, [direction] = integral([[rational(c) for c in direction]])
         return apply_map(self, partial(derivative, direction), lambda d: scale)
 
     def substitute(self, matrix: Sequence[Sequence[Scalar]]) -> "Polynomial":
@@ -290,12 +302,12 @@ def apply_map(p: Polynomial, image: MonomialMap, den: Callable[[int], int]) -> P
     top // den(|m|), with top the lcm of den over p's degrees.  The images
     are summed in ints and the sum divided by s top, one `Fraction` per term.
     """
-    scale = lcm(*(c.denominator for c in p.terms.values()))
+    scale, [coefficients] = integral([p.terms.values()])
     dens = {d: den(d) for d in set(map(sum, p.terms))}
     top = lcm(*dens.values())
     out: dict[Monomial, int] = {}
-    for mono, coeff in p.terms.items():
-        factor = coeff.numerator * (scale // coeff.denominator) * (top // dens[sum(mono)])
+    for mono, coeff in zip(p.terms, coefficients):
+        factor = coeff * (top // dens[sum(mono)])
         for k, x in image(mono).items():
             out[k] = out.get(k, 0) + factor * x
     top *= scale
@@ -325,11 +337,10 @@ def substitution(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, Callable[[Mon
     """(D, image) for a square M: D is the lcm of M's denominators, and image(m)
     is the int term dict of D^|m| m(Mx), zeros included.  It multiplies powers
     of the forms x_i(DMx), kept between calls."""
-    rows = [[rational(x) for x in row] for row in matrix]
-    scale = lcm(*(x.denominator for row in rows for x in row))
+    scale, rows = integral([[rational(x) for x in row] for row in matrix])
     one = (0,) * len(rows)
-    towers = [[{one: 1}, {one[:j] + (1,) + one[j + 1:]: x.numerator * (scale // x.denominator)
-                          for j, x in enumerate(row) if x}] for row in rows]
+    towers = [[{one: 1}, {one[:j] + (1,) + one[j + 1:]: x for j, x in enumerate(row) if x}]
+              for row in rows]
 
     def image(mono: Monomial) -> dict[Monomial, int]:
         out = None          # the first power is copied, not multiplied by 1: callers may edit it
@@ -403,17 +414,34 @@ def render(p: Polynomial, names: Sequence[str] | None = None) -> str:
         sign = "-" if coeff < 0 else "+"
         mag = -coeff if coeff < 0 else coeff
         factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in enumerate(mono) if e]
+        digits = _digits(mag.numerator)
+        if mag.denominator > 1:
+            digits += f"/{_digits(mag.denominator)}"
         if not factors:
-            body = str(mag)
+            body = digits
         elif mag == 1:
             body = " ".join(factors)
         else:
-            body = " ".join([str(mag)] + factors)
+            body = " ".join([digits] + factors)
         if not chunks:
             chunks.append(body if sign == "+" else f"-{body}")
         else:
             chunks.append(f" {sign} {body}")
     return "".join(chunks)
+
+
+_CHUNK = 10 ** 600
+
+
+def _digits(n: int) -> str:
+    """str(n) for n >= 0 of any length.  CPython refuses to print an int past
+    a process-wide number of digits (4300 by default, 640 at the least), so
+    the digits are printed 600 at a time."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(chunks))
 
 
 def parse(text: str, ambient_dim: int | None = None,

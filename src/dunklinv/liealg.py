@@ -24,13 +24,14 @@ p(sum_s X (x) T^s t^s) (M. Rais and P. Tauvel, J. reine angew. Math. 425,
 `invariants_graded` at m >= 1 spans the degree-d products of these
 polarizations (`polarizations`, `polarized_products`), all in ints.  The
 basic invariants themselves (`basic_invariants`) are found degree by degree
-at m = 0, and m = 0 keeps the kernel: there `invariants_graded` is the
-joint kernel of the derivations (`linalg.joint_kernel`) on the monomials of
-weight zero under the base Cartan, filtered as multisets of variables by
-integer sums, because `chevalley check` tests Chevalley's theorem and so
-must not assume it.
+at m = 0, and m = 0 keeps the kernel: there `invariants_graded` is one
+`linalg.joint_kernel` call, the canonical joint kernel of the derivations on
+the monomials of weight zero under the base Cartan, filtered as multisets of
+variables by integer sums, because `chevalley check` tests Chevalley's
+theorem and so must not assume it.
 
-The bracket table is scaled once to integers by a common denominator.  The
+The bracket table is scaled once to integers by a common denominator
+(`exactalg.integral`, as are the Cartan weights and the form).  The
 Jacobi and invariance checks read it exactly (they are homogeneous in the
 constants), and so does the derivation of a monomial: an integer image keyed
 by exponent vectors, the package's one monomial form, which the kernel path
@@ -52,12 +53,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Sequence
 
-from .exactalg import (Monomial, Polynomial, WorkBoundExceeded,  # noqa: F401 (raised here)
-                       WORK_BOUND, apply_map, check_work_bound, mono_from_variables, product,
-                       rational, substitution)
+from .exactalg import (WORK_BOUND, Monomial, Polynomial, apply_map, check_work_bound, integral,
+                       mono_from_variables, product, rational, substitution)
 from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, rref
 
 
@@ -82,10 +81,9 @@ class LieAlgebra:
         self.base, self.m = self if base is None else base, m   # g is its own g_0
         self._basic_invariants: dict[int, list[Polynomial]] = {}  # degree -> its basic invariants
         # the bracket times one common denominator, in ints
-        self._den = lcm(*(c.denominator for row in structure for entry in row
-                          for c in entry.values()))
-        self._table = [[{z: c.numerator * (self._den // c.denominator) for z, c in entry.items()}
-                        for entry in row] for row in structure]
+        self._den, scaled = integral([entry.values() for row in structure for entry in row])
+        values = iter(scaled)
+        self._table = [[dict(zip(entry, next(values))) for entry in row] for row in structure]
         # per basis index x, the variables that ad(X_x) does not kill
         self._acting = [[v for v, image in enumerate(row) if image] for row in self._table]
         if self.base is self:
@@ -109,15 +107,14 @@ class LieAlgebra:
     @cached_property
     def _weights(self) -> list[list[int]]:
         """Each variable's Cartan weight, scaled once to integers."""
-        weights = [self.cartan_weight(v) for v in range(self.dim)]
-        scale = lcm(*(w.denominator for weight in weights for w in weight))
-        return [[w.numerator * (scale // w.denominator) for w in weight] for weight in weights]
+        return integral([self.cartan_weight(v) for v in range(self.dim)])[1]
 
     def _validate(self) -> None:
         """Antisymmetry and the Jacobi identity on the integer table; the form
         symmetric, invariant and nondegenerate, that is of full rank under the
         fraction-free elimination of `linalg`.  Before these, `basis_names`,
-        `structure`, `form` and each row of the last two must have `dim` entries."""
+        `structure`, `form` and each row of the last two must have `dim` entries,
+        and every bracket must name only basis indices in range(dim)."""
         dim, table = self.dim, self._table
         shapes = [("basis_names", self.basis_names), ("structure", self.structure),
                   ("form", self.form),
@@ -127,6 +124,10 @@ class LieAlgebra:
             if len(entries) != dim:
                 raise ValueError(f"{what} has {len(entries)} entries, not dim = {dim}")
         pairs = [(i, j) for i in range(dim) for j in range(dim)]
+        for i, j in pairs:
+            if outside := [k for k in table[i][j] if k not in range(dim)]:
+                raise ValueError(f"structure entry [{i}][{j}] names basis index {outside[0]}, "
+                                 f"outside range({dim})")
         if any(table[i][j] != {k: -c for k, c in table[j][i].items()} for i, j in pairs):
             raise ValueError("structure constants are not antisymmetric")
         if any(self.form[i][j] != self.form[j][i] for i, j in pairs):
@@ -140,8 +141,7 @@ class LieAlgebra:
                             acc[r] = acc.get(r, 0) + c * c2
                 if any(acc.values()):
                     raise ValueError(f"Jacobi identity fails on basis triple {(i, j, k)}")
-        den = lcm(*(x.denominator for row in self.form for x in row))
-        form = [[x.numerator * (den // x.denominator) for x in row] for row in self.form]
+        _, form = integral(self.form)
         for i, j in pairs:
             for k in range(dim):
                 lhs = sum(c * form[l][k] for l, c in table[i][j].items())
@@ -279,12 +279,12 @@ def polarizations(p: Polynomial, m: int) -> list[dict[Monomial, int]]:
     """
     n, size = p.ambient_dim, p.ambient_dim * (m + 1)
     _, image = substitution([[int(j % n == i) for j in range(size)] for i in range(size)])
-    scale = lcm(*(c.denominator for c in p.terms.values()))
+    _, [coefficients] = integral([p.terms.values()])
     out: list[dict[Monomial, int]] = [{} for _ in range(m * p.degree() + 1)]
-    for mono, coeff in p.terms.items():
+    for mono, coeff in zip(p.terms, coefficients):
         for k, x in image(mono + (0,) * (size - n)).items():
             level = out[sum(e * (v // n) for v, e in enumerate(k))]
-            level[k] = level.get(k, 0) + coeff.numerator * (scale // coeff.denominator) * x
+            level[k] = level.get(k, 0) + coeff * x
     return [{k: c for k, c in terms.items() if c} for terms in out[m * (p.degree() - 1):]]
 
 
@@ -331,13 +331,12 @@ def invariants_graded(gm: LieAlgebra, degree: int,
     check_work_bound(gm.dim, degree, work_bound)
     if gm.m:
         spanning = polarized_products(basic_invariants(gm.base, degree), gm.base.dim, gm.m, degree)
-    else:
-        # One integer per weight, in a base above twice any weight sum of the degree.
-        top = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
-        packed = [sum(w * top ** i for i, w in enumerate(weight)) for weight in gm._weights]
-        monomials = [mono_from_variables(gm.dim, variables)
-                     for variables in combinations_with_replacement(range(gm.dim), degree)
-                     if not sum(map(packed.__getitem__, variables))]
-        maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
-        spanning = joint_kernel(gm.dim, monomials, maps)
-    return GradedSubspace.from_polynomials(spanning, gm.dim, degree)
+        return GradedSubspace.from_polynomials(spanning, gm.dim, degree)
+    # One integer per weight, in a base above twice any weight sum of the degree.
+    top = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
+    packed = [sum(w * top ** i for i, w in enumerate(weight)) for weight in gm._weights]
+    monomials = [mono_from_variables(gm.dim, variables)
+                 for variables in combinations_with_replacement(range(gm.dim), degree)
+                 if not sum(map(packed.__getitem__, variables))]
+    maps = [partial(_monomial_derivation, gm, x) for x in derivation_generators(gm)]
+    return joint_kernel(gm.dim, degree, maps, monomials)

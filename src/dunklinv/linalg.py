@@ -1,14 +1,14 @@
 """Exact linear algebra over Q and canonical graded subspaces.
 
 Rows are sparse, `{column: value}`.  Elimination turns each input row into
-coprime integers once (lcm of its denominators, then its content) and runs
+coprime integers once (`exactalg.integral`, then its content) and runs
 fraction-free from there: a row is reduced against the pivot row sitting at
 its leading column until its leading column is free, then becomes a pivot
 itself, and back-substitution clears the pivot columns highest pivot first.
 `nullspace` reads integer kernel vectors off those pivot rows; `rref`
 divides each by its pivot, the only place elimination makes a `Fraction`.
 `leading_principal_minors`, the package's one determinant computation, is a
-Bareiss pass in the same integer arithmetic.
+Bareiss pass in the same integer arithmetic, on the matrix `integral` scales.
 
 Reduced row echelon form depends only on the row span and the column
 order; columns are always supplied in descending graded-lex monomial order,
@@ -16,14 +16,17 @@ which makes every basis produced here canonical: two subspaces are equal
 exactly when their reduced bases render identically.
 
 Every graded subspace cut out by linear conditions (adjoint invariants,
-Weyl invariants, the restriction criterion) goes through one kernel path,
-`joint_kernel`: maps given by their integer values on monomials, images
-keyed by exponent vectors as everywhere in the package, and the kernel held
-as coprime integer vectors over those monomials.  Each map's image of a
-monomial is computed once, spread into one sparse row per image monomial,
-and the `nullspace` recombines the vectors, all in ints.  No other module of
-the package calls `nullspace`; `GradedSubspace.from_polynomials`
-canonicalises the result on the same rows.  The maps come from the int maps
+Weyl invariants, the restriction criterion) is one call,
+`joint_kernel(ambient_dim, d, maps)`: maps given by their integer values on
+monomials (by default every degree-d monomial), images keyed by exponent
+vectors as everywhere in the package, and the kernel held as coprime integer
+vectors over those monomials.  Each map's image of a monomial is computed
+once, spread into one sparse row per image monomial, and the `nullspace`
+recombines the vectors, all in ints.  No other module of the package calls
+`nullspace`.  The kernel comes back as its canonical `GradedSubspace`: its
+integer vectors are row-reduced over their monomials by `_canonical`, the
+step `GradedSubspace.from_polynomials` ends in, so the package has one
+canonicaliser.  The maps come from the int maps
 that `exactalg.apply_map` applies to whole polynomials: the Weyl invariance
 maps take their values from `exactalg.substitution`, the one linear change
 of variables, which multiplies with `exactalg.product`, the one product of
@@ -38,17 +41,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exactalg import Monomial, MonomialMap, Polynomial, grlex_key, render
+from .exactalg import (Monomial, MonomialMap, Polynomial, grlex_key, integral,
+                       monomials_of_degree, render)
 
 Matrix = Sequence[Sequence[Fraction]]
 Row = Mapping[int, Fraction | int]
-
-
-def _integer_row(row: Row) -> dict[int, int]:
-    """The row scaled to coprime integers, zero entries dropped."""
-    entries = [(col, x) for col, x in row.items() if x]
-    den = lcm(*(x.denominator for _, x in entries))
-    return _primitive({col: x.numerator * (den // x.denominator) for col, x in entries})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -75,7 +72,8 @@ def _pivot_rows(rows: Sequence[Row]) -> dict[int, dict[int, int]]:
     """The fully reduced pivot rows of the span, coprime integers, keyed by pivot column."""
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = _integer_row(row)
+        _, [values] = integral([row.values()])        # in coprime integers, zeros dropped
+        row = _primitive({col: x for col, x in zip(row, values) if x})
         while row:
             lead = min(row)
             pivot = pivot_rows.get(lead)
@@ -126,14 +124,17 @@ def nullspace(rows: Sequence[Row], ncols: int) -> list[dict[int, int]]:
     return basis
 
 
-def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
-                 maps: Iterable[MonomialMap]) -> list[Polynomial]:
-    """Polynomials spanning the part of span(`monomials`) that every map kills.
+def joint_kernel(ambient_dim: int, degree: int, maps: Iterable[MonomialMap],
+                 monomials: Sequence[Monomial] | None = None) -> "GradedSubspace":
+    """The canonical subspace of span(`monomials`), by default every monomial of
+    degree d, that every map kills.
 
-    The unit vectors are cut down one map at a time; a map that kills every
-    kernel vector is skipped.  The basis returned is not canonical and has
-    int coefficients; pass it through `GradedSubspace.from_polynomials`.
+    The unit vectors are cut down one map at a time, in coprime integers; a
+    map that kills every kernel vector is skipped.  The integer kernel is
+    row-reduced over its monomials by `_canonical`, as in `from_polynomials`.
     """
+    if monomials is None:
+        monomials = monomials_of_degree(ambient_dim, degree)
     kernel: list[dict[int, int]] = [{j: 1} for j in range(len(monomials))]
     for linear_map in maps:
         if not kernel:
@@ -152,8 +153,8 @@ def joint_kernel(ambient_dim: int, monomials: Sequence[Monomial],
         live = [row for row in rows.values() if any(row.values())]
         if live:                # else the map kills every vector: images may cancel in sums
             kernel = [_recombine(kernel, v) for v in nullspace(live, len(kernel))]
-    zero = Polynomial(ambient_dim)
-    return [zero._wrap({monomials[j]: a for j, a in vec.items()}) for vec in kernel]
+    return _canonical(ambient_dim, degree,
+                      [{monomials[j]: a for j, a in vec.items()} for vec in kernel])
 
 
 def _recombine(kernel: Sequence[dict[int, int]], coefficients: Mapping[int, int]) -> dict:
@@ -193,8 +194,7 @@ def leading_principal_minors(a: Matrix) -> list[Fraction]:
     list ends at the first zero minor, which it includes: the minors after it
     need row exchanges and are not computed.
     """
-    den = lcm(*(x.denominator for row in a for x in row))
-    work = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    den, work = integral(a)
     minors, previous = [], 1
     for k, top in enumerate(work):
         pivot = top[k]
@@ -230,16 +230,7 @@ class GradedSubspace(NamedTuple):
                 raise ValueError("mixed ambient dimensions in subspace input")
             if not p.is_homogeneous() or p.degree() != degree:
                 raise ValueError(f"expected homogeneous polynomials of degree {degree}")
-        if not polys:
-            return cls(ambient_dim, degree, ())
-        columns = sorted({mono for p in polys for mono in p.terms}, key=grlex_key, reverse=True)
-        index = {mono: j for j, mono in enumerate(columns)}
-        rows = [{index[mono]: c for mono, c in p.terms.items()} for p in polys]
-        reduced, _ = rref(rows, len(columns))
-        basis = tuple(Polynomial(ambient_dim,
-                                 {columns[j]: c for j, c in enumerate(row) if c})
-                      for row in reduced)
-        return cls(ambient_dim, degree, basis)
+        return _canonical(ambient_dim, degree, [p.terms for p in polys])
 
     @property
     def dim(self) -> int:
@@ -264,3 +255,19 @@ class GradedSubspace(NamedTuple):
 
     def render(self, names: Sequence[str] | None = None) -> list[str]:
         return [render(b, names) for b in self.basis]
+
+
+def _canonical(ambient_dim: int, degree: int,
+               vectors: Sequence[Mapping[Monomial, Fraction | int]]) -> GradedSubspace:
+    """The subspace spanned by nonzero degree-d term dicts, by its reduced basis:
+    their rows over the union of their monomials, in descending graded-lex
+    order, through `rref`."""
+    if not vectors:
+        return GradedSubspace(ambient_dim, degree, ())
+    columns = sorted({mono for terms in vectors for mono in terms}, key=grlex_key, reverse=True)
+    index = {mono: j for j, mono in enumerate(columns)}
+    reduced, _ = rref([{index[mono]: c for mono, c in terms.items()} for terms in vectors],
+                      len(columns))
+    return GradedSubspace(ambient_dim, degree, tuple(
+        Polynomial(ambient_dim, {columns[j]: c for j, c in enumerate(row) if c})
+        for row in reduced))

@@ -43,7 +43,8 @@ Both run as integer maps on monomials, keyed by exponent vectors like every
 polynomial here, and `criterion_maps` lists them once, in one order:
 condition 1 per lifted reflection (`rootsys.invariance_maps`), then
 condition 2 per root and n (`_Divisibility`).  `criterion_subspace` is their
-joint kernel, and `criterion_check` applies each to p through
+joint kernel, one `linalg.joint_kernel` call, and `criterion_check` applies
+each to p through
 `exactalg.apply_map` and keeps the first witness of each condition, None
 when the condition holds.
 Restriction reads the Cartan entries of a vector and keeps the term when
@@ -54,13 +55,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from itertools import accumulate, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
 from . import linalg, rootsys
 from .exactalg import (WORK_BOUND, Monomial, Polynomial, apply_map, check_work_bound,
-                       derivative, monomials_of_degree, parse as parse_poly, render)
+                       derivative, integral, parse as parse_poly, product, render)
 from .liealg import LieAlgebra, basic_invariants, invariants_graded, polarized_products
 from .linalg import GradedSubspace, joint_kernel
 
@@ -228,22 +229,23 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
 class _Divisibility:
     """Condition 2 for root i of `frame.rs`: `image(n, m)` is c^|m| D^n times
     the remainder of delta^n m by h^n, in ints.  D and E scale delta's
-    direction and h to integers, and c leads Eh, at x_l: a step of the
+    direction and h to integers (`exactalg.integral`), the powers of Eh are
+    `exactalg.product`s, and c leads Eh, at x_l: a step of the
     division by (Eh)^n that lowers the power of x_l by j divides by c^j, so
     from c^|m| m it is exact.  delta^n m is derived from delta^(n-1) m by
     `exactalg.derivative`, once per monomial; `den(n, |m|)` is the scale of
     image(n, m), so `exactalg.apply_map` divides it out."""
 
     def __init__(self, frame: CartanFrame, i: int, max_power: int):
-        direction = frame.delta_direction(i)
-        self.scale = lcm(*(x.denominator for x in direction))
-        self.direction = [x.numerator * (self.scale // x.denominator) for x in direction]
-        divisor = frame.divisor(i) * lcm(*(x.denominator for x in frame.rs.coroots[i]))
-        unit, lead = divisor.leading_term()
-        self.var, self.lead, self.chains = unit.index(1), int(lead), {}
-        self.powers = [[(mono, int(x))          # (Eh)^n but its leading term x_l^n
-                        for mono, x in (divisor ** n).terms.items() if mono[self.var] < n]
-                       for n in range(max_power + 1)]
+        self.scale, [self.direction] = integral([frame.delta_direction(i)])
+        h = frame.divisor(i)
+        unit, _ = h.leading_term()
+        _, [coefficients] = integral([h.terms.values()])
+        divisor = dict(zip(h.terms, coefficients))          # Eh
+        self.var, self.lead, self.chains = unit.index(1), divisor[unit], {}
+        powers = accumulate(repeat(divisor, max_power), product, initial={(0,) * frame.dim: 1})
+        self.powers = [[(mono, x) for mono, x in power.items() if mono[self.var] < n]
+                       for n, power in enumerate(powers)]   # (Eh)^n but its leading term x_l^n
 
     def image(self, n: int, mono: Monomial) -> dict[Monomial, int]:
         derived = self.chains.setdefault(mono, [])       # c^|m| (D delta)^k m, k = 0, 1, ...
@@ -291,9 +293,8 @@ def criterion_subspace(frame: CartanFrame, degree: int,
     """Degree-d polynomials on h_m satisfying both criterion conditions: the
     joint kernel of `criterion_maps`."""
     check_work_bound(frame.dim, degree, work_bound)
-    maps = (image for *_, image, _ in criterion_maps(frame, degree))
-    kernel = joint_kernel(frame.dim, monomials_of_degree(frame.dim, degree), maps)
-    return GradedSubspace.from_polynomials(kernel, frame.dim, degree)
+    return joint_kernel(frame.dim, degree,
+                        (image for *_, image, _ in criterion_maps(frame, degree)))
 
 
 def chevalley_graded_check(frame: CartanFrame, degree: int, work_bound: int = WORK_BOUND

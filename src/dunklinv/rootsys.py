@@ -25,8 +25,9 @@ Polynomials here are functions on the reflection representation, and the
 group acts by w.p = p o w^{-1}.  A Weyl group is held by its generators
 only, for any finite matrix group: the restriction module reuses it for the
 diagonal Weyl action on S[h_m].  A polynomial is invariant exactly when each
-generator fixes it, so invariant bases come from the generator kernel, the
-polynomials with p o s = p for each generator s (`linalg.joint_kernel`).
+generator fixes it, so `invariant_basis` is the generator kernel, the
+polynomials with p o s = p for each generator s: one `linalg.joint_kernel`
+call, which returns the canonical basis.
 The projector onto invariants (`reynolds`) is the mean of the orbit of p
 under the generators: by orbit-stabilizer each p o w occurs |Stab(p)| times
 in the group average, so the two agree and no group element is formed.
@@ -45,8 +46,8 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import linalg
-from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, apply_map,
-                       monomials_of_degree, rational, substitution)
+from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, apply_map, rational,
+                       substitution)
 from .linalg import GradedSubspace, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -287,6 +288,4 @@ def invariant_basis(weyl: WeylGroup, degree: int) -> GradedSubspace:
     """Canonical basis of degree-d W-invariants: the kernel of p -> p o s - p, all generators s."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    maps = (image for image, _ in invariance_maps(weyl))
-    kernel = joint_kernel(weyl.rank, monomials_of_degree(weyl.rank, degree), maps)
-    return GradedSubspace.from_polynomials(kernel, weyl.rank, degree)
+    return joint_kernel(weyl.rank, degree, (image for image, _ in invariance_maps(weyl)))

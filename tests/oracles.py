@@ -505,7 +505,8 @@ def kernel_invariants(gm, degree: int, order=None):
             blocks.setdefault(sum(v // gm.base.dim for v in variables), []).append(
                 mono_from_variables(gm.dim, variables))
     maps = [partial(_monomial_derivation, gm, x) for x in order]
-    survivors = [p for tau in sorted(blocks) for p in joint_kernel(gm.dim, blocks[tau], maps)]
+    survivors = [p for tau in sorted(blocks)
+                 for p in joint_kernel(gm.dim, degree, maps, blocks[tau]).basis]
     return GradedSubspace.from_polynomials(survivors, gm.dim, degree)
 
 

@@ -1,5 +1,10 @@
-"""The package runs on the standard library alone: every absolute import in
-its sources names a standard-library module.  Read with `ast`, nothing is run."""
+"""Rules on the package's sources, read with `ast`; nothing is run.
+
+The package runs on the standard library alone: every absolute import in its
+sources names a standard-library module.  No module but `__init__.py`, which
+re-exports, imports a name it never uses.  Only `exactalg` reads a numerator
+or a denominator: `exactalg.integral` is the one conversion of exact values
+to integers."""
 
 import ast
 import sys
@@ -10,9 +15,13 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "dunklinv").glob("*.py"))
 
 
+def _nodes(path: Path) -> list[ast.AST]:
+    return list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
 def _absolute_imports(path: Path) -> set[str]:
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in _nodes(path):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -27,3 +36,20 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_the_standard_library(path):
     assert _absolute_imports(path) - sys.stdlib_module_names == set()
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imports_no_name_it_never_uses(path):
+    nodes = _nodes(path)
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert imported - used == set()
+
+
+def test_only_exactalg_reads_numerators_and_denominators():
+    readers = {path.name for path in SOURCES for node in _nodes(path)
+               if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")}
+    assert readers == {"exactalg.py"}

@@ -17,6 +17,7 @@ from dunklinv.exactalg import (
     Polynomial,
     divide_with_remainder,
     grlex_key,
+    integral,
     monomials_of_degree,
     parse,
     render,
@@ -401,10 +402,40 @@ def test_parse_positions_an_integer_past_the_digit_limit():
         sys.set_int_max_str_digits(previous)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int <-> str conversion")
+def test_render_prints_coefficients_past_the_digit_limit():
+    # As above, CPython's default limit is set for this test only; the
+    # expected text is built with the limit lifted.
+    p = Polynomial(2, {(1, 0): Fraction(10 ** 5000),
+                       (0, 0): Fraction(-(10 ** 5000 + 7), 3 ** 10000)})
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        text = render(p)
+        sys.set_int_max_str_digits(0)
+        assert text == f"{10 ** 5000} x1 - {10 ** 5000 + 7}/{3 ** 10000}"
+        assert parse(text, 2) == p
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 @settings(max_examples=80)
 @given(polynomials())
 def test_parse_render_roundtrip(p):
     assert parse(render(p), p.ambient_dim) == p
+
+
+def test_integral_scales_every_row_by_one_common_denominator():
+    assert integral([[1, -2], [3]]) == (1, [[1, -2], [3]])
+    assert integral([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(5, 4)]]) == (12, [[6, -8], [15]])
+    assert integral([[Fraction(-3, 4), 2, 0], [], [Fraction(-1, 6)]]) == \
+        (12, [[-9, 24, 0], [], [-2]])
+    assert integral([{(1, 0): Fraction(7, 3)}.values()]) == (3, [[7]])
+    assert integral([]) == (1, [])
+    assert integral([[], []]) == (1, [[], []])
+    _, rows = integral([[Fraction(4, 2), 5, Fraction(-1, 3)]])
+    assert rows == [[6, 15, -1]] and all(type(x) is int for x in rows[0])
 
 
 def test_monomials_of_degree_count_and_order():

@@ -5,11 +5,10 @@ from functools import partial
 
 import pytest
 
-from dunklinv import liealg
-from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
+from dunklinv import liealg, linalg
+from dunklinv.exactalg import Polynomial, WorkBoundExceeded, monomials_of_degree, parse
 from dunklinv.liealg import (
     LieAlgebra,
-    WorkBoundExceeded,
     adjoint_derivation,
     basic_invariants,
     derivation_generators,
@@ -105,7 +104,9 @@ TWISTED_FORM = ((Fraction(0), Fraction(0), Fraction(2)),   # <e, f> = <h, h>: no
     ({(1, 0): {0: Fraction(3)}, (0, 1): {0: Fraction(-3)}}, None, "Jacobi"),
     (None, TWISTED_FORM, "not invariant"),
     (None, ZERO3, "degenerate"),
-], ids=["antisymmetry", "jacobi", "invariance", "nondegeneracy"])
+    ({(0, 1): {7: Fraction(1)}, (1, 0): {7: Fraction(-1)}}, None,
+     r"structure entry \[0\]\[1\] names basis index 7, outside range\(3\)"),
+], ids=["antisymmetry", "jacobi", "invariance", "nondegeneracy", "bracket-index"])
 def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
     LieAlgebra(**_sl2_data(sl2))                      # the unmodified data is accepted
     with pytest.raises(ValueError, match=message):
@@ -482,8 +483,8 @@ def test_takiff_kernel_work_guard(monkeypatch):
             return out
         return image
 
-    def guarded_kernel(ambient_dim, monomials, maps):
-        return real_kernel(ambient_dim, monomials, [watched(f) for f in maps])
+    def guarded_kernel(ambient_dim, degree, maps, monomials=None):
+        return real_kernel(ambient_dim, degree, [watched(f) for f in maps], monomials)
 
     monkeypatch.setattr(liealg, "adjoint_derivation", forbidden)
     monkeypatch.setattr(liealg, "joint_kernel", guarded_kernel)
@@ -494,25 +495,26 @@ def test_takiff_kernel_work_guard(monkeypatch):
 
 def test_takiff_kernel_builds_no_fraction(monkeypatch):
     """Once the algebra's integer weights are cached, the sl3, m = 0, degree-6
-    invariants build no Fraction until from_polynomials canonicalises them."""
+    invariants build no Fraction until `linalg._canonical`, the step that
+    `from_polynomials` also ends in, canonicalises them."""
     gm = takiff_extend(make_sl(3), 0)
     assert gm._weights == [[2, -1], [1, 1], [-1, 2], [0, 0], [0, 0], [-2, 1], [-1, -1], [1, -2]]
     outside, inside = [0], [0]
-    real_new, real_canonical = Fraction.__new__, GradedSubspace.from_polynomials.__func__
+    real_new, real_canonical = Fraction.__new__, linalg._canonical
 
     def counted_new(cls, *args, **kwargs):
         outside[0] += not inside[0]
         return real_new(cls, *args, **kwargs)
 
-    def canonical(cls, *args, **kwargs):
+    def canonical(*args, **kwargs):
         inside[0] += 1
         try:
-            return real_canonical(cls, *args, **kwargs)
+            return real_canonical(*args, **kwargs)
         finally:
             inside[0] -= 1
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
-    monkeypatch.setattr(GradedSubspace, "from_polynomials", classmethod(canonical))
+    monkeypatch.setattr(linalg, "_canonical", canonical)
     assert invariants_graded(gm, 6).dim == 2
     assert outside == [0]
 

@@ -230,8 +230,7 @@ def test_joint_kernel_matches_stacked_elimination(seed):
     monomials = sorted({mono for p in seeded for mono in p.terms})
     space = [Polynomial(dim, {mono: 1}) for mono in monomials]
     maps = _random_maps(rng, dim, degree)
-    ours = GradedSubspace.from_polynomials(
-        joint_kernel(dim, monomials, [on_monomials(dim, f) for f in maps]), dim, degree)
+    ours = joint_kernel(dim, degree, [on_monomials(dim, f) for f in maps], monomials)
     oracle = GradedSubspace.from_polynomials(stacked_kernel(space, maps), dim, degree)
     assert ours == oracle
     for b in ours.basis:
@@ -241,9 +240,30 @@ def test_joint_kernel_matches_stacked_elimination(seed):
 def test_joint_kernel_skips_zero_maps_and_empties_on_injective_ones():
     monomials = [(2, 0), (1, 1), (0, 2)]
     space = [parse("x1^2", 2), parse("x1 x2", 2), parse("x2^2", 2)]
-    assert joint_kernel(2, monomials, [lambda mono: {}]) == space
-    assert joint_kernel(2, monomials, [lambda mono: {mono: 1}]) == []
-    assert joint_kernel(2, [], [lambda mono: {mono: 1}]) == []
+    assert joint_kernel(2, 2, [lambda mono: {}], monomials).basis == tuple(space)
+    assert joint_kernel(2, 2, [lambda mono: {mono: 1}], monomials).basis == ()
+    assert joint_kernel(2, 2, [lambda mono: {mono: 1}], []).basis == ()
+
+
+def test_joint_kernel_is_canonical_whatever_the_monomial_order():
+    """A shuffled monomial list, or none (every degree-d monomial), gives the
+    reduced basis that `from_polynomials` gives, with Fraction coefficients."""
+    def swap(mono):         # p -> p(x2, x1, x3) - p
+        image = {mono[1::-1] + mono[2:]: 1}
+        image[mono] = image.get(mono, 0) - 1
+        return image
+
+    dim, degree = 3, 3
+    expected = GradedSubspace.from_polynomials(
+        [parse("x1^3 + x2^3", 3), parse("x1^2 x2 + x1 x2^2", 3), parse("x1^2 x3 + x2^2 x3", 3),
+         parse("x1 x2 x3", 3), parse("x1 x3^2 + x2 x3^2", 3), parse("x3^3", 3)], dim, degree)
+    assert expected.dim == 6
+    assert joint_kernel(dim, degree, [swap]) == expected
+    for seed in range(5):
+        shuffled = random.Random(seed).sample(monomials_of_degree(dim, degree), 10)
+        kernel = joint_kernel(dim, degree, [swap], shuffled)
+        assert kernel == expected
+        assert all(type(c) is Fraction for b in kernel.basis for c in b.terms.values())
 
 
 def test_joint_kernel_skips_maps_whose_images_cancel(monkeypatch):
@@ -254,9 +274,8 @@ def test_joint_kernel_skips_maps_whose_images_cancel(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", lambda *a: calls.append(a) or real_nullspace(*a))
     coefficient_sum = lambda mono: {(0, 0): 1}   # noqa: E731
     monomials = [(2, 0), (0, 2)]
-    kernel = joint_kernel(2, monomials, [coefficient_sum, coefficient_sum])
-    assert GradedSubspace.from_polynomials(kernel, 2, 2) == GradedSubspace.from_polynomials(
-        [parse("x1^2 - x2^2", 2)], 2, 2)
+    kernel = joint_kernel(2, 2, [coefficient_sum, coefficient_sum], monomials)
+    assert kernel == GradedSubspace.from_polynomials([parse("x1^2 - x2^2", 2)], 2, 2)
     assert len(calls) == 1
 
 
@@ -397,6 +416,7 @@ def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
     more."""
     entries, terms, calls = [0], [0], []
     real_elimination, real_kernel = linalg._pivot_rows, liealg.joint_kernel
+    real_canonical = linalg._canonical
 
     def recording_elimination(rows):
         calls.append(all(isinstance(row, Mapping) for row in rows))
@@ -408,12 +428,15 @@ def test_kernel_path_eliminates_sparse_rows_only(monkeypatch):
         terms[0] += len(image)
         return image
 
-    def counted_kernel(ambient_dim, monomials, maps):
-        survivors = real_kernel(ambient_dim, monomials, [partial(counted, f) for f in maps])
-        terms[0] += sum(len(p.terms) for p in survivors)
-        return survivors
+    def counted_kernel(ambient_dim, degree, maps, monomials=None):
+        return real_kernel(ambient_dim, degree, [partial(counted, f) for f in maps], monomials)
+
+    def counted_canonical(ambient_dim, degree, survivors):
+        terms[0] += sum(len(terms) for terms in survivors)
+        return real_canonical(ambient_dim, degree, survivors)
 
     monkeypatch.setattr(linalg, "_pivot_rows", recording_elimination)
+    monkeypatch.setattr(linalg, "_canonical", counted_canonical)
     monkeypatch.setattr(liealg, "joint_kernel", counted_kernel)
     result = invariants_graded(takiff_extend(make_sl(3), 0), 6)
     assert result.dim > 0

@@ -396,8 +396,8 @@ def test_criterion_and_weyl_kernels_run_in_integers(monkeypatch, frame2, sl3):
         monkeypatch.setattr(Polynomial, name, forbidden)
     monkeypatch.setattr(linalg, "nullspace", watched_nullspace)
     for module in (restriction, rootsys):
-        monkeypatch.setattr(module, "joint_kernel", lambda dim, monos, maps: real_kernel(
-            dim, monos, map(watched, maps)))
+        monkeypatch.setattr(module, "joint_kernel", lambda dim, degree, maps: real_kernel(
+            dim, degree, map(watched, maps)))
     frame3 = CartanFrame(takiff_extend(sl3, 1))
     assert [criterion_subspace(frame, d).dim for frame in (frame2, frame3) for d in range(5)] \
         == [1, 0, 4, 0, 9, 1, 0, 2, 2, 3]
