@@ -10,10 +10,12 @@ and "cases", a case being "name", "status" ("pass", "fail" or "unknown"),
 "witness" and "data"; `main` puts the command's `_COMMANDS` key first, as
 "command", `_finish` adds "summary" and "wall_time_ms", and `_text` renders
 the same dict as text.  Every rational
-is emitted as a "p/q" string, never a float, and in full: the process lifts
-CPython's limit on the digits of an int printed as text.  A fixed seed makes
-randomized cases reproducible: identical configurations produce
-byte-identical JSON apart from the wall-time field.
+is emitted as a "p/q" string, never a float, and in full, through
+`exactalg.exact_str`, whatever CPython's limit on the digits of an int
+printed as text; a number given past that limit is refused as text that
+does not parse.  A fixed seed makes randomized cases reproducible:
+identical configurations produce byte-identical JSON apart from the
+wall-time field.
 
 Exit codes: 0 all cases passed, 1 some property failed, 2 usage or parse
 error (including a parameter that leaves nothing to check), 3 a work bound
@@ -30,7 +32,7 @@ import time
 from fractions import Fraction
 
 from .exactalg import (WORK_BOUND, ParseError, Polynomial, WorkBoundExceeded, check_work_bound,
-                       monomials_of_degree, parse as parse_poly, rational, render)
+                       exact_str, monomials_of_degree, parse as parse_poly, rational, render)
 from .dunkl import (commutator_check, dunkl_apply, gram_basis, gram_matrix, make_context,
                     positivity_certificate)
 from .liealg import adjoint_derivation, invariants_graded, make_sl, takiff_extend
@@ -154,13 +156,13 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> dict:
                    "pass" if symmetric else "fail",
                    witness=None if symmetric else "matrix is not symmetric",
                    data={"basis": [render(b) for b in basis],
-                         "matrix": [list(map(str, row)) for row in matrix]})]
+                         "matrix": [list(map(exact_str, row)) for row in matrix]})]
     k_values = ctx.k.resolve(ctx.rs)
     if args.invariants_only and all(v > 0 for v in k_values.values()):
         definite, minors = positivity_certificate(matrix)
         cases.append(_case("positive definiteness (leading principal minors)",
                            "pass" if definite else "fail",
-                           data={"minors": [str(m) for m in minors]}))
+                           data={"minors": list(map(exact_str, minors))}))
     return {"parameters": {"type": args.type, "k": args.k, "degree": args.degree,
                            "invariants_only": args.invariants_only},
             "cases": cases}
@@ -392,9 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    if hasattr(sys, "set_int_max_str_digits"):   # Python >= 3.10.7 caps int <-> str
-        sys.set_int_max_str_digits(0)            # at 4300 digits; exact answers exceed it
-
     command = f"{args.group} {args.action}"
 
     def emit(report: dict) -> dict:

@@ -33,6 +33,12 @@ and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 section 2).
 Rendering, leading terms and every reduced basis downstream use this one
 order, which is what makes rendered bases canonical.
 
+Exact numbers enter and leave the package here.  `rational` is the way in:
+it refuses a float, which has no exact meaning, and every constructor that
+takes numbers from a caller reads them through it.  `exact_str` is the way out: the text of an int or a
+`Fraction` at any length, printed without touching CPython's process-wide
+limit on the digits of an int.
+
 All values are immutable after construction and every operation is a pure
 function, so independent computations can safely run in parallel.  No
 floating point appears anywhere.
@@ -80,11 +86,11 @@ def check_work_bound(ambient_dim: int, degree: int, work_bound: int) -> None:
     space is one monomial; in more, it has at least d + 1."""
     size = comb(ambient_dim + degree - 1, degree)
     if size > work_bound:
-        raise WorkBoundExceeded(
-            f"degree-{degree} monomial space has dimension {size} > {work_bound}")
+        raise WorkBoundExceeded(f"degree-{exact_str(degree)} monomial space has dimension "
+                                f"{exact_str(size)} > {work_bound}")
     if degree + 1 > work_bound:
-        raise WorkBoundExceeded(
-            f"degree {degree} steps through {degree + 1} degrees > {work_bound}")
+        raise WorkBoundExceeded(f"degree {exact_str(degree)} steps through "
+                                f"{exact_str(degree + 1)} degrees > {work_bound}")
 
 
 def rational(value: Scalar | str) -> Fraction:
@@ -411,37 +417,33 @@ def render(p: Polynomial, names: Sequence[str] | None = None) -> str:
         return "0"
     chunks: list[str] = []
     for mono, coeff in p.sorted_terms():
-        sign = "-" if coeff < 0 else "+"
-        mag = -coeff if coeff < 0 else coeff
         factors = [f"{names[v]}^{e}" if e > 1 else names[v] for v, e in enumerate(mono) if e]
-        digits = _digits(mag.numerator)
-        if mag.denominator > 1:
-            digits += f"/{_digits(mag.denominator)}"
-        if not factors:
-            body = digits
-        elif mag == 1:
-            body = " ".join(factors)
-        else:
-            body = " ".join([digits] + factors)
-        if not chunks:
-            chunks.append(body if sign == "+" else f"-{body}")
-        else:
-            chunks.append(f" {sign} {body}")
+        mag = abs(coeff)
+        body = " ".join(factors if mag == 1 and factors else [exact_str(mag), *factors])
+        sign = "-" if coeff < 0 else "+"
+        chunks.append(f" {sign} {body}" if chunks else body if sign == "+" else f"-{body}")
     return "".join(chunks)
 
 
 _CHUNK = 10 ** 600
 
 
-def _digits(n: int) -> str:
-    """str(n) for n >= 0 of any length.  CPython refuses to print an int past
+def exact_str(x: Scalar) -> str:
+    """str(x) for an int or a Fraction of any length, the one way an exact
+    number leaves the package as text.  CPython refuses to print an int past
     a process-wide number of digits (4300 by default, 640 at the least), so
-    the digits are printed 600 at a time."""
-    chunks = []
+    the digits are printed 600 at a time, and that limit is left as it is.
+
+    >>> exact_str(Fraction(-(10 ** 700), 3)) == "-1" + "0" * 700 + "/3"
+    True
+    """
+    if x.denominator > 1:
+        return f"{exact_str(x.numerator)}/{exact_str(x.denominator)}"
+    n, chunks = abs(x.numerator), []
     while n >= _CHUNK:
         n, low = divmod(n, _CHUNK)
         chunks.append(f"{low:0600d}")
-    return str(n) + "".join(reversed(chunks))
+    return ("-" if x < 0 else "") + str(n) + "".join(reversed(chunks))
 
 
 def parse(text: str, ambient_dim: int | None = None,

@@ -53,11 +53,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exactalg import (WORK_BOUND, Monomial, Polynomial, apply_map, check_work_bound, integral,
                        mono_from_variables, product, rational, substitution)
-from .linalg import GradedSubspace, Matrix, _pivot_rows, joint_kernel, mat_inv, rref
+from .linalg import GradedSubspace, Matrix, _canonical, _pivot_rows, joint_kernel, mat_inv, rref
 
 
 class LieAlgebra:
@@ -66,13 +66,21 @@ class LieAlgebra:
     from `takiff_extend`, which records g as its `base` and m as its `m`.
 
     An algebra that is its own base (any table given here, every
-    `matrix_algebra`) is validated at construction.  A Takiff algebra is
-    not: its axioms follow from those of its base, already checked."""
+    `matrix_algebra`) is validated at construction, each bracket a dict and
+    each entry read through `exactalg.rational`, so a float is a TypeError.
+    A Takiff algebra is not: its axioms follow from those of its base,
+    already checked."""
 
     def __init__(self, dim: int, basis_names: tuple[str, ...],
                  structure: tuple[tuple[dict[int, Fraction], ...], ...],
                  form: tuple[tuple[Fraction, ...], ...], cartan_indices: tuple[int, ...],
                  base: LieAlgebra | None = None, m: int = 0):
+        if base is None:
+            if not all(isinstance(entry, Mapping) for row in structure for entry in row):
+                raise TypeError("each bracket is a dict {basis index: coefficient}")
+            structure = tuple(tuple({k: rational(c) for k, c in entry.items()} for entry in row)
+                              for row in structure)
+            form = tuple(tuple(map(rational, row)) for row in form)
         self.dim = dim
         self.basis_names = basis_names
         self.structure = structure          # [X_i, X_j] = sum_k c_ijk X_k
@@ -288,16 +296,16 @@ def polarizations(p: Polynomial, m: int) -> list[dict[Monomial, int]]:
     return [{k: c for k, c in terms.items() if c} for terms in out[m * (p.degree() - 1):]]
 
 
-def polarized_products(ps: Sequence[Polynomial], n: int, m: int, degree: int) -> list[Polynomial]:
+def polarized_products(ps: Sequence[Polynomial], n: int, m: int, degree: int) -> list[dict]:
     """The degree-d products of the polarizations to m of homogeneous polynomials
     on n variables, each polarization weighted by the degree of its polynomial:
-    one product per multiset of polarizations, in ints, not canonical."""
+    one int term dict per multiset of polarizations, not canonical."""
     generators = [(p.degree(), q) for p in ps for q in polarizations(p, m)]
-    one, zero = {(0,) * (n * (m + 1)): 1}, Polynomial(n * (m + 1))
+    one = {(0,) * (n * (m + 1)): 1}
     products = (reduce(product, [q for _, q in factors], one) for size in range(degree + 1)
                 for factors in combinations_with_replacement(generators, size)
                 if sum(d for d, _ in factors) == degree)
-    return [zero._wrap({k: c for k, c in terms.items() if c}) for terms in products]
+    return [{k: c for k, c in terms.items() if c} for terms in products]
 
 
 def basic_invariants(g: LieAlgebra, degree: int) -> list[Polynomial]:
@@ -311,7 +319,7 @@ def basic_invariants(g: LieAlgebra, degree: int) -> list[Polynomial]:
     found = g._basic_invariants
     while len(found) < degree and sum(map(len, found.values())) < len(g.cartan_indices):
         d, lower = len(found) + 1, [p for ps in found.values() for p in ps]
-        span = GradedSubspace.from_polynomials(polarized_products(lower, g.dim, 0, d), g.dim, d)
+        span = _canonical(g.dim, d, polarized_products(lower, g.dim, 0, d))
         leads = {b.leading_term()[0] for b in span.basis}
         found[d] = [b for b in invariants_graded(g, d).basis
                     if b.leading_term()[0] not in leads]
@@ -331,7 +339,7 @@ def invariants_graded(gm: LieAlgebra, degree: int,
     check_work_bound(gm.dim, degree, work_bound)
     if gm.m:
         spanning = polarized_products(basic_invariants(gm.base, degree), gm.base.dim, gm.m, degree)
-        return GradedSubspace.from_polynomials(spanning, gm.dim, degree)
+        return _canonical(gm.dim, degree, spanning)
     # One integer per weight, in a base above twice any weight sum of the degree.
     top = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
     packed = [sum(w * top ** i for i, w in enumerate(weight)) for weight in gm._weights]

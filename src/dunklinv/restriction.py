@@ -61,9 +61,9 @@ from typing import NamedTuple
 
 from . import linalg, rootsys
 from .exactalg import (WORK_BOUND, Monomial, Polynomial, apply_map, check_work_bound,
-                       derivative, integral, parse as parse_poly, product, render)
+                       derivative, exact_str, integral, parse as parse_poly, product, render)
 from .liealg import LieAlgebra, basic_invariants, invariants_graded, polarized_products
-from .linalg import GradedSubspace, joint_kernel
+from .linalg import GradedSubspace, _canonical, joint_kernel
 
 
 class RestrictionError(RuntimeError):
@@ -134,7 +134,7 @@ class CartanFrame:
 
     def label(self, i: int) -> str:
         """Root i of `rs` as its coordinates, like "(2, -1)"."""
-        return "(" + ", ".join(map(str, self.rs.roots[i])) + ")"
+        return "(" + ", ".join(map(exact_str, self.rs.roots[i])) + ")"
 
     def divisor(self, i: int) -> Polynomial:
         """The coordinate of H_alpha (x) T^m as a linear form on h_m, alpha = root i."""
@@ -182,8 +182,9 @@ def image_basis(frame: CartanFrame, degree: int, work_bound: int = WORK_BOUND) -
                       for p in basic_invariants(gm.base, degree)]
         spanning = polarized_products(restricted, frame.rs.rank, gm.m, degree)
     else:
-        spanning = [restrict(frame, b) for b in invariants_graded(gm, degree, work_bound).basis]
-    image = GradedSubspace.from_polynomials(spanning, frame.dim, degree)
+        spanning = [restrict(frame, b).terms
+                    for b in invariants_graded(gm, degree, work_bound).basis]
+    image = _canonical(frame.dim, degree, spanning)
     if image.dim != len(spanning):
         raise RestrictionError("restriction failed to be injective on invariants")
     return image

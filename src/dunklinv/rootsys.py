@@ -6,11 +6,12 @@ H_alpha (a vector), normalized so alpha(H_alpha) = 2.  The reflection
 r_alpha(x) = x - alpha(x) H_alpha is then an exact rational matrix.
 
 A system is given by its simple roots and its W-invariant inner product
-`form`; the roots, coroots and orbit labels are derived from these.  The
-roots are the orbit of the simple roots under the simple reflections, the
-coroot is H_alpha = 2 form^-1 alpha / <alpha, form^-1 alpha> (`coroot`; a
-root of norm zero is refused), and a root is "long" or "short" by that norm
-("all" when there is one length).  Besides the table systems below, the
+`form`, each entry read through `exactalg.rational`, so an int, a Fraction
+or its text is exact and a float is refused; the roots, coroots and orbit
+labels are derived from these.  The roots are the orbit of the simple roots
+under the simple reflections, the coroot is H_alpha = 2 form^-1 alpha /
+<alpha, form^-1 alpha> (`coroot`; a root of norm zero is refused), and a
+root is "long" or "short" by that norm ("all" when there is one length).  Besides the table systems below, the
 restriction module's Cartan frame builds one from the Cartan weights of a
 Lie algebra and its trace form.
 
@@ -46,8 +47,8 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import linalg
-from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, apply_map, rational,
-                       substitution)
+from .exactalg import (Frozen, Monomial, MonomialMap, Polynomial, apply_map, exact_str,
+                       rational, substitution)
 from .linalg import GradedSubspace, joint_kernel
 
 SUPPORTED = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -81,8 +82,8 @@ class RootSystem(Frozen):
     orbit_labels: tuple[str, ...]                 # "all" or "long"/"short"
 
     def __init__(self, name, rank, simple_roots, form):
-        simple_roots = tuple(_fr(row) for row in simple_roots)
-        form = tuple(_fr(row) for row in form)
+        simple_roots = tuple(tuple(map(rational, row)) for row in simple_roots)
+        form = tuple(tuple(map(rational, row)) for row in form)
         form_inv = tuple(map(tuple, linalg.mat_inv(form)))
         # Reflections keep the norm <alpha, form^-1 alpha>, so each root
         # carries the norm of the simple root its orbit started from.
@@ -102,7 +103,7 @@ class RootSystem(Frozen):
                                for _, norm in orbit))
 
     def root_index(self, alpha: Sequence[Fraction | int]) -> int:
-        key = tuple(Fraction(a) for a in alpha)
+        key = tuple(map(rational, alpha))
         try:
             return self.roots.index(key)
         except ValueError:
@@ -173,15 +174,11 @@ class WeylGroup(Frozen):
         self.__dict__.update(rank=rank, generators=generators)
 
 
-def _fr(seq) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in seq)
-
-
 def _norm(alpha: Sequence[Fraction], dual: Sequence[Fraction]) -> Fraction:
     """<alpha, form^-1 alpha> from dual = form^-1 alpha; a root of norm zero is refused."""
     (norm,) = linalg.mat_vec([alpha], dual)
     if not norm:
-        raise ValueError(f"({', '.join(map(str, alpha))}) has norm zero under the form")
+        raise ValueError(f"({', '.join(map(exact_str, alpha))}) has norm zero under the form")
     return norm
 
 

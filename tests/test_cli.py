@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -186,15 +187,68 @@ def test_exit_three_when_rank_one_degree_exceeds_work_bound(capsys):
         assert code == expected, bound
 
 
-def test_gram_entry_past_the_int_string_limit_prints_in_full(capsys):
+def test_gram_entry_past_the_int_string_limit_prints_in_full(capsys, int_digit_limit):
     # <x^1600, x^1600>_k has 4437 digits, past CPython's default 4300-digit
-    # limit on int -> str conversion.
+    # limit on int -> str conversion.  The report is printed under that
+    # limit; the oracle's own str() needs it lifted.
+    int_digit_limit(4300)
     code, data, _ = run_json(capsys, "dunkl", "gram", "--type", "A1", "--k", "all=1",
                              "--degree", "1600")
     assert code == EXIT_PASS
     [[entry]] = data["cases"][0]["data"]["matrix"]
     x = Polynomial(1, {(1600,): 1})
+    int_digit_limit(0)
     assert len(entry) > 4300 and entry == str(a1_pairing(x, x, 1))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int <-> str conversion")
+@pytest.mark.parametrize("limit", [4300, 640, 0])
+def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys, int_digit_limit, limit):
+    int_digit_limit(limit)
+    for argv in (("dunkl", "apply", "--type", "A1", "--k", "all=1", "--xi", "1",
+                  "--poly", "x1^3"),
+                 ("--json", "dunkl", "gram", "--type", "A1", "--k", "all=1", "--degree", "1600"),
+                 ("takiff", "criterion", "--algebra", "sl2", "--poly", "u +")):
+        run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == limit, argv
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int <-> str conversion")
+@pytest.mark.parametrize("flag,value,suffix", [
+    ("--poly", "1" * 5000 + " x1", " (at position 0)\n"),
+    ("--k", "all=" + "1" * 5000, "\n"),
+], ids=["poly", "k"])
+def test_exit_two_on_an_input_number_past_the_int_digit_limit(capsys, int_digit_limit,
+                                                               flag, value, suffix):
+    # As in the library: CPython refuses to read an int of more than 4300
+    # digits from text, and the CLI does not lift that limit.
+    int_digit_limit(4300)
+    argv = {"--type": "A1", "--k": "all=1", "--xi": "1", "--poly": "x1"} | {flag: value}
+    code, out, err = run(capsys, "dunkl", "apply", *(x for item in argv.items() for x in item))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.endswith(suffix) and "Exceeds the limit" in err
+
+
+@pytest.mark.parametrize("type_,argv,degree", [
+    ("A3", ("gram", "--degree", "1" + "0" * 2499), 10 ** 2499),
+    ("A2", ("apply", "--xi", "1,0", "--poly", f"x1^{'9' * 4300} x2^{'9' * 4300}"),
+     2 * (10 ** 4300 - 1)),
+], ids=["count-past-the-limit", "degree-past-the-limit"])
+def test_exit_three_message_prints_numbers_past_the_int_digit_limit(capsys, int_digit_limit,
+                                                                     type_, argv, degree):
+    # The degree-d monomial space has C(n + d - 1, d) monomials: about 5000
+    # digits for the 2500-digit d in A3, and d + 1, of 4301 digits, for the
+    # sum of two 4300-digit exponents in A2.  Both print in full.
+    int_digit_limit(4300)
+    code, out, err = run(capsys, "dunkl", argv[0], "--type", type_, "--k", "all=1", *argv[1:])
+    assert code == EXIT_BOUND and out == ""
+    int_digit_limit(0)
+    n = int(type_[1])
+    size = comb(n + degree - 1, degree)
+    assert err == f"error: degree-{degree} monomial space has dimension {size} > 20000\n"
 
 
 @pytest.mark.parametrize("n", [3000, 2999])

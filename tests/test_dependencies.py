@@ -4,7 +4,9 @@ The package runs on the standard library alone: every absolute import in its
 sources names a standard-library module.  No module but `__init__.py`, which
 re-exports, imports a name it never uses.  Only `exactalg` reads a numerator
 or a denominator: `exactalg.integral` is the one conversion of exact values
-to integers."""
+to integers.  Only `exactalg` wraps a term dict into a `Polynomial` unchecked
+(`Polynomial._wrap`), and no module changes CPython's process-wide limit on
+the digits of an int printed as text: `exactalg.exact_str` prints past it."""
 
 import ast
 import sys
@@ -53,3 +55,17 @@ def test_only_exactalg_reads_numerators_and_denominators():
     readers = {path.name for path in SOURCES for node in _nodes(path)
                if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")}
     assert readers == {"exactalg.py"}
+
+
+def test_only_exactalg_wraps_term_dicts_unchecked():
+    wrappers = {path.name for path in SOURCES for node in _nodes(path)
+                if isinstance(node, ast.Attribute) and node.attr == "_wrap"}
+    assert wrappers == {"exactalg.py"}
+
+
+def test_no_module_changes_the_int_digit_limit():
+    # by attribute, by an imported name, or by its name as a string for getattr
+    fields = ("attr", "id", "name", "value")
+    setters = {path.name for path in SOURCES for node in _nodes(path)
+               if any(getattr(node, f, None) == "set_int_max_str_digits" for f in fields)}
+    assert setters == set()

@@ -16,6 +16,7 @@ from dunklinv.exactalg import (
     ParseError,
     Polynomial,
     divide_with_remainder,
+    exact_str,
     grlex_key,
     integral,
     monomials_of_degree,
@@ -386,38 +387,38 @@ def test_parse_errors_carry_positions():
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no limit on int <-> str conversion")
-def test_parse_positions_an_integer_past_the_digit_limit():
-    # The CLI lifts the limit for its process, so in-process CLI tests leave
-    # it lifted: set CPython's default for this test only.
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        digits = "1" * 5000
-        for text, position in ((digits + " x1", 0), ("x1^" + digits, 3),
-                               ("1/" + digits + " x1", 2)):
-            with pytest.raises(ParseError, match="Exceeds the limit") as excinfo:
-                parse(text, 1)
-            assert excinfo.value.position == position
-    finally:
-        sys.set_int_max_str_digits(previous)
+def test_parse_positions_an_integer_past_the_digit_limit(int_digit_limit):
+    int_digit_limit(4300)               # CPython's default, whatever this process runs with
+    digits = "1" * 5000
+    for text, position in ((digits + " x1", 0), ("x1^" + digits, 3),
+                           ("1/" + digits + " x1", 2)):
+        with pytest.raises(ParseError, match="Exceeds the limit") as excinfo:
+            parse(text, 1)
+        assert excinfo.value.position == position
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no limit on int <-> str conversion")
-def test_render_prints_coefficients_past_the_digit_limit():
-    # As above, CPython's default limit is set for this test only; the
-    # expected text is built with the limit lifted.
+def test_render_prints_coefficients_past_the_digit_limit(int_digit_limit):
+    # Printed at CPython's default limit; the expected text is built with it lifted.
     p = Polynomial(2, {(1, 0): Fraction(10 ** 5000),
                        (0, 0): Fraction(-(10 ** 5000 + 7), 3 ** 10000)})
-    previous = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(4300)
-        text = render(p)
-        sys.set_int_max_str_digits(0)
-        assert text == f"{10 ** 5000} x1 - {10 ** 5000 + 7}/{3 ** 10000}"
-        assert parse(text, 2) == p
-    finally:
-        sys.set_int_max_str_digits(previous)
+    int_digit_limit(4300)
+    text = render(p)
+    int_digit_limit(0)
+    assert text == f"{10 ** 5000} x1 - {10 ** 5000 + 7}/{3 ** 10000}"
+    assert parse(text, 2) == p
+
+
+@pytest.mark.parametrize("x", [0, 7, -7, Fraction(-3, 4), 10 ** 1199, -(10 ** 600),
+                               Fraction(10 ** 600 - 1, 10 ** 601 + 1), 3 ** 10000],
+                         ids=["zero", "int", "negative", "fraction", "1200-digits",
+                              "minus-one-chunk", "600-over-602-digits", "4772-digits"])
+def test_exact_str_is_str_at_any_length(x, int_digit_limit):
+    int_digit_limit(640)                # the lowest limit CPython accepts
+    text = exact_str(x)
+    int_digit_limit(0)
+    assert text == str(x)
 
 
 @settings(max_examples=80)

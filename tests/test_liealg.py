@@ -113,6 +113,21 @@ def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
         LieAlgebra(**_sl2_data(sl2, bracket, form))
 
 
+@pytest.mark.parametrize("bracket,form", [
+    (None, ((Fraction(1), 0, 0), (0, 1.5, 0), (0, 0, 1))),
+    ({(0, 2): {1: 1.0}, (2, 0): {1: -1.0}}, None),
+    ({(0, 2): [0, 1, 0], (2, 0): [0, -1, 0]}, None),
+], ids=["float-in-form", "float-in-bracket", "bracket-as-list"])
+def test_validation_rejects_an_entry_of_the_wrong_type(sl2, bracket, form):
+    # Each entry is read through `exactalg.rational`, as everywhere else, and
+    # a bracket must map basis indices to coefficients.
+    with pytest.raises(TypeError):
+        LieAlgebra(**_sl2_data(sl2, bracket, form))
+    exact = LieAlgebra(**_sl2_data(sl2, {(0, 2): {1: "1"}, (2, 0): {1: -1}},
+                                   tuple(tuple(map(int, row)) for row in sl2.form)))
+    assert exact.structure == sl2.structure and exact.form == sl2.form
+
+
 @pytest.mark.parametrize("change,message", [
     ({"dim": 2}, "basis_names has 3 entries, not dim = 2"),
     ({"dim": 4}, "basis_names has 3 entries, not dim = 4"),

@@ -75,6 +75,18 @@ def test_isotropic_simple_root_is_refused():
         RootSystem(name="isotropic", rank=2, simple_roots=[(1, 0)], form=[[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("simple_roots,form", [([[0.1]], [[1]]), ([[1]], [[0.5]])],
+                         ids=["simple-root", "form"])
+def test_a_float_entry_is_refused(simple_roots, form):
+    # 0.1 has no exact meaning: as a Fraction it is 3602879701896397/2^55, not 1/10.
+    with pytest.raises(TypeError, match="float"):
+        RootSystem(name="X", rank=1, simple_roots=simple_roots, form=form)
+    with pytest.raises(TypeError, match="float"):
+        root_system("A1").root_index([2.0])
+    assert RootSystem(name="X", rank=1, simple_roots=[["1/10"]], form=[[1]]).roots == (
+        (Fraction(1, 10),), (Fraction(-1, 10),))
+
+
 @pytest.mark.parametrize("name", SUPPORTED)
 def test_roots_closed_under_negation(name):
     rs = root_system(name)
