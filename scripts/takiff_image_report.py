@@ -1,7 +1,11 @@
 """Compare restriction images with the two-condition criterion spaces.
 
-Shows the m=1 equality degree by degree next to the generalized m=2 case,
-where the criterion space is strictly larger from degree 2 on.
+First sl2 degree by degree: the m=1 equality next to the generalized m=2
+case, where the criterion space is strictly larger from degree 2 on, with
+the gap elements and the v^2 witness.  Then every supported Weyl type at
+m = 1 and 2, from its root system alone (`restriction.RootFrame`): image and
+criterion dimensions per degree, as image/criterion.  Rank-3 types stop at
+degree 6, where A3 at m = 2 already takes seconds.
 
 Usage: python scripts/takiff_image_report.py [--max-degree 8]
 """
@@ -13,7 +17,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dunklinv.liealg import make_sl, takiff_extend
-from dunklinv.restriction import CartanFrame, criterion_check, criterion_subspace, image_basis
+from dunklinv.restriction import (CartanFrame, RootFrame, criterion_check, criterion_subspace,
+                                  image_basis)
+from dunklinv.rootsys import SUPPORTED, root_system
+
+RANK_3_TOP_DEGREE = 6
 
 
 def main() -> int:
@@ -44,6 +52,18 @@ def main() -> int:
     print(f"  reflection invariance: {result.condition1_witness is None}")
     print(f"  divisibility:          {result.condition2_witness is None}")
     print(f"  in restriction image:  {result.in_image}")
+
+    top = args.max_degree
+    print("\nevery supported type, from its roots: dim image/dim criterion by degree")
+    print(f"{'type':>4} {'m':>2}  " + " ".join(f"{f'd={d}':>7}" for d in range(top + 1)))
+    for name in SUPPORTED:
+        rs = root_system(name)
+        for m in (1, 2):
+            frame = RootFrame(rs, m)
+            last = min(top, RANK_3_TOP_DEGREE) if rs.rank == 3 else top
+            row = [f"{image_basis(frame, d).dim}/{criterion_subspace(frame, d).dim}"
+                   for d in range(last + 1)]
+            print(f"{name:>4} {m:>2}  " + " ".join(f"{x:>7}" for x in row))
     return 0
 
 

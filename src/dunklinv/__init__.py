@@ -40,6 +40,7 @@ from .liealg import (
 from .restriction import (
     CartanFrame,
     CriterionReport,
+    RootFrame,
     chevalley_graded_check,
     criterion_check,
     criterion_subspace,

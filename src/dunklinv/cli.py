@@ -30,6 +30,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactalg import (WORK_BOUND, ParseError, Polynomial, WorkBoundExceeded, check_work_bound,
                        exact_str, monomials_of_degree, parse as parse_poly, rational, render)
@@ -170,7 +171,8 @@ def cmd_dunkl_gram(args: argparse.Namespace) -> dict:
 
 def cmd_dunkl_apply(args: argparse.Namespace) -> dict:
     ctx = make_context(args.type, args.k)
-    xi = [rational(part.strip()) for part in args.xi.split(",")]
+    parts = args.xi.split(",")
+    xi = list(map(rational, parts, accumulate((len(part) + 1 for part in parts), initial=0)))
     p = parse_poly(args.poly, ctx.rank)
     check_work_bound(ctx.rank, max(p.degree(), 0), args.work_bound)
     result = dunkl_apply(ctx, xi, p)
@@ -245,8 +247,7 @@ def cmd_takiff_image(args: argparse.Namespace) -> dict:
     _, max_m, list_bases = _ALGEBRAS[args.algebra]
     if args.m > max_m:
         raise ValueError(f"takiff image supports {args.algebra} with m <= {max_m}")
-    gm = takiff_extend(_algebra(args.algebra), args.m)
-    frame = CartanFrame(gm)
+    frame = CartanFrame(takiff_extend(_algebra(args.algebra), args.m))
     cases = []
     for d in _degree_range(args):
         image = image_basis(frame, d, args.work_bound)
@@ -271,8 +272,7 @@ def cmd_takiff_image(args: argparse.Namespace) -> dict:
 
 
 def cmd_takiff_criterion(args: argparse.Namespace) -> dict:
-    gm = takiff_extend(_algebra(args.algebra), args.m)
-    frame = CartanFrame(gm)
+    frame = CartanFrame(takiff_extend(_algebra(args.algebra), args.m))
     p = frame.parse(args.poly)
     reflection, divisibility, membership = criterion_check(
         frame, p, image_degree_bound=args.max_degree, work_bound=args.work_bound)

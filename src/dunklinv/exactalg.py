@@ -93,15 +93,21 @@ def check_work_bound(ambient_dim: int, degree: int, work_bound: int) -> None:
                                 f"{exact_str(degree + 1)} degrees > {work_bound}")
 
 
-def rational(value: Scalar | str) -> Fraction:
+def rational(value: Scalar | str, at: int = 0) -> Fraction:
     """value (or text such as "3/2") as an exact Fraction; a float is refused,
-    having no exact meaning here, and a zero denominator is a ValueError."""
+    having no exact meaning here, and a zero denominator is a ValueError.
+    Text that is no number, or whose integer passes CPython's limit on digits
+    read, is a `ParseError` at its first character, for text found at
+    position `at` of a caller's input."""
     if isinstance(value, float):
         raise TypeError(f"float {value!r}; use an int or a Fraction")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError as exc:
+        text = str(value)
+        raise ParseError(str(exc), at + len(text) - len(text.lstrip())) from None
 
 
 def integral(rows: Sequence[Collection[Scalar]]) -> tuple[int, list[list[int]]]:

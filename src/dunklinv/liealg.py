@@ -22,9 +22,11 @@ degree d, the coefficients of t^j, m(d - 1) <= j <= md, in
 p(sum_s X (x) T^s t^s) (M. Rais and P. Tauvel, J. reine angew. Math. 425,
 1992; T. Macedo and A. Savage, J. Pure Appl. Algebra 223, 2019).  So
 `invariants_graded` at m >= 1 spans the degree-d products of these
-polarizations (`polarizations`, `polarized_products`), all in ints.  The
-basic invariants themselves (`basic_invariants`) are found degree by degree
-at m = 0, and m = 0 keeps the kernel: there `invariants_graded` is one
+polarizations (`polarizations`, `polarized_products`), all in ints.
+`basic_invariants` finds basic generators of any graded invariant ring
+from its canonical bases, degree by degree: here those of g's kernel at
+m = 0, found again on each call, and in the restriction module those of
+the Weyl group on h.  m = 0 keeps the kernel: there `invariants_graded` is one
 `linalg.joint_kernel` call, the canonical joint kernel of the derivations on
 the monomials of weight zero under the base Cartan, filtered as multisets of
 variables by integer sums, because `chevalley check` tests Chevalley's
@@ -52,8 +54,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import combinations_with_replacement
-from typing import Mapping, Sequence
+from itertools import combinations_with_replacement, takewhile
+from typing import Callable, Mapping, Sequence
 
 from .exactalg import (WORK_BOUND, Monomial, Polynomial, apply_map, check_work_bound, integral,
                        mono_from_variables, product, rational, substitution)
@@ -87,7 +89,6 @@ class LieAlgebra:
         self.form = form
         self.cartan_indices = cartan_indices
         self.base, self.m = self if base is None else base, m   # g is its own g_0
-        self._basic_invariants: dict[int, list[Polynomial]] = {}  # degree -> its basic invariants
         # the bracket times one common denominator, in ints
         self._den, scaled = integral([entry.values() for row in structure for entry in row])
         values = iter(scaled)
@@ -133,8 +134,8 @@ class LieAlgebra:
                 raise ValueError(f"{what} has {len(entries)} entries, not dim = {dim}")
         pairs = [(i, j) for i in range(dim) for j in range(dim)]
         for i, j in pairs:
-            if outside := [k for k in table[i][j] if k not in range(dim)]:
-                raise ValueError(f"structure entry [{i}][{j}] names basis index {outside[0]}, "
+            if outside := [k for k in table[i][j] if type(k) is not int or k not in range(dim)]:
+                raise ValueError(f"structure entry [{i}][{j}] names basis index {outside[0]!r}, "
                                  f"outside range({dim})")
         if any(table[i][j] != {k: -c for k, c in table[j][i].items()} for i, j in pairs):
             raise ValueError("structure constants are not antisymmetric")
@@ -308,22 +309,26 @@ def polarized_products(ps: Sequence[Polynomial], n: int, m: int, degree: int) ->
     return [{k: c for k, c in terms.items() if c} for terms in products]
 
 
-def basic_invariants(g: LieAlgebra, degree: int) -> list[Polynomial]:
-    """The basic invariants of g of degree at most d, lowest degree first.
+def basic_invariants(invariants: Callable[[int], GradedSubspace], rank: int,
+                     degree: int) -> list[Polynomial]:
+    """The basic generators of degree at most d of a graded invariant ring
+    on `rank` generators, lowest degree first; `invariants(d)` is its
+    canonical degree-d basis: g's kernel (`invariants_graded` at m = 0) or
+    W's (`rootsys.invariant_basis`).
 
     Degree by degree, the generators are a complement of the products of the
-    lower ones inside S(g)^g: the canonical invariants whose leading monomials
-    lead no element of that product span.  The search stops at rank(g)
-    generators.  Found on first use and kept on g.
+    lower ones inside the invariants: the canonical invariants whose leading
+    monomials lead no element of that product span.  The search stops at
+    `rank` generators.
     """
-    found = g._basic_invariants
-    while len(found) < degree and sum(map(len, found.values())) < len(g.cartan_indices):
-        d, lower = len(found) + 1, [p for ps in found.values() for p in ps]
-        span = _canonical(g.dim, d, polarized_products(lower, g.dim, 0, d))
+    found: list[Polynomial] = []
+    for d in takewhile(lambda d: len(found) < rank, range(1, degree + 1)):
+        basis = invariants(d)
+        span = _canonical(basis.ambient_dim, d,
+                          polarized_products(found, basis.ambient_dim, 0, d))
         leads = {b.leading_term()[0] for b in span.basis}
-        found[d] = [b for b in invariants_graded(g, d).basis
-                    if b.leading_term()[0] not in leads]
-    return [p for d, ps in found.items() if d <= degree for p in ps]
+        found += [b for b in basis.basis if b.leading_term()[0] not in leads]
+    return found
 
 
 def invariants_graded(gm: LieAlgebra, degree: int,
@@ -338,8 +343,9 @@ def invariants_graded(gm: LieAlgebra, degree: int,
         raise ValueError("degree must be nonnegative")
     check_work_bound(gm.dim, degree, work_bound)
     if gm.m:
-        spanning = polarized_products(basic_invariants(gm.base, degree), gm.base.dim, gm.m, degree)
-        return _canonical(gm.dim, degree, spanning)
+        g = gm.base
+        basic = basic_invariants(partial(invariants_graded, g), len(g.cartan_indices), degree)
+        return _canonical(gm.dim, degree, polarized_products(basic, g.dim, gm.m, degree))
     # One integer per weight, in a base above twice any weight sum of the degree.
     top = 2 * degree * max((abs(w) for weight in gm._weights for w in weight), default=0) + 1
     packed = [sum(w * top ** i for i, w in enumerate(weight)) for weight in gm._weights]

@@ -1,9 +1,13 @@
 """Chevalley-type restriction to the Cartan and the image criterion.
 
-The Cartan frame holds the roots of (g, h) as one `rootsys.RootSystem`,
-`CartanFrame.rs`: the Cartan weights of g's basis with the trace form on h,
-the same kind of system the Dunkl layer runs on.  Every label, coroot and
-reflection the criterion uses is read from it.  The Chevalley check is one
+A frame is the coordinate ring S[h_m] with its roots, in two parts.  The
+root frame, `RootFrame(rs, m)`, is built from a `rootsys.RootSystem` of h
+and a level m alone: the names, the positive roots, the base Weyl group
+acting diagonally (same matrix on every T-level), and every label, coroot
+and direction the criterion reads.  The Lie frame, `CartanFrame(g_m)`, is
+the root frame of (g, h) plus g_m itself: `cartan_roots` derives that
+root system from the Cartan weights of g's basis and g's form on h, the
+same kind of system the Dunkl layer runs on.  The Chevalley check is one
 equality per degree, the theorem's own statement: the canonical basis of
 the restricted adjoint invariants of g equals that of the invariants on h
 of the Weyl group of those roots.
@@ -11,18 +15,22 @@ of the Weyl group of those roots.
 Restriction is coordinate projection: under the trace-form identification
 the complement of h_m inside g_m is spanned by the root-vector coordinates,
 so an invariant polynomial restricts by setting every non-Cartan variable
-to zero.  The restricted ring S[h_m] keeps the base Weyl group acting
-diagonally (same matrix on every T-level).
+to zero.  Only the Lie frame restricts, and only the m = 0 image does.
 
-For m >= 1 the image is read off generators, not off S^d(g_m).  S(g_m)^{g_m}
-is the polynomial ring on the polarizations of the basic invariants of g
-(Rais and Tauvel, 1992; see the liealg module), and restriction commutes
-with polarization level by level, so `image_basis` restricts the basic
-invariants to h first, polarizes them on h_m and spans their degree-d
-products.  Restriction is injective on a polynomial ring exactly when the
-restricted generators stay algebraically independent, which the dimension
-of that span checks degree by degree.  For m = 0 the image is the
-restricted kernel basis of the invariants: that is the input of the
+For m >= 1 the image is read off generators, not off S^d(g_m), and from
+root data alone.  S(g_m)^{g_m} is the polynomial ring on the polarizations
+of the basic invariants of g (Rais and Tauvel, 1992; see the liealg
+module); restriction commutes with polarization level by level, and by
+Chevalley's theorem the restricted basic invariants of g are basic
+invariants of W on h.  The polarized ring does not depend on which basic
+invariants are polarized, so `image_basis` finds W's own
+(`liealg.basic_invariants` over `rootsys.invariant_basis`, with W acting
+on h as the frame acts on level 0), polarizes them on h_m and spans their
+degree-d products.  Restriction is injective on a polynomial ring exactly
+when the restricted generators stay algebraically independent, which the
+dimension of that span checks degree by degree.  So result 2 runs on any
+root system, each supported Weyl type included.  For m = 0 the image is
+the restricted kernel basis of g's invariants: that is the input of the
 Chevalley check, which must not assume Chevalley's theorem.  The work bound
 of both `image_basis` at m >= 1 and `criterion_subspace` counts the degree-d
 monomials of S[h_m], the space they compute in.
@@ -37,7 +45,8 @@ delta lowers degree by one, so n ranges over 1..deg(p).  For m = 1 this is
 exactly the hatted-root divisibility condition (and it characterizes the
 image); for m = 2 it is the direct generalization, which is necessary but
 not sufficient: the generalized sl(2) case exhibits a one-dimensional gap
-at degree 2.  The conditions are not meaningful for m = 0.
+at degree 2, and every supported Weyl type has a gap from degree 2 on.
+The conditions are not meaningful for m = 0.
 
 Both run as integer maps on monomials, keyed by exponent vectors like every
 polynomial here, and `criterion_maps` lists them once, in one order:
@@ -75,49 +84,27 @@ _LEVEL_LETTERS = "uvwz"
 IMAGE_DEGREE_BOUND = 8      # default top degree at which `criterion_check` tests membership
 
 
-class CartanFrame:
-    """Cartan coordinates of a Takiff algebra g_m (g itself at m = 0) with the
-    diagonal Weyl action.
+class RootFrame:
+    """Coordinates of h_m, for h carrying the root system `rs` (h itself at
+    m = 0), with the diagonal Weyl action: all that the criterion and the
+    image at m >= 1 read.
 
-    `rs` is the root system of (g, h): the distinct Cartan weights of g's
-    basis, with the trace form on h.  `positive_roots` indexes rs.roots in
-    basis order, and every root datum below is read from `rs`.  `weyl` is
-    the base Weyl group acting diagonally on S[h_m], held as a
+    `positive_roots` indexes the positive roots of rs
+    (`RootSystem.positive_indivisible`) in descending lexicographic order of
+    their coordinates, and every root datum below is read from `rs`.
+    `weyl` is the Weyl group of rs acting diagonally on S[h_m], held as a
     rootsys.WeylGroup of substitution matrices on the frame coordinates.
     """
 
-    def __init__(self, gm: LieAlgebra):
-        base = gm.base
-        cartan = base.cartan_indices
-        nc = len(cartan)
-        self.gm = gm
-        self.cartan_flat = [gm.flat(c, s) for s in range(gm.m + 1) for c in cartan]
-        self.dim = len(self.cartan_flat)
-        self.raw_pairs = [(c, s) for s in range(gm.m + 1) for c in cartan]
-        if nc == 1:
-            self.names = [_LEVEL_LETTERS[s] for s in range(gm.m + 1)]
-        else:
-            self.names = [f"{_LEVEL_LETTERS[s]}{k + 1}"
-                          for s in range(gm.m + 1) for k in range(nc)]
-
-        weights = []
-        for j in range(base.dim):
-            if j in cartan:
-                continue
-            weight = base.cartan_weight(j)
-            if not any(weight):
-                raise ValueError(f"{base.basis_names[j]} has weight zero outside the "
-                                 "Cartan: the Cartan is not maximal")
-            if weight not in weights:
-                weights.append(weight)
-        positive = [w for w in weights if next(c for c in w if c) > 0]
-        sums = {tuple(map(add, a, b)) for a in positive for b in positive}
-        self.rs = rootsys.RootSystem(
-            name="(g, h)", rank=nc, simple_roots=[w for w in positive if w not in sums],
-            form=[[base.form[cb][cc] for cc in cartan] for cb in cartan])
-        if set(self.rs.roots) != set(weights):
-            raise ValueError("the Cartan weights of g are not a root system")
-        self.positive_roots = [self.rs.root_index(w) for w in positive]
+    def __init__(self, rs: rootsys.RootSystem, m: int):
+        if not 0 <= m < len(_LEVEL_LETTERS):
+            raise ValueError("truncation order m must be within 0..3")
+        nc = rs.rank
+        self.rs, self.m, self.dim = rs, m, nc * (m + 1)
+        suffixes = [f"{k + 1}" for k in range(nc)] if nc > 1 else [""]
+        self.names = [_LEVEL_LETTERS[s] + x for s in range(m + 1) for x in suffixes]
+        self.positive_roots = sorted(rs.positive_indivisible(), key=rs.roots.__getitem__,
+                                     reverse=True)
 
         # Generators are vectors, so w acts on S[h_m] by substituting
         # blockdiag(w^T), one block per T-level.  generators[i] is the
@@ -128,7 +115,7 @@ class CartanFrame:
                                for j in range(self.dim)) for i in range(self.dim))
 
         self.weyl = rootsys.WeylGroup(rank=self.dim, generators=tuple(
-            lift(self.rs.reflection(i)) for i in self.positive_roots))
+            lift(rs.reflection(i)) for i in self.positive_roots))
 
     # -- criterion ingredients ----------------------------------------------
 
@@ -154,36 +141,64 @@ class CartanFrame:
         return render(p, self.names)
 
 
+def cartan_roots(g: LieAlgebra) -> rootsys.RootSystem:
+    """The root system of (g, h): the distinct Cartan weights of g's basis,
+    with g's form on h.  Its simple roots are the positive weights
+    (`rootsys.is_positive`, the rule of `RootSystem.positive_indivisible`)
+    that are no sum of two."""
+    cartan = g.cartan_indices
+    weights = {j: g.cartan_weight(j) for j in range(g.dim) if j not in cartan}
+    if zero := [j for j, weight in weights.items() if not any(weight)]:
+        raise ValueError(f"{g.basis_names[zero[0]]} has weight zero outside the "
+                         "Cartan: the Cartan is not maximal")
+    positive = list(dict.fromkeys(w for w in weights.values() if rootsys.is_positive(w)))
+    sums = {tuple(map(add, a, b)) for a in positive for b in positive}
+    rs = rootsys.RootSystem("(g, h)", len(cartan), [w for w in positive if w not in sums],
+                            form=[[g.form[b][c] for c in cartan] for b in cartan])
+    if set(rs.roots) != set(weights.values()):
+        raise ValueError("the Cartan weights of g are not a root system")
+    return rs
+
+
+class CartanFrame(RootFrame):
+    """The root frame of (g, h) at level m for a Takiff algebra g_m (g itself
+    at m = 0), with g_m and the place of each frame coordinate in it:
+    `raw_pairs[k]` is (Cartan index c, T-level s) and `cartan_flat[k]` the
+    basis index of h_c (x) T^s in g_m."""
+
+    def __init__(self, gm: LieAlgebra):
+        super().__init__(cartan_roots(gm.base), gm.m)
+        self.gm = gm
+        self.raw_pairs = [(c, s) for s in range(gm.m + 1) for c in gm.cartan_indices]
+        self.cartan_flat = [gm.flat(c, s) for c, s in self.raw_pairs]
+
+
 def restrict(frame: CartanFrame, p: Polynomial) -> Polynomial:
     """Set every non-Cartan coordinate of g_m to zero; a ring homomorphism."""
     if p.ambient_dim != frame.gm.dim:
         raise ValueError("polynomial does not live on g_m")
-    return _restrict(p, frame.cartan_flat)
+    cartan = frame.cartan_flat
+    return Polynomial(frame.dim, {tuple(mono[v] for v in cartan): coeff
+                                  for mono, coeff in p.terms.items()
+                                  if sum(mono[v] for v in cartan) == sum(mono)})
 
 
-def _restrict(p: Polynomial, coordinates: list[int]) -> Polynomial:
-    """p with every variable outside `coordinates` set to zero, on those coordinates."""
-    return Polynomial(len(coordinates), {tuple(mono[v] for v in coordinates): coeff
-                                         for mono, coeff in p.terms.items()
-                                         if sum(mono[v] for v in coordinates) == sum(mono)})
-
-
-def image_basis(frame: CartanFrame, degree: int, work_bound: int = WORK_BOUND) -> GradedSubspace:
+def image_basis(frame: RootFrame, degree: int, work_bound: int = WORK_BOUND) -> GradedSubspace:
     """Canonical basis of the degree-d restriction image Res S^d[g_m]^{g_m}.
 
     For m >= 1, the degree-d products of the polarizations to h_m of the
-    basic invariants of g restricted to h; for m = 0, the restricted basis of
-    the invariants.  Either way the spanning list must stay independent.
+    basic invariants of W on h, read from the frame's roots alone; for
+    m = 0, the restricted basis of g's invariants, which only a
+    `CartanFrame` holds.  Either way the spanning list must stay independent.
     """
-    gm = frame.gm
-    if gm.m:
+    if frame.m:
         check_work_bound(frame.dim, degree, work_bound)
-        restricted = [_restrict(p, gm.base.cartan_indices)
-                      for p in basic_invariants(gm.base, degree)]
-        spanning = polarized_products(restricted, frame.rs.rank, gm.m, degree)
+        weyl = RootFrame(frame.rs, 0).weyl          # W on h, as the frame acts on level 0
+        generators = basic_invariants(partial(rootsys.invariant_basis, weyl), weyl.rank, degree)
+        spanning = polarized_products(generators, weyl.rank, frame.m, degree)
     else:
         spanning = [restrict(frame, b).terms
-                    for b in invariants_graded(gm, degree, work_bound).basis]
+                    for b in invariants_graded(frame.gm, degree, work_bound).basis]
     image = _canonical(frame.dim, degree, spanning)
     if image.dim != len(spanning):
         raise RestrictionError("restriction failed to be injective on invariants")
@@ -196,7 +211,7 @@ class CriterionReport(NamedTuple):
     in_image: str                                      # "pass" | "fail" | "unknown"
 
 
-def criterion_check(frame: CartanFrame, p: Polynomial,
+def criterion_check(frame: RootFrame, p: Polynomial,
                     image_degree_bound: int = IMAGE_DEGREE_BOUND,
                     work_bound: int = WORK_BOUND) -> CriterionReport:
     """Run both membership conditions on p and, within bounds, test membership.
@@ -212,16 +227,12 @@ def criterion_check(frame: CartanFrame, p: Polynomial,
         if condition not in witnesses and (r := apply_map(p, image, den)):
             witnesses[condition] = (frame.label(i), n, frame.render(r)) if n else frame.label(i)
     membership = "pass"
-    if p:
-        degrees = sorted(set(map(sum, p.terms)))
-        for d in degrees:
-            if d > image_degree_bound:
-                membership = "unknown"
-                continue
-            component = p.homogeneous_component(d)
-            if not image_basis(frame, d, work_bound).contains(component):
-                membership = "fail"
-                break
+    for d in sorted(set(map(sum, p.terms))):
+        if d > image_degree_bound:
+            membership = "unknown"
+        elif not image_basis(frame, d, work_bound).contains(p.homogeneous_component(d)):
+            membership = "fail"
+            break
     if membership == "pass" and witnesses:
         raise RestrictionError("image member violating the necessary conditions")
     return CriterionReport(witnesses.get(1), witnesses.get(2), membership)
@@ -237,7 +248,7 @@ class _Divisibility:
     `exactalg.derivative`, once per monomial; `den(n, |m|)` is the scale of
     image(n, m), so `exactalg.apply_map` divides it out."""
 
-    def __init__(self, frame: CartanFrame, i: int, max_power: int):
+    def __init__(self, frame: RootFrame, i: int, max_power: int):
         self.scale, [self.direction] = integral([frame.delta_direction(i)])
         h = frame.divisor(i)
         unit, _ = h.leading_term()
@@ -275,7 +286,7 @@ class _Divisibility:
         return self.lead ** d * self.scale ** n
 
 
-def criterion_maps(frame: CartanFrame, degree: int):
+def criterion_maps(frame: RootFrame, degree: int):
     """Every map the criterion asks to vanish through degree d, as
     (condition, root index, n, image, den) for `exactalg.apply_map`: condition 1
     per lifted reflection (n = 0, from `rootsys.invariance_maps`), then
@@ -289,7 +300,7 @@ def criterion_maps(frame: CartanFrame, degree: int):
             yield 2, i, n, partial(condition.image, n), partial(condition.den, n)
 
 
-def criterion_subspace(frame: CartanFrame, degree: int,
+def criterion_subspace(frame: RootFrame, degree: int,
                        work_bound: int = WORK_BOUND) -> GradedSubspace:
     """Degree-d polynomials on h_m satisfying both criterion conditions: the
     joint kernel of `criterion_maps`."""

@@ -11,9 +11,11 @@ or its text is exact and a float is refused; the roots, coroots and orbit
 labels are derived from these.  The roots are the orbit of the simple roots
 under the simple reflections, the coroot is H_alpha = 2 form^-1 alpha /
 <alpha, form^-1 alpha> (`coroot`; a root of norm zero is refused), and a
-root is "long" or "short" by that norm ("all" when there is one length).  Besides the table systems below, the
-restriction module's Cartan frame builds one from the Cartan weights of a
-Lie algebra and its trace form.
+root is "long" or "short" by that norm ("all" when there is one length).
+Besides the table systems below, `restriction.cartan_roots` builds one from
+the Cartan weights of a Lie algebra and its trace form; `is_positive` is
+the one rule that picks a positive root from each pair, there and in
+`positive_indivisible`.
 
 Supported systems are realized over Q directly: B/C/D in standard
 coordinates of Q^n, A_n in simple-coroot coordinates of the sum-zero
@@ -116,7 +118,12 @@ class RootSystem(Frozen):
 
     def positive_indivisible(self) -> list[int]:
         """One representative of each {alpha, -alpha} pair (every system here is reduced)."""
-        return [idx for idx, row in enumerate(self.roots) if next(c for c in row if c) > 0]
+        return [idx for idx, row in enumerate(self.roots) if is_positive(row)]
+
+
+def is_positive(alpha: Sequence[Fraction]) -> bool:
+    """The one positivity rule on roots: the first nonzero coordinate is positive."""
+    return next(c for c in alpha if c) > 0
 
 
 class MultiplicityAssignment(Frozen):
@@ -138,7 +145,7 @@ class MultiplicityAssignment(Frozen):
     @classmethod
     def parse(cls, text: str) -> "MultiplicityAssignment":
         """Parse CLI syntax like "all=1/2" or "long=1,short=3/2"."""
-        values = {}
+        values, at = {}, 0          # at: where the piece starts in text
         for piece in text.split(","):
             if "=" not in piece:
                 raise ValueError(f"bad multiplicity piece {piece!r}; expected label=value")
@@ -146,7 +153,8 @@ class MultiplicityAssignment(Frozen):
             label = label.strip()
             if label in values:
                 raise ValueError(f"orbit label {label!r} given twice")
-            values[label] = rational(raw.strip())
+            values[label] = rational(raw, at + piece.index("=") + 1)
+            at += len(piece) + 1
         return cls(values)
 
     def resolve(self, rs: RootSystem) -> dict[str, Fraction]:

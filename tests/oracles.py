@@ -8,7 +8,10 @@ the product-rule quotients, and the Gram oracles `composed_gram` and
 `dunkl_pairing` compose through the Taylor form instead.  `kernel_invariants`
 is the second form of the Takiff invariants at m >= 1: the package spans them
 by products of polarized generators, and the oracle solves for them as the
-joint kernel of the adjoint derivations on S^d(g_m).  `kronecker_takiff`
+joint kernel of the adjoint derivations on S^d(g_m).
+`restricted_generator_image` is the second form of the restriction image at
+m >= 1: the package polarizes W's basic invariants on h, and the oracle
+restricts g's own, found from g's kernel by the same complement search.  `kronecker_takiff`
 is the second form of g_m itself: commutators of matrices X (x) N^s,
 against the package's truncated structure constants.  The last section
 holds the checks and helpers that only tests call: the pairing and the
@@ -25,9 +28,10 @@ from math import factorial, gcd
 from dunklinv.dunkl import dunkl_apply, dunkl_compose
 from dunklinv.exactalg import (Polynomial, divide_with_remainder, mono_from_variables,
                                monomials_of_degree, rational)
-from dunklinv.liealg import _monomial_derivation, derivation_generators
+from dunklinv.liealg import (_monomial_derivation, basic_invariants, derivation_generators,
+                             invariants_graded, polarized_products)
 from dunklinv.linalg import GradedSubspace, joint_kernel, mat_inv, mat_vec
-from dunklinv.restriction import restrict
+from dunklinv.restriction import CartanFrame, restrict
 from dunklinv.rootsys import reynolds, root_system
 
 
@@ -515,6 +519,19 @@ def kernel_image(frame, degree: int):
     invariants = kernel_invariants(frame.gm, degree)
     return GradedSubspace.from_polynomials([restrict(frame, b) for b in invariants.basis],
                                            frame.dim, degree)
+
+
+def restricted_generator_image(frame, degree: int):
+    """The restriction image at m >= 1 by the Lie path: g's basic invariants,
+    found from its kernel at m = 0, restricted to h, polarized to h_m and
+    multiplied out to degree d.  The package reads W's generators instead."""
+    g = frame.gm.base
+    rank = len(g.cartan_indices)
+    generators = [restrict(CartanFrame(g), p)
+                  for p in basic_invariants(partial(invariants_graded, g), rank, degree)]
+    return GradedSubspace.from_polynomials(
+        [Polynomial(frame.dim, terms)
+         for terms in polarized_products(generators, rank, frame.m, degree)], frame.dim, degree)
 
 
 def delta_direction(gm, x) -> list[Fraction]:

@@ -218,12 +218,14 @@ def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys, int_digit_limit,
                     reason="this Python has no limit on int <-> str conversion")
 @pytest.mark.parametrize("flag,value,suffix", [
     ("--poly", "1" * 5000 + " x1", " (at position 0)\n"),
-    ("--k", "all=" + "1" * 5000, "\n"),
-], ids=["poly", "k"])
+    ("--k", "all=" + "1" * 5000, " (at position 4)\n"),
+    ("--xi", "1, " + "1" * 5000, " (at position 3)\n"),
+], ids=["poly", "k", "xi"])
 def test_exit_two_on_an_input_number_past_the_int_digit_limit(capsys, int_digit_limit,
                                                                flag, value, suffix):
     # As in the library: CPython refuses to read an int of more than 4300
-    # digits from text, and the CLI does not lift that limit.
+    # digits from text, and the CLI does not lift that limit.  Each option
+    # names where in its text the number starts.
     int_digit_limit(4300)
     argv = {"--type": "A1", "--k": "all=1", "--xi": "1", "--poly": "x1"} | {flag: value}
     code, out, err = run(capsys, "dunkl", "apply", *(x for item in argv.items() for x in item))

@@ -6,7 +6,9 @@ re-exports, imports a name it never uses.  Only `exactalg` reads a numerator
 or a denominator: `exactalg.integral` is the one conversion of exact values
 to integers.  Only `exactalg` wraps a term dict into a `Polynomial` unchecked
 (`Polynomial._wrap`), and no module changes CPython's process-wide limit on
-the digits of an int printed as text: `exactalg.exact_str` prints past it."""
+the digits of an int printed as text: `exactalg.exact_str` prints past it.
+In `restriction`, only the Lie frame, `restrict` and the m = 0 image read
+g_m (`.gm`): the criterion and the image at m >= 1 read root data alone."""
 
 import ast
 import sys
@@ -69,3 +71,21 @@ def test_no_module_changes_the_int_digit_limit():
     setters = {path.name for path in SOURCES for node in _nodes(path)
                if any(getattr(node, f, None) == "set_int_max_str_digits" for f in fields)}
     assert setters == set()
+
+
+def test_only_the_lie_frame_and_the_m0_image_read_g_in_restriction():
+    [path] = [p for p in SOURCES if p.name == "restriction.py"]
+    top_level = ast.parse(path.read_text()).body
+
+    def reads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "gm"
+                and isinstance(n.ctx, ast.Load)]
+
+    # A statement outside any definition counts under the name None.
+    assert {getattr(node, "name", None) for node in top_level if reads(node)} <= \
+        {"CartanFrame", "restrict", "image_basis"}
+    [image] = [node for node in top_level if getattr(node, "name", None) == "image_basis"]
+    [branch] = [n for n in ast.walk(image)
+                if isinstance(n, ast.If) and ast.unparse(n.test) == "frame.m"]
+    m0 = {id(n) for statement in branch.orelse for n in reads(statement)}
+    assert m0 and {id(n) for n in reads(image)} == m0

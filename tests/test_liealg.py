@@ -113,6 +113,15 @@ def test_validation_rejects_each_broken_axiom(sl2, bracket, form, message):
         LieAlgebra(**_sl2_data(sl2, bracket, form))
 
 
+@pytest.mark.parametrize("key,shown", [(1.0, "1.0"), ("1", "'1'"), (True, "True")],
+                         ids=["float", "str", "bool"])
+def test_validation_refuses_a_bracket_key_that_is_not_an_int(sl2, key, shown):
+    # Each passes `in range(3)` or names index 1 in text; the message shows it as given.
+    bracket = {(0, 2): {key: Fraction(1)}, (2, 0): {1: Fraction(-1)}}
+    with pytest.raises(ValueError, match=rf"\[0\]\[2\] names basis index {shown}, outside"):
+        LieAlgebra(**_sl2_data(sl2, bracket))
+
+
 @pytest.mark.parametrize("bracket,form", [
     (None, ((Fraction(1), 0, 0), (0, 1.5, 0), (0, 0, 1))),
     ({(0, 2): {1: 1.0}, (2, 0): {1: -1.0}}, None),
@@ -552,11 +561,12 @@ def test_work_bound(sl3):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_basic_invariant_degrees(n):
-    # sl(n) has basic invariants of degrees 2, ..., n; asking again finds no more.
+    # sl(n) has basic invariants of degrees 2, ..., n; asked through degree 8,
+    # the search still stops at its n - 1 generators.
     g = make_sl(n)
-    assert [p.degree() for p in basic_invariants(g, 2)] == [2]
-    assert [p.degree() for p in basic_invariants(g, 8)] == list(range(2, n + 1))
-    assert sorted(g._basic_invariants) == list(range(1, n + 1))
+    invariants = partial(invariants_graded, g)
+    assert [p.degree() for p in basic_invariants(invariants, n - 1, 2)] == [2]
+    assert [p.degree() for p in basic_invariants(invariants, n - 1, 8)] == list(range(2, n + 1))
 
 
 def test_polarizations_of_the_sl2_casimir(sl2):

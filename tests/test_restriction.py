@@ -21,8 +21,9 @@ from dunklinv.restriction import (
     restrict,
 )
 from oracles import (breadth_first_group, conjugated_a2, coroot_delta, coroot_remainder,
-                     kernel_invariants, mat_mul, polynomial_joint_kernel, series_coefficients,
-                     tower_substitute, transpose)
+                     kernel_invariants, mat_mul, polynomial_joint_kernel,
+                     restricted_generator_image, series_coefficients, tower_substitute,
+                     transpose)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,8 @@ def test_sl2_frame_layout(frame1):
 def test_sl3_frame_layout(sl3):
     frame = CartanFrame(takiff_extend(sl3, 1))
     assert frame.names == ["u1", "u2", "v1", "v2"]
-    assert len(frame.positive_roots) == 3
+    # Descending lexicographic order is g's basis order, e12, e13, f23.
+    assert [frame.label(i) for i in frame.positive_roots] == ["(2, -1)", "(1, 1)", "(1, -2)"]
     assert len(breadth_first_group(frame.weyl.generators)) == 6
     for i in frame.positive_roots:
         assert sum(a * h for a, h in zip(frame.rs.roots[i], frame.rs.coroots[i])) == 2
@@ -147,6 +149,67 @@ def test_frame_refuses_an_isotropic_weight():
         CartanFrame(takiff_extend(g, 1))
 
 
+# -- root frames: paper result 2 from root data alone --------------------------------
+
+@pytest.mark.parametrize("name,algebra,max_m,max_degree",
+                         [("A1", "sl2", 3, 8), ("A2", "sl3", 2, 6)], ids=["sl2", "sl3"])
+def test_root_frame_of_the_table_system_is_the_lie_frame(request, name, algebra, max_m,
+                                                        max_degree):
+    # The table's roots and coroots are those of (g, h) (A1's form is half of
+    # sl2's trace form, which rescales delta but no kernel), so the frame
+    # built from the table alone has g's names, roots and W, the image of the
+    # Lie path that restricts g's own generators, and g's criterion spaces.
+    g = request.getfixturevalue(algebra)
+    for m in range(1, max_m + 1):
+        lie, root = CartanFrame(takiff_extend(g, m)), restriction.RootFrame(
+            rootsys.root_system(name), m)
+        assert (root.names, root.weyl) == (lie.names, lie.weyl)
+        assert [root.label(i) for i in root.positive_roots] == \
+            [lie.label(i) for i in lie.positive_roots]
+        for d in range(max_degree + 1):
+            image = image_basis(root, d)
+            assert image == image_basis(lie, d) == restricted_generator_image(lie, d), (m, d)
+            assert criterion_subspace(root, d) == criterion_subspace(lie, d), (m, d)
+
+
+_RESULT_2_TOP_DEGREE = {1: 10, 2: 8, 3: 6}      # at m = 1, by rank
+
+
+@pytest.mark.parametrize("name", rootsys.SUPPORTED)
+def test_image_is_the_criterion_at_m1_on_every_supported_type(name):
+    # Paper result 2: at m = 1 the two conditions cut out the restriction
+    # image exactly, on every Weyl type, read from its roots alone.
+    rs = rootsys.root_system(name)
+    frame = restriction.RootFrame(rs, 1)
+    for d in range(_RESULT_2_TOP_DEGREE[rs.rank] + 1):
+        assert image_basis(frame, d) == criterion_subspace(frame, d), d
+
+
+# (dim image, dim criterion) at m = 2 for d = 0..6: the criterion is larger from d = 2 on.
+_M2_GAPS = {
+    "A2": [(1, 1), (0, 0), (3, 4), (3, 5), (6, 10), (9, 18), (16, 32)],
+    "B2": [(1, 1), (0, 0), (3, 4), (0, 0), (9, 16), (0, 0), (19, 41)],
+    "G2": [(1, 1), (0, 0), (3, 4), (0, 0), (6, 10), (0, 0), (13, 28)],
+}
+
+
+@pytest.mark.parametrize("name", rootsys.SUPPORTED)
+def test_image_lies_in_the_criterion_at_m2_on_every_supported_type(name):
+    # At m = 2 the conditions stay necessary but no longer suffice.
+    frame = restriction.RootFrame(rootsys.root_system(name), 2)
+    dims = []
+    for d in range(len(_M2_GAPS.get(name, range(5)))):
+        image, criterion = image_basis(frame, d), criterion_subspace(frame, d)
+        assert criterion.contains_subspace(image), d
+        dims.append((image.dim, criterion.dim))
+    assert dims == _M2_GAPS.get(name, dims)
+
+
+def test_root_frame_refuses_a_level_past_the_names():
+    with pytest.raises(ValueError, match="within 0..3"):
+        restriction.RootFrame(rootsys.root_system("A1"), 4)
+
+
 # -- restriction ---------------------------------------------------------------------
 
 def test_restrict_spec_examples(sl2, frame1):
@@ -225,8 +288,8 @@ def test_dependent_restricted_generators_raise(monkeypatch, sl2):
     # A generator listed twice makes the products dependent: the image then
     # has fewer dimensions than generator monomials.
     frame = CartanFrame(takiff_extend(sl2, 1))
-    twice = restriction.basic_invariants(sl2, 2) * 2
-    monkeypatch.setattr(restriction, "basic_invariants", lambda g, degree: twice)
+    twice = [Polynomial(1, {(2,): 1})] * 2
+    monkeypatch.setattr(restriction, "basic_invariants", lambda invariants, rank, degree: twice)
     assert image_basis(frame, 0).dim == 1
     with pytest.raises(RestrictionError, match="injective"):
         image_basis(frame, 2)

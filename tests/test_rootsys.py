@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from dunklinv.exactalg import Polynomial, monomials_of_degree, parse
+from dunklinv.exactalg import ParseError, Polynomial, monomials_of_degree, parse
 from dunklinv.liealg import make_sl, takiff_extend
 from dunklinv.restriction import CartanFrame
 from dunklinv.linalg import GradedSubspace, identity, mat_vec
@@ -314,6 +314,20 @@ def test_multiplicity_validation():
         MultiplicityAssignment({"weird": Fraction(1)})
     with pytest.raises(ValueError):
         MultiplicityAssignment.parse("all")
+
+
+def test_multiplicity_parse_positions_a_bad_number(int_digit_limit):
+    # A number that is no number, or past CPython's 4300-digit limit on
+    # reading an int, is a ParseError at its first character in the text.
+    int_digit_limit(4300)
+    digits = "1" * 5000
+    for text, position in (("all=" + digits, 4), ("long=1, short= " + digits, 15),
+                           ("long=x,short=1", 5), ("long=1,short=", 13)):
+        with pytest.raises(ParseError) as excinfo:
+            MultiplicityAssignment.parse(text)
+        assert excinfo.value.position == position, text
+    assert MultiplicityAssignment.parse(" long = 1 , short= 3/2 ").values == {
+        "long": Fraction(1), "short": Fraction(3, 2)}
 
 
 def test_multiplicity_rejects_float_but_parses_decimal_text():
