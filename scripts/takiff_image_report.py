@@ -2,10 +2,12 @@
 
 First sl2 degree by degree: the m=1 equality next to the generalized m=2
 case, where the criterion space is strictly larger from degree 2 on, with
-the gap elements and the v^2 witness.  Then every supported Weyl type at
-m = 1 and 2, from its root system alone (`restriction.RootFrame`): image and
-criterion dimensions per degree, as image/criterion.  Rank-3 types stop at
-degree 6, where A3 at m = 2 already takes seconds.
+the gap elements and the v^2 witness.  Then every supported Weyl type from
+its root system alone (`restriction.RootFrame`): at m = 0 the image
+dimension per degree, that of S^d(h)^W, and at m = 1 and 2 the image and
+criterion dimensions per degree, as image/criterion (the criterion means
+nothing at m = 0).  Rank-3 types stop at degree 6 for m >= 1, where A3 at
+m = 2 already takes seconds.
 
 Usage: python scripts/takiff_image_report.py [--max-degree 8]
 """
@@ -54,10 +56,13 @@ def main() -> int:
     print(f"  in restriction image:  {result.in_image}")
 
     top = args.max_degree
-    print("\nevery supported type, from its roots: dim image/dim criterion by degree")
+    print("\nevery supported type, from its roots: dim image by degree at m = 0, "
+          "dim image/dim criterion at m >= 1")
     print(f"{'type':>4} {'m':>2}  " + " ".join(f"{f'd={d}':>7}" for d in range(top + 1)))
     for name in SUPPORTED:
         rs = root_system(name)
+        print(f"{name:>4} {0:>2}  " + " ".join(
+            f"{image_basis(RootFrame(rs, 0), d).dim:>7}" for d in range(top + 1)))
         for m in (1, 2):
             frame = RootFrame(rs, m)
             last = min(top, RANK_3_TOP_DEGREE) if rs.rank == 3 else top

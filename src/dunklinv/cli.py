@@ -201,8 +201,8 @@ def cmd_chevalley_check(args: argparse.Namespace) -> dict:
             image, target = chevalley_graded_check(frame, d, args.work_bound)
         except WorkBoundExceeded as exc:
             raise BoundExceededWithPartial(report, exc) from exc
-        # image_basis raises unless restriction is injective, so the invariants
-        # have the image's dimension.
+        # The check restricts g's own invariants and raises unless restriction
+        # is injective on them, so the invariants have the image's dimension.
         report["cases"].append(_case(
             f"degree {d}", "pass" if image == target else "fail",
             data={"dim_invariants": image.dim, "dim_restricted": image.dim,

@@ -35,7 +35,8 @@ order, which is what makes rendered bases canonical.
 
 Exact numbers enter and leave the package here.  `rational` is the way in:
 it refuses a float, which has no exact meaning, and every constructor that
-takes numbers from a caller reads them through it.  `exact_str` is the way out: the text of an int or a
+takes numbers from a caller reads them through it, as `parse` reads its
+integers.  `exact_str` is the way out: the text of an int or a
 `Fraction` at any length, printed without touching CPython's process-wide
 limit on the digits of an int.
 
@@ -98,7 +99,8 @@ def rational(value: Scalar | str, at: int = 0) -> Fraction:
     having no exact meaning here, and a zero denominator is a ValueError.
     Text that is no number, or whose integer passes CPython's limit on digits
     read, is a `ParseError` at its first character, for text found at
-    position `at` of a caller's input."""
+    position `at` of a caller's input; past the limit, in CPython's words
+    without their advice to lift it, which no CLI user can follow."""
     if isinstance(value, float):
         raise TypeError(f"float {value!r}; use an int or a Fraction")
     try:
@@ -106,8 +108,10 @@ def rational(value: Scalar | str, at: int = 0) -> Fraction:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     except ValueError as exc:
-        text = str(value)
-        raise ParseError(str(exc), at + len(text) - len(text.lstrip())) from None
+        text, message = str(value), str(exc)
+        if message.startswith("Exceeds the limit"):
+            message = message.partition(";")[0]
+        raise ParseError(message, at + len(text) - len(text.lstrip())) from None
 
 
 def integral(rows: Sequence[Collection[Scalar]]) -> tuple[int, list[list[int]]]:
@@ -486,10 +490,7 @@ def parse(text: str, ambient_dim: int | None = None,
             pos += 1
         if pos == start:
             raise ParseError("expected an integer", start)
-        try:
-            return int(text[start:pos])
-        except ValueError as exc:       # past CPython's limit on digits converted
-            raise ParseError(str(exc), start) from None
+        return int(rational(text[start:pos], start))    # past the digit limit: ParseError
 
     def read_name() -> str:
         nonlocal pos

@@ -15,25 +15,27 @@ of the Weyl group of those roots.
 Restriction is coordinate projection: under the trace-form identification
 the complement of h_m inside g_m is spanned by the root-vector coordinates,
 so an invariant polynomial restricts by setting every non-Cartan variable
-to zero.  Only the Lie frame restricts, and only the m = 0 image does.
+to zero.  Only the Lie frame restricts, and only the Chevalley check does.
 
-For m >= 1 the image is read off generators, not off S^d(g_m), and from
+At every m the image is read off generators, not off S^d(g_m), and from
 root data alone.  S(g_m)^{g_m} is the polynomial ring on the polarizations
 of the basic invariants of g (Rais and Tauvel, 1992; see the liealg
-module); restriction commutes with polarization level by level, and by
-Chevalley's theorem the restricted basic invariants of g are basic
-invariants of W on h.  The polarized ring does not depend on which basic
-invariants are polarized, so `image_basis` finds W's own
-(`liealg.basic_invariants` over `rootsys.invariant_basis`, with W acting
-on h as the frame acts on level 0), polarizes them on h_m and spans their
-degree-d products.  Restriction is injective on a polynomial ring exactly
+module; at m = 0 the polarizations are the invariants themselves);
+restriction commutes with polarization level by level, and by Chevalley's
+theorem the restricted basic invariants of g are basic invariants of W on
+h.  The polarized ring does not depend on which basic invariants are
+polarized, so `image_basis` finds W's own (`liealg.basic_invariants` over
+`rootsys.invariant_basis`, with W acting on h as the frame acts on level
+0), polarizes them on h_m and spans their degree-d products; at m = 0 that
+span is S^d(h)^W.  Restriction is injective on a polynomial ring exactly
 when the restricted generators stay algebraically independent, which the
 dimension of that span checks degree by degree.  So result 2 runs on any
-root system, each supported Weyl type included.  For m = 0 the image is
-the restricted kernel basis of g's invariants: that is the input of the
-Chevalley check, which must not assume Chevalley's theorem.  The work bound
-of both `image_basis` at m >= 1 and `criterion_subspace` counts the degree-d
-monomials of S[h_m], the space they compute in.
+root system, each supported Weyl type included.  Only the Chevalley check,
+which must not assume Chevalley's theorem, restricts g's own invariants:
+`chevalley_graded_check` restricts the kernel basis of S^d(g)^g and
+compares it with S^d(h)^W.  The work bound of `image_basis` and
+`criterion_subspace` counts the degree-d monomials of S[h_m], the space
+they compute in; that of the Chevalley check, those of S^d(g).
 
 Membership in the restriction image is tested by two conditions:
 
@@ -87,7 +89,7 @@ IMAGE_DEGREE_BOUND = 8      # default top degree at which `criterion_check` test
 class RootFrame:
     """Coordinates of h_m, for h carrying the root system `rs` (h itself at
     m = 0), with the diagonal Weyl action: all that the criterion and the
-    image at m >= 1 read.
+    image read.
 
     `positive_roots` indexes the positive roots of rs
     (`RootSystem.positive_indivisible`) in descending lexicographic order of
@@ -184,22 +186,21 @@ def restrict(frame: CartanFrame, p: Polynomial) -> Polynomial:
 
 
 def image_basis(frame: RootFrame, degree: int, work_bound: int = WORK_BOUND) -> GradedSubspace:
-    """Canonical basis of the degree-d restriction image Res S^d[g_m]^{g_m}.
-
-    For m >= 1, the degree-d products of the polarizations to h_m of the
-    basic invariants of W on h, read from the frame's roots alone; for
-    m = 0, the restricted basis of g's invariants, which only a
-    `CartanFrame` holds.  Either way the spanning list must stay independent.
+    """Canonical basis of the degree-d restriction image Res S^d[g_m]^{g_m},
+    read from the frame's roots alone at every m: the degree-d products of
+    the polarizations to h_m of the basic invariants of W on h (at m = 0,
+    of those invariants themselves), which must stay independent.
     """
-    if frame.m:
-        check_work_bound(frame.dim, degree, work_bound)
-        weyl = RootFrame(frame.rs, 0).weyl          # W on h, as the frame acts on level 0
-        generators = basic_invariants(partial(rootsys.invariant_basis, weyl), weyl.rank, degree)
-        spanning = polarized_products(generators, weyl.rank, frame.m, degree)
-    else:
-        spanning = [restrict(frame, b).terms
-                    for b in invariants_graded(frame.gm, degree, work_bound).basis]
-    image = _canonical(frame.dim, degree, spanning)
+    check_work_bound(frame.dim, degree, work_bound)
+    weyl = RootFrame(frame.rs, 0).weyl          # W on h, as the frame acts on level 0
+    generators = basic_invariants(partial(rootsys.invariant_basis, weyl), weyl.rank, degree)
+    return _independent(frame.dim, degree,
+                        polarized_products(generators, weyl.rank, frame.m, degree))
+
+
+def _independent(dim: int, degree: int, spanning: list[dict[Monomial, int]]) -> GradedSubspace:
+    """The canonical span of `spanning`; `RestrictionError` unless the list is independent."""
+    image = _canonical(dim, degree, spanning)
     if image.dim != len(spanning):
         raise RestrictionError("restriction failed to be injective on invariants")
     return image
@@ -312,14 +313,17 @@ def criterion_subspace(frame: RootFrame, degree: int,
 def chevalley_graded_check(frame: CartanFrame, degree: int, work_bound: int = WORK_BOUND
                            ) -> tuple[GradedSubspace, GradedSubspace]:
     """The two sides of Chevalley's theorem at one degree, as canonical bases:
-    the restriction image of the adjoint invariants (`image_basis`) and the
-    W-invariants on h (`rootsys.invariant_basis`).  The theorem holds at
-    this degree exactly when the two are equal.
+    the restriction image of the adjoint invariants and the W-invariants on
+    h (`rootsys.invariant_basis`).  The theorem holds at this degree exactly
+    when the two are equal.
 
     `frame` is the Cartan frame of g itself (m = 0), built once per check and
     read at every degree; W is its own Weyl group of (g, h), acting on h.
-    `image_basis` computes the invariants once and raises `RestrictionError`
-    unless their restricted basis stays independent, so restriction is
-    injective on every image it returns, and the invariants have the image's
-    dimension."""
-    return image_basis(frame, degree, work_bound), rootsys.invariant_basis(frame.weyl, degree)
+    The image side must not assume the theorem, so it is not `image_basis`:
+    it restricts the basis of g's own invariants (`invariants_graded`) and
+    raises `RestrictionError` unless that restricted basis stays
+    independent, so restriction is injective on every image returned, and
+    the invariants have the image's dimension."""
+    spanning = [restrict(frame, b).terms
+                for b in invariants_graded(frame.gm, degree, work_bound).basis]
+    return _independent(frame.dim, degree, spanning), rootsys.invariant_basis(frame.weyl, degree)

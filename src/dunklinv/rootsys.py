@@ -70,6 +70,8 @@ class RootSystem(Frozen):
     """A reduced root system derived from its simple roots and invariant form.
 
     `roots` is the breadth-first orbit of the simple roots, which come first.
+    The form must be rank x rank and each simple root have rank entries;
+    fewer simple roots than rank span a subsystem.
     `form_inv` is inverted once, here: the coroots are read from it, and the
     Dunkl layer takes its columns as the directions dual to the coordinates.
     """
@@ -86,6 +88,9 @@ class RootSystem(Frozen):
     def __init__(self, name, rank, simple_roots, form):
         simple_roots = tuple(tuple(map(rational, row)) for row in simple_roots)
         form = tuple(tuple(map(rational, row)) for row in form)
+        if len(form) != rank or any(len(row) != rank for row in form + simple_roots):
+            raise ValueError(f"a rank-{rank} system needs a {rank} x {rank} form and "
+                             f"simple roots of {rank} entries")
         form_inv = tuple(map(tuple, linalg.mat_inv(form)))
         # Reflections keep the norm <alpha, form^-1 alpha>, so each root
         # carries the norm of the simple root its orbit started from.

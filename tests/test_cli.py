@@ -225,13 +225,15 @@ def test_exit_two_on_an_input_number_past_the_int_digit_limit(capsys, int_digit_
                                                                flag, value, suffix):
     # As in the library: CPython refuses to read an int of more than 4300
     # digits from text, and the CLI does not lift that limit.  Each option
-    # names where in its text the number starts.
+    # names where in its text the number starts, and none passes on
+    # CPython's advice to lift the limit, which a CLI user cannot follow.
     int_digit_limit(4300)
     argv = {"--type": "A1", "--k": "all=1", "--xi": "1", "--poly": "x1"} | {flag: value}
     code, out, err = run(capsys, "dunkl", "apply", *(x for item in argv.items() for x in item))
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert err.endswith(suffix) and "Exceeds the limit" in err
+    assert err.endswith("value has 5000 digits" + suffix), err
 
 
 @pytest.mark.parametrize("type_,argv,degree", [

@@ -7,8 +7,8 @@ or a denominator: `exactalg.integral` is the one conversion of exact values
 to integers.  Only `exactalg` wraps a term dict into a `Polynomial` unchecked
 (`Polynomial._wrap`), and no module changes CPython's process-wide limit on
 the digits of an int printed as text: `exactalg.exact_str` prints past it.
-In `restriction`, only the Lie frame, `restrict` and the m = 0 image read
-g_m (`.gm`): the criterion and the image at m >= 1 read root data alone."""
+In `restriction`, only the Lie frame, `restrict` and the Chevalley check read
+g_m (`.gm`): the criterion and the image at every m read root data alone."""
 
 import ast
 import sys
@@ -73,7 +73,7 @@ def test_no_module_changes_the_int_digit_limit():
     assert setters == set()
 
 
-def test_only_the_lie_frame_and_the_m0_image_read_g_in_restriction():
+def test_only_the_lie_frame_and_the_chevalley_check_read_g_in_restriction():
     [path] = [p for p in SOURCES if p.name == "restriction.py"]
     top_level = ast.parse(path.read_text()).body
 
@@ -82,10 +82,8 @@ def test_only_the_lie_frame_and_the_m0_image_read_g_in_restriction():
                 and isinstance(n.ctx, ast.Load)]
 
     # A statement outside any definition counts under the name None.
-    assert {getattr(node, "name", None) for node in top_level if reads(node)} <= \
-        {"CartanFrame", "restrict", "image_basis"}
+    readers = {getattr(node, "name", None) for node in top_level if reads(node)}
+    assert readers <= {"CartanFrame", "restrict", "chevalley_graded_check"}
+    assert "chevalley_graded_check" in readers
     [image] = [node for node in top_level if getattr(node, "name", None) == "image_basis"]
-    [branch] = [n for n in ast.walk(image)
-                if isinstance(n, ast.If) and ast.unparse(n.test) == "frame.m"]
-    m0 = {id(n) for statement in branch.orelse for n in reads(statement)}
-    assert m0 and {id(n) for n in reads(image)} == m0
+    assert reads(image) == []

@@ -399,6 +399,28 @@ def test_parse_positions_an_integer_past_the_digit_limit(int_digit_limit):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no limit on int <-> str conversion")
+def test_a_number_past_the_digit_limit_is_refused_without_cpythons_advice(int_digit_limit):
+    # CPython's message ends by advising a call to lift the limit, which no
+    # user of the command line can make; the ParseError keeps the rest.
+    int_digit_limit(4300)
+    digits = "1" * 5000
+    refused = "Exceeds the limit (4300 digits) for integer string conversion: value has " \
+        "5000 digits (at position {})"
+    for read, text, position in ((partial(parse, ambient_dim=1), digits + " x1", 0),
+                                 (partial(parse, ambient_dim=1), "x1^" + digits, 3),
+                                 (exactalg.rational, " " + digits, 1),
+                                 (exactalg.rational, "1/" + digits, 0)):
+        with pytest.raises(ParseError) as excinfo:
+            read(text)
+        assert str(excinfo.value) == refused.format(position), text[:8]
+    # Text that is no number keeps its whole message, semicolon included.
+    with pytest.raises(ParseError) as excinfo:
+        exactalg.rational("1; x")
+    assert str(excinfo.value) == "Invalid literal for Fraction: '1; x' (at position 0)"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int <-> str conversion")
 def test_render_prints_coefficients_past_the_digit_limit(int_digit_limit):
     # Printed at CPython's default limit; the expected text is built with it lifted.
     p = Polynomial(2, {(1, 0): Fraction(10 ** 5000),

@@ -205,6 +205,34 @@ def test_image_lies_in_the_criterion_at_m2_on_every_supported_type(name):
     assert dims == _M2_GAPS.get(name, dims)
 
 
+# dim S^d(h)^W for d = 0..8: the t^d coefficients of prod_i (1 - t^(d_i))^-1.
+_M0_DIMS = {
+    "A1": [1, 0, 1, 0, 1, 0, 1, 0, 1],
+    "A2": [1, 0, 1, 1, 1, 1, 2, 1, 2],
+    "G2": [1, 0, 1, 0, 1, 0, 2, 0, 2],
+    "B2": [1, 0, 1, 0, 2, 0, 2, 0, 3],
+    "C2": [1, 0, 1, 0, 2, 0, 2, 0, 3],
+}
+
+
+@pytest.mark.parametrize("name", rootsys.SUPPORTED)
+def test_root_image_at_m0_is_the_weyl_invariants(name):
+    # At m = 0 the image polarizes nothing: the products of W's basic
+    # invariants span S^d(h)^W, read from the roots alone, with no Lie algebra.
+    frame = restriction.RootFrame(rootsys.root_system(name), 0)
+    dims = []
+    for d in range(9):
+        image = image_basis(frame, d)
+        assert image == rootsys.invariant_basis(frame.weyl, d), d
+        dims.append(image.dim)
+    assert dims == _M0_DIMS.get(name, dims)
+
+
+def test_root_frame_at_m0_has_an_image():
+    # A root frame holds no g, and the m = 0 image needs none.
+    assert image_basis(restriction.RootFrame(rootsys.root_system("A2"), 0), 2).dim == 1
+
+
 def test_root_frame_refuses_a_level_past_the_names():
     with pytest.raises(ValueError, match="within 0..3"):
         restriction.RootFrame(rootsys.root_system("A1"), 4)
@@ -579,9 +607,11 @@ def test_chevalley_sl2(sl2):
 
 @pytest.mark.parametrize("algebra,top", [("sl2", 12), ("sl3", 9)])
 def test_chevalley_image_is_the_weyl_invariants_as_canonical_bases(request, algebra, top):
+    # The Lie side: g's own invariants, restricted, not the root image, which
+    # is W's invariants by construction.
     frame = CartanFrame(request.getfixturevalue(algebra))
     for d in range(top + 1):
-        assert image_basis(frame, d) == rootsys.invariant_basis(frame.weyl, d), d
+        assert chevalley_graded_check(frame, d)[0] == rootsys.invariant_basis(frame.weyl, d), d
 
 
 def test_chevalley_sl3_low_degrees(sl3):

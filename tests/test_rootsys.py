@@ -75,6 +75,24 @@ def test_isotropic_simple_root_is_refused():
         RootSystem(name="isotropic", rank=2, simple_roots=[(1, 0)], form=[[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("rank,simple_roots,form", [
+    (3, [[1]], [[1]]), (2, [[1, 0]], [[1]]), (2, [[1]], identity(2)),
+    (2, [[1, 0]], [[1, 0], [0]]),
+], ids=["rank-over-form", "form-under-rank", "short-simple-root", "ragged-form"])
+def test_a_shape_that_disagrees_with_the_rank_is_refused(rank, simple_roots, form):
+    # W, its invariants and the Dunkl layer take rank variables from the form
+    # and from every root: a 1 x 1 form on a rank-3 system, say, would give
+    # no invariants of degree 2 and an IndexError in DunklContext.
+    with pytest.raises(ValueError, match=f"rank-{rank} system needs a {rank} x {rank} form"):
+        RootSystem(name="X", rank=rank, simple_roots=simple_roots, form=form)
+
+
+def test_fewer_simple_roots_than_rank_span_a_subsystem():
+    rs = RootSystem(name="A1+0", rank=2, simple_roots=[[1, 0]], form=identity(2))
+    assert rs.roots == ((1, 0), (-1, 0)) and rs.coroots == ((2, 0), (-2, 0))
+    assert [invariant_basis(generate_weyl(rs), d).dim for d in range(4)] == [1, 1, 2, 2]
+
+
 @pytest.mark.parametrize("simple_roots,form", [([[0.1]], [[1]]), ([[1]], [[0.5]])],
                          ids=["simple-root", "form"])
 def test_a_float_entry_is_refused(simple_roots, form):
