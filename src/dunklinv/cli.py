@@ -361,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--m", type=int, default=1)
     image = takiff.add_parser("image", help="restriction image vs criterion space", **parents)
     image.add_argument("--algebra", required=True, choices=_ALGEBRAS)
-    image.add_argument("--m", type=_POSITIVE, default=1,
-                       help="truncation order; the criterion is meaningless at m = 0")
+    image.add_argument("--m", type=_NONNEGATIVE, default=1, help="truncation order")
     for sub in (inv, image):
         # One degree or a range, not both.  The range has no default in
         # argparse, which would take an explicit "--max-degree 4" for absent.
@@ -371,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         degrees.add_argument("--max-degree", type=_NONNEGATIVE, help="0..D, default 4")
     crit = takiff.add_parser("criterion", help="run the membership criterion on a polynomial", **parents)
     crit.add_argument("--algebra", required=True, choices=_ALGEBRAS)
-    crit.add_argument("--m", type=_POSITIVE, default=1,
-                      help="truncation order; the criterion is meaningless at m = 0")
+    crit.add_argument("--m", type=_NONNEGATIVE, default=1, help="truncation order")
     crit.add_argument("--poly", required=True, help="polynomial in the h_m aliases (u, v, w)")
     crit.add_argument("--max-degree", type=_NONNEGATIVE, default=IMAGE_DEGREE_BOUND,
                       help="membership degree bound")

@@ -78,8 +78,7 @@ from typing import Iterable, Iterator, Sequence
 from . import linalg
 from .exactalg import (Monomial, Polynomial, apply_map, derivative, integral,
                        monomials_of_degree, rational)
-from .rootsys import (MultiplicityAssignment, RootSystem, generate_weyl, invariant_basis,
-                      reflection_matrix, root_system)
+from .rootsys import MultiplicityAssignment, RootSystem, generate_weyl, invariant_basis, root_system
 
 
 class DunklContext:
@@ -95,8 +94,8 @@ class DunklContext:
         self._acting = [(idx, by_label[rs.orbit_labels[idx]])
                         for idx in rs.positive_indivisible() if by_label[rs.orbit_labels[idx]]]
         # per acting root, H_alpha and then the rows of r_alpha, scaled by R
-        self._r, scaled = integral([[*rs.coroots[idx], *chain.from_iterable(
-            reflection_matrix(rs.roots[idx], rs.coroots[idx]))] for idx, _ in self._acting])
+        self._r, scaled = integral([[*rs.coroots[idx], *chain.from_iterable(rs.reflection(idx))]
+                                    for idx, _ in self._acting])
         self._reflected = [_reflected_variables(rs.rank, row) for row in scaled]
         one = (0,) * rs.rank
         self._monomials = {one: one}                # one tuple per monomial met

@@ -45,7 +45,7 @@ Rendered names follow the base algebra with a tensor-degree suffix:
 "h" is h (x) 1 and "h_2" is h (x) T^2.  The form of g_m is the top-degree
 one; the contraction directions delta(H (x) T^m) that the restriction
 criterion needs are read on h from the frame's root system
-(`restriction.CartanFrame.delta_direction`).  The test suite rechecks the
+(`restriction.RootFrame.delta_direction`).  The test suite rechecks the
 invariants against every basis derivation, and at m >= 1 against the
 kernel on all of S^d(g_m).
 """
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import combinations_with_replacement, takewhile
+from itertools import combinations, combinations_with_replacement, takewhile
 from typing import Callable, Mapping, Sequence
 
 from .exactalg import (WORK_BOUND, Monomial, Polynomial, apply_map, check_work_bound, integral,
@@ -141,15 +141,16 @@ class LieAlgebra:
             raise ValueError("structure constants are not antisymmetric")
         if any(self.form[i][j] != self.form[j][i] for i, j in pairs):
             raise ValueError("form is not symmetric")
-        for i, j in pairs:
-            for k in range(dim):
-                acc: dict[int, int] = {}
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, c in table[y][z].items():
-                        for r, c2 in table[x][l].items():
-                            acc[r] = acc.get(r, 0) + c * c2
-                if any(acc.values()):
-                    raise ValueError(f"Jacobi identity fails on basis triple {(i, j, k)}")
+        # Antisymmetry carries Jacobi from i < j < k to every ordering and to
+        # repeated indices, so the first failing triple is a sorted one.
+        for i, j, k in combinations(range(dim), 3):
+            acc: dict[int, int] = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, c in table[y][z].items():
+                    for r, c2 in table[x][l].items():
+                        acc[r] = acc.get(r, 0) + c * c2
+            if any(acc.values()):
+                raise ValueError(f"Jacobi identity fails on basis triple {(i, j, k)}")
         _, form = integral(self.form)
         for i, j in pairs:
             for k in range(dim):

@@ -2,15 +2,16 @@
 
 A frame is the coordinate ring S[h_m] with its roots, in two parts.  The
 root frame, `RootFrame(rs, m)`, is built from a `rootsys.RootSystem` of h
-and a level m alone: the names, the positive roots, the base Weyl group
-acting diagonally (same matrix on every T-level), and every label, coroot
-and direction the criterion reads.  The Lie frame, `CartanFrame(g_m)`, is
-the root frame of (g, h) plus g_m itself: `cartan_roots` derives that
-root system from the Cartan weights of g's basis and g's form on h, the
-same kind of system the Dunkl layer runs on.  The Chevalley check is one
-equality per degree, the theorem's own statement: the canonical basis of
-the restricted adjoint invariants of g equals that of the invariants on h
-of the Weyl group of those roots.
+and a level m alone: the names, the positive roots, the Weyl group W on h
+(`base_weyl`, held once) and acting diagonally on h_m (`weyl`, the same
+block on every T-level), and every label, coroot and direction the
+criterion reads.  The Lie frame, `CartanFrame(g_m)`, is the root frame of
+(g, h) plus g_m itself: `cartan_roots` derives that root system from the
+Cartan weights of g's basis and g's form on h, the same kind of system the
+Dunkl layer runs on.  The Chevalley check is one equality per degree, the
+theorem's own statement: the canonical basis of the restricted adjoint
+invariants of g equals that of the invariants on h of the Weyl group of
+those roots.
 
 Restriction is coordinate projection: under the trace-form identification
 the complement of h_m inside g_m is spanned by the root-vector coordinates,
@@ -25,15 +26,15 @@ restriction commutes with polarization level by level, and by Chevalley's
 theorem the restricted basic invariants of g are basic invariants of W on
 h.  The polarized ring does not depend on which basic invariants are
 polarized, so `image_basis` finds W's own (`liealg.basic_invariants` over
-`rootsys.invariant_basis`, with W acting on h as the frame acts on level
-0), polarizes them on h_m and spans their degree-d products; at m = 0 that
-span is S^d(h)^W.  Restriction is injective on a polynomial ring exactly
-when the restricted generators stay algebraically independent, which the
-dimension of that span checks degree by degree.  So result 2 runs on any
-root system, each supported Weyl type included.  Only the Chevalley check,
-which must not assume Chevalley's theorem, restricts g's own invariants:
-`chevalley_graded_check` restricts the kernel basis of S^d(g)^g and
-compares it with S^d(h)^W.  The work bound of `image_basis` and
+`rootsys.invariant_basis` of the frame's `base_weyl`, W acting on h as the
+frame acts on level 0), polarizes them on h_m and spans their degree-d
+products; at m = 0 that span is S^d(h)^W.  Restriction is injective on a
+polynomial ring exactly when the restricted generators stay algebraically
+independent, which the dimension of that span checks degree by degree.  So
+result 2 runs on any root system, each supported Weyl type included.  Only
+the Chevalley check, which must not assume Chevalley's theorem, restricts
+g's own invariants: `chevalley_graded_check` restricts the kernel basis of
+S^d(g)^g and compares it with S^d(h)^W.  The work bound of `image_basis` and
 `criterion_subspace` counts the degree-d monomials of S[h_m], the space
 they compute in; that of the Chevalley check, those of S^d(g).
 
@@ -48,7 +49,9 @@ exactly the hatted-root divisibility condition (and it characterizes the
 image); for m = 2 it is the direct generalization, which is necessary but
 not sufficient: the generalized sl(2) case exhibits a one-dimensional gap
 at degree 2, and every supported Weyl type has a gap from degree 2 on.
-The conditions are not meaningful for m = 0.
+The conditions are not meaningful for m = 0: `criterion_maps` refuses that
+level with a `ValueError`, and so `criterion_check` and `criterion_subspace`
+do too.
 
 Both run as integer maps on monomials, keyed by exponent vectors like every
 polynomial here, and `criterion_maps` lists them once, in one order:
@@ -94,8 +97,10 @@ class RootFrame:
     `positive_roots` indexes the positive roots of rs
     (`RootSystem.positive_indivisible`) in descending lexicographic order of
     their coordinates, and every root datum below is read from `rs`.
-    `weyl` is the Weyl group of rs acting diagonally on S[h_m], held as a
-    rootsys.WeylGroup of substitution matrices on the frame coordinates.
+    `base_weyl` is the Weyl group of rs on S[h], as the frame acts on level
+    0, and `weyl` the same group acting diagonally on S[h_m]: each a
+    rootsys.WeylGroup of substitution matrices, generator i the reflection
+    of positive_roots[i], held once per frame.
     """
 
     def __init__(self, rs: rootsys.RootSystem, m: int):
@@ -108,16 +113,18 @@ class RootFrame:
         self.positive_roots = sorted(rs.positive_indivisible(), key=rs.roots.__getitem__,
                                      reverse=True)
 
-        # Generators are vectors, so w acts on S[h_m] by substituting
-        # blockdiag(w^T), one block per T-level.  generators[i] is the
-        # diagonal reflection of positive_roots[i]; the group permutes the
+        # Generators are vectors, so w acts on S[h] by substituting w^T, and on
+        # S[h_m] by blockdiag(w^T), one block per T-level.  generators[i] is
+        # the reflection of positive_roots[i] in both; the group permutes the
         # finite frame roots, so it is finite.
+        self.base_weyl = rootsys.WeylGroup(nc, tuple(tuple(zip(*rs.reflection(i)))
+                                                     for i in self.positive_roots))
+
         def lift(w):
-            return tuple(tuple(w[j % nc][i % nc] if i // nc == j // nc else Fraction(0)
+            return tuple(tuple(w[i % nc][j % nc] if i // nc == j // nc else Fraction(0)
                                for j in range(self.dim)) for i in range(self.dim))
 
-        self.weyl = rootsys.WeylGroup(rank=self.dim, generators=tuple(
-            lift(rs.reflection(i)) for i in self.positive_roots))
+        self.weyl = rootsys.WeylGroup(self.dim, tuple(map(lift, self.base_weyl.generators)))
 
     # -- criterion ingredients ----------------------------------------------
 
@@ -189,10 +196,11 @@ def image_basis(frame: RootFrame, degree: int, work_bound: int = WORK_BOUND) -> 
     """Canonical basis of the degree-d restriction image Res S^d[g_m]^{g_m},
     read from the frame's roots alone at every m: the degree-d products of
     the polarizations to h_m of the basic invariants of W on h (at m = 0,
-    of those invariants themselves), which must stay independent.
+    of those invariants themselves), which must stay independent.  W on h
+    is the frame's `base_weyl`.
     """
     check_work_bound(frame.dim, degree, work_bound)
-    weyl = RootFrame(frame.rs, 0).weyl          # W on h, as the frame acts on level 0
+    weyl = frame.base_weyl
     generators = basic_invariants(partial(rootsys.invariant_basis, weyl), weyl.rank, degree)
     return _independent(frame.dim, degree,
                         polarized_products(generators, weyl.rank, frame.m, degree))
@@ -292,7 +300,10 @@ def criterion_maps(frame: RootFrame, degree: int):
     (condition, root index, n, image, den) for `exactalg.apply_map`: condition 1
     per lifted reflection (n = 0, from `rootsys.invariance_maps`), then
     condition 2 per root and n = 1..d.  Lazy: a root's `_Divisibility` is
-    built when the generator reaches it."""
+    built when the generator reaches it.  The conditions mean nothing at
+    m = 0, where the generator raises `ValueError` before its first map."""
+    if not frame.m:
+        raise ValueError("the criterion is meaningless at m = 0")
     for i, (image, den) in zip(frame.positive_roots, rootsys.invariance_maps(frame.weyl)):
         yield 1, i, 0, image, den
     for i in frame.positive_roots:
@@ -318,7 +329,7 @@ def chevalley_graded_check(frame: CartanFrame, degree: int, work_bound: int = WO
     when the two are equal.
 
     `frame` is the Cartan frame of g itself (m = 0), built once per check and
-    read at every degree; W is its own Weyl group of (g, h), acting on h.
+    read at every degree; W is its own Weyl group of (g, h) on h, `base_weyl`.
     The image side must not assume the theorem, so it is not `image_basis`:
     it restricts the basis of g's own invariants (`invariants_graded`) and
     raises `RestrictionError` unless that restricted basis stays
@@ -326,4 +337,5 @@ def chevalley_graded_check(frame: CartanFrame, degree: int, work_bound: int = WO
     the invariants have the image's dimension."""
     spanning = [restrict(frame, b).terms
                 for b in invariants_graded(frame.gm, degree, work_bound).basis]
-    return _independent(frame.dim, degree, spanning), rootsys.invariant_basis(frame.weyl, degree)
+    return (_independent(frame.dim, degree, spanning),
+            rootsys.invariant_basis(frame.base_weyl, degree))

@@ -117,9 +117,11 @@ class RootSystem(Frozen):
             raise ValueError(f"{key} is not a root of {self.name}") from None
 
     def reflection(self, alpha: int | Sequence[Fraction | int]) -> tuple[tuple[Fraction, ...], ...]:
-        """Matrix of r_alpha(x) = x - alpha(x) H_alpha."""
+        """Matrix of r_alpha(x) = x - alpha(x) H_alpha, alpha a root or its index."""
         idx = alpha if isinstance(alpha, int) else self.root_index(alpha)
-        return reflection_matrix(self.roots[idx], self.coroots[idx])
+        row, h = self.roots[idx], self.coroots[idx]
+        return tuple(tuple(Fraction(i == j) - h[i] * a for j, a in enumerate(row))
+                     for i in range(self.rank))
 
     def positive_indivisible(self) -> list[int]:
         """One representative of each {alpha, -alpha} pair (every system here is reduced)."""
@@ -198,13 +200,6 @@ def _norm(alpha: Sequence[Fraction], dual: Sequence[Fraction]) -> Fraction:
 def coroot(dual: Sequence[Fraction], norm: Fraction) -> tuple[Fraction, ...]:
     """H_alpha = 2 form^-1 alpha / norm from dual = form^-1 alpha, so that alpha(H_alpha) = 2."""
     return tuple(2 * x / norm for x in dual)
-
-
-def reflection_matrix(alpha: Sequence[Fraction],
-                      h: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of x -> x - alpha(x) h; with h = H_alpha this is the reflection r_alpha."""
-    n = len(alpha)
-    return tuple(tuple(Fraction(i == j) - h[i] * alpha[j] for j in range(n)) for i in range(n))
 
 
 def _reflect_root(root, simple):

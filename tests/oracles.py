@@ -11,7 +11,10 @@ by products of polarized generators, and the oracle solves for them as the
 joint kernel of the adjoint derivations on S^d(g_m).
 `restricted_generator_image` is the second form of the restriction image at
 m >= 1: the package polarizes W's basic invariants on h, and the oracle
-restricts g's own, found from g's kernel by the same complement search.  `kronecker_takiff`
+restricts g's own, found from g's kernel by the same complement search.
+`rank_one_image` is the same construction for the group of one reflection,
+and `intersection` intersects two canonical subspaces, so that the tests can
+cut the image out root by root.  `kronecker_takiff`
 is the second form of g_m itself: commutators of matrices X (x) N^s,
 against the package's truncated structure constants.  The last section
 holds the checks and helpers that only tests call: the pairing and the
@@ -30,9 +33,9 @@ from dunklinv.exactalg import (Polynomial, divide_with_remainder, mono_from_vari
                                monomials_of_degree, rational)
 from dunklinv.liealg import (_monomial_derivation, basic_invariants, derivation_generators,
                              invariants_graded, polarized_products)
-from dunklinv.linalg import GradedSubspace, joint_kernel, mat_inv, mat_vec
+from dunklinv.linalg import GradedSubspace, joint_kernel, mat_inv, mat_vec, nullspace
 from dunklinv.restriction import CartanFrame, restrict
-from dunklinv.rootsys import reynolds, root_system
+from dunklinv.rootsys import WeylGroup, invariant_basis, reynolds, root_system
 
 
 def a1_dunkl_monomial(n: int, k) -> Polynomial:
@@ -532,6 +535,32 @@ def restricted_generator_image(frame, degree: int):
     return GradedSubspace.from_polynomials(
         [Polynomial(frame.dim, terms)
          for terms in polarized_products(generators, rank, frame.m, degree)], frame.dim, degree)
+
+
+def rank_one_image(frame, k: int, degree: int) -> GradedSubspace:
+    """Image_<r_alpha>(m, d) for alpha = frame.positive_roots[k]: the canonical
+    span of the degree-d products of the level-m polarizations of the basic
+    invariants of the two-element group <r_alpha> on h, found as `image_basis`
+    finds W's, with r_alpha read as the frame's `base_weyl.generators[k]`."""
+    rank = frame.rs.rank
+    group = WeylGroup(rank, (frame.base_weyl.generators[k],))
+    generators = basic_invariants(partial(invariant_basis, group), rank, degree)
+    return GradedSubspace.from_polynomials(
+        [Polynomial(frame.dim, terms)
+         for terms in polarized_products(generators, rank, frame.m, degree)], frame.dim, degree)
+
+
+def intersection(a: GradedSubspace, b: GradedSubspace) -> GradedSubspace:
+    """A ∩ B, canonical: sum_i x_i a_i for each kernel vector (x, y) of the
+    stacked bases [a_1 .. a_p, -b_1 .. -b_q], by `linalg.nullspace`."""
+    rows: dict = {}
+    for column, p in enumerate([*a.basis, *(-q for q in b.basis)]):
+        for mono, c in p.terms.items():
+            rows.setdefault(mono, {})[column] = c
+    kernel = nullspace(list(rows.values()), a.dim + b.dim)
+    return GradedSubspace.from_polynomials(
+        [sum((a.basis[i] * x for i, x in vector.items() if i < a.dim),
+             Polynomial.zero(a.ambient_dim)) for vector in kernel], a.ambient_dim, a.degree)
 
 
 def delta_direction(gm, x) -> list[Fraction]:

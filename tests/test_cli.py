@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -119,6 +120,17 @@ def test_exit_two_on_meaningless_parameters(capsys, argv):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "error" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("takiff", "criterion", "--algebra", "sl3", "--m", "0", "--poly", "u1^2 + u1 u2 + u2^2"),
+    ("takiff", "image", "--algebra", "sl2", "--m", "0", "--max-degree", "2"),
+], ids=["criterion", "image"])
+def test_m0_is_refused_by_the_library(capsys, argv):
+    # --m is a plain level; the criterion's own module refuses m = 0.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: the criterion is meaningless at m = 0\n"
 
 
 def test_exit_two_on_empty_invariant_basis(capsys):
@@ -285,6 +297,21 @@ def test_commute_k_zero(capsys):
                              "--k", "all=0", "--max-degree", "5")
     assert code == EXIT_PASS
     assert data["summary"] == {"total": 1, "passed": 1, "failed": 0, "unknown": 0}
+
+
+def test_commute_fails_when_k_is_not_w_invariant(capsys, monkeypatch):
+    # The three positive roots of A2 form one orbit; giving them k = 1, 2, 3
+    # breaks W-invariance, and with it commutativity.  The witness is the
+    # first monomial of the sweep whose commutator survives.
+    ctx = cli.make_context("A2", "all=1")
+    ctx._acting = [(idx, Fraction(n + 1)) for n, (idx, _) in enumerate(ctx._acting)]
+    monkeypatch.setattr(cli, "make_context", lambda *args: ctx)
+    code, data, _ = run_json(capsys, "dunkl", "commute", "--type", "A2", "--k", "all=1",
+                             "--max-degree", "3")
+    assert code == EXIT_FAIL
+    [case] = data["cases"]
+    assert (case["status"], case["witness"], case["data"]) == ("fail", "x1^2", {"cases": 10})
+    assert data["summary"] == {"total": 1, "passed": 0, "failed": 1, "unknown": 0}
 
 
 def test_gram_invariants_positive(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -209,6 +210,25 @@ def test_rescaled_basis_scales_the_bracket_table(sl2):
     with pytest.raises(ValueError, match="Jacobi"):
         LieAlgebra(g1.dim, g1.basis_names, tuple(map(tuple, structure)), g1.form,
                    g1.cartan_indices)
+
+
+@pytest.mark.parametrize("n,m,pair,image,triple", [
+    (2, 1, (1, 5), 5, (0, 1, 5)),
+    (3, 2, (1, 5), 5, (0, 1, 5)),
+    (3, 2, (0, 12), 12, (0, 1, 12)),
+    (3, 2, (3, 20), 7, (0, 5, 20)),
+])
+def test_jacobi_names_the_first_failing_triple(n, m, pair, image, triple):
+    # Jacobi runs once per sorted triple i < j < k; antisymmetry covers every
+    # other ordering and repeated indices.  The first failing sorted triple is
+    # the first failing ordered one, which the message names.
+    gm = takiff_extend(make_sl(n), m)
+    structure = [list(row) for row in gm.structure]
+    a, b = pair
+    structure[a][b], structure[b][a] = {image: Fraction(-3, 2)}, {image: Fraction(3, 2)}
+    with pytest.raises(ValueError, match=re.escape(f"fails on basis triple {triple}")):
+        LieAlgebra(gm.dim, gm.basis_names, tuple(map(tuple, structure)), gm.form,
+                   gm.cartan_indices)
 
 
 def test_cartan_weight(sl2, sl3):

@@ -21,9 +21,10 @@ from dunklinv.restriction import (
     restrict,
 )
 from oracles import (breadth_first_group, conjugated_a2, coroot_delta, coroot_remainder,
-                     kernel_invariants, mat_mul, polynomial_joint_kernel,
-                     restricted_generator_image, series_coefficients, tower_substitute,
-                     transpose)
+                     intersection, kernel_invariants, mat_mul, polynomial_joint_kernel,
+                     rank_one_image, restricted_generator_image, series_coefficients,
+                     tower_substitute, transpose)
+from test_dunkl import RANK4_SIMPLE_ROOTS
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,128 @@ def test_root_frame_at_m0_has_an_image():
 def test_root_frame_refuses_a_level_past_the_names():
     with pytest.raises(ValueError, match="within 0..3"):
         restriction.RootFrame(rootsys.root_system("A1"), 4)
+
+
+@pytest.mark.parametrize("name,m", [("A1", 3), ("A2", 2), ("G2", 1), ("B3", 0)])
+def test_root_frame_holds_w_on_h_and_lifts_it_block_by_block(name, m):
+    # base_weyl is W on h as the frame acts on level 0, generator i the
+    # transposed reflection of positive_roots[i]; weyl repeats each generator
+    # on every T-level and is W on h itself at m = 0.
+    rs = rootsys.root_system(name)
+    frame = restriction.RootFrame(rs, m)
+    r = rs.rank
+    assert frame.base_weyl.rank == r and frame.weyl.rank == frame.dim == r * (m + 1)
+    assert frame.base_weyl.generators == tuple(
+        tuple(map(tuple, transpose(rs.reflection(i)))) for i in frame.positive_roots)
+    for base, lifted in zip(frame.base_weyl.generators, frame.weyl.generators, strict=True):
+        assert lifted == tuple(tuple(base[i % r][j % r] if i // r == j // r else 0
+                                     for j in range(frame.dim)) for i in range(frame.dim))
+    assert (frame.weyl == frame.base_weyl) == (m == 0)
+
+
+def test_image_basis_builds_no_frame(monkeypatch, sl3):
+    # W on h is the frame's own base_weyl, at every degree and level; the
+    # Chevalley check reads it too.
+    frames = [restriction.RootFrame(rootsys.root_system(name), m)
+              for name, m in [("A2", 0), ("B2", 1), ("G2", 2)]]
+    lie = CartanFrame(sl3)
+    built = []
+    real = restriction.RootFrame.__init__
+    monkeypatch.setattr(restriction.RootFrame, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    for frame in frames:
+        for d in range(5):
+            image_basis(frame, d)
+    for d in range(4):
+        chevalley_graded_check(lie, d)
+    assert built == []
+    restriction.RootFrame(rootsys.root_system("A1"), 0)        # the count sees a frame
+    assert len(built) == 1
+
+
+def test_the_criterion_refuses_m0(sl3):
+    # At m = 0 the two conditions mean nothing: the degree-2 image element
+    # u1^2 + u1 u2 + u2^2 of A2 would fail them.  Root and Lie frames alike
+    # refuse, in criterion_maps, before any map is built.
+    for frame in (restriction.RootFrame(rootsys.root_system("A2"), 0), CartanFrame(sl3)):
+        p = frame.parse("u1^2 + u1 u2 + u2^2")
+        assert image_basis(frame, 2).contains(p)
+        for d in range(5):
+            with pytest.raises(ValueError, match="the criterion is meaningless at m = 0"):
+                criterion_subspace(frame, d)
+            with pytest.raises(ValueError, match="meaningless at m = 0"):
+                next(criterion_maps(frame, d))
+        for q in (p, frame.parse("u1"), Polynomial(frame.dim)):
+            with pytest.raises(ValueError, match="meaningless at m = 0"):
+                criterion_check(frame, q)
+
+
+# -- root by root: the image from rank-one images ----------------------------------
+#
+# Observation (ROADMAP item 12; the proof sketch there is not written out):
+#
+#     Image_W(m, d) = S^d(h_m)^W  ∩  ⋂_alpha Image_<r_alpha>(m, d),
+#
+# alpha running over one positive root per W-orbit, and Image_<r_alpha> the
+# same construction as the image for the two-element group <r_alpha> on h
+# (`oracles.rank_one_image`).  A1 at m = 4 needs level names past z.
+
+_ROOT_BY_ROOT = [("A1", 2, 8), ("A1", 3, 8),
+                 ("A2", 2, 6), ("B2", 2, 6), ("C2", 2, 6), ("G2", 2, 6),
+                 ("A3", 2, 4), ("B3", 2, 4),
+                 ("A2", 3, 4), ("B2", 3, 4), ("G2", 3, 4),
+                 ("B4", 2, 4), ("F4", 2, 4)]
+
+
+def _system(name: str) -> rootsys.RootSystem:
+    if name in RANK4_SIMPLE_ROOTS:
+        return rootsys.RootSystem(name, 4, RANK4_SIMPLE_ROOTS[name], linalg.identity(4))
+    return rootsys.root_system(name)
+
+
+def _one_root_per_orbit(frame) -> list[int]:
+    """For each orbit label, the place k in positive_roots of its first root."""
+    first: dict[str, int] = {}
+    for k, i in enumerate(frame.positive_roots):
+        first.setdefault(frame.rs.orbit_labels[i], k)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("name,m,top", _ROOT_BY_ROOT,
+                         ids=[f"{name}-m{m}" for name, m, _ in _ROOT_BY_ROOT])
+def test_image_is_cut_out_root_by_root(name, m, top):
+    frame = restriction.RootFrame(_system(name), m)
+    orbits = _one_root_per_orbit(frame)
+    assert len(orbits) == len(set(frame.rs.orbit_labels))
+    for d in range(top + 1):
+        cut = rootsys.invariant_basis(frame.weyl, d)
+        for k in orbits:
+            cut = intersection(cut, rank_one_image(frame, k, d))
+        assert image_basis(frame, d) == cut, d
+
+
+def test_the_weyl_invariants_alone_are_larger_than_the_image():
+    # The rank-one images do cut: on B2 at m = 2 in degree 2, S^2(h_2)^W has
+    # dimension 6 and the image 3.
+    frame = restriction.RootFrame(rootsys.root_system("B2"), 2)
+    invariants = rootsys.invariant_basis(frame.weyl, 2)
+    image = image_basis(frame, 2)
+    assert (invariants.dim, image.dim) == (6, 3)
+    assert invariants.contains_subspace(image)
+
+
+@pytest.mark.parametrize("name,top", [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 4), ("B3", 4)])
+def test_rank_one_image_is_its_roots_criterion_at_m1(name, top):
+    # At m = 1 the rank-one image of alpha is the joint kernel of alpha's own
+    # criterion maps: condition 1 for r_alpha and condition 2 for alpha,
+    # n = 1..d.  So the paper's criterion is the root-by-root cut at m = 1.
+    frame = restriction.RootFrame(rootsys.root_system(name), 1)
+    for d in range(top + 1):
+        maps = list(criterion_maps(frame, d))
+        for k, i in enumerate(frame.positive_roots):
+            own = [image for _, root, _, image, _ in maps if root == i]
+            assert len(own) == 1 + d
+            assert rank_one_image(frame, k, d) == linalg.joint_kernel(frame.dim, d, own), (i, d)
 
 
 # -- restriction ---------------------------------------------------------------------
